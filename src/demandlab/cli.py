@@ -76,7 +76,7 @@ def _price_grid(scenario, pop) -> np.ndarray:
     return default_price_grid(pop)
 
 
-def cmd_demand(scenario, digest: str, out_dir: str, args) -> int:
+def cmd_demand(scenario, digest: str, out_dir: str) -> int:
     pop = _require(scenario.population, "population")
     curve = demand_curve(pop, _price_grid(scenario, pop))
     table = invert_demand(curve)
@@ -85,7 +85,7 @@ def cmd_demand(scenario, digest: str, out_dir: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(scenario, digest: str, out_dir: str, args) -> int:
+def cmd_classify(scenario, digest: str, out_dir: str) -> int:
     pop = _require(scenario.population, "population")
     report = ineq_mod.classify(pop)
     payload = _envelope("classify", digest, report.to_json_dict())
@@ -94,20 +94,13 @@ def cmd_classify(scenario, digest: str, out_dir: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_nonid(scenario, digest: str, out_dir: str, args) -> int:
+def cmd_nonid(scenario, digest: str, out_dir: str) -> int:
     cfg = _require(scenario.nonid, "nonid")
-    tol = cfg.tol
-    if "nonid_gap" in scenario.tolerances:
-        tol = scenario.tolerances["nonid_gap"]
-    if args.tol is not None:
-        tol = args.tol
-    grid = None
-    if scenario.price_grid is not None:
-        probe = pops.make_low_population(cfg.ratio, cfg.delta_low)
-        grid = scenario.price_grid.resolve_prices(probe)
+    # Both twins share cfg.ratio, so its support fixes the price grid.
     demo = ineq_mod.build_nonid_demo(cfg.ratio, cfg.delta_low,
-                                     cfg.delta_high, grid, tol,
-                                     cfg.mc_draws, scenario.seed)
+                                     cfg.delta_high,
+                                     _price_grid(scenario, cfg.ratio),
+                                     cfg.tol, cfg.mc_draws, scenario.seed)
     payload = _envelope("nonid", digest, demo.to_json_dict())
     _atomic_write(os.path.join(out_dir, "nonid_demo.json"),
                   _json_text(payload))
@@ -116,17 +109,12 @@ def cmd_nonid(scenario, digest: str, out_dir: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_identify(scenario, digest: str, out_dir: str, args) -> int:
+def cmd_identify(scenario, digest: str, out_dir: str) -> int:
     pop = _require(scenario.population, "population")
     config = _require(scenario.identification, "identification")
-    if "tail_bound" in scenario.tolerances:
-        config = ident_mod.IdentificationConfig(
-            config.price_lo, config.price_hi, config.n_prices,
-            config.max_order, config.n_quality, config.quality_span,
-            scenario.tolerances["tail_bound"])
-    surface = ident_mod.build_surface(pop, config)
     report = ident_mod.verify_recovery(pop, config)
-    _atomic_write(os.path.join(out_dir, "surface.csv"), surface.to_csv())
+    _atomic_write(os.path.join(out_dir, "surface.csv"),
+                  report.surface.to_csv())
     moments_payload = _envelope("identify", digest,
                                 report.recovered.to_json_dict())
     _atomic_write(os.path.join(out_dir, "moments.json"),
@@ -137,7 +125,7 @@ def cmd_identify(scenario, digest: str, out_dir: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_sample(scenario, digest: str, out_dir: str, args) -> int:
+def cmd_sample(scenario, digest: str, out_dir: str) -> int:
     pop = _require(scenario.population, "population")
     draws = pops.sample(pop, scenario.sample_n, scenario.seed)
     lines = ["vk,vm"]
@@ -172,8 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "dir, else current directory)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the demo gap tolerance (nonid)")
     return parser
 
 
@@ -186,7 +172,7 @@ def main(argv=None) -> int:
                 raise ScenarioError("--seed must be >= 0")
             scenario = _replace_seed(scenario, args.seed)
         out_dir = args.out or scenario.out_dir or "."
-        return COMMANDS[args.command](scenario, digest, out_dir, args)
+        return COMMANDS[args.command](scenario, digest, out_dir)
     except ScenarioError as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_INPUT

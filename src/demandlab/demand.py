@@ -178,11 +178,10 @@ def demand_curve(pop: Population, price_grid=None) -> DemandCurve:
 
 
 def invert_demand(curve: DemandCurve) -> RatioCdfTable:
-    """Ratio CDF implied by a demand curve, G(r) = 1 - D(r)."""
-    rise = np.max(np.diff(curve.values), initial=0.0)
-    if rise > MONOTONE_TOL:
-        raise MonotonicityViolation(
-            f"demand increases by {rise:.3g}; cannot invert")
+    """Ratio CDF implied by a demand curve, G(r) = 1 - D(r).
+
+    ``DemandCurve`` already rejects rising demand, so G is monotone.
+    """
     return RatioCdfTable(curve.prices.copy(), 1.0 - curve.values)
 
 

@@ -16,7 +16,7 @@ joint law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .moments import MomentTable
 from .populations import Population
 
 CONDITION_LIMIT = 1e10
+TAIL_BOUND = 1e-6
 
 
 def chebyshev_prices(lo: float, hi: float, n: int) -> np.ndarray:
@@ -88,7 +89,7 @@ class IdentificationConfig:
     max_order: int = 4
     n_quality: int = 4096
     quality_span: tuple | None = None
-    tail_bound: float = 1e-6
+    tail_bound: float = TAIL_BOUND
 
     def __post_init__(self):
         if not 0.0 < self.price_lo < self.price_hi:
@@ -123,7 +124,7 @@ def default_quality_grid(pop: Population, prices, n: int) -> np.ndarray:
 
 
 def slice_from_surface(surface: QualityDemandSurface, p: float,
-                       tail_bound: float = 1e-6) -> SliceDistribution:
+                       tail_bound: float = TAIL_BOUND) -> SliceDistribution:
     """Slice CDF at price p: F(w) = 1 - D_Q(-w, p) on w = -xQ reversed.
 
     Quadrature wiggle is projected away isotonic-ly (magnitude recorded);
@@ -243,7 +244,11 @@ def recover_cross_moments(slices, max_order: int) -> MomentTable:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryReport:
-    """End-to-end recovery outcome with per-entry diagnostics."""
+    """End-to-end recovery outcome with per-entry diagnostics.
+
+    ``surface`` is the quality-demand surface the slices were read from;
+    it stays out of the JSON report.
+    """
 
     recovered: MomentTable
     reference: MomentTable
@@ -254,6 +259,7 @@ class RecoveryReport:
     repair: float
     prices: tuple
     config: IdentificationConfig
+    surface: QualityDemandSurface = field(repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,4 +328,4 @@ def verify_recovery(pop: Population,
         tail_mass=float(max(s.tail_mass for s in slices)),
         repair=float(max(s.repair for s in slices)),
         prices=tuple(float(p) for p in surface.price_grid),
-        config=config)
+        config=config, surface=surface)

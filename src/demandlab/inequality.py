@@ -23,6 +23,7 @@ from .populations import (Population, PointMassPopulation,
                           RatioConditionalPopulation, RatioMarginalSpec)
 
 LIMIT_BANDS = 7
+GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class NonIdDemo:
 
 def mean_vm(pop: Population) -> float:
     """Population mean of the money value (closed form where available)."""
-    return float(pop._mean_vm()[0])
+    return float(pop._mean_vm())
 
 
 def boundary_conditional_mean(pop: Population) -> BoundaryMean:
@@ -192,7 +193,7 @@ def _empirical_demand(draws: np.ndarray, prices: np.ndarray) -> np.ndarray:
 
 
 def build_nonid_demo(ratio: RatioMarginalSpec, delta_low: float,
-                     delta_high: float, price_grid=None, tol: float = 1e-10,
+                     delta_high: float, price_grid=None, tol: float = GAP_TOL,
                      mc_draws: int | None = None,
                      seed: int = 0) -> NonIdDemo:
     """Assemble the identical-demand, opposite-classification demo.

@@ -9,7 +9,6 @@ import numpy as np
 from scipy.special import betainc, betaincinv, betaln
 
 from .errors import NoDensity
-from . import quadrature
 
 
 @dataclass(frozen=True, eq=False)

@@ -412,7 +412,7 @@ class PointMassPopulation(Population):
         return self.vk ** j * self.vm ** k, 0.0
 
     def _mean_vm(self):
-        return self.vm, 0.0
+        return self.vm
 
     def _band_vm_moments(self, ra, rb):
         inside = ra <= self.vk / self.vm <= rb
@@ -483,7 +483,7 @@ class ProductPopulation(Population):
         return self.ratio.moment(j) * self.vm.moment(j + k), 0.0
 
     def _mean_vm(self):
-        return self.vm.mean, 0.0
+        return self.vm.mean
 
     def _band_vm_moments(self, ra, rb):
         mass = float(self.ratio.cdf(rb) - self.ratio.cdf(ra))
@@ -605,7 +605,7 @@ class IndependentPopulation(Population):
         return self.vk.moment(j) * self.vm.moment(k), 0.0
 
     def _mean_vm(self):
-        return self.vm.mean, 0.0
+        return self.vm.mean
 
     def _band_vm_moments(self, ra, rb):
         if self.vm.is_degenerate:
@@ -807,8 +807,8 @@ class RatioConditionalPopulation(Population):
         return value, tol
 
     def _mean_vm(self):
-        return (self.cond.h_integral(self.ratio.r_lo, self.ratio.r_lo,
-                                     self.ratio.r_hi), 0.0)
+        return self.cond.h_integral(self.ratio.r_lo, self.ratio.r_lo,
+                                    self.ratio.r_hi)
 
     def _band_vm_moments(self, ra, rb):
         mass = float(self.ratio.cdf(rb) - self.ratio.cdf(ra))
@@ -954,13 +954,7 @@ class MixturePopulation(Population):
         return value, diag
 
     def _mean_vm(self):
-        value = 0.0
-        diag = 0.0
-        for w, pop in self.components:
-            v, d = pop._mean_vm()
-            value += w * v
-            diag += w * d
-        return value, diag
+        return sum(w * pop._mean_vm() for w, pop in self.components)
 
     def _band_vm_moments(self, ra, rb):
         mass = 0.0

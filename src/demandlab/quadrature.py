@@ -32,14 +32,6 @@ _X7, _W7 = _rule(7)
 _X15, _W15 = _rule(15)
 
 
-def gauss_legendre(f, a: float, b: float, order: int = 16) -> float:
-    """Fixed-order Gauss-Legendre estimate of the integral of f on [a, b]."""
-    x, w = _rule(order)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.dot(w, f(mid + half * x)))
-
-
 def integrate(f, a: float, b: float, *, tol: float = 1e-8,
               max_levels: int = 20, breakpoints=()) -> float:
     """Adaptively integrate a vectorized integrand on a finite interval.
@@ -112,25 +104,6 @@ def integrate2d(f, x_lo: float, x_hi: float, y_lo, y_hi, *,
         return out
 
     return integrate(outer, x_lo, x_hi, tol=tol, max_levels=max_levels)
-
-
-def panel_nodes(a: float, b: float, panels: int, order: int = 16,
-                breakpoints=()):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
-
-    The interval is split at ``breakpoints`` and each segment receives
-    ``panels`` uniform panels of the given order.
-    """
-    cuts = [a] + sorted({float(p) for p in breakpoints if a < p < b}) + [b]
-    x, w = _rule(order)
-    nodes, weights = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        nodes.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
-        weights.append((half[:, None] * w[None, :]).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def solve_crossings(psi, lo: float, hi: float, n_rows: int, *,

@@ -10,12 +10,14 @@ users can find it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import BoundViolation, ScenarioError
 from .identification import IdentificationConfig
+from .inequality import GAP_TOL
 from .marginals import MarginalSpec
 from .populations import (ConditionalSpec, IndependentPopulation,
                           MixturePopulation, PointMassPopulation, Population,
@@ -24,7 +26,7 @@ from .populations import (ConditionalSpec, IndependentPopulation,
                           make_low_population)
 
 TOP_KEYS = {"population", "grids", "identification", "outputs",
-            "seed", "tolerances", "nonid", "sample"}
+            "seed", "nonid", "sample"}
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -45,11 +47,9 @@ def _check_keys(obj: dict, path: str, allowed: set, required: set = frozenset())
                             f"{sorted(missing)}")
 
 
-def _number(obj: dict, key: str, path: str, *, default=None,
-            positive=False, nonnegative=False):
+def _number(obj: dict, key: str, path: str, *, positive=False,
+            nonnegative=False):
     if key not in obj:
-        if default is not None:
-            return default
         raise ScenarioError(f"{path}.{key}: missing required number")
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -77,10 +77,18 @@ def _integer(obj: dict, key: str, path: str, *, default=None, minimum=None):
     return v
 
 
-def _string(obj: dict, key: str, path: str, *, choices=None, default=None):
+def _present(obj: dict, path: str, parsers: dict) -> dict:
+    """Parse the keys of ``parsers`` that ``obj`` holds.
+
+    Absent keys are left out, so the config class the result is passed
+    to supplies its own defaults.
+    """
+    return {key: parse(obj, key, path) for key, parse in parsers.items()
+            if key in obj}
+
+
+def _string(obj: dict, key: str, path: str, *, choices=None):
     if key not in obj:
-        if default is not None:
-            return default
         raise ScenarioError(f"{path}.{key}: missing required string")
     v = obj[key]
     if not isinstance(v, str):
@@ -243,7 +251,11 @@ def _ratio_conditional_from_dict(obj: dict, path: str) -> Population:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Deferred grid recipe; resolved against a population at use time."""
+    """Deferred grid recipe, resolved at use time.
+
+    ``resolve_prices`` needs only a ``support``, so it takes a population
+    or a ratio marginal alike.
+    """
 
     kind: str
     n: int = 257
@@ -298,7 +310,7 @@ class NonIdConfig:
     ratio: RatioMarginalSpec
     delta_low: float
     delta_high: float
-    tol: float = 1e-10
+    tol: float = GAP_TOL
     mc_draws: int | None = None
 
 
@@ -311,7 +323,6 @@ class Scenario:
     sample_n: int
     out_dir: str | None
     seed: int
-    tolerances: dict = field(default_factory=dict)
 
 
 def scenario_from_dict(doc) -> Scenario:
@@ -352,65 +363,52 @@ def scenario_from_dict(doc) -> Scenario:
 
     seed = _integer(doc, "seed", "scenario", default=0, minimum=0)
 
-    tolerances = {}
-    if "tolerances" in doc:
-        tobj = _require_mapping(doc["tolerances"], "tolerances")
-        _check_keys(tobj, "tolerances", {"nonid_gap", "tail_bound"})
-        for key in tobj:
-            tolerances[key] = _number(tobj, key, "tolerances",
-                                      positive=(key == "tail_bound"),
-                                      nonnegative=True)
-
     return Scenario(population, price_grid, ident, nonid, sample_n,
-                    out_dir, seed, tolerances)
+                    out_dir, seed)
+
+
+def _span(obj: dict, key: str, path: str) -> tuple:
+    raw = obj[key]
+    if (not isinstance(raw, list) or len(raw) != 2
+            or not all(isinstance(x, (int, float))
+                       and not isinstance(x, bool) for x in raw)):
+        raise ScenarioError(f"{path}.{key}: expected [lo, hi]")
+    return float(raw[0]), float(raw[1])
+
+
+_IDENTIFICATION_KEYS = {
+    "quality_span": _span,
+    "price_lo": partial(_number, positive=True),
+    "price_hi": partial(_number, positive=True),
+    "n_prices": partial(_integer, minimum=1),
+    "max_order": partial(_integer, minimum=1),
+    "n_quality": partial(_integer, minimum=16),
+    "tail_bound": partial(_number, positive=True)}
+
+_NONID_KEYS = {
+    "delta_low": partial(_number, positive=True),
+    "delta_high": partial(_number, positive=True),
+    "tol": partial(_number, nonnegative=True),
+    "mc_draws": partial(_integer, minimum=1)}
 
 
 def _identification_from_dict(obj) -> IdentificationConfig:
     obj = _require_mapping(obj, "identification")
-    allowed = {"price_lo", "price_hi", "n_prices", "max_order",
-               "n_quality", "quality_span", "tail_bound"}
-    _check_keys(obj, "identification", allowed, {"price_lo", "price_hi"})
-    span = None
-    if "quality_span" in obj:
-        raw = obj["quality_span"]
-        if (not isinstance(raw, list) or len(raw) != 2
-                or not all(isinstance(x, (int, float))
-                           and not isinstance(x, bool) for x in raw)):
-            raise ScenarioError(
-                "identification.quality_span: expected [lo, hi]")
-        span = (float(raw[0]), float(raw[1]))
+    _check_keys(obj, "identification", set(_IDENTIFICATION_KEYS),
+                {"price_lo", "price_hi"})
+    kwargs = _present(obj, "identification", _IDENTIFICATION_KEYS)
     try:
-        return IdentificationConfig(
-            price_lo=_number(obj, "price_lo", "identification",
-                             positive=True),
-            price_hi=_number(obj, "price_hi", "identification",
-                             positive=True),
-            n_prices=_integer(obj, "n_prices", "identification",
-                              default=9, minimum=1),
-            max_order=_integer(obj, "max_order", "identification",
-                               default=4, minimum=1),
-            n_quality=_integer(obj, "n_quality", "identification",
-                               default=4096, minimum=16),
-            quality_span=span,
-            tail_bound=_number(obj, "tail_bound", "identification",
-                               default=1e-6, positive=True))
+        return IdentificationConfig(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"identification: {exc}") from exc
 
 
 def _nonid_from_dict(obj) -> NonIdConfig:
     obj = _require_mapping(obj, "nonid")
-    allowed = {"ratio", "delta_low", "delta_high", "tol", "mc_draws"}
-    _check_keys(obj, "nonid", allowed, {"ratio", "delta_low", "delta_high"})
-    mc = None
-    if "mc_draws" in obj:
-        mc = _integer(obj, "mc_draws", "nonid", minimum=1)
-    return NonIdConfig(
-        ratio=ratio_from_dict(obj["ratio"], "nonid.ratio"),
-        delta_low=_number(obj, "delta_low", "nonid", positive=True),
-        delta_high=_number(obj, "delta_high", "nonid", positive=True),
-        tol=_number(obj, "tol", "nonid", default=1e-10, nonnegative=True),
-        mc_draws=mc)
+    _check_keys(obj, "nonid", {"ratio", *_NONID_KEYS},
+                {"ratio", "delta_low", "delta_high"})
+    return NonIdConfig(ratio=ratio_from_dict(obj["ratio"], "nonid.ratio"),
+                       **_present(obj, "nonid", _NONID_KEYS))
 
 
 def load_scenario(path: str):

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import demandlab
+from demandlab import identification as ident
 from demandlab.cli import main
+from demandlab.demand import quality_demand_surface
+from demandlab.scenario import scenario_from_dict
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -96,24 +99,40 @@ class TestNonIdCommand:
         curves = (out / "nonid_curves.csv").read_text().splitlines()
         assert curves[0] == "p,D_low,D_high,gap"
 
-    def test_tolerance_precedence(self, tmp_path):
-        # scenario tol would fail, the tolerances block rescues the run,
-        # and the command line overrides both
+    def test_tolerance_precedence(self, tmp_path, capsys):
+        # nonid.tol is the one place to set the gap tolerance: Monte Carlo
+        # noise fails a zero tolerance and passes a loose one, and a
+        # top-level tolerances block or a --tol flag is an input error
         doc = {"nonid": {**NONID, "tol": 0.0, "mc_draws": 20000}}
         scn = write_scenario(tmp_path, doc)
         assert run("nonid", scn, "--out", str(tmp_path / "a")) == 4
-        doc["tolerances"] = {"nonid_gap": 0.5}
+        doc["nonid"]["tol"] = 0.5
         scn = write_scenario(tmp_path, doc)
         assert run("nonid", scn, "--out", str(tmp_path / "b")) == 0
-        assert run("nonid", scn, "--out", str(tmp_path / "c"),
-                   "--tol", "0.0") == 4
+        capsys.readouterr()
+        doc["tolerances"] = {"nonid_gap": 0.5}
+        scn = write_scenario(tmp_path, doc)
+        assert run("nonid", scn, "--out", str(tmp_path / "c")) == 2
+        assert "tolerances" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+        for command in ("demand", "nonid", "identify", "classify",
+                        "sample"):
+            with pytest.raises(SystemExit) as exc:
+                run(command, scn, "--tol", "0.0")
+            assert exc.value.code == 2
 
     def test_demo_failure_leaves_no_artifacts(self, tmp_path):
-        scn = write_scenario(tmp_path, {
-            "nonid": {**NONID, "delta_high": 0.1}})
-        out = tmp_path / "out"
-        assert run("nonid", scn, "--out", str(out)) == 4
-        assert not out.exists()
+        # the second case resolves a grids block against the twins' ratio
+        # marginal, so an out-of-bound offset still fails as a demo check
+        for name, doc in (
+                ("plain", {"nonid": {**NONID, "delta_high": 0.1}}),
+                ("grids", {"nonid": {**NONID, "delta_low": 5.0},
+                           "grids": {"prices": {"kind": "default",
+                                                "n": 33}}})):
+            scn = write_scenario(tmp_path, doc, f"{name}.json")
+            out = tmp_path / name
+            assert run("nonid", scn, "--out", str(out)) == 4, name
+            assert not out.exists(), name
 
 
 class TestIdentifyCommand:
@@ -131,6 +150,27 @@ class TestIdentifyCommand:
         report = json.loads((out / "recovery_report.json").read_text())
         assert report["max_rel_error"] <= 1e-6
         assert report["config"]["n_prices"] == 9
+
+    def test_one_surface_per_run(self, tmp_path, monkeypatch):
+        doc = {"population": BETA_POP,
+               "identification": {"price_lo": 0.5, "price_hi": 1.5,
+                                  "n_quality": 512}}
+        scn = write_scenario(tmp_path, doc)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return quality_demand_surface(*args)
+
+        monkeypatch.setattr(ident, "quality_demand_surface", counting)
+        out = tmp_path / "out"
+        assert run("identify", scn, "--out", str(out)) == 0
+        assert len(built) == 1
+        monkeypatch.undo()
+        scenario = scenario_from_dict(doc)
+        expected = ident.build_surface(scenario.population,
+                                       scenario.identification)
+        assert (out / "surface.csv").read_text() == expected.to_csv()
 
     def test_price_shortage_is_a_numeric_failure(self, tmp_path):
         scn = write_scenario(tmp_path, {

@@ -182,8 +182,8 @@ class TestRatioConditionalPopulation:
     def test_mean_vm_closed_forms(self):
         low = pops.make_low_population(seed_ratio(), delta=0.5)
         high = pops.make_high_population(seed_ratio(), delta=0.04)
-        assert low._mean_vm()[0] == pytest.approx(LOW_MEAN_VM, abs=1e-12)
-        assert high._mean_vm()[0] == pytest.approx(HIGH_MEAN_VM, abs=1e-12)
+        assert low._mean_vm() == pytest.approx(LOW_MEAN_VM, abs=1e-12)
+        assert high._mean_vm() == pytest.approx(HIGH_MEAN_VM, abs=1e-12)
 
     def test_boundary_mean_is_h_over_g_at_the_edge(self):
         low = pops.make_low_population(seed_ratio(), delta=0.5)

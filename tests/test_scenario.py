@@ -241,15 +241,17 @@ class TestSections:
         assert (s.nonid.tol, s.nonid.mc_draws) == (0.01, 1000)
 
     def test_sample_outputs_seed_tolerances(self):
-        s = parse({"population": {"form": "point_mass", "vk": 2.0,
-                                  "vm": 1.0},
-                   "sample": {"n": 77}, "outputs": {"dir": "out"},
-                   "seed": 9, "tolerances": {"nonid_gap": 0.5}})
+        doc = {"population": {"form": "point_mass", "vk": 2.0, "vm": 1.0},
+               "sample": {"n": 77}, "outputs": {"dir": "out"}, "seed": 9}
+        s = parse(doc)
         assert s.sample_n == 77
         assert s.out_dir == "out"
         assert s.seed == 9
-        assert s.tolerances == {"nonid_gap": 0.5}
         assert parse({}).sample_n == 10000  # default
+        # tolerances live in nonid.tol and identification.tail_bound only
+        for block in ({"nonid_gap": 0.5}, {"tail_bound": 1e-3}):
+            with pytest.raises(ScenarioError, match="tolerances"):
+                parse({**doc, "tolerances": block})
 
 
 class TestLoadScenario:
