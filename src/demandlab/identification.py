@@ -310,9 +310,7 @@ def verify_recovery(pop: Population,
     surface = build_surface(pop, config)
     slices = [slice_from_surface(surface, p, config.tail_bound)
               for p in surface.price_grid]
-    rows = np.vstack([slice_moments(s, config.max_order) for s in slices])
-    recovered = recover_from_slice_moments(surface.price_grid, rows,
-                                           config.max_order)
+    recovered = recover_cross_moments(slices, config.max_order)
     reference = pops.moments(pop, config.max_order)
     rel = {}
     worst = 0.0

@@ -134,9 +134,6 @@ def boundary_conditional_mean(pop: Population) -> BoundaryMean:
     linear-in-b extrapolation from the two finest bands.
     """
     if isinstance(pop, RatioConditionalPopulation):
-        if pop.ratio.g_lo <= 0.0:
-            raise BoundaryMassZero("ratio density vanishes at its lower "
-                                   "endpoint")
         return BoundaryMean(pop.boundary_mean_analytic(), "analytic", 0.0)
     if isinstance(pop, PointMassPopulation):
         return BoundaryMean(pop.vm, "analytic", 0.0)

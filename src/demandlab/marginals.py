@@ -253,18 +253,6 @@ class MarginalSpec:
             return np.full(n, float(self.value))
         return np.asarray(self.ppf(rng.random(n)), dtype=float)
 
-    def to_dict(self) -> dict:
-        if self.kind == "point_mass":
-            return {"kind": "point_mass", "value": self.value}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-        if self.kind == "beta":
-            return {"kind": "beta", "alpha": self.alpha, "beta": self.beta,
-                    "lo": self.lo, "hi": self.hi}
-        return {"kind": "tabulated",
-                "table": [[float(a), float(b)]
-                          for a, b in zip(self.table.x, self.table.y)]}
-
 
 def _comb(n: int, k: int) -> float:
     from math import comb

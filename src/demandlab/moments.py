@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 
@@ -12,9 +11,9 @@ class MomentTable:
 
     ``entries`` maps (j, k) with j + k <= max_order to E[vk**j * vm**k];
     ``errors`` carries one numerical diagnostic per entry: 0.0 for closed
-    forms, the quadrature tolerance for integrated entries, a standard
-    error for Monte Carlo entries, or a condition estimate for entries
-    produced by a linear solve.
+    forms, the quadrature tolerance for integrated entries, or the
+    condition number of the price system for entries recovered by a
+    linear solve.
     """
 
     max_order: int
@@ -57,11 +56,3 @@ class MomentTable:
         errors = {tuple(int(s) for s in key.split(",")): float(v)
                   for key, v in data.get("errors", {}).items()}
         return cls(int(data["max_order"]), entries, errors)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("j,k,value,diagnostic\n")
-        for (j, k) in self.keys():
-            diag = self.errors.get((j, k), 0.0)
-            buf.write(f"{j},{k},{self.entries[(j, k)]:.17g},{diag:.17g}\n")
-        return buf.getvalue()

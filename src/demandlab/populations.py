@@ -117,10 +117,6 @@ class RatioMarginalSpec:
         return self.kind != "degenerate" and not self.atoms
 
     @property
-    def continuous_mass(self) -> float:
-        return 1.0 - sum(m for _, m in self.atoms)
-
-    @property
     def r_lo(self) -> float:
         return self.support.r_lo
 
@@ -215,31 +211,6 @@ class RatioMarginalSpec:
         """Density value at the lower ratio endpoint."""
         return float(self.pdf(self.r_lo))
 
-    def tabulate(self, n: int = TABLE_GRID_DEFAULT):
-        """Uniform-grid tabulation (r, g, G) of the marginal."""
-        r = np.linspace(self.r_lo, self.r_hi, n)
-        return r, np.asarray(self.pdf(r)), np.asarray(self.cdf(r))
-
-    def to_csv(self, n: int = TABLE_GRID_DEFAULT) -> str:
-        r, g, big_g = self.tabulate(n)
-        lines = ["r,g,G"]
-        lines += [f"{a:.17g},{b:.17g},{c:.17g}"
-                  for a, b, c in zip(r, g, big_g)]
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "vm_hi": self.support.vm_hi}
-        if self.kind == "degenerate":
-            out["atom"] = self.atoms[0][0]
-            return out
-        out["r_lo"] = self.r_lo
-        out["r_hi"] = self.r_hi
-        if self.kind == "tabulated":
-            out["table"] = [[float(a), float(b)]
-                            for a, b in zip(self.table.x, self.table.y)]
-        if self.atoms:
-            out["atoms"] = [[float(a), float(b)] for a, b in self.atoms]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,19 +275,6 @@ class ConditionalSpec:
             return prim(b) - prim(a)
         return self.h_table.integral_between(a, b)
 
-    def to_dict(self) -> dict:
-        out: dict = {"family": self.family,
-                     "epsilon_rule": {"kind": self.epsilon_kind},
-                     "sigma_multiplier": self.sigma_multiplier}
-        if self.family == "custom":
-            out["h_table"] = [[float(a), float(b)] for a, b in
-                              zip(self.h_table.x, self.h_table.y)]
-        else:
-            out["delta"] = self.delta
-        if self.epsilon_kind == "fixed":
-            out["epsilon_rule"]["value"] = self.epsilon_value
-        return out
-
 
 @lru_cache(maxsize=None)
 def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
@@ -337,11 +295,8 @@ def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
 class Population:
     """Common interface of all population forms (see module docstring)."""
 
-    form: str = "abstract"
-
-    # Subclasses implement: support, vk_upper, admits_density, _density,
-    # _sample, _ratio_marginal, _moment, _mean_vm, _band_vm_moments,
-    # _quality_profile, to_dict.
+    # Subclasses implement: support, vk_upper, _density, _sample,
+    # _ratio_marginal, _moment, _band_vm_moments, _quality_profile.
 
     @property
     def support(self) -> Support:
@@ -351,9 +306,9 @@ class Population:
     def vk_upper(self) -> float:
         raise NotImplementedError
 
-    @property
-    def admits_density(self) -> bool:
-        raise NotImplementedError
+    def _mean_vm(self) -> float:
+        """E[vm]; forms with an exact closed form override this."""
+        return self._moment(0, 1)[0]
 
     def _demand_profile(self, prices: np.ndarray) -> np.ndarray:
         """Buying mass at each price, the complement of the ratio law.
@@ -378,7 +333,6 @@ class PointMassPopulation(Population):
 
     vk: float
     vm: float
-    form = "point_mass"
 
     def __post_init__(self):
         if not (self.vk >= 0.0 and np.isfinite(self.vk)):
@@ -395,10 +349,6 @@ class PointMassPopulation(Population):
     def vk_upper(self) -> float:
         return self.vk
 
-    @property
-    def admits_density(self) -> bool:
-        return False
-
     def _density(self, vk, vm):
         raise NoDensity("point-mass population has no density")
 
@@ -411,9 +361,6 @@ class PointMassPopulation(Population):
     def _moment(self, j, k):
         return self.vk ** j * self.vm ** k, 0.0
 
-    def _mean_vm(self):
-        return self.vm
-
     def _band_vm_moments(self, ra, rb):
         inside = ra <= self.vk / self.vm <= rb
         return (1.0 if inside else 0.0), (self.vm if inside else 0.0)
@@ -421,10 +368,6 @@ class PointMassPopulation(Population):
     def _quality_profile(self, p, xq):
         xq = np.asarray(xq, dtype=float)
         return (self.vk + xq - self.vm * p >= 0.0).astype(float)
-
-    def to_dict(self) -> dict:
-        return {"form": "point_mass", "vk": self.vk, "vm": self.vm}
-
 
 def _require_seed_ratio(ratio: RatioMarginalSpec):
     if ratio.atoms or ratio.kind == "degenerate":
@@ -438,7 +381,6 @@ class ProductPopulation(Population):
 
     ratio: RatioMarginalSpec
     vm: MarginalSpec
-    form = "product"
 
     def __post_init__(self):
         _require_seed_ratio(self.ratio)
@@ -455,10 +397,6 @@ class ProductPopulation(Population):
     @property
     def vk_upper(self) -> float:
         return self.ratio.r_hi * self.vm.hi
-
-    @property
-    def admits_density(self) -> bool:
-        return not self.vm.is_degenerate
 
     def _density(self, vk, vm):
         if self.vm.is_degenerate:
@@ -481,9 +419,6 @@ class ProductPopulation(Population):
 
     def _moment(self, j, k):
         return self.ratio.moment(j) * self.vm.moment(j + k), 0.0
-
-    def _mean_vm(self):
-        return self.vm.mean
 
     def _band_vm_moments(self, ra, rb):
         mass = float(self.ratio.cdf(rb) - self.ratio.cdf(ra))
@@ -517,18 +452,12 @@ class ProductPopulation(Population):
         g = self.ratio.pdf(nodes)
         return np.einsum("ij,ij,ij->i", wts, g, s)
 
-    def to_dict(self) -> dict:
-        return {"form": "product", "ratio": self.ratio.to_dict(),
-                "vm": self.vm.to_dict()}
-
-
 @dataclass(frozen=True, eq=False)
 class IndependentPopulation(Population):
     """Good value and money value independent with given marginals."""
 
     vk: MarginalSpec
     vm: MarginalSpec
-    form = "independent"
 
     def __post_init__(self):
         if self.vk.lo < 0.0 or self.vk.hi <= 0.0:
@@ -547,12 +476,8 @@ class IndependentPopulation(Population):
     def vk_upper(self) -> float:
         return self.vk.hi
 
-    @property
-    def admits_density(self) -> bool:
-        return not (self.vk.is_degenerate or self.vm.is_degenerate)
-
     def _density(self, vk, vm):
-        if not self.admits_density:
+        if self.vk.is_degenerate or self.vm.is_degenerate:
             raise NoDensity("degenerate marginal component")
         vk = np.asarray(vk, dtype=float)
         vm = np.asarray(vm, dtype=float)
@@ -604,9 +529,6 @@ class IndependentPopulation(Population):
     def _moment(self, j, k):
         return self.vk.moment(j) * self.vm.moment(k), 0.0
 
-    def _mean_vm(self):
-        return self.vm.mean
-
     def _band_vm_moments(self, ra, rb):
         if self.vm.is_degenerate:
             u0 = self.vm.value
@@ -655,11 +577,6 @@ class IndependentPopulation(Population):
                 for p in prices]
         return np.clip(np.asarray(vals), 0.0, 1.0)
 
-    def to_dict(self) -> dict:
-        return {"form": "independent", "vk": self.vk.to_dict(),
-                "vm": self.vm.to_dict()}
-
-
 @dataclass(frozen=True, eq=False)
 class RatioConditionalPopulation(Population):
     """Explicit ratio marginal with a truncated-normal conditional for vm.
@@ -670,13 +587,9 @@ class RatioConditionalPopulation(Population):
 
     ratio: RatioMarginalSpec
     cond: ConditionalSpec
-    form = "ratio_conditional"
 
     def __post_init__(self):
         _require_seed_ratio(self.ratio)
-        if not self.ratio.has_density:
-            raise DegenerateRatio("conditional construction needs a ratio "
-                                  "density")
         scan, g = self._scan_grid()
         if g.min() <= 0.0:
             raise ValueError("ratio density must be positive on the whole "
@@ -744,10 +657,6 @@ class RatioConditionalPopulation(Population):
     @property
     def vk_upper(self) -> float:
         return self.ratio.r_hi * self.support.vm_hi
-
-    @property
-    def admits_density(self) -> bool:
-        return True
 
     def _density(self, vk, vm):
         vk = np.asarray(vk, dtype=float)
@@ -853,18 +762,11 @@ class RatioConditionalPopulation(Population):
         g = np.asarray(self.ratio.pdf(nodes))
         return np.einsum("ij,ij,ij->i", wts, g, s)
 
-    def to_dict(self) -> dict:
-        out = {"form": "ratio_conditional", "ratio": self.ratio.to_dict()}
-        out.update(self.cond.to_dict())
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class MixturePopulation(Population):
     """Finite convex combination of populations."""
 
     components: tuple
-    form = "mixture"
 
     def __post_init__(self):
         if not self.components:
@@ -893,13 +795,7 @@ class MixturePopulation(Population):
     def vk_upper(self) -> float:
         return max(pop.vk_upper for _, pop in self.components)
 
-    @property
-    def admits_density(self) -> bool:
-        return all(pop.admits_density for _, pop in self.components)
-
     def _density(self, vk, vm):
-        if not self.admits_density:
-            raise NoDensity("a mixture component has no density")
         out = 0.0
         for w, pop in self.components:
             out = out + w * np.asarray(pop._density(vk, vm))
@@ -978,12 +874,6 @@ class MixturePopulation(Population):
         for w, pop in self.components:
             out = out + w * pop._demand_profile(prices)
         return np.clip(out, 0.0, 1.0)
-
-    def to_dict(self) -> dict:
-        return {"form": "mixture",
-                "components": [{"weight": w, "population": pop.to_dict()}
-                               for w, pop in self.components]}
-
 
 # -- family constructors and bounds -----------------------------------
 

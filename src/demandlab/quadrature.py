@@ -132,8 +132,10 @@ def solve_crossings(psi, lo: float, hi: float, n_rows: int, *,
             break
         first = work.argmax(axis=1)
         has = work[rows, first]
-        a = np.where(has, grid[first], 0.0)
-        b = np.where(has, grid[first + 1], 1.0)
+        # rows without a root bisect inside [lo, hi], where psi is
+        # defined; their results are discarded
+        a = np.where(has, grid[first], float(lo))
+        b = np.where(has, grid[first + 1], float(hi))
         fa = np.where(has, vals[rows, first], 1.0)
         for _ in range(iters):
             m = 0.5 * (a + b)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,16 @@ class TestEndToEnd:
                                'recovered', 'recovered_mean_vm', 'reference',
                                'tail_mass']
         assert doc['recovered']['entries']['0,1'] == pytest.approx(1.0, abs=1e-6)
+
+    def test_twin_surfaces_raise_no_runtime_warnings(self):
+        ratio = pops.RatioMarginalSpec.uniform(1.0, 2.0, vm_hi=100.0)
+        config = ident.IdentificationConfig(1.1, 1.9, n_prices=5,
+                                            max_order=2, n_quality=256)
+        for pop in (pops.make_low_population(ratio, 0.5),
+                    pops.make_high_population(ratio, 0.04)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                ident.build_surface(pop, config)
 
     def test_surface_shape_honors_config(self):
         pop = beta_independent()

@@ -125,10 +125,3 @@ class TestMomentTable:
         assert back.max_order == 2
         for key in table.keys():
             assert back[key] == table[key]
-
-    def test_csv_shape(self):
-        e, errs = self.entries()
-        text = MomentTable(2, e, errs).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "j,k,value,diagnostic"
-        assert len(lines) == 1 + len(e)

@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate as sci_integrate
 from scipy import stats
 
+from demandlab import inequality
 from demandlab import populations as pops
 from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity)
 from demandlab.marginals import MarginalSpec
@@ -60,12 +61,6 @@ class TestRatioMarginalSpec:
         assert spec.moment(2) == pytest.approx(1.5 ** 2)
         with pytest.raises(DegenerateRatio):
             spec.ppf(0.5)
-
-    def test_csv_layout(self):
-        text = seed_ratio().to_csv(n=64)
-        lines = text.strip().split("\n")
-        assert lines[0] == "r,g,G"
-        assert len(lines) == 65
 
 
 class TestConditionalSpec:
@@ -237,7 +232,6 @@ class TestMixturePopulation:
         mix = self.make()
         spec = pops.ratio_marginal(mix)
         assert spec.atoms == ((2.0, pytest.approx(0.6)),)
-        assert spec.continuous_mass == pytest.approx(0.4)
         assert float(spec.cdf(2.0)) == pytest.approx(1.0)
 
     def test_component_split_tracks_weights(self):
@@ -283,8 +277,25 @@ class TestModuleOps:
             assert np.all(a[:, 1] > 0), name
 
     def test_density_requires_a_density(self):
-        with pytest.raises(NoDensity):
-            pops.density(pops.PointMassPopulation(2.0, 1.0), 2.0, 1.0)
+        atom = pops.PointMassPopulation(2.0, 1.0)
+        smooth = pops.ProductPopulation(seed_ratio(3.0),
+                                        MarginalSpec.uniform(0.5, 1.5))
+        for pop in (atom,
+                    pops.IndependentPopulation(MarginalSpec.uniform(1.0, 2.0),
+                                               MarginalSpec.point_mass(1.0)),
+                    pops.IndependentPopulation(MarginalSpec.point_mass(2.0),
+                                               MarginalSpec.uniform(0.5, 1.5)),
+                    pops.MixturePopulation(((0.5, smooth), (0.5, atom)))):
+            with pytest.raises(NoDensity):
+                pops.density(pop, 2.0, 1.0)
+
+    def test_mean_vm_is_the_first_money_moment(self):
+        # forms without a closed form of their own read E[vm] off _moment
+        zoo = population_zoo()
+        for name in ("point_mass", "product", "independent", "mixture"):
+            pop = zoo[name]
+            assert inequality.mean_vm(pop) == pops.moments(pop, 1)[(0, 1)], \
+                name
 
     def test_moments_requires_positive_order(self):
         with pytest.raises(ValueError):
