@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -197,7 +198,7 @@ class MarginalSpec:
             scale = self.hi - self.lo
             out = 0.0
             for i in range(n + 1):
-                out += (_comb(n, i) * self.lo ** (n - i) * scale ** i
+                out += (math.comb(n, i) * self.lo ** (n - i) * scale ** i
                         * _beta_raw_moment(self.alpha, self.beta, i))
             return out
         return self.table.moment(n)
@@ -252,8 +253,3 @@ class MarginalSpec:
         if self.kind == "point_mass":
             return np.full(n, float(self.value))
         return np.asarray(self.ppf(rng.random(n)), dtype=float)
-
-
-def _comb(n: int, k: int) -> float:
-    from math import comb
-    return float(comb(n, k))

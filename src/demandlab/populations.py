@@ -733,12 +733,10 @@ class RatioConditionalPopulation(Population):
         xq = np.asarray(xq, dtype=float)
         n = xq.size
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
-        col = xq[:, None]
 
         def edge_cross(sign):
-            def psi(rmat):
-                m = self._m(rmat)
-                return (m + sign * self._eps(rmat)) * (rmat - p) + col
+            def psi(r, rows):
+                return (self._m(r) + sign * self._eps(r)) * (r - p) + xq[rows]
             return psi
 
         roots_hi = quadrature.solve_crossings(edge_cross(+1.0), r_lo, r_hi, n)

@@ -12,6 +12,9 @@ The column helpers at the bottom (``solve_crossings``,
 through a row parameter, splitting each row's interval at known or
 numerically located kinks so that plain Gauss-Legendre panels see smooth
 pieces.  They are the workhorses behind quality-demand surfaces.
+``solve_crossings`` takes a row-indexed ``psi(r, rows)``, so the part
+shared by all rows is evaluated once on the coarse grid, and it bisects
+only the cells where that grid brackets a root.
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ def _rule(order: int):
 
 _X7, _W7 = _rule(7)
 _X15, _W15 = _rule(15)
+
+# solve_crossings: coarse scan points, bisection steps per bracketed
+# cell, and roots allowed per row.
+COARSE = 513
+BISECTIONS = 64
+MAX_ROOTS = 4
 
 
 def integrate(f, a: float, b: float, *, tol: float = 1e-8,
@@ -106,50 +115,40 @@ def integrate2d(f, x_lo: float, x_hi: float, y_lo, y_hi, *,
     return integrate(outer, x_lo, x_hi, tol=tol, max_levels=max_levels)
 
 
-def solve_crossings(psi, lo: float, hi: float, n_rows: int, *,
-                    coarse: int = 513, iters: int = 64,
-                    max_roots: int = 4) -> np.ndarray:
-    """Locate sign changes of a per-row function by vectorized bisection.
+def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:
+    """Locate sign changes of a row-indexed function by bisection.
 
-    ``psi`` maps an (n_rows, m) matrix of abscissae to same-shape values;
-    each row is an independent one-dimensional root problem (the row
-    index selects, e.g., one quality offset).  Returns an
-    (n_rows, max_roots) matrix of roots, padded with ``hi`` where a row
-    has fewer sign changes than ``max_roots``.  Roots are only located
-    where the coarse scan sees a sign flip, which is adequate for the
-    piecewise-monotone crossing functions used here.
+    ``psi(r, rows)`` evaluates rows ``rows`` at abscissae ``r`` and
+    returns values of their broadcast shape, so a part shared by all
+    rows is computed once per abscissa.  Each row is an independent
+    one-dimensional root problem (the row index selects, e.g., one
+    quality offset).  A coarse scan of ``COARSE`` points brackets the
+    sign flips, and only the bracketing cells are bisected,
+    ``BISECTIONS`` times each.  Returns an (n_rows, MAX_ROOTS) matrix of
+    each row's roots in ascending order, padded with ``hi``; a row with
+    more than ``MAX_ROOTS`` flips raises :class:`QuadratureFailure`.
+    Roots are only located where the coarse scan sees a sign flip,
+    which is adequate for the piecewise-monotone crossing functions
+    used here.
     """
-    grid = np.linspace(lo, hi, coarse)
-    vals = psi(np.broadcast_to(grid, (n_rows, coarse)).copy())
+    grid = np.linspace(lo, hi, COARSE)
+    vals = psi(grid[None, :], np.arange(n_rows)[:, None])
     sgn = np.where(vals >= 0.0, 1.0, -1.0)
-    flips = sgn[:, :-1] * sgn[:, 1:] < 0.0
-
-    roots = np.full((n_rows, max_roots), float(hi))
-    rows = np.arange(n_rows)
-    work = flips.copy()
-    for slot in range(max_roots):
-        if not work.any():
-            break
-        first = work.argmax(axis=1)
-        has = work[rows, first]
-        # rows without a root bisect inside [lo, hi], where psi is
-        # defined; their results are discarded
-        a = np.where(has, grid[first], float(lo))
-        b = np.where(has, grid[first + 1], float(hi))
-        fa = np.where(has, vals[rows, first], 1.0)
-        for _ in range(iters):
-            m = 0.5 * (a + b)
-            fm = psi(m[:, None])[:, 0]
-            left = fa * fm <= 0.0
-            b = np.where(left, m, b)
-            a_new = np.where(left, a, m)
-            fa = np.where(left, fa, fm)
-            a = a_new
-        roots[has, slot] = 0.5 * (a + b)[has]
-        work[rows, first] = False
-    if work.any():
+    rows, cells = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0.0)
+    # nonzero walks row by row, so a root's slot is its rank in its row
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    if np.any(slot >= MAX_ROOTS):
         raise QuadratureFailure(
-            f"more than {max_roots} kinks per row in column integrand")
+            f"more than {MAX_ROOTS} kinks per row in column integrand")
+    a, b, fa = grid[cells], grid[cells + 1], vals[rows, cells]
+    for _ in range(BISECTIONS):
+        m = 0.5 * (a + b)
+        fm = psi(m, rows)
+        left = fa * fm <= 0.0
+        a, b, fa = (np.where(left, a, m), np.where(left, m, b),
+                    np.where(left, fa, fm))
+    roots = np.full((n_rows, MAX_ROOTS), float(hi))
+    roots[rows, slot] = 0.5 * (a + b)
     return roots
 
 
