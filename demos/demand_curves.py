@@ -50,7 +50,7 @@ def main():
     # the same curve again at a handful of hand-picked prices
     pop = candidates["uniform ratio on [1, 2]"]
     print("\nspot checks, uniform ratio: D(1.25) =",
-          dl.demand(pop, 1.25), " D(1.5) =", dl.demand(pop, 1.5))
+          dl.demand_at(pop, 1.25), " D(1.5) =", dl.demand_at(pop, 1.5))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ def check_demand(pop, label):
     print(f"\n{label}: empirical vs analytic demand")
     for frac in (0.25, 0.5, 0.75):
         p = sup.r_lo + frac * (sup.r_hi - sup.r_lo)
-        want = dl.demand(pop, p)
+        want = dl.demand_at(pop, p)
         got = float(np.mean(r >= p))
         se = math.sqrt(want * (1 - want) / N)
         print(f"  p={p:.3f}  analytic {want:.5f}  empirical {got:.5f}  "

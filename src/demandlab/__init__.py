@@ -9,7 +9,7 @@ quality-demand slices.
 """
 
 from .demand import (DemandCurve, QualityDemandSurface, RatioCdfTable,
-                     default_price_grid, demand, demand_curve,
+                     default_price_grid, demand_at, demand_curve,
                      invert_demand, purchase_decision, quality_demand,
                      quality_demand_mc, quality_demand_surface)
 from .errors import (BoundaryMassZero, BoundViolation, DegenerateRatio,
@@ -27,10 +27,9 @@ from .inequality import (BoundaryMean, DeltaBoundCheck, InequalityReport,
                          build_nonid_demo, check_delta_bounds, classify,
                          mean_vm)
 from .marginals import MarginalSpec, PwLinearTable
-from .moments import MomentTable
 from .populations import (ConditionalSpec, IndependentPopulation,
-                          MixturePopulation, PointMassPopulation,
-                          Population, ProductPopulation,
+                          MixturePopulation, MomentTable,
+                          PointMassPopulation, Population, ProductPopulation,
                           RatioConditionalPopulation, RatioMarginalSpec,
                           Support, density, make_high_population,
                           make_low_population, moments, ratio_marginal,
@@ -53,7 +52,7 @@ __all__ = [
     "SliceDistribution", "Support", "TailMassExceeded",
     "boundary_conditional_mean", "build_nonid_demo", "build_surface",
     "chebyshev_prices", "check_delta_bounds", "classify",
-    "default_price_grid", "default_quality_grid", "demand",
+    "default_price_grid", "default_quality_grid", "demand_at",
     "demand_curve", "density", "invert_demand", "load_scenario",
     "make_high_population", "make_low_population", "mean_vm", "moments",
     "pava", "population_from_dict", "purchase_decision", "quality_demand",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MonotonicityViolation
-from .populations import Population, ratio_marginal
+from .populations import Population
 
 MONOTONE_TOL = 1e-12
 
@@ -117,15 +117,11 @@ class QualityDemandSurface:
         object.__setattr__(self, "tail_mass", tail)
 
     def column(self, p: float) -> np.ndarray:
-        j = self.column_index(p)
-        return self.values[:, j]
-
-    def column_index(self, p: float) -> int:
         hits = np.nonzero(np.isclose(self.price_grid, p,
                                      rtol=1e-12, atol=1e-300))[0]
         if hits.size != 1:
             raise ValueError(f"price {p!r} is not a unique surface column")
-        return int(hits[0])
+        return self.values[:, hits[0]]
 
     def to_csv(self) -> str:
         lines = ["xQ,p,DQ"]
@@ -133,12 +129,6 @@ class QualityDemandSurface:
             for j, p in enumerate(self.price_grid):
                 lines.append(f"{xq:.17g},{p:.17g},{self.values[i, j]:.17g}")
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {"quality_grid": [float(x) for x in self.quality_grid],
-                "price_grid": [float(x) for x in self.price_grid],
-                "values_row_major": [float(x) for x in self.values.ravel()],
-                "tail_mass": self.tail_mass}
 
 
 def default_price_grid(pop: Population, n: int = 257) -> np.ndarray:
@@ -158,7 +148,7 @@ def default_price_grid(pop: Population, n: int = 257) -> np.ndarray:
     return lo + 0.5 * (hi - lo) * (x + 1.0)
 
 
-def demand(pop: Population, p) -> float:
+def demand_at(pop: Population, p) -> float:
     """Buying mass at price p: P(vk / vm >= p) = 1 - G(p) + atom at p."""
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr <= 0.0):

@@ -16,15 +16,14 @@ joint law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import populations as pops
 from .demand import QualityDemandSurface, quality_demand_surface
 from .errors import IllConditioned, InsufficientPrices, TailMassExceeded
-from .moments import MomentTable
-from .populations import Population
+from .populations import MomentTable, Population
 
 CONDITION_LIMIT = 1e10
 TAIL_BOUND = 1e-6
@@ -272,16 +271,7 @@ class RecoveryReport:
                                  sorted(self.entry_rel_errors.items())},
             "recovered": self.recovered.to_json_dict(),
             "reference": self.reference.to_json_dict(),
-            "config": {
-                "price_lo": self.config.price_lo,
-                "price_hi": self.config.price_hi,
-                "n_prices": self.config.n_prices,
-                "max_order": self.config.max_order,
-                "n_quality": self.config.n_quality,
-                "quality_span": (list(self.config.quality_span)
-                                 if self.config.quality_span else None),
-                "tail_bound": self.config.tail_bound,
-            },
+            "config": asdict(self.config),
         }
 
 

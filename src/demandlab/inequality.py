@@ -71,10 +71,6 @@ class DeltaBoundCheck:
     bound: float
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "delta": self.delta,
-                "bound": self.bound, "ok": self.ok}
-
 
 @dataclass(frozen=True, eq=False)
 class NonIdDemo:

@@ -17,6 +17,8 @@ supported:
   m(r), which is what makes the low/high constructions work.
 * ``MixturePopulation`` -- a finite convex combination of the above.
 
+``moments`` tabulates a population's cross moments as a ``MomentTable``.
+
 Instances are immutable and safe to share across threads; derived
 quantities are cached on first use.
 """
@@ -33,7 +35,6 @@ from scipy.special import ndtr, ndtri
 from . import quadrature
 from .errors import BoundViolation, DegenerateRatio, NoDensity
 from .marginals import MarginalSpec, PwLinearTable
-from .moments import MomentTable
 
 TABLE_GRID_DEFAULT = 2048
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -933,6 +934,51 @@ def make_high_population(ratio: RatioMarginalSpec, delta: float,
             delta=delta, bound=bound)
     return RatioConditionalPopulation(
         ratio, ConditionalSpec("high", delta=delta, **cond_kwargs))
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    """All cross moments of (good value, money value) up to a total order.
+
+    ``entries`` maps (j, k) with j + k <= max_order to E[vk**j * vm**k];
+    ``errors`` carries one numerical diagnostic per entry: 0.0 for closed
+    forms, the quadrature tolerance for integrated entries, or the
+    condition number of the price system for entries recovered by a
+    linear solve.
+    """
+
+    max_order: int
+    entries: dict = field(default_factory=dict)
+    errors: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.max_order < 0:
+            raise ValueError("max_order must be >= 0")
+        expected = {(j, n - j) for n in range(self.max_order + 1)
+                    for j in range(n + 1)}
+        if set(self.entries) != expected:
+            raise ValueError("moment table must cover all (j, k) with "
+                             f"j + k <= {self.max_order}")
+        if abs(self.entries[(0, 0)] - 1.0) > 1e-9:
+            raise ValueError("the (0, 0) entry must equal 1")
+        for key, value in self.entries.items():
+            if not (value == value and abs(value) != float("inf")):
+                raise ValueError(f"non-finite moment at {key}")
+
+    def __getitem__(self, key) -> float:
+        return self.entries[tuple(key)]
+
+    def keys(self):
+        return sorted(self.entries)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "max_order": self.max_order,
+            "entries": {f"{j},{k}": v
+                        for (j, k), v in sorted(self.entries.items())},
+            "errors": {f"{j},{k}": v
+                       for (j, k), v in sorted(self.errors.items())},
+        }
 
 
 # -- module-level operations ------------------------------------------

@@ -4,7 +4,7 @@ Integrands must be vectorized: they receive an ndarray of abscissae and
 return an ndarray of the same shape.  ``integrate`` controls absolute
 error by comparing a 7-point and a 15-point Gauss-Legendre rule on each
 interval and bisecting intervals that miss their share of the budget.
-After ``max_levels`` bisections an interval that still misses its budget
+After ``MAX_LEVELS`` bisections an interval that still misses its budget
 raises :class:`QuadratureFailure`.
 
 The column helpers at the bottom (``solve_crossings``,
@@ -34,6 +34,8 @@ def _rule(order: int):
 _X7, _W7 = _rule(7)
 _X15, _W15 = _rule(15)
 
+# integrate: bisections of one interval before it fails.
+MAX_LEVELS = 20
 # solve_crossings: coarse scan points, bisection steps per bracketed
 # cell, and roots allowed per row.
 COARSE = 513
@@ -41,8 +43,7 @@ BISECTIONS = 64
 MAX_ROOTS = 4
 
 
-def integrate(f, a: float, b: float, *, tol: float = 1e-8,
-              max_levels: int = 20, breakpoints=()) -> float:
+def integrate(f, a: float, b: float, *, tol: float, breakpoints=()) -> float:
     """Adaptively integrate a vectorized integrand on a finite interval.
 
     ``breakpoints`` lists abscissae where the integrand is known to be
@@ -57,11 +58,11 @@ def integrate(f, a: float, b: float, *, tol: float = 1e-8,
     cuts = [a] + sorted({float(p) for p in breakpoints if a < p < b}) + [b]
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += _adaptive(f, lo, hi, tol * (hi - lo) / (b - a), max_levels)
+        total += _adaptive(f, lo, hi, tol * (hi - lo) / (b - a))
     return total
 
 
-def _adaptive(f, a: float, b: float, tol: float, max_levels: int) -> float:
+def _adaptive(f, a: float, b: float, tol: float) -> float:
     acc = 0.0
     stack = [(a, b, tol, 0)]
     while stack:
@@ -78,41 +79,15 @@ def _adaptive(f, a: float, b: float, tol: float, max_levels: int) -> float:
         floor = 128.0 * np.finfo(float).eps * (abs(fine) + 1e-30)
         if err <= max(budget, floor):
             acc += fine
-        elif level >= max_levels:
+        elif level >= MAX_LEVELS:
             raise QuadratureFailure(
                 f"interval [{lo:g}, {hi:g}] missed tolerance after "
-                f"{max_levels} bisections (err {err:.3e} > {budget:.3e})",
+                f"{MAX_LEVELS} bisections (err {err:.3e} > {budget:.3e})",
                 achieved=err, requested=budget)
         else:
             stack.append((lo, mid, budget / 2.0, level + 1))
             stack.append((mid, hi, budget / 2.0, level + 1))
     return acc
-
-
-def integrate2d(f, x_lo: float, x_hi: float, y_lo, y_hi, *,
-                tol: float = 1e-8, max_levels: int = 20) -> float:
-    """Nested adaptive integral of f(x, y) over a y-slice-described region.
-
-    ``y_lo`` / ``y_hi`` are floats or callables of x.  ``f`` must accept a
-    scalar x and an ndarray of y values.  Used mostly as an independent
-    cross-check route; the production paths use the column helpers.
-    """
-    lo_fn = y_lo if callable(y_lo) else (lambda _x: y_lo)
-    hi_fn = y_hi if callable(y_hi) else (lambda _x: y_hi)
-    inner_tol = tol / max(x_hi - x_lo, 1.0) / 8.0
-
-    def outer(xs):
-        out = np.empty_like(xs, dtype=float)
-        for i, x in enumerate(xs):
-            lo, hi = lo_fn(x), hi_fn(x)
-            if hi <= lo:
-                out[i] = 0.0
-            else:
-                out[i] = integrate(lambda y: f(x, y), lo, hi,
-                                   tol=inner_tol, max_levels=max_levels)
-        return out
-
-    return integrate(outer, x_lo, x_hi, tol=tol, max_levels=max_levels)
 
 
 def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:

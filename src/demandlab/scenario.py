@@ -5,6 +5,16 @@ invoked pipeline needs (grids, identification window, demo offsets,
 sample size).  Validation is strict: unknown keys anywhere are errors,
 and every message carries the dotted path of the offending field so CLI
 users can find it.
+
+One reader handles every object.  An object's table maps each of its
+keys to a parser ``parse(obj, key, path)``; ``_fields`` checks the
+object's keys against the table and parses the keys that are present.
+An absent optional key is left out, so the class the fields build
+supplies its default, and each default is written once, on that class.
+An object with several shapes names its shape in a ``kind`` or ``form``
+tag (a ``ratio_conditional`` population a second one, ``family``), and
+``_tagged`` hands it to the reader of that shape.  A new scenario key is
+one table row.
 """
 
 from __future__ import annotations
@@ -18,15 +28,12 @@ import numpy as np
 from .errors import BoundViolation, ScenarioError
 from .identification import IdentificationConfig
 from .inequality import GAP_TOL
-from .marginals import MarginalSpec
+from .marginals import MarginalSpec, PwLinearTable
 from .populations import (ConditionalSpec, IndependentPopulation,
                           MixturePopulation, PointMassPopulation, Population,
                           ProductPopulation, RatioConditionalPopulation,
                           RatioMarginalSpec, make_high_population,
                           make_low_population)
-
-TOP_KEYS = {"population", "grids", "identification", "outputs",
-            "seed", "nonid", "sample"}
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -35,7 +42,7 @@ def _require_mapping(obj, path: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, path: str, allowed: set, required: set = frozenset()):
+def _check_keys(obj: dict, path: str, allowed: set, required: set):
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(
@@ -49,8 +56,6 @@ def _check_keys(obj: dict, path: str, allowed: set, required: set = frozenset())
 
 def _number(obj: dict, key: str, path: str, *, positive=False,
             nonnegative=False):
-    if key not in obj:
-        raise ScenarioError(f"{path}.{key}: missing required number")
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{path}.{key}: expected a number, got {v!r}")
@@ -64,27 +69,13 @@ def _number(obj: dict, key: str, path: str, *, positive=False,
     return v
 
 
-def _integer(obj: dict, key: str, path: str, *, default=None, minimum=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ScenarioError(f"{path}.{key}: missing required integer")
+def _integer(obj: dict, key: str, path: str, *, minimum=None):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"{path}.{key}: expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ScenarioError(f"{path}.{key}: must be >= {minimum}")
     return v
-
-
-def _present(obj: dict, path: str, parsers: dict) -> dict:
-    """Parse the keys of ``parsers`` that ``obj`` holds.
-
-    Absent keys are left out, so the config class the result is passed
-    to supplies its own defaults.
-    """
-    return {key: parse(obj, key, path) for key, parse in parsers.items()
-            if key in obj}
 
 
 def _string(obj: dict, key: str, path: str, *, choices=None):
@@ -100,7 +91,7 @@ def _string(obj: dict, key: str, path: str, *, choices=None):
 
 
 def _pairs(obj: dict, key: str, path: str) -> np.ndarray:
-    v = obj.get(key)
+    v = obj[key]
     if (not isinstance(v, list) or len(v) < 2
             or not all(isinstance(row, list) and len(row) == 2
                        and all(isinstance(x, (int, float))
@@ -111,142 +102,76 @@ def _pairs(obj: dict, key: str, path: str) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def marginal_from_dict(obj, path: str) -> MarginalSpec:
+def _span(obj: dict, key: str, path: str) -> tuple:
+    raw = obj[key]
+    if (not isinstance(raw, list) or len(raw) != 2
+            or not all(isinstance(x, (int, float))
+                       and not isinstance(x, bool) for x in raw)):
+        raise ScenarioError(f"{path}.{key}: expected [lo, hi]")
+    return float(raw[0]), float(raw[1])
+
+
+def _grid_values(obj: dict, key: str, path: str) -> tuple:
+    vals = obj[key]
+    if (not isinstance(vals, list) or len(vals) < 2
+            or not all(isinstance(x, (int, float))
+                       and not isinstance(x, bool) for x in vals)):
+        raise ScenarioError(f"{path}.{key}: expected >= 2 numbers")
+    arr = np.asarray(vals, dtype=float)
+    if np.any(arr <= 0.0) or np.any(np.diff(arr) <= 0.0):
+        raise ScenarioError(f"{path}.{key}: must be positive and "
+                            "strictly increasing")
+    return tuple(float(x) for x in arr)
+
+
+_POSITIVE = partial(_number, positive=True)
+_NONNEGATIVE = partial(_number, nonnegative=True)
+
+
+def _fields(obj, path: str, parsers: dict, required=None, tags=()) -> dict:
+    """Parse the keys of ``parsers`` that the object ``obj`` holds.
+
+    ``required`` defaults to every key of ``parsers``; ``tags`` are the
+    keys the caller has already read.  Absent optional keys are left
+    out, so the class the result is passed to supplies its own default.
+    """
     obj = _require_mapping(obj, path)
-    kind = _string(obj, "kind", path,
-                   choices={"point_mass", "uniform", "beta", "tabulated"})
-    try:
-        if kind == "point_mass":
-            _check_keys(obj, path, {"kind", "value"}, {"value"})
-            return MarginalSpec.point_mass(_number(obj, "value", path,
-                                                   positive=True))
-        if kind == "uniform":
-            _check_keys(obj, path, {"kind", "lo", "hi"}, {"lo", "hi"})
-            return MarginalSpec.uniform(_number(obj, "lo", path),
-                                        _number(obj, "hi", path))
-        if kind == "beta":
-            _check_keys(obj, path, {"kind", "alpha", "beta", "lo", "hi"},
-                        {"alpha", "beta", "lo", "hi"})
-            return MarginalSpec.scaled_beta(
-                _number(obj, "alpha", path, positive=True),
-                _number(obj, "beta", path, positive=True),
-                _number(obj, "lo", path), _number(obj, "hi", path))
-        _check_keys(obj, path, {"kind", "table"}, {"table"})
-        table = _pairs(obj, "table", path)
-        return MarginalSpec.tabulated(table[:, 0], table[:, 1])
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    _check_keys(obj, path, {*parsers, *tags},
+                set(parsers if required is None else required))
+    return {key: parse(obj, key, path) for key, parse in parsers.items()
+            if key in obj}
 
 
-def ratio_from_dict(obj, path: str) -> RatioMarginalSpec:
+def _reader(make, parsers: dict, required=None, errors=ValueError):
+    """Reader ``(obj, path, tags)`` of one shape: ``make(**fields)``.
+
+    The constructor's ``errors`` become a :class:`ScenarioError` that
+    carries the object's path.
+    """
+    def read(obj, path: str, tags=()):
+        kwargs = _fields(obj, path, parsers, required, tags)
+        try:
+            return make(**kwargs)
+        except errors as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
+    return read
+
+
+def _tagged(obj, path: str, tag: str, shapes: dict, tags=()):
+    """Read an object whose ``tag`` key names its reader in ``shapes``."""
     obj = _require_mapping(obj, path)
-    kind = _string(obj, "kind", path,
-                   choices={"uniform", "triangular", "tabulated"})
-    try:
-        if kind in ("uniform", "triangular"):
-            _check_keys(obj, path, {"kind", "r_lo", "r_hi"},
-                        {"r_lo", "r_hi"})
-            lo = _number(obj, "r_lo", path, nonnegative=True)
-            hi = _number(obj, "r_hi", path, positive=True)
-            maker = (RatioMarginalSpec.uniform if kind == "uniform"
-                     else RatioMarginalSpec.triangular)
-            return maker(lo, hi)
-        _check_keys(obj, path, {"kind", "table"}, {"table"})
-        table = _pairs(obj, "table", path)
-        return RatioMarginalSpec.tabulated(table[:, 0], table[:, 1])
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    read = shapes[_string(obj, tag, path, choices=shapes)]
+    return read(obj, path, (*tags, tag))
 
 
-def _conditional_kwargs(obj: dict, path: str) -> dict:
-    out = {}
-    if "epsilon_rule" in obj:
-        rule = _require_mapping(obj["epsilon_rule"], f"{path}.epsilon_rule")
-        kind = _string(rule, "kind", f"{path}.epsilon_rule",
-                       choices={"half_mean", "fixed"})
-        out["epsilon_kind"] = kind
-        if kind == "fixed":
-            _check_keys(rule, f"{path}.epsilon_rule", {"kind", "value"},
-                        {"value"})
-            out["epsilon_value"] = _number(rule, "value",
-                                           f"{path}.epsilon_rule",
-                                           positive=True)
-        else:
-            _check_keys(rule, f"{path}.epsilon_rule", {"kind"})
-    if "sigma_multiplier" in obj:
-        out["sigma_multiplier"] = _number(obj, "sigma_multiplier", path,
-                                          positive=True)
-    return out
+def _sub(read):
+    """Parser of a key that holds an object read by ``read``."""
+    return lambda obj, key, path: read(obj[key], f"{path}.{key}")
 
 
-def population_from_dict(obj, path: str = "population") -> Population:
-    obj = _require_mapping(obj, path)
-    form = _string(obj, "form", path,
-                   choices={"point_mass", "product", "independent",
-                            "ratio_conditional", "mixture"})
-    try:
-        if form == "point_mass":
-            _check_keys(obj, path, {"form", "vk", "vm"}, {"vk", "vm"})
-            return PointMassPopulation(_number(obj, "vk", path,
-                                               nonnegative=True),
-                                       _number(obj, "vm", path,
-                                               positive=True))
-        if form == "product":
-            _check_keys(obj, path, {"form", "ratio", "vm"}, {"ratio", "vm"})
-            return ProductPopulation(
-                ratio_from_dict(obj["ratio"], f"{path}.ratio"),
-                marginal_from_dict(obj["vm"], f"{path}.vm"))
-        if form == "independent":
-            _check_keys(obj, path, {"form", "vk", "vm"}, {"vk", "vm"})
-            return IndependentPopulation(
-                marginal_from_dict(obj["vk"], f"{path}.vk"),
-                marginal_from_dict(obj["vm"], f"{path}.vm"))
-        if form == "ratio_conditional":
-            return _ratio_conditional_from_dict(obj, path)
-        _check_keys(obj, path, {"form", "components"}, {"components"})
-        comps = obj["components"]
-        if not isinstance(comps, list) or not comps:
-            raise ScenarioError(
-                f"{path}.components: expected a nonempty list")
-        parsed = []
-        for i, comp in enumerate(comps):
-            cpath = f"{path}.components[{i}]"
-            comp = _require_mapping(comp, cpath)
-            _check_keys(comp, cpath, {"weight", "population"},
-                        {"weight", "population"})
-            parsed.append((_number(comp, "weight", cpath, positive=True),
-                           population_from_dict(comp["population"],
-                                                f"{cpath}.population")))
-        return MixturePopulation(tuple(parsed))
-    except (ValueError, BoundViolation) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _ratio_conditional_from_dict(obj: dict, path: str) -> Population:
-    allowed = {"form", "ratio", "family", "delta", "h_table",
-               "epsilon_rule", "sigma_multiplier"}
-    _check_keys(obj, path, allowed, {"ratio", "family"})
-    ratio = ratio_from_dict(obj["ratio"], f"{path}.ratio")
-    family = _string(obj, "family", path, choices={"low", "high", "custom"})
-    kwargs = _conditional_kwargs(obj, path)
-    if family in ("low", "high"):
-        if "h_table" in obj:
-            raise ScenarioError(f"{path}.h_table: only valid for the "
-                                "custom family")
-        delta = _number(obj, "delta", path, positive=True)
-        maker = make_low_population if family == "low" else \
-            make_high_population
-        return maker(ratio, delta, **kwargs)
-    if "delta" in obj:
-        raise ScenarioError(f"{path}.delta: only valid for the low/high "
-                            "families")
-    table = _pairs(obj, "h_table", path)
-    from .marginals import PwLinearTable
-    cond = ConditionalSpec("custom",
-                           h_table=PwLinearTable.raw(table[:, 0],
-                                                     table[:, 1]),
-                           **kwargs)
-    return RatioConditionalPopulation(ratio, cond)
+def _kind(shapes: dict):
+    """Reader ``(obj, path)`` of an object tagged by ``kind``."""
+    return lambda obj, path: _tagged(obj, path, "kind", shapes)
 
 
 @dataclass(frozen=True)
@@ -263,6 +188,10 @@ class GridSpec:
     hi: float | None = None
     values: tuple | None = None
 
+    def __post_init__(self):
+        if self.lo is not None and not self.lo < self.hi:
+            raise ValueError("need lo < hi")
+
     def resolve_prices(self, pop: Population) -> np.ndarray:
         from .demand import default_price_grid
         from .identification import chebyshev_prices
@@ -273,36 +202,6 @@ class GridSpec:
         if self.kind == "chebyshev":
             return chebyshev_prices(self.lo, self.hi, self.n)
         return np.asarray(self.values, dtype=float)
-
-
-def _grid_from_dict(obj, path: str, default_n: int) -> GridSpec:
-    obj = _require_mapping(obj, path)
-    kind = _string(obj, "kind", path,
-                   choices={"default", "linspace", "chebyshev", "explicit"})
-    if kind == "default":
-        _check_keys(obj, path, {"kind", "n"})
-        return GridSpec("default", _integer(obj, "n", path,
-                                            default=default_n, minimum=2))
-    if kind in ("linspace", "chebyshev"):
-        _check_keys(obj, path, {"kind", "n", "lo", "hi"}, {"lo", "hi"})
-        lo = _number(obj, "lo", path, positive=True)
-        hi = _number(obj, "hi", path, positive=True)
-        if hi <= lo:
-            raise ScenarioError(f"{path}: need lo < hi")
-        return GridSpec(kind, _integer(obj, "n", path, default=default_n,
-                                       minimum=2), lo, hi)
-    _check_keys(obj, path, {"kind", "values"}, {"values"})
-    vals = obj["values"]
-    if (not isinstance(vals, list) or len(vals) < 2
-            or not all(isinstance(x, (int, float))
-                       and not isinstance(x, bool) for x in vals)):
-        raise ScenarioError(f"{path}.values: expected >= 2 numbers")
-    arr = np.asarray(vals, dtype=float)
-    if np.any(arr <= 0.0) or np.any(np.diff(arr) <= 0.0):
-        raise ScenarioError(f"{path}.values: must be positive and "
-                            "strictly increasing")
-    return GridSpec("explicit", n=arr.size, values=tuple(float(x)
-                                                         for x in arr))
 
 
 @dataclass(frozen=True)
@@ -316,99 +215,156 @@ class NonIdConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    population: Population | None
-    price_grid: GridSpec | None
-    identification: IdentificationConfig | None
-    nonid: NonIdConfig | None
-    sample_n: int
-    out_dir: str | None
-    seed: int
+    population: Population | None = None
+    price_grid: GridSpec | None = None
+    identification: IdentificationConfig | None = None
+    nonid: NonIdConfig | None = None
+    sample_n: int = 10000
+    out_dir: str | None = None
+    seed: int = 0
+
+
+_MARGINALS = {
+    "point_mass": _reader(MarginalSpec.point_mass, {"value": _POSITIVE}),
+    "uniform": _reader(MarginalSpec.uniform, {"lo": _number, "hi": _number}),
+    "beta": _reader(MarginalSpec.scaled_beta,
+                    {"alpha": _POSITIVE, "beta": _POSITIVE,
+                     "lo": _number, "hi": _number}),
+    "tabulated": _reader(lambda table: MarginalSpec.tabulated(*table.T),
+                         {"table": _pairs})}
+
+_RATIO_BOUNDS = {"r_lo": _NONNEGATIVE, "r_hi": _POSITIVE}
+_RATIOS = {
+    "uniform": _reader(RatioMarginalSpec.uniform, _RATIO_BOUNDS),
+    "triangular": _reader(RatioMarginalSpec.triangular, _RATIO_BOUNDS),
+    "tabulated": _reader(lambda table: RatioMarginalSpec.tabulated(*table.T),
+                         {"table": _pairs})}
+
+
+def marginal_from_dict(obj, path: str) -> MarginalSpec:
+    return _tagged(obj, path, "kind", _MARGINALS)
+
+
+def ratio_from_dict(obj, path: str) -> RatioMarginalSpec:
+    return _tagged(obj, path, "kind", _RATIOS)
+
+
+def population_from_dict(obj, path: str = "population") -> Population:
+    return _tagged(obj, path, "form", _POPULATIONS)
+
+
+def _components(obj: dict, key: str, path: str) -> tuple:
+    comps = obj[key]
+    if not isinstance(comps, list) or not comps:
+        raise ScenarioError(f"{path}.{key}: expected a nonempty list")
+    return tuple(_COMPONENT(comp, f"{path}.{key}[{i}]")
+                 for i, comp in enumerate(comps))
+
+
+def _conditional(maker):
+    """Constructor of one ratio_conditional family.
+
+    ``epsilon_rule`` arrives as ConditionalSpec's epsilon keywords.
+    """
+    def make(ratio, epsilon_rule=(), **kwargs):
+        return maker(ratio, **dict(epsilon_rule), **kwargs)
+    return make
+
+
+def _custom_population(ratio, h_table, **cond_kwargs):
+    table = PwLinearTable.raw(*h_table.T)
+    return RatioConditionalPopulation(
+        ratio, ConditionalSpec("custom", h_table=table, **cond_kwargs))
+
+
+_population = partial(_reader, errors=(ValueError, BoundViolation))
+_COMPONENT = _reader(lambda weight, population: (weight, population),
+                     {"weight": _POSITIVE,
+                      "population": _sub(population_from_dict)})
+_EPSILON_RULES = {
+    "half_mean": _reader(lambda: {"epsilon_kind": "half_mean"}, {}),
+    "fixed": _reader(lambda value: {"epsilon_kind": "fixed",
+                                    "epsilon_value": value},
+                     {"value": _POSITIVE})}
+_CONDITIONAL = {"ratio": _sub(ratio_from_dict),
+                "epsilon_rule": _sub(_kind(_EPSILON_RULES)),
+                "sigma_multiplier": _POSITIVE}
+_FAMILIES = {
+    "low": _population(_conditional(make_low_population),
+                       {**_CONDITIONAL, "delta": _POSITIVE},
+                       {"ratio", "delta"}),
+    "high": _population(_conditional(make_high_population),
+                        {**_CONDITIONAL, "delta": _POSITIVE},
+                        {"ratio", "delta"}),
+    "custom": _population(_conditional(_custom_population),
+                          {**_CONDITIONAL, "h_table": _pairs},
+                          {"ratio", "h_table"})}
+_POPULATIONS = {
+    "point_mass": _population(PointMassPopulation,
+                              {"vk": _NONNEGATIVE, "vm": _POSITIVE}),
+    "product": _population(ProductPopulation,
+                           {"ratio": _sub(ratio_from_dict),
+                            "vm": _sub(marginal_from_dict)}),
+    "independent": _population(IndependentPopulation,
+                               {"vk": _sub(marginal_from_dict),
+                                "vm": _sub(marginal_from_dict)}),
+    "ratio_conditional": lambda obj, path, tags: _tagged(
+        obj, path, "family", _FAMILIES, tags),
+    "mixture": _population(MixturePopulation, {"components": _components})}
+
+_GRID_N = partial(_integer, minimum=2)
+_GRID_BOUNDS = {"lo": _POSITIVE, "hi": _POSITIVE, "n": _GRID_N}
+_GRIDS = {
+    "default": _reader(partial(GridSpec, "default"), {"n": _GRID_N}, ()),
+    "linspace": _reader(partial(GridSpec, "linspace"), _GRID_BOUNDS,
+                        {"lo", "hi"}),
+    "chebyshev": _reader(partial(GridSpec, "chebyshev"), _GRID_BOUNDS,
+                         {"lo", "hi"}),
+    "explicit": _reader(lambda values: GridSpec("explicit", len(values),
+                                                values=values),
+                        {"values": _grid_values})}
+
+
+def _section(read):
+    """Parser of a top-level section, whose path is its own key."""
+    return lambda doc, key, _path: read(doc[key], key)
+
+
+def _single(key: str, parse, required=None):
+    """Reader of an object with the one key ``key``; returns its value."""
+    return lambda obj, path: _fields(obj, path, {key: parse},
+                                     required).get(key)
+
+
+# Top-level sections, and the Scenario fields whose names differ.
+_SCENARIO = {
+    "population": _section(population_from_dict),
+    "grids": _section(_single("prices", _sub(_kind(_GRIDS)), ())),
+    "identification": _section(_reader(
+        IdentificationConfig,
+        {"quality_span": _span, "price_lo": _POSITIVE,
+         "price_hi": _POSITIVE, "n_prices": partial(_integer, minimum=1),
+         "max_order": partial(_integer, minimum=1),
+         "n_quality": partial(_integer, minimum=16),
+         "tail_bound": _POSITIVE},
+        {"price_lo", "price_hi"})),
+    "nonid": _section(_reader(
+        NonIdConfig,
+        {"ratio": _sub(ratio_from_dict), "delta_low": _POSITIVE,
+         "delta_high": _POSITIVE, "tol": _NONNEGATIVE,
+         "mc_draws": partial(_integer, minimum=1)},
+        {"ratio", "delta_low", "delta_high"})),
+    "sample": _section(_single("n", partial(_integer, minimum=1))),
+    "outputs": _section(_single("dir", _string)),
+    "seed": partial(_integer, minimum=0)}
+_FIELD_NAMES = {"grids": "price_grid", "sample": "sample_n",
+                "outputs": "out_dir"}
 
 
 def scenario_from_dict(doc) -> Scenario:
-    doc = _require_mapping(doc, "scenario")
-    _check_keys(doc, "scenario", TOP_KEYS)
-
-    population = None
-    if "population" in doc:
-        population = population_from_dict(doc["population"])
-
-    price_grid = None
-    if "grids" in doc:
-        grids = _require_mapping(doc["grids"], "grids")
-        _check_keys(grids, "grids", {"prices"})
-        if "prices" in grids:
-            price_grid = _grid_from_dict(grids["prices"], "grids.prices",
-                                         257)
-
-    ident = None
-    if "identification" in doc:
-        ident = _identification_from_dict(doc["identification"])
-
-    nonid = None
-    if "nonid" in doc:
-        nonid = _nonid_from_dict(doc["nonid"])
-
-    sample_n = 10000
-    if "sample" in doc:
-        sobj = _require_mapping(doc["sample"], "sample")
-        _check_keys(sobj, "sample", {"n"}, {"n"})
-        sample_n = _integer(sobj, "n", "sample", minimum=1)
-
-    out_dir = None
-    if "outputs" in doc:
-        oobj = _require_mapping(doc["outputs"], "outputs")
-        _check_keys(oobj, "outputs", {"dir"}, {"dir"})
-        out_dir = _string(oobj, "dir", "outputs")
-
-    seed = _integer(doc, "seed", "scenario", default=0, minimum=0)
-
-    return Scenario(population, price_grid, ident, nonid, sample_n,
-                    out_dir, seed)
-
-
-def _span(obj: dict, key: str, path: str) -> tuple:
-    raw = obj[key]
-    if (not isinstance(raw, list) or len(raw) != 2
-            or not all(isinstance(x, (int, float))
-                       and not isinstance(x, bool) for x in raw)):
-        raise ScenarioError(f"{path}.{key}: expected [lo, hi]")
-    return float(raw[0]), float(raw[1])
-
-
-_IDENTIFICATION_KEYS = {
-    "quality_span": _span,
-    "price_lo": partial(_number, positive=True),
-    "price_hi": partial(_number, positive=True),
-    "n_prices": partial(_integer, minimum=1),
-    "max_order": partial(_integer, minimum=1),
-    "n_quality": partial(_integer, minimum=16),
-    "tail_bound": partial(_number, positive=True)}
-
-_NONID_KEYS = {
-    "delta_low": partial(_number, positive=True),
-    "delta_high": partial(_number, positive=True),
-    "tol": partial(_number, nonnegative=True),
-    "mc_draws": partial(_integer, minimum=1)}
-
-
-def _identification_from_dict(obj) -> IdentificationConfig:
-    obj = _require_mapping(obj, "identification")
-    _check_keys(obj, "identification", set(_IDENTIFICATION_KEYS),
-                {"price_lo", "price_hi"})
-    kwargs = _present(obj, "identification", _IDENTIFICATION_KEYS)
-    try:
-        return IdentificationConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"identification: {exc}") from exc
-
-
-def _nonid_from_dict(obj) -> NonIdConfig:
-    obj = _require_mapping(obj, "nonid")
-    _check_keys(obj, "nonid", {"ratio", *_NONID_KEYS},
-                {"ratio", "delta_low", "delta_high"})
-    return NonIdConfig(ratio=ratio_from_dict(obj["ratio"], "nonid.ratio"),
-                       **_present(obj, "nonid", _NONID_KEYS))
+    fields = _fields(doc, "scenario", _SCENARIO, ())
+    return Scenario(**{_FIELD_NAMES.get(key, key): value
+                       for key, value in fields.items()})
 
 
 def load_scenario(path: str):

@@ -132,7 +132,7 @@ def test_criterion_5_seeded_samples_match_demand_and_moments():
             prices = sup.r_lo + (sup.r_hi - sup.r_lo) * np.array(
                 [0.15, 0.3, 0.5, 0.7, 0.85])
         for p in prices:
-            want = dl.demand(pop, float(p))
+            want = dl.demand_at(pop, float(p))
             emp = float(np.mean(r >= p))
             band = 4.0 * math.sqrt(max(want * (1.0 - want), 0.0) / n)
             assert abs(emp - want) <= band + 1e-12, (name, p)

@@ -1,9 +1,6 @@
 import hashlib
 import json
-import os
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -12,8 +9,6 @@ from demandlab import identification as ident
 from demandlab.cli import main
 from demandlab.demand import quality_demand_surface
 from demandlab.scenario import scenario_from_dict
-
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PRODUCT_POP = {"form": "product",
                "ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
@@ -225,34 +220,6 @@ class TestInputErrors:
     def test_negative_seed_override(self, tmp_path):
         scn = write_scenario(tmp_path, {"population": PRODUCT_POP})
         assert run("sample", scn, "--seed", "-1") == 2
-
-
-@pytest.fixture
-def declared_scripts_on_path(tmp_path, monkeypatch):
-    """Put the console scripts that ``pyproject.toml`` declares on PATH.
-
-    Each ``[project.scripts]`` entry ``name = "module:attr"`` becomes an
-    executable ``name`` of the shape an installer writes, so a subprocess
-    runs exactly the declared target without the package being installed.
-    The child imports demandlab from wherever this process imported it.
-    """
-    tomllib = pytest.importorskip("tomllib")
-    with PYPROJECT.open("rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
-    bin_dir = tmp_path / "bin"
-    bin_dir.mkdir()
-    for name, target in scripts.items():
-        module, attr = target.split(":")
-        script = bin_dir / name
-        script.write_text(
-            f"#!{sys.executable}\n"
-            "import sys\n"
-            f"from {module} import {attr}\n"
-            f"sys.exit({attr}())\n")
-        script.chmod(0o755)
-    package_root = Path(demandlab.__file__).resolve().parents[1]
-    monkeypatch.setenv("PATH", str(bin_dir), prepend=os.pathsep)
-    monkeypatch.setenv("PYTHONPATH", str(package_root), prepend=os.pathsep)
 
 
 @pytest.mark.usefixtures("declared_scripts_on_path")

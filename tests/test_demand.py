@@ -29,21 +29,21 @@ class TestDemand:
     def test_uniform_ratio_closed_form(self):
         pop = pops.ProductPopulation(seed_ratio(3.0),
                                      MarginalSpec.uniform(0.5, 1.5))
-        assert dl.demand(pop, 1.5) == pytest.approx(0.5, abs=1e-14)
-        assert dl.demand(pop, 1.25) == pytest.approx(0.75, abs=1e-14)
-        assert dl.demand(pop, 0.5) == 1.0
-        assert dl.demand(pop, 3.0) == 0.0
+        assert dl.demand_at(pop, 1.5) == pytest.approx(0.5, abs=1e-14)
+        assert dl.demand_at(pop, 1.25) == pytest.approx(0.75, abs=1e-14)
+        assert dl.demand_at(pop, 0.5) == 1.0
+        assert dl.demand_at(pop, 3.0) == 0.0
 
     def test_price_must_be_positive(self):
         pop = pops.PointMassPopulation(2.0, 1.0)
         with pytest.raises(ValueError):
-            dl.demand(pop, 0.0)
+            dl.demand_at(pop, 0.0)
 
     def test_atom_buys_at_its_own_price(self):
         pop = pops.PointMassPopulation(2.0, 1.0)  # r = 2 exactly
-        assert dl.demand(pop, 2.0) == 1.0
-        assert dl.demand(pop, 2.0 + 1e-12) == 0.0
-        assert dl.demand(pop, 1.0) == 1.0
+        assert dl.demand_at(pop, 2.0) == 1.0
+        assert dl.demand_at(pop, 2.0 + 1e-12) == 0.0
+        assert dl.demand_at(pop, 1.0) == 1.0
 
     def test_scale_covariance(self):
         # measuring money in different units moves prices with it
@@ -54,8 +54,8 @@ class TestDemand:
             pops.RatioMarginalSpec.uniform(c * 1.0, c * 2.0, vm_hi=3.0),
             MarginalSpec.uniform(0.5, 1.5))
         for p in (1.1, 1.5, 1.9):
-            assert dl.demand(scaled, c * p) == pytest.approx(
-                dl.demand(base, p), abs=1e-12)
+            assert dl.demand_at(scaled, c * p) == pytest.approx(
+                dl.demand_at(base, p), abs=1e-12)
 
 
 class TestDemandCurve:
@@ -130,7 +130,7 @@ class TestQualityDemand:
         for name, pop in continuous_zoo().items():
             for p in (1.2, 1.5):
                 assert dl.quality_demand(pop, 0.0, p) == pytest.approx(
-                    dl.demand(pop, p), abs=1e-10), name
+                    dl.demand_at(pop, p), abs=1e-10), name
 
     def test_free_good_depends_only_on_good_value(self):
         pop = pops.IndependentPopulation(
@@ -205,14 +205,6 @@ class TestQualityDemandSurface:
         lines = surf.to_csv().strip().split("\n")
         assert lines[0] == "xQ,p,DQ"
         assert len(lines) == 1 + 4 * 2
-
-    def test_json_dict_round_trips_shape(self):
-        pop = population_zoo()["product"]
-        surf = dl.quality_demand_surface(pop, np.linspace(-3, 3, 4),
-                                         np.array([1.0, 1.5]))
-        doc = surf.to_json_dict()
-        assert len(doc["values_row_major"]) == 8
-        assert doc["tail_mass"] == surf.tail_mass
 
 
 class TestDefaultPriceGrid:

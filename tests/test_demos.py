@@ -20,3 +20,15 @@ def test_demo_runs_cleanly(script):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.usefixtures("declared_scripts_on_path")
+def test_cli_walkthrough_runs_cleanly(tmp_path):
+    # the script runs the installed ``demandlab`` command on every bundled
+    # scenario and writes into ``mktemp -d``, which TMPDIR keeps in tmp_path
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(["sh", str(ROOT / "demos" / "cli_walkthrough.sh")],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

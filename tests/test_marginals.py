@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from demandlab import MomentTable
 from demandlab.errors import NoDensity
 from demandlab.marginals import MarginalSpec, PwLinearTable
-from demandlab.moments import MomentTable
 
 
 class TestPwLinearTable:
@@ -117,11 +117,3 @@ class TestMomentTable:
         e[(2, 0)] = np.inf
         with pytest.raises(ValueError):
             MomentTable(2, e, errs)
-
-    def test_json_round_trip_exact(self):
-        e, errs = self.entries()
-        table = MomentTable(2, e, errs)
-        back = MomentTable.from_json_dict(table.to_json_dict())
-        assert back.max_order == 2
-        for key in table.keys():
-            assert back[key] == table[key]

@@ -28,7 +28,7 @@ def product_populations(draw):
 @given(product_populations(), st.floats(0.05, 6.0, **bounded),
        st.floats(0.01, 3.0, **bounded))
 def test_demand_never_increases_in_price(pop, p, step):
-    assert dl.demand(pop, p) >= dl.demand(pop, p + step) - 1e-12
+    assert dl.demand_at(pop, p) >= dl.demand_at(pop, p + step) - 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -43,7 +43,7 @@ def test_demand_is_invariant_to_money_units(pop, p, c):
     scaled = pops.ProductPopulation(
         maker(sup.r_lo / c, sup.r_hi / c, vm_hi=c * sup.vm_hi),
         MarginalSpec.uniform(c * pop.vm.lo, c * pop.vm.hi))
-    assert abs(dl.demand(scaled, p / c) - dl.demand(pop, p)) <= 1e-9
+    assert abs(dl.demand_at(scaled, p / c) - dl.demand_at(pop, p)) <= 1e-9
 
 
 @settings(max_examples=25, deadline=None)

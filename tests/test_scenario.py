@@ -136,6 +136,48 @@ class TestStrictValidation:
                 "ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
                 "family": "high", "delta": 2.0 * HIGH_BOUND_U12})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"population": {"form": "mixture", "components": [
+            {"weight": 0.5, "population": {
+                "form": "point_mass", "vk": 2.0, "vm": 1.0}},
+            {"weight": 0.5, "population": {
+                "form": "independent",
+                "vk": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
+                "vm": {"kind": "uniform", "lo": "x", "hi": 1.5}}}]}},
+         "population.components[1].population.vm.lo: expected a number, "
+         "got 'x'"),
+        ({"population": {"form": "mixture", "components": [
+            {"population": {"form": "point_mass", "vk": 2.0, "vm": 1.0}}]}},
+         "population.components[0]: missing required key(s) ['weight']"),
+        ({"population": {
+            "form": "ratio_conditional",
+            "ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
+            "family": "low", "delta": 0.5,
+            "epsilon_rule": {"kind": "fixed", "value": -1}}},
+         "population.epsilon_rule.value: must be > 0"),
+        ({"grids": {"prices": {"kind": "explicit", "values": [1.0]}}},
+         "grids.prices.values: expected >= 2 numbers"),
+        ({"grids": {"prices": {"kind": "linspace", "lo": 2.0, "hi": 1.0}}},
+         "grids.prices: need lo < hi"),
+        ({"identification": {"price_lo": 0.5, "price_hi": 1.5,
+                             "quality_span": [1.0]}},
+         "identification.quality_span: expected [lo, hi]"),
+        ({"nonid": {"ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": "x"},
+                    "delta_low": 0.5, "delta_high": 0.04}},
+         "nonid.ratio.r_hi: expected a number, got 'x'"),
+        ({"sample": {"n": 0}}, "sample.n: must be >= 1"),
+        ({"outputs": {"dir": 3}}, "outputs.dir: expected a string, got 3"),
+        ({"seed": -1}, "scenario.seed: must be >= 0"),
+        ({"bogus": 1},
+         "scenario: unknown key(s) ['bogus']; allowed: ['grids', "
+         "'identification', 'nonid', 'outputs', 'population', 'sample', "
+         "'seed']"),
+    ], ids=lambda v: None if isinstance(v, dict) else v.split(":")[0])
+    def test_exact_messages(self, doc, message):
+        with pytest.raises(ScenarioError) as info:
+            parse(doc)
+        assert str(info.value) == message
+
     def test_bad_mixture_weights(self):
         comp = {"weight": 0.4, "population": {
             "form": "point_mass", "vk": 2.0, "vm": 1.0}}
