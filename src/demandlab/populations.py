@@ -37,6 +37,8 @@ from .errors import BoundViolation, DegenerateRatio, NoDensity
 from .marginals import MarginalSpec, PwLinearTable
 
 TABLE_GRID_DEFAULT = 2048
+# Prices per quadrature call in IndependentPopulation._demand_profile.
+PRICE_BLOCK = 2048
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -564,19 +566,36 @@ class IndependentPopulation(Population):
         if self.vk.is_degenerate:
             return np.asarray(self.vm.cdf((self.vk.value + xq) / p),
                               dtype=float)
+        return self._integrated_profile(p, xq)
+
+    def _integrated_profile(self, p, xq):
+        """P(vk + xq >= p vm) by quadrature over vm, one row per entry of
+        ``xq``; ``p`` is a positive scalar or one price per row."""
+        p_col = np.asarray(p, dtype=float)[..., None]
         breaks = np.column_stack(((self.vk.lo + xq) / p,
                                   (self.vk.hi + xq) / p))
         nodes, wts = quadrature.segmented_gl(self.vm.lo, self.vm.hi, breaks,
                                              order=16, panels=3)
-        sk = 1.0 - np.asarray(self.vk.cdf(p * nodes - xq[:, None]))
+        sk = 1.0 - np.asarray(self.vk.cdf(p_col * nodes - xq[:, None]))
         return np.einsum("ij,ij,ij->i", wts, self.vm.pdf(nodes), sk)
 
     def _demand_profile(self, prices):
-        # exact route; the tabulated ratio marginal is an export layer
+        # exact route; the tabulated ratio marginal is an export layer.
+        # Positive prices of smooth marginals go PRICE_BLOCK rows per
+        # quadrature call, each row with the bits of a one-price call.
+        prices = np.asarray(prices, dtype=float)
+        vals = np.empty(prices.size)
+        smooth = (prices > 0.0) & (not self.vk.is_degenerate
+                                   and not self.vm.is_degenerate)
+        idx = np.flatnonzero(smooth)
+        for start in range(0, idx.size, PRICE_BLOCK):
+            rows = idx[start:start + PRICE_BLOCK]
+            vals[rows] = self._integrated_profile(prices[rows],
+                                                  np.zeros(rows.size))
         zero = np.zeros(1)
-        vals = [float(self._quality_profile(float(p), zero)[0])
-                for p in prices]
-        return np.clip(np.asarray(vals), 0.0, 1.0)
+        for i in np.flatnonzero(~smooth):
+            vals[i] = self._quality_profile(float(prices[i]), zero)[0]
+        return np.clip(vals, 0.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
 class RatioConditionalPopulation(Population):
@@ -732,6 +751,11 @@ class RatioConditionalPopulation(Population):
 
     def _quality_profile(self, p, xq):
         xq = np.asarray(xq, dtype=float)
+        # solve_crossings needs psi nondecreasing in the row: solve on the
+        # sorted offsets (NaN last) and scatter the rows back; rows are
+        # independent, so each keeps its bits
+        order = np.argsort(xq, kind="stable")
+        xq = xq[order]
         n = xq.size
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
 
@@ -759,7 +783,9 @@ class RatioConditionalPopulation(Population):
                      np.where(c < 0.0, (phi - (1.0 - hi_cap)) / self._z_mass,
                               (xq[:, None] >= 0.0).astype(float)))
         g = np.asarray(self.ratio.pdf(nodes))
-        return np.einsum("ij,ij,ij->i", wts, g, s)
+        out = np.empty(n)
+        out[order] = np.einsum("ij,ij,ij->i", wts, g, s)
+        return out
 
 @dataclass(frozen=True, eq=False)
 class MixturePopulation(Population):

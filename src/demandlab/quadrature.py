@@ -12,9 +12,12 @@ The column helpers at the bottom (``solve_crossings``,
 through a row parameter, splitting each row's interval at known or
 numerically located kinks so that plain Gauss-Legendre panels see smooth
 pieces.  They are the workhorses behind quality-demand surfaces.
-``solve_crossings`` takes a row-indexed ``psi(r, rows)``, so the part
-shared by all rows is evaluated once on the coarse grid, and it bisects
-only the cells where that grid brackets a root.
+``solve_crossings`` takes a row-indexed ``psi(r, rows)`` that is
+nondecreasing in the row index; it binary-searches the rows at each
+coarse scan point instead of evaluating them all, and bisects only the
+cells where the scan brackets a root.  ``segmented_gl`` emits no panel
+for a zero-width segment, so each row's sum keeps its bits while the
+node count follows the row with the most positive-width segments.
 """
 
 from __future__ import annotations
@@ -97,32 +100,61 @@ def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:
     returns values of their broadcast shape, so a part shared by all
     rows is computed once per abscissa.  Each row is an independent
     one-dimensional root problem (the row index selects, e.g., one
-    quality offset).  A coarse scan of ``COARSE`` points brackets the
-    sign flips, and only the bracketing cells are bisected,
-    ``BISECTIONS`` times each.  Returns an (n_rows, MAX_ROOTS) matrix of
-    each row's roots in ascending order, padded with ``hi``; a row with
-    more than ``MAX_ROOTS`` flips raises :class:`QuadratureFailure`.
-    Roots are only located where the coarse scan sees a sign flip,
-    which is adequate for the piecewise-monotone crossing functions
-    used here.
+    quality offset).
+
+    Precondition: at every abscissa ``psi`` is nondecreasing in the row
+    index, as ``f(r) + c[rows]`` is for sorted ``c`` (``fl(a + x)`` is
+    monotone in x, so this holds exactly in floating point); a NaN value
+    counts as nonnegative, so rows that give NaN go last.  Then the rows
+    with ``psi >= 0`` at a scan point are a suffix, found by binary
+    search, and the coarse scan of ``COARSE`` points costs
+    ``COARSE * ceil(log2(n_rows + 1))`` evaluations.  The rows between
+    the suffix starts of two neighbouring scan points are exactly those
+    whose sign flips in that cell; only these (row, cell) pairs are
+    bisected, ``BISECTIONS`` times each.
+
+    Returns an (n_rows, MAX_ROOTS) matrix of each row's roots in
+    ascending order, padded with ``hi``; a row with more than
+    ``MAX_ROOTS`` flips raises :class:`QuadratureFailure`.  Roots are
+    only located where the coarse scan sees a sign flip, which is
+    adequate for the piecewise-monotone crossing functions used here.
     """
     grid = np.linspace(lo, hi, COARSE)
-    vals = psi(grid[None, :], np.arange(n_rows)[:, None])
-    sgn = np.where(vals >= 0.0, 1.0, -1.0)
-    rows, cells = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0.0)
-    # nonzero walks row by row, so a root's slot is its rank in its row
+    # binary search at every scan point for split[j], the first row with
+    # psi(grid[j], row) >= 0 or NaN (n_rows if none)
+    split = np.zeros(COARSE, dtype=np.intp)
+    top = np.full(COARSE, n_rows, dtype=np.intp)
+    for _ in range(int(n_rows).bit_length()):
+        mid = (split + top) // 2
+        up = ~(psi(grid, np.minimum(mid, n_rows - 1)) < 0.0)
+        open_ = split < top
+        top = np.where(open_ & up, mid, top)
+        split = np.where(open_ & ~up, mid + 1, split)
+    # cell j brackets the rows from the lower of its two splits up to
+    # the higher one
+    start = np.minimum(split[:-1], split[1:])
+    count = np.abs(np.diff(split))
+    cells = np.repeat(np.arange(COARSE - 1), count)
+    rows = (np.repeat(start - np.cumsum(count) + count, count)
+            + np.arange(cells.size))
+    order = np.lexsort((cells, rows))
+    rows, cells = rows[order], cells[order]
+    # pairs are sorted by row, so a root's slot is its rank in its row
     slot = np.arange(rows.size) - np.searchsorted(rows, rows)
     if np.any(slot >= MAX_ROOTS):
         raise QuadratureFailure(
             f"more than {MAX_ROOTS} kinks per row in column integrand")
-    a, b, fa = grid[cells], grid[cells + 1], vals[rows, cells]
+    roots = np.full((n_rows, MAX_ROOTS), float(hi))
+    if not rows.size:
+        return roots
+    a, b = grid[cells], grid[cells + 1]
+    fa = psi(a, rows)
     for _ in range(BISECTIONS):
         m = 0.5 * (a + b)
         fm = psi(m, rows)
         left = fa * fm <= 0.0
         a, b, fa = (np.where(left, a, m), np.where(left, m, b),
                     np.where(left, fa, fm))
-    roots = np.full((n_rows, MAX_ROOTS), float(hi))
     roots[rows, slot] = 0.5 * (a + b)
     return roots
 
@@ -132,8 +164,13 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, *,
     """Per-row composite Gauss-Legendre nodes split at per-row breaks.
 
     ``breaks`` is (n_rows, k); entries outside (lo, hi) are clipped to the
-    nearest endpoint, which yields zero-width panels with zero weight.
-    Returns node and weight matrices of shape (n_rows, n_nodes).
+    nearest endpoint.  Each row's positive-width segments are moved to
+    the front in their order, and zero-width ones, whose panels would
+    carry weight 0, are dropped, so the node count is set by the row with
+    the most positive-width segments.  A shorter row is padded with its
+    own zero-width segments, which keep weight 0; a row sum in node order
+    is therefore the one the full-width rule gives.  Returns node and
+    weight matrices of shape (n_rows, n_nodes).
     """
     n_rows = breaks.shape[0]
     clipped = np.clip(breaks, lo, hi)
@@ -143,6 +180,11 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, *,
     x, w = _rule(order)
     seg_lo = edges[:, :-1]
     seg_len = np.diff(edges, axis=1)
+    keep = seg_len != 0.0  # NaN breaks keep their NaN panels
+    width = int(keep.sum(axis=1).max(initial=0))
+    front = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+    seg_lo = np.take_along_axis(seg_lo, front, axis=1)
+    seg_len = np.take_along_axis(seg_len, front, axis=1)
     # Subdivide each segment into `panels` uniform panels.
     offs = (np.arange(panels) / panels)[None, None, :]
     p_lo = seg_lo[:, :, None] + seg_len[:, :, None] * offs

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BoundViolation, ScenarioError
+from .errors import BoundViolation, DegenerateRatio, ScenarioError
 from .identification import IdentificationConfig
 from .inequality import GAP_TOL
 from .marginals import MarginalSpec, PwLinearTable
@@ -90,34 +90,42 @@ def _string(obj: dict, key: str, path: str, *, choices=None):
     return v
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _finite(values, key: str, path: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{path}.{key}: entries must be finite")
+    return arr
+
+
 def _pairs(obj: dict, key: str, path: str) -> np.ndarray:
     v = obj[key]
     if (not isinstance(v, list) or len(v) < 2
             or not all(isinstance(row, list) and len(row) == 2
-                       and all(isinstance(x, (int, float))
-                               and not isinstance(x, bool) for x in row)
-                       for row in v)):
+                       and all(map(_is_number, row)) for row in v)):
         raise ScenarioError(
             f"{path}.{key}: expected a list of [x, y] number pairs")
-    return np.asarray(v, dtype=float)
+    return _finite(v, key, path)
 
 
 def _span(obj: dict, key: str, path: str) -> tuple:
     raw = obj[key]
     if (not isinstance(raw, list) or len(raw) != 2
-            or not all(isinstance(x, (int, float))
-                       and not isinstance(x, bool) for x in raw)):
+            or not all(map(_is_number, raw))):
         raise ScenarioError(f"{path}.{key}: expected [lo, hi]")
-    return float(raw[0]), float(raw[1])
+    lo, hi = _finite(raw, key, path)
+    return float(lo), float(hi)
 
 
 def _grid_values(obj: dict, key: str, path: str) -> tuple:
     vals = obj[key]
     if (not isinstance(vals, list) or len(vals) < 2
-            or not all(isinstance(x, (int, float))
-                       and not isinstance(x, bool) for x in vals)):
+            or not all(map(_is_number, vals))):
         raise ScenarioError(f"{path}.{key}: expected >= 2 numbers")
-    arr = np.asarray(vals, dtype=float)
+    arr = _finite(vals, key, path)
     if np.any(arr <= 0.0) or np.any(np.diff(arr) <= 0.0):
         raise ScenarioError(f"{path}.{key}: must be positive and "
                             "strictly increasing")
@@ -277,7 +285,8 @@ def _custom_population(ratio, h_table, **cond_kwargs):
         ratio, ConditionalSpec("custom", h_table=table, **cond_kwargs))
 
 
-_population = partial(_reader, errors=(ValueError, BoundViolation))
+_population = partial(_reader,
+                      errors=(ValueError, BoundViolation, DegenerateRatio))
 _COMPONENT = _reader(lambda weight, population: (weight, population),
                      {"weight": _POSITIVE,
                       "population": _sub(population_from_dict)})

@@ -217,6 +217,21 @@ class TestInputErrors:
         assert run("nonid", scn) == 2
         assert "nonid" in capsys.readouterr().err
 
+    def test_non_finite_grid_value(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, {
+            "population": PRODUCT_POP,
+            "grids": {"prices": {"kind": "explicit",
+                                 "values": [1.0, float("nan"), 2.0]}}})
+        assert run("demand", scn, "--out", str(tmp_path / "out")) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_money_value_reaching_zero(self, tmp_path, capsys):
+        pop = {**BETA_POP, "vm": {**BETA_POP["vm"], "lo": -1.0}}
+        scn = write_scenario(tmp_path, {"population": pop})
+        assert run("demand", scn, "--out", str(tmp_path / "out")) == 2
+        assert "population" in capsys.readouterr().err
+
     def test_negative_seed_override(self, tmp_path):
         scn = write_scenario(tmp_path, {"population": PRODUCT_POP})
         assert run("sample", scn, "--seed", "-1") == 2

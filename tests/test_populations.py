@@ -5,6 +5,7 @@ from scipy import stats
 
 from demandlab import inequality
 from demandlab import populations as pops
+from demandlab.demand import default_price_grid
 from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity)
 from demandlab.marginals import MarginalSpec
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
@@ -149,6 +150,23 @@ class TestIndependentPopulation:
             assert float(spec.pdf(r)) == pytest.approx(
                 2.0 * float(pop.vk.pdf(2.0 * r)), rel=1e-6)
 
+    @pytest.mark.parametrize("shapes", [(2.0, 3.0, 2.0, 2.0),
+                                        (2.5, 3.1, 2.1, 2.0)])
+    def test_blocked_demand_profile_matches_one_price_calls(
+            self, shapes, monkeypatch):
+        # a small block forces several quadrature calls and a short last
+        # one; each row must carry the bits of its own one-price call
+        monkeypatch.setattr(pops, "PRICE_BLOCK", 16)
+        a, b, c, d = shapes
+        pop = pops.IndependentPopulation(
+            MarginalSpec.scaled_beta(a, b, lo=0.0, hi=1.0),
+            MarginalSpec.scaled_beta(c, d, lo=0.5, hi=1.5))
+        prices = default_price_grid(pop, 101)
+        zero = np.zeros(1)
+        want = np.clip([pop._quality_profile(float(p), zero)[0]
+                        for p in prices], 0.0, 1.0)
+        assert np.array_equal(pop._demand_profile(prices), want)
+
     def test_rejects_nonpositive_money_values(self):
         with pytest.raises(DegenerateRatio):
             pops.IndependentPopulation(
@@ -196,6 +214,23 @@ class TestRatioConditionalPopulation:
         got = draws[sel, 1].mean()
         se = draws[sel, 1].std(ddof=1) / np.sqrt(sel.sum())
         assert abs(got - want) < 4 * se
+
+    def test_quality_profile_of_unsorted_grid_is_permuted(self):
+        # the crossing solver needs offsets sorted by row; the grid is
+        # sorted and the rows scattered back bit for bit
+        low = pops.make_low_population(seed_ratio(), delta=0.45)
+        xq = np.linspace(-3.0, 3.0, 257)
+        perm = np.random.default_rng(0).permutation(xq.size)
+        with_nan = xq.copy()
+        with_nan[100] = np.nan
+        for p in (0.6, 1.0, 1.4):
+            want = low._quality_profile(p, xq)
+            assert np.array_equal(low._quality_profile(p, xq[perm]),
+                                  want[perm])
+            # a NaN offset spoils its own row only
+            got = low._quality_profile(p, with_nan)
+            assert np.isnan(got[100])
+            assert np.array_equal(np.delete(got, 100), np.delete(want, 100))
 
     def test_custom_family_requires_coverage(self):
         from demandlab.marginals import PwLinearTable

@@ -37,55 +37,135 @@ def test_segmented_gl_is_exact_across_kinks():
     assert np.allclose(got, want, rtol=1e-14)
 
 
+def _full_width_gl(lo, hi, breaks, order, panels):
+    """Every segment's panels, zero-width ones included, in edge order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, wts = [], []
+    for row in breaks:
+        edges = np.concatenate(([lo], np.sort(np.clip(row, lo, hi)), [hi]))
+        xs, ws = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = (b - a) / (2.0 * panels)
+            for k in range(panels):
+                mid = (a + (b - a) * (k / panels)) + half
+                xs.append(mid + half * x)
+                ws.append(half * w)
+        nodes.append(np.concatenate(xs))
+        wts.append(np.concatenate(ws))
+    return np.array(nodes), np.array(wts)
+
+
+def test_segmented_gl_drops_zero_width_panels_keeping_row_sums():
+    # breaks clipped to either end point, repeated, or outside the range
+    lo, hi = 0.5, 1.5
+    breaks = np.array([[0.2, 0.9, 0.9, 2.0],
+                       [0.7, 1.1, 1.1, 0.8],
+                       [1.5, 1.5, 0.5, 0.5],
+                       [-1.0, 0.6, 3.0, 1.2]])
+    x, w = q.segmented_gl(lo, hi, breaks, order=16, panels=3)
+    # the widest row has 4 of its 5 segments of positive width
+    assert x.shape == w.shape == (4, 4 * 3 * 16)
+    ref_x, ref_w = _full_width_gl(lo, hi, breaks, 16, 3)
+    assert ref_x.shape == (4, 5 * 3 * 16)
+    g = lambda v: np.exp(-v) * np.abs(v - 0.9)
+    h = lambda v: 1.0 + np.sin(3.0 * v)
+    got = np.einsum("ij,ij,ij->i", w, g(x), h(x))
+    want = np.einsum("ij,ij,ij->i", ref_w, g(ref_x), h(ref_x))
+    assert np.array_equal(got, want)
+    # the kept panels are the reference's positive-weight ones, in order
+    for row in range(4):
+        kept = ref_w[row] != 0.0
+        n = int(kept.sum())
+        assert np.array_equal(x[row, :n], ref_x[row, kept])
+        assert np.array_equal(w[row, :n], ref_w[row, kept])
+        assert not np.any(w[row, n:])
+
+
+# Row-monotone crossing family psi(r, rows) = f(r) + c[rows] with c
+# sorted: f has roots 0.5, 1.5 and 3, and f + c keeps three roots in
+# (0, 4) for |c| <= 0.3, none for c = -9 or c = 3.
+def _cubic(r):
+    return (r - 0.5) * (r - 1.5) * (r - 3.0)
+
+
+def _cubic_roots(c, lo, hi):
+    roots = np.roots([1.0, -5.0, 6.75, c - 2.25])
+    real = np.sort(roots[np.isreal(roots)].real)
+    return real[(real > lo) & (real < hi)]
+
+
 def test_solve_crossings_locates_roots_per_row():
-    # psi(r) = (r - a)(r - b)(r - c) row-wise; roots inside [0, 4]
-    roots = np.array([[0.5, 1.5, 3.0],
-                      [1.0, 2.0, 3.5]])
-
-    def psi(r, rows):
-        return ((r - roots[rows, 0]) * (r - roots[rows, 1])
-                * (r - roots[rows, 2]))
-
-    found = q.solve_crossings(psi, 0.0, 4.0, 2)
-    assert found.shape == (2, q.MAX_ROOTS) == (2, 4)
-    assert np.allclose(found[:, :3], roots, atol=1e-12)
+    c = np.array([-0.3, 0.0, 0.3])
+    found = q.solve_crossings(lambda r, rows: _cubic(r) + c[rows],
+                              0.0, 4.0, 3)
+    assert found.shape == (3, q.MAX_ROOTS) == (3, 4)
+    for row, level in enumerate(c):
+        assert np.allclose(found[row, :3], _cubic_roots(level, 0.0, 4.0),
+                           rtol=0.0, atol=1e-12)
     # unused slots are padded with the upper end point
-    assert np.allclose(found[:, 3], 4.0)
+    assert np.all(found[:, 3] == 4.0)
 
 
 def test_solve_crossings_handles_rootless_rows():
-    psi = lambda r, rows: np.ones_like(r + rows)
-    found = q.solve_crossings(psi, 0.0, 1.0, 1)
-    assert found.shape == (1, 4)
-    assert np.allclose(found, 1.0)
-
-
-def test_solve_crossings_rejects_more_roots_than_slots():
-    # sin changes sign at pi, 2 pi, ..., 5 pi inside (0.5, 16)
-    psi = lambda r, rows: np.sin(r + 0.0 * rows)
-    with pytest.raises(QuadratureFailure, match="more than 4"):
-        q.solve_crossings(psi, 0.5, 16.0, 2)
-    # four sign changes still fit
-    found = q.solve_crossings(psi, 0.5, 13.0, 2)
-    assert np.allclose(found, np.pi * np.arange(1, 5), atol=1e-12)
-
-
-def test_solve_crossings_bisects_only_bracketed_cells():
-    # roots in [0, 1]: none in row 0, 0.4 in row 1, 0.3 and 0.7 in row 2
-    a = np.array([2.0, 0.4, 0.3])
-    b = np.array([2.0, 2.0, 0.7])
+    c = np.array([-9.0, 0.0, 3.0])
+    found = q.solve_crossings(lambda r, rows: _cubic(r) + c[rows],
+                              0.0, 4.0, 3)
+    assert found.shape == (3, 4)
+    assert np.all(found[[0, 2]] == 4.0)
+    assert np.allclose(found[1, :3], [0.5, 1.5, 3.0], rtol=0.0, atol=1e-12)
+    # a row whose psi is NaN counts as nonnegative, so sorted last it
+    # brackets nothing, even where every other row is negative
+    c_nan = np.array([-9.0, 0.0, np.nan])
+    found = q.solve_crossings(lambda r, rows: _cubic(r) + c_nan[rows],
+                              0.0, 4.0, 3)
+    assert np.all(found[[0, 2]] == 4.0)
+    assert np.allclose(found[1, :3], [0.5, 1.5, 3.0], rtol=0.0, atol=1e-12)
+    # a single rootless row never reaches the bisection
     sizes = []
 
     def psi(r, rows):
         sizes.append(np.broadcast(r, rows).size)
-        return (r - a[rows]) * (r - b[rows])
+        return np.ones_like(r + rows, dtype=float)
 
-    found = q.solve_crossings(psi, 0.0, 1.0, 3)
-    assert np.allclose(found[:, :2], [[1.0, 1.0], [0.4, 1.0], [0.3, 0.7]],
-                       atol=1e-12)
-    assert sizes == [3 * q.COARSE] + [3] * q.BISECTIONS
+    assert np.all(q.solve_crossings(psi, 0.0, 1.0, 1) == 1.0)
+    assert sizes == [q.COARSE]
 
-    sizes.clear()
-    q.solve_crossings(psi, 0.0, 1.0, 1)
-    assert sizes[0] == q.COARSE
-    assert not any(sizes[1:])
+
+def test_solve_crossings_rejects_more_roots_than_slots():
+    # sin(r) + c changes sign five times inside (0.5, 16) for these c
+    c = np.array([-0.1, 0.0, 0.1])
+    psi = lambda r, rows: np.sin(r) + c[rows]
+    with pytest.raises(QuadratureFailure, match="more than 4"):
+        q.solve_crossings(psi, 0.5, 16.0, 3)
+    # four sign changes still fit
+    found = q.solve_crossings(psi, 0.5, 13.0, 3)
+    k = np.arange(1, 5)
+    want = np.pi * k - (-1.0) ** k * np.arcsin(c)[:, None]
+    assert np.allclose(found, want, rtol=0.0, atol=1e-12)
+
+
+def test_solve_crossings_bisects_only_bracketed_cells():
+    # many rows, most rootless: the scan costs about COARSE evaluations
+    # per halving of the row range, and only bracketed cells are bisected
+    c = np.concatenate((np.full(200, -9.0), np.linspace(-0.3, 0.3, 40),
+                        np.full(160, 3.0)))
+    sizes = []
+
+    def psi(r, rows):
+        sizes.append(np.broadcast(r, rows).size)
+        return _cubic(r) + c[rows]
+
+    n_rows = c.size
+    found = q.solve_crossings(psi, 0.0, 4.0, n_rows)
+    pairs = 3 * 40
+    scan, bisect = sizes[:-(q.BISECTIONS + 1)], sizes[-(q.BISECTIONS + 1):]
+    assert sum(scan) <= q.COARSE * int(np.ceil(np.log2(n_rows + 1)))
+    assert bisect == [pairs] * (q.BISECTIONS + 1)
+    # the same brackets as a scan of every row at every point
+    grid = np.linspace(0.0, 4.0, q.COARSE)
+    sgn = np.where(_cubic(grid)[None, :] + c[:, None] >= 0.0, 1.0, -1.0)
+    flips = (sgn[:, :-1] * sgn[:, 1:] < 0.0).sum(axis=1)
+    assert np.array_equal((found < 4.0).sum(axis=1), flips)
+    for row in np.flatnonzero(flips):
+        assert np.allclose(found[row, :3], _cubic_roots(c[row], 0.0, 4.0),
+                           rtol=0.0, atol=1e-12)

@@ -127,6 +127,19 @@ class TestStrictValidation:
                 "family": "custom", "delta": 0.5,
                 "h_table": [[1.0, 1.0], [2.0, 1.0]]})
 
+    def test_tables_must_be_finite(self):
+        with pytest.raises(ScenarioError, match=r"table.*finite"):
+            scn.marginal_from_dict(
+                {"kind": "tabulated",
+                 "table": [[0.0, 1.0], [0.5, float("nan")], [1.0, 1.0]]},
+                "vm")
+        with pytest.raises(ScenarioError, match=r"h_table.*finite"):
+            scn.population_from_dict({
+                "form": "ratio_conditional",
+                "ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
+                "family": "custom",
+                "h_table": [[1.0, 0.8], [float("inf"), 1.2]]})
+
     def test_offset_over_bound_is_a_parse_error(self):
         # family parameters are checked while building the population,
         # so a bad offset surfaces as invalid input, not a failed run
@@ -246,6 +259,13 @@ class TestGrids:
                        "grids": {"prices": {"kind": "explicit",
                                             "values": bad}}})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_explicit_values_must_be_finite(self, bad):
+        with pytest.raises(ScenarioError, match="values.*finite"):
+            parse({"population": self.POP,
+                   "grids": {"prices": {"kind": "explicit",
+                                        "values": [1.0, bad, 2.0]}}})
+
 
 class TestSections:
     def test_identification_defaults(self):
@@ -262,6 +282,10 @@ class TestSections:
         with pytest.raises(ScenarioError, match="quality_span"):
             parse({"identification": {"price_lo": 0.5, "price_hi": 1.5,
                                       "quality_span": [1.0]}})
+        for bad in (float("nan"), float("-inf")):
+            with pytest.raises(ScenarioError, match="quality_span.*finite"):
+                parse({"identification": {"price_lo": 0.5, "price_hi": 1.5,
+                                          "quality_span": [bad, 3.0]}})
 
     def test_identification_price_shortage_propagates(self):
         # config construction rejects this; the CLI reports it as a
