@@ -15,7 +15,8 @@ from .demand import (DemandCurve, QualityDemandSurface, RatioCdfTable,
 from .errors import (BoundaryMassZero, BoundViolation, DegenerateRatio,
                      DemandLabError, DemoFailure, IllConditioned,
                      InsufficientPrices, MonotonicityViolation, NoDensity,
-                     QuadratureFailure, ScenarioError, TailMassExceeded)
+                     QuadratureFailure, ScenarioError,
+                     SpecialFunctionFailure, TailMassExceeded)
 from .identification import (IdentificationConfig, RecoveryReport,
                              SliceDistribution, build_surface,
                              chebyshev_prices, default_quality_grid, pava,
@@ -49,7 +50,8 @@ __all__ = [
     "ProductPopulation", "PwLinearTable", "QuadratureFailure",
     "QualityDemandSurface", "RatioCdfTable", "RatioConditionalPopulation",
     "RatioMarginalSpec", "RecoveryReport", "Scenario", "ScenarioError",
-    "SliceDistribution", "Support", "TailMassExceeded",
+    "SliceDistribution", "SpecialFunctionFailure", "Support",
+    "TailMassExceeded",
     "boundary_conditional_mean", "build_nonid_demo", "build_surface",
     "chebyshev_prices", "check_delta_bounds", "classify",
     "default_price_grid", "default_quality_grid", "demand_at",

@@ -25,12 +25,13 @@ from . import populations as pops
 from .errors import (BoundaryMassZero, DegenerateRatio, DemoFailure,
                      IllConditioned, InsufficientPrices,
                      MonotonicityViolation, NoDensity, QuadratureFailure,
-                     ScenarioError, TailMassExceeded)
+                     ScenarioError, SpecialFunctionFailure, TailMassExceeded)
 from .scenario import load_scenario
 
 NUMERIC_ERRORS = (QuadratureFailure, IllConditioned, InsufficientPrices,
                   BoundaryMassZero, DegenerateRatio, NoDensity,
-                  MonotonicityViolation, TailMassExceeded)
+                  MonotonicityViolation, TailMassExceeded,
+                  SpecialFunctionFailure)
 
 EXIT_OK = 0
 EXIT_INPUT = 2

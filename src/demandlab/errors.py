@@ -82,3 +82,7 @@ class InsufficientPrices(DemandLabError):
 
 class ScenarioError(DemandLabError):
     """A scenario document failed schema validation."""
+
+
+class SpecialFunctionFailure(DemandLabError):
+    """A special function returned NaN for arguments that are not NaN."""

@@ -1,15 +1,124 @@
-"""One-dimensional value distributions used as population building blocks."""
+"""One-dimensional value distributions used as population building blocks.
+
+Every ``scipy.special`` call in the package goes through ``_special``.
+It imports ``scipy.special`` on its first call, so a command that needs
+no special function never loads scipy.  Arrays of at least ``SPLIT_MIN``
+elements are cut into chunks that the calling thread and a shared pool
+evaluate together, one thread per CPU in the process's affinity mask
+(restrict it with ``taskset``).  Each element's value does not depend on
+the split, so seeded samples, curves and surfaces are bit-identical
+whatever the CPU count.
+"""
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln
 
-from .errors import NoDensity
+from .errors import NoDensity, SpecialFunctionFailure
+
+# Below this many elements a special function runs on the calling thread;
+# above it, threads take CHUNK elements at a time.
+SPLIT_MIN = 2 ** 16
+CHUNK = 2 ** 14
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # A forked child inherits the executor object but none of its threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers,
+                                       thread_name_prefix="demandlab-special")
+        return _pool
+
+
+def _drain(fn, sf_state: dict, args: list, out: np.ndarray, starts) -> None:
+    """Evaluate chunks from the shared iterator ``starts`` until none is
+    left; every thread of one call drains the same iterator, whose
+    ``next`` is atomic under the GIL."""
+    # scipy.special.errstate is per thread, so the caller's is reapplied
+    import scipy.special
+    with scipy.special.errstate(**sf_state):
+        for lo in starts:
+            hi = lo + CHUNK
+            fn(*(a if a.ndim == 0 else a[lo:hi] for a in args),
+               out=out[lo:hi])
+
+
+def _special(name: str, *args):
+    """``scipy.special.<name>(*args)``, sliced across CPUs when large.
+
+    Raises ``SpecialFunctionFailure`` when an element whose arguments
+    are not NaN comes back NaN.
+    """
+    import scipy.special
+    fn = getattr(scipy.special, name)
+    arrays = [np.asarray(a) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    size = math.prod(shape)
+    # Only float64 scalars and full-shape arrays are sliced, so the
+    # output dtype and every element's arguments match the direct call.
+    cpus = 1
+    if size >= SPLIT_MIN and all(a.dtype == np.float64
+                                 and a.shape in ((), shape) for a in arrays):
+        cpus = _usable_cpus()
+    if cpus < 2:
+        out = fn(*args)
+    else:
+        out = np.empty(shape)
+        flat = [a.reshape(-1) if a.ndim else a for a in arrays]
+        starts = iter(range(0, size, CHUNK))
+        drain = (fn, scipy.special.geterr(), flat, out.reshape(-1), starts)
+        # The caller drains too, so a busy CPU delays at most one chunk.
+        # np.errstate lives in a context variable: each helper thread runs
+        # in a copy of the caller's context, so it raises or warns alike.
+        pool = _executor(cpus - 1)
+        jobs = [pool.submit(contextvars.copy_context().run, _drain, *drain)
+                for _ in range(cpus - 1)]
+        try:
+            _drain(*drain)
+        finally:
+            wait(jobs)
+        for job in jobs:
+            job.result()
+    bad = np.isnan(out)
+    if np.any(bad):
+        for a in arrays:
+            bad &= ~np.isnan(a)
+        if np.any(bad):
+            at = np.unravel_index(np.argmax(bad), shape)
+            values = ", ".join(f"{np.broadcast_to(a, shape)[at]:.6g}"
+                               for a in arrays)
+            raise SpecialFunctionFailure(
+                f"scipy.special.{name}({values}) returned NaN")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +326,8 @@ class MarginalSpec:
             ts = np.clip(t, 1e-300, 1.0 - 1e-16)
             logpdf = ((self.alpha - 1.0) * np.log(ts)
                       + (self.beta - 1.0) * np.log1p(-ts)
-                      - betaln(self.alpha, self.beta) - np.log(scale))
+                      - _special("betaln", self.alpha, self.beta)
+                      - np.log(scale))
             out = np.where(inside, np.exp(logpdf), 0.0)
         else:
             out = self.table.value_at(v)
@@ -231,7 +341,7 @@ class MarginalSpec:
             out = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         elif self.kind == "beta":
             t = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-            out = betainc(self.alpha, self.beta, t)
+            out = _special("betainc", self.alpha, self.beta, t)
         else:
             out = np.asarray(self.table.cdf(v))
         return out if out.ndim else float(out)
@@ -243,8 +353,8 @@ class MarginalSpec:
         elif self.kind == "uniform":
             out = self.lo + (self.hi - self.lo) * q
         elif self.kind == "beta":
-            out = self.lo + (self.hi - self.lo) * betaincinv(
-                self.alpha, self.beta, np.clip(q, 0.0, 1.0))
+            out = self.lo + (self.hi - self.lo) * _special(
+                "betaincinv", self.alpha, self.beta, np.clip(q, 0.0, 1.0))
         else:
             out = np.asarray(self.table.ppf(q))
         return out if out.ndim else float(out)

@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import quadrature
 from .errors import BoundViolation, DegenerateRatio, NoDensity
-from .marginals import MarginalSpec, PwLinearTable
+from .marginals import MarginalSpec, PwLinearTable, _special
 
 TABLE_GRID_DEFAULT = 2048
 # Prices per quadrature call in IndependentPopulation._demand_profile.
@@ -287,7 +286,7 @@ def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
     t_n = (n - 1) t_{n-2} - 2 a0^(n-1) phi(a0) / (2 Phi(a0) - 1).
     """
     phi = math.exp(-0.5 * a0 * a0) / _SQRT2PI
-    z = 2.0 * ndtr(a0) - 1.0
+    z = 2.0 * _special("ndtr", a0) - 1.0
     t = [0.0] * (n_max + 1)
     t[0] = 1.0
     for n in range(2, n_max + 1, 2):
@@ -660,7 +659,7 @@ class RatioConditionalPopulation(Population):
 
     @cached_property
     def _z_mass(self) -> float:
-        return float(2.0 * ndtr(self._a0) - 1.0)
+        return float(2.0 * _special("ndtr", self._a0) - 1.0)
 
     @cached_property
     def _vm_band(self):
@@ -700,7 +699,7 @@ class RatioConditionalPopulation(Population):
         r = np.asarray(self.ratio.ppf(rng.random(n)))
         a0 = self._a0
         u = rng.random(n)
-        t = ndtri(ndtr(-a0) + u * self._z_mass)
+        t = _special("ndtri", _special("ndtr", -a0) + u * self._z_mass)
         m = self._m(r)
         sig = self.cond.sigma_multiplier * self._eps(r)
         vm = m + sig * t
@@ -777,8 +776,8 @@ class RatioConditionalPopulation(Population):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -xq[:, None] / np.where(c != 0.0, c, 1.0)
             z = np.clip((t - m) / sig, -a0, a0)
-        phi = ndtr(z)
-        hi_cap = ndtr(a0)
+        phi = _special("ndtr", z)
+        hi_cap = _special("ndtr", a0)
         s = np.where(c > 0.0, (hi_cap - phi) / self._z_mass,
                      np.where(c < 0.0, (phi - (1.0 - hi_cap)) / self._z_mass,
                               (xq[:, None] >= 0.0).astype(float)))

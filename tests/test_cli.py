@@ -191,6 +191,17 @@ class TestSampleCommand:
         assert run("sample", scn, "--out", str(out), "--seed", "5") == 0
         assert digest_of(out / "samples.csv") != first
 
+    def test_nan_draws_are_a_numeric_failure(self, tmp_path, capsys):
+        # betaincinv returns NaN from a shape of about 1e200 up
+        huge = {**BETA_POP, "vk": {**BETA_POP["vk"], "alpha": 1e308}}
+        scn = write_scenario(tmp_path, {"population": huge,
+                                        "sample": {"n": 10}})
+        out = tmp_path / "out"
+        assert run("sample", scn, "--out", str(out)) == 3
+        assert not (out / "samples.csv").exists()
+        err = capsys.readouterr().err
+        assert "betaincinv(1e+308, 3," in err
+
     def test_outputs_dir_from_scenario(self, tmp_path):
         target = tmp_path / "from_scenario"
         scn = write_scenario(tmp_path, {

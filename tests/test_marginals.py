@@ -1,10 +1,17 @@
+import hashlib
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
+import scipy.special
 from scipy import stats
 
-from demandlab import MomentTable
-from demandlab.errors import NoDensity
-from demandlab.marginals import MarginalSpec, PwLinearTable
+from demandlab import MomentTable, marginals
+from demandlab.errors import NoDensity, SpecialFunctionFailure
+from demandlab.marginals import MarginalSpec, PwLinearTable, _special
 
 
 class TestPwLinearTable:
@@ -117,3 +124,142 @@ class TestMomentTable:
         e[(2, 0)] = np.inf
         with pytest.raises(ValueError):
             MomentTable(2, e, errs)
+
+
+def _unit_interval(n, rng):
+    # n uniform points with 0, 1 and NaN among them
+    x = rng.random(n)
+    x[[0, n // 2, n - 1]] = (0.0, 1.0, np.nan)
+    return x
+
+
+# Arguments of each special function, for n elements.
+SPECIAL_ARGS = {
+    "betainc": lambda n, rng: (2.5, 3.0, _unit_interval(n, rng)),
+    "betaincinv": lambda n, rng: (2.0, 3.5, _unit_interval(n, rng)),
+    "betaln": lambda n, rng: (4.0 * _unit_interval(n, rng), 2.0),
+    "ndtr": lambda n, rng: (4.0 * _unit_interval(n, rng) - 2.0,),
+    "ndtri": lambda n, rng: (_unit_interval(n, rng),),
+}
+SPLIT_SIZES = (marginals.SPLIT_MIN - 1, marginals.SPLIT_MIN,
+               marginals.SPLIT_MIN + 7)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool yet, three CPUs whatever the machine has; shut down after."""
+    monkeypatch.setattr(marginals, "_pool", None)
+    monkeypatch.setattr(marginals, "_usable_cpus", lambda: 3)
+    yield
+    if marginals._pool is not None:
+        marginals._pool.shutdown()
+
+
+class TestSpecialHelper:
+    @pytest.mark.parametrize("name", sorted(SPECIAL_ARGS))
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_split_matches_direct_call(self, fresh_pool, name, n):
+        args = SPECIAL_ARGS[name](n, np.random.default_rng(n))
+        with np.errstate(all="raise"):
+            got = _special(name, *args)
+            want = getattr(scipy.special, name)(*args)
+        assert (marginals._pool is not None) == (n >= marginals.SPLIT_MIN)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL_ARGS))
+    def test_two_dimensional_input(self, fresh_pool, name):
+        flat = SPECIAL_ARGS[name](300 * 257, np.random.default_rng(3))
+        args = [a.reshape(300, 257) if np.ndim(a) else a for a in flat]
+        got = _special(name, *args)
+        assert marginals._pool is not None
+        want = getattr(scipy.special, name)(*args)
+        assert got.shape == (300, 257)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL_ARGS))
+    def test_scalar_stays_scalar(self, name):
+        args = [a[1] if np.ndim(a) else a
+                for a in SPECIAL_ARGS[name](3, np.random.default_rng(0))]
+        got = _special(name, *args)
+        want = getattr(scipy.special, name)(*args)
+        assert type(got) is type(want) and np.ndim(got) == 0
+        assert got == want
+
+    def test_every_thread_sees_the_callers_error_states(self, fresh_pool,
+                                                        monkeypatch):
+        seen = []
+
+        def probe(x, out):
+            time.sleep(0.05)  # long enough for every helper thread to join
+            seen.append((threading.get_ident(), np.geterr()["divide"],
+                         scipy.special.geterr()["domain"]))
+            out[...] = x
+
+        monkeypatch.setattr(scipy.special, "ndtr", probe)
+        x = np.arange(4 * marginals.CHUNK, dtype=float)
+        with np.errstate(divide="raise"), \
+                scipy.special.errstate(domain="raise"):
+            assert np.array_equal(_special("ndtr", x), x)
+        assert len(seen) == 4
+        assert len({thread for thread, *_ in seen}) > 1
+        assert {(np_state, sf_state) for _, np_state, sf_state in seen} \
+            == {("raise", "raise")}
+
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_domain_errors_match_on_both_paths(self, fresh_pool, n):
+        x = np.full(n, 0.5)
+        x[-1] = 2.0  # outside betainc's domain: NaN from a finite input
+        with scipy.special.errstate(domain="raise"):
+            with pytest.raises(scipy.special.SpecialFunctionError):
+                scipy.special.betainc(2.0, 3.0, x)
+            with pytest.raises(scipy.special.SpecialFunctionError):
+                _special("betainc", 2.0, 3.0, x)
+        with pytest.raises(SpecialFunctionFailure, match="betainc"):
+            _special("betainc", 2.0, 3.0, x)
+
+    def test_nan_from_finite_shapes_is_an_error(self):
+        with pytest.raises(SpecialFunctionFailure,
+                           match=r"betaincinv\(1e\+308, 3, "):
+            MarginalSpec.scaled_beta(1e308, 3.0, 0.0, 1.0).ppf(0.5)
+        # NaN in, NaN out is not a failure
+        assert np.isnan(MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0)
+                        .ppf(np.nan))
+
+    def test_one_cpu_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(marginals, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        q = np.random.default_rng(2).random(2 * marginals.SPLIT_MIN)
+        assert np.array_equal(_special("ndtri", q), scipy.special.ndtri(q))
+        assert marginals._pool is None
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_gets_a_working_pool(self, monkeypatch):
+        monkeypatch.setattr(marginals, "_pool", None)
+        monkeypatch.setattr(marginals, "_usable_cpus", lambda: 2)
+        spec = MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0)
+        q = np.random.default_rng(4).random(10 ** 6)
+        want = hashlib.sha256(spec.ppf(q).tobytes()).hexdigest()
+        parent_pool = marginals._pool
+        assert parent_pool is not None
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.SimpleQueue()
+        child = ctx.Process(target=_hash_ppf, args=(spec, q, results))
+        try:
+            child.start()
+            child.join(timeout=60)
+            assert not child.is_alive(), "child hung on the inherited pool"
+            assert child.exitcode == 0
+            assert results.get() == want
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+            parent_pool.shutdown()
+
+
+def _hash_ppf(spec, q, results):
+    results.put(hashlib.sha256(spec.ppf(q).tobytes()).hexdigest())
