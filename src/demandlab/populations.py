@@ -371,6 +371,13 @@ class PointMassPopulation(Population):
         xq = np.asarray(xq, dtype=float)
         return (self.vk + xq - self.vm * p >= 0.0).astype(float)
 
+def _kink_breaks(knots: np.ndarray, n_rows: int) -> np.ndarray:
+    """Surface panel breaks at a law's kinks, the same in every row; more
+    than 8 knots is a dense table, treated as smooth (no breaks)."""
+    knots = knots if knots.size <= 8 else knots[:0]
+    return np.broadcast_to(knots, (n_rows, knots.size))
+
+
 def _require_seed_ratio(ratio: RatioMarginalSpec):
     if ratio.atoms or ratio.kind == "degenerate":
         raise DegenerateRatio("ratio specs carrying atoms describe outputs "
@@ -435,11 +442,7 @@ class ProductPopulation(Population):
         for edge in edges:
             if edge > 0.0:
                 cols.append((p - xq / edge)[:, None])
-        # kinks of the ratio density itself (e.g. a triangular peak);
-        # densely tabulated specs are treated as smooth instead
-        inner = np.asarray(self.ratio._as_table.x[1:-1], dtype=float)
-        if 0 < inner.size <= 8:
-            cols.append(np.broadcast_to(inner, (n, inner.size)))
+        cols.append(_kink_breaks(self.ratio._as_table.x[1:-1], n))
         breaks = np.concatenate(cols, axis=1)
         nodes, wts = quadrature.segmented_gl(r_lo, r_hi, breaks,
                                              order=16, panels=3)
@@ -579,21 +582,20 @@ class IndependentPopulation(Population):
         return np.einsum("ij,ij,ij->i", wts, self.vm.pdf(nodes), sk)
 
     def _demand_profile(self, prices):
-        # exact route; the tabulated ratio marginal is an export layer.
-        # Positive prices of smooth marginals go PRICE_BLOCK rows per
-        # quadrature call, each row with the bits of a one-price call.
+        # exact route for positive prices (the tabulated ratio marginal is
+        # an export layer): closed forms for a point-mass marginal, else
+        # PRICE_BLOCK prices per quadrature call, rows as one-price calls
         prices = np.asarray(prices, dtype=float)
-        vals = np.empty(prices.size)
-        smooth = (prices > 0.0) & (not self.vk.is_degenerate
-                                   and not self.vm.is_degenerate)
-        idx = np.flatnonzero(smooth)
-        for start in range(0, idx.size, PRICE_BLOCK):
-            rows = idx[start:start + PRICE_BLOCK]
-            vals[rows] = self._integrated_profile(prices[rows],
-                                                  np.zeros(rows.size))
-        zero = np.zeros(1)
-        for i in np.flatnonzero(~smooth):
-            vals[i] = self._quality_profile(float(prices[i]), zero)[0]
+        if self.vm.is_degenerate:
+            vals = 1.0 - np.asarray(self.vk.cdf(prices * self.vm.value))
+        elif self.vk.is_degenerate:
+            vals = np.asarray(self.vm.cdf(self.vk.value / prices))
+        else:
+            vals = np.empty(prices.size)
+            for start in range(0, prices.size, PRICE_BLOCK):
+                block = prices[start:start + PRICE_BLOCK]
+                vals[start:start + PRICE_BLOCK] = self._integrated_profile(
+                    block, np.zeros(block.size))
         return np.clip(vals, 0.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
@@ -609,7 +611,9 @@ class RatioConditionalPopulation(Population):
 
     def __post_init__(self):
         _require_seed_ratio(self.ratio)
-        scan, g = self._scan_grid()
+        # a zero density divides by zero in m = h / g; the check reports it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g, m, _ = self._scan
         if g.min() <= 0.0:
             raise ValueError("ratio density must be positive on the whole "
                              "support for the conditional construction")
@@ -618,7 +622,6 @@ class RatioConditionalPopulation(Population):
             if tbl.x[0] > self.ratio.r_lo or tbl.x[-1] < self.ratio.r_hi:
                 raise ValueError("custom h table must cover the ratio "
                                  "support")
-        m = self._m(scan)
         if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
             raise ValueError("conditional mean curve must be positive and "
                              "finite")
@@ -628,29 +631,30 @@ class RatioConditionalPopulation(Population):
                     f"fixed epsilon {self.cond.epsilon_value:g} must stay "
                     f"below the minimum conditional mean {m.min():g}")
 
-    def _scan_grid(self):
-        """Dense scan grid including every knot of g (and of custom h)."""
-        knots = [self.ratio._as_table.x]
-        if self.cond.family == "custom":
-            knots.append(self.cond.h_table.x)
-        knots.append(np.linspace(self.ratio.r_lo, self.ratio.r_hi, 1025))
-        scan = np.unique(np.concatenate(knots))
-        scan = scan[(scan >= self.ratio.r_lo) & (scan <= self.ratio.r_hi)]
-        return scan, np.asarray(self.ratio.pdf(scan))
-
-    # -- conditional building blocks ----------------------------------
-
-    def _h(self, r):
-        return self.cond.h(r, self.ratio.r_lo)
-
-    def _m(self, r):
-        return self._h(r) / self.ratio.pdf(r)
-
-    def _eps(self, r):
+    def _law(self, r):
+        """Ratio density g, conditional mean m = h / g and truncation
+        half-width eps at ``r``, from one ``ratio.pdf`` and one ``cond.h``."""
+        g = self.ratio.pdf(r)
+        m = self.cond.h(r, self.ratio.r_lo) / g
         if self.cond.epsilon_kind == "half_mean":
-            return 0.5 * self._m(r)
-        return np.full_like(np.asarray(r, dtype=float),
-                            self.cond.epsilon_value)
+            eps = 0.5 * m
+        else:
+            eps = np.full_like(m, self.cond.epsilon_value)
+        return g, m, eps
+
+    @cached_property
+    def _knots(self) -> np.ndarray:
+        """Interior knots of g and of a custom h: the kinks of the law."""
+        knots = self.ratio._as_table.x
+        if self.cond.family == "custom":
+            knots = np.union1d(knots, self.cond.h_table.x)
+        return knots[(knots > self.ratio.r_lo) & (knots < self.ratio.r_hi)]
+
+    @cached_property
+    def _scan(self):
+        """The law on a dense grid holding every knot."""
+        grid = np.linspace(self.ratio.r_lo, self.ratio.r_hi, 1025)
+        return self._law(np.union1d(grid, self._knots))
 
     @property
     def _a0(self) -> float:
@@ -662,15 +666,9 @@ class RatioConditionalPopulation(Population):
         return float(2.0 * _special("ndtr", self._a0) - 1.0)
 
     @cached_property
-    def _vm_band(self):
-        scan, _ = self._scan_grid()
-        m = self._m(scan)
-        e = self._eps(scan)
-        return float(np.min(m - e)), float(np.max(m + e))
-
-    @cached_property
     def support(self) -> Support:
-        hi = self._vm_band[1]
+        _, m, eps = self._scan
+        hi = float(np.max(m + eps))
         return Support(self.ratio.r_lo, self.ratio.r_hi, hi * (1.0 + 1e-12))
 
     @property
@@ -685,9 +683,7 @@ class RatioConditionalPopulation(Population):
         r = vk / vms
         inside = pos & (r >= self.ratio.r_lo) & (r <= self.ratio.r_hi)
         rs = np.where(inside, r, 0.5 * (self.ratio.r_lo + self.ratio.r_hi))
-        g = np.asarray(self.ratio.pdf(rs))
-        m = self._m(rs)
-        eps = self._eps(rs)
+        g, m, eps = self._law(rs)
         sig = self.cond.sigma_multiplier * eps
         z = (vm - m) / sig
         in_band = np.abs(vm - m) <= eps
@@ -700,9 +696,11 @@ class RatioConditionalPopulation(Population):
         a0 = self._a0
         u = rng.random(n)
         t = _special("ndtri", _special("ndtr", -a0) + u * self._z_mass)
-        m = self._m(r)
-        sig = self.cond.sigma_multiplier * self._eps(r)
-        vm = m + sig * t
+        # vm = m + sigma_multiplier * eps * t, in place to bound peak memory
+        m, sig = self._law(r)[1:]
+        sig *= self.cond.sigma_multiplier
+        sig *= t
+        vm = np.add(m, sig, out=m)
         return np.column_stack((r * vm, vm))
 
     def _ratio_marginal(self) -> RatioMarginalSpec:
@@ -712,26 +710,21 @@ class RatioConditionalPopulation(Population):
     def _even_moments(self):
         return _trunc_std_even_moments(self._a0, 16)
 
-    def _cond_vm_moment(self, r, n: int):
-        """E[vm**n | r], vectorized over r."""
-        m = self._m(r)
-        sig = self.cond.sigma_multiplier * self._eps(r)
-        out = np.zeros_like(np.asarray(r, dtype=float))
-        for i in range(0, n + 1, 2):
-            out = out + (math.comb(n, i) * m ** (n - i) * sig ** i
-                         * self._even_moments[i])
-        return out
-
     def _moment(self, j, k):
         tol = 1e-11
         n = j + k
 
         def f(r):
-            return self.ratio.pdf(r) * r ** j * self._cond_vm_moment(r, n)
+            g, m, eps = self._law(r)
+            sig = self.cond.sigma_multiplier * eps
+            cond = np.zeros_like(r)  # E[vm**n | r]
+            for i in range(0, n + 1, 2):
+                cond = cond + (math.comb(n, i) * m ** (n - i) * sig ** i
+                               * self._even_moments[i])
+            return g * r ** j * cond
 
-        knots = self.ratio._as_table.x
         value = quadrature.integrate(f, self.ratio.r_lo, self.ratio.r_hi,
-                                     tol=tol, breakpoints=knots[1:-1])
+                                     tol=tol, breakpoints=self._knots)
         return value, tol
 
     def _mean_vm(self):
@@ -745,8 +738,7 @@ class RatioConditionalPopulation(Population):
 
     def boundary_mean_analytic(self) -> float:
         """Conditional mean of vm exactly at the lower ratio endpoint."""
-        r_lo = self.ratio.r_lo
-        return float(self.cond.h(r_lo, r_lo)) / self.ratio.g_lo
+        return float(self._law(self.ratio.r_lo)[1])
 
     def _quality_profile(self, p, xq):
         xq = np.asarray(xq, dtype=float)
@@ -760,28 +752,34 @@ class RatioConditionalPopulation(Population):
 
         def edge_cross(sign):
             def psi(r, rows):
-                return (self._m(r) + sign * self._eps(r)) * (r - p) + xq[rows]
+                m, eps = self._law(r)[1:]
+                return (m + sign * eps) * (r - p) + xq[rows]
             return psi
 
         roots_hi = quadrature.solve_crossings(edge_cross(+1.0), r_lo, r_hi, n)
         roots_lo = quadrature.solve_crossings(edge_cross(-1.0), r_lo, r_hi, n)
         fixed = np.full((n, 1), float(np.clip(p, r_lo, r_hi)))
-        breaks = np.concatenate((roots_hi, roots_lo, fixed), axis=1)
+        breaks = np.concatenate((roots_hi, roots_lo, fixed,
+                                 _kink_breaks(self._knots, n)), axis=1)
         nodes, wts = quadrature.segmented_gl(r_lo, r_hi, breaks,
                                              order=16, panels=2)
         a0 = self._a0
-        m = self._m(nodes)
-        sig = self.cond.sigma_multiplier * self._eps(nodes)
-        c = nodes - p
+        g, m, sig = self._law(nodes)
+        sig *= self.cond.sigma_multiplier
+        # c reuses the nodes, and m, sig, z go before s is formed, which
+        # bounds the node-sized arrays alive at once
+        c = np.subtract(nodes, p, out=nodes)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = -xq[:, None] / np.where(c != 0.0, c, 1.0)
-            z = np.clip((t - m) / sig, -a0, a0)
+            z = -xq[:, None] / np.where(c != 0.0, c, 1.0)
+            z -= m
+            z /= sig
+            np.clip(z, -a0, a0, out=z)
         phi = _special("ndtr", z)
+        del m, sig, z
         hi_cap = _special("ndtr", a0)
         s = np.where(c > 0.0, (hi_cap - phi) / self._z_mass,
                      np.where(c < 0.0, (phi - (1.0 - hi_cap)) / self._z_mass,
                               (xq[:, None] >= 0.0).astype(float)))
-        g = np.asarray(self.ratio.pdf(nodes))
         out = np.empty(n)
         out[order] = np.einsum("ij,ij,ij->i", wts, g, s)
         return out

@@ -84,8 +84,9 @@ def _adaptive(f, a: float, b: float, tol: float) -> float:
             acc += fine
         elif level >= MAX_LEVELS:
             raise QuadratureFailure(
-                f"interval [{lo:g}, {hi:g}] missed tolerance after "
-                f"{MAX_LEVELS} bisections (err {err:.3e} > {budget:.3e})",
+                f"interval [{float(lo)!r}, {float(hi)!r}] missed tolerance "
+                f"after {MAX_LEVELS} bisections "
+                f"(err {err:.3e} > {budget:.3e})",
                 achieved=err, requested=budget)
         else:
             stack.append((lo, mid, budget / 2.0, level + 1))

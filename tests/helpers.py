@@ -3,7 +3,7 @@
 import numpy as np
 
 from demandlab import populations as pops
-from demandlab.marginals import MarginalSpec
+from demandlab.marginals import MarginalSpec, PwLinearTable
 
 # Closed-form anchors for the Uniform[1, 2] ratio seed (density g = 1,
 # width L = 1): the low family tolerates offsets up to g_lo * L**2 = 1,
@@ -20,6 +20,22 @@ HIGH_MEAN_VM = 2.0 * (np.sqrt(1.04) - 0.2)
 
 def seed_ratio(vm_hi: float = 100.0) -> pops.RatioMarginalSpec:
     return pops.RatioMarginalSpec.uniform(1.0, 2.0, vm_hi=vm_hi)
+
+
+def kinked_ratio_low() -> pops.RatioConditionalPopulation:
+    """Low family over a ratio density with one interior knot, at 1.2."""
+    ratio = pops.RatioMarginalSpec.tabulated([0.5, 1.2, 2.0],
+                                             [0.5, 0.9, 0.375])
+    return pops.make_low_population(ratio, delta=0.5)
+
+
+def kinked_h_custom() -> pops.RatioConditionalPopulation:
+    """Custom family over a uniform ratio whose h has a knot at 1.0."""
+    h = PwLinearTable.raw(np.array([0.5, 1.0, 2.0]),
+                          np.array([0.4, 1.0, 0.6]))
+    return pops.RatioConditionalPopulation(
+        pops.RatioMarginalSpec.uniform(0.5, 2.0),
+        pops.ConditionalSpec("custom", h_table=h))
 
 
 def beta_independent() -> pops.IndependentPopulation:

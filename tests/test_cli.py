@@ -1,6 +1,7 @@
 import hashlib
 import json
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ BETA_POP = {"form": "independent",
                    "lo": 0.0, "hi": 1.0},
             "vm": {"kind": "beta", "alpha": 2.0, "beta": 2.0,
                    "lo": 0.5, "hi": 1.5}}
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 NONID = {"ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
          "delta_low": 0.5, "delta_high": 0.04}
@@ -145,6 +148,14 @@ class TestIdentifyCommand:
         report = json.loads((out / "recovery_report.json").read_text())
         assert report["max_rel_error"] <= 1e-6
         assert report["config"]["n_prices"] == 9
+
+    def test_custom_conditional_demo_scenario(self, tmp_path):
+        # a custom h with an interior knot recovers to tolerance
+        scn = DEMO_SCENARIOS / "custom_conditional.json"
+        out = tmp_path / "out"
+        assert run("identify", scn, "--out", str(out)) == 0
+        report = json.loads((out / "recovery_report.json").read_text())
+        assert report["max_rel_error"] <= 1e-6
 
     def test_one_surface_per_run(self, tmp_path, monkeypatch):
         doc = {"population": BETA_POP,

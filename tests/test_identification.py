@@ -11,7 +11,7 @@ from demandlab import populations as pops
 from demandlab.errors import (IllConditioned, InsufficientPrices,
                               TailMassExceeded)
 from demandlab.marginals import MarginalSpec
-from helpers import beta_independent
+from helpers import beta_independent, kinked_h_custom, kinked_ratio_low
 
 
 class TestChebyshevPrices:
@@ -220,6 +220,13 @@ class TestEndToEnd:
         assert report.recovered_mean_vm == pytest.approx(1.0, abs=1e-6)
         assert report.tail_mass <= 1e-9
         assert len(report.prices) == 9
+
+    @pytest.mark.parametrize("build", [kinked_ratio_low, kinked_h_custom])
+    def test_kinked_conditional_law_recovers(self, build):
+        # surface panels split at the interior knots of g and of h
+        report = ident.verify_recovery(
+            build(), ident.IdentificationConfig(0.5, 2.0))
+        assert report.max_rel_error <= 1e-6
 
     def test_report_serialization(self):
         pop = beta_independent()

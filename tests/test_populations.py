@@ -9,8 +9,8 @@ from demandlab.demand import default_price_grid
 from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity)
 from demandlab.marginals import MarginalSpec
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
-                     LOW_MEAN_VM, beta_independent, population_zoo,
-                     seed_ratio)
+                     LOW_MEAN_VM, beta_independent, kinked_h_custom,
+                     population_zoo, seed_ratio)
 
 
 class TestSupport:
@@ -155,17 +155,21 @@ class TestIndependentPopulation:
     def test_blocked_demand_profile_matches_one_price_calls(
             self, shapes, monkeypatch):
         # a small block forces several quadrature calls and a short last
-        # one; each row must carry the bits of its own one-price call
+        # one; each row must carry the bits of its own one-price call.  A
+        # point-mass marginal takes its closed form over all prices at
+        # once, with the same bits
         monkeypatch.setattr(pops, "PRICE_BLOCK", 16)
         a, b, c, d = shapes
-        pop = pops.IndependentPopulation(
-            MarginalSpec.scaled_beta(a, b, lo=0.0, hi=1.0),
-            MarginalSpec.scaled_beta(c, d, lo=0.5, hi=1.5))
-        prices = default_price_grid(pop, 101)
-        zero = np.zeros(1)
-        want = np.clip([pop._quality_profile(float(p), zero)[0]
-                        for p in prices], 0.0, 1.0)
-        assert np.array_equal(pop._demand_profile(prices), want)
+        vk = MarginalSpec.scaled_beta(a, b, lo=0.0, hi=1.0)
+        vm = MarginalSpec.scaled_beta(c, d, lo=0.5, hi=1.5)
+        for good, money in ((vk, vm), (vk, MarginalSpec.point_mass(1.2)),
+                            (MarginalSpec.point_mass(0.7), vm)):
+            pop = pops.IndependentPopulation(good, money)
+            prices = default_price_grid(pop, 101)
+            zero = np.zeros(1)
+            want = np.clip([pop._quality_profile(float(p), zero)[0]
+                            for p in prices], 0.0, 1.0)
+            assert np.array_equal(pop._demand_profile(prices), want)
 
     def test_rejects_nonpositive_money_values(self):
         with pytest.raises(DegenerateRatio):
@@ -231,6 +235,49 @@ class TestRatioConditionalPopulation:
             got = low._quality_profile(p, with_nan)
             assert np.isnan(got[100])
             assert np.array_equal(np.delete(got, 100), np.delete(want, 100))
+
+    def test_law_is_evaluated_once_per_psi_call_and_once_on_nodes(
+            self, monkeypatch):
+        low = pops.make_low_population(seed_ratio(), delta=0.5)
+        calls = {"psi": 0, "pdf": 0, "h": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        solve = pops.quadrature.solve_crossings
+        monkeypatch.setattr(
+            pops.quadrature, "solve_crossings",
+            lambda psi, *args: solve(counted("psi", psi), *args))
+        monkeypatch.setattr(pops.RatioMarginalSpec, "pdf",
+                            counted("pdf", pops.RatioMarginalSpec.pdf))
+        monkeypatch.setattr(pops.ConditionalSpec, "h",
+                            counted("h", pops.ConditionalSpec.h))
+        low._quality_profile(1.3, np.linspace(-3.0, 3.0, 257))
+        assert calls["psi"] > 0
+        assert calls["pdf"] == calls["psi"] + 1
+        assert calls["h"] == calls["psi"] + 1
+
+    def test_moments_split_at_the_knots_of_a_custom_h(self):
+        # h has a kink at 1.0; integrating across it unsplit missed the
+        # moment tolerance
+        pop = kinked_h_custom()
+        table = pops.moments(pop, 4)
+        assert table[(0, 1)] == pytest.approx(pop._mean_vm(), abs=1e-11)
+        want, _ = sci_integrate.quad(
+            lambda r: r * float(pop.cond.h(r, 0.5)), 0.5, 2.0, points=[1.0],
+            epsabs=1e-13)
+        assert table[(1, 0)] == pytest.approx(want, abs=1e-11)
+
+    def test_zero_ratio_density_is_rejected(self):
+        # a triangular density vanishes at both ends, where m = h / g
+        # divides by zero: a ValueError, not a RuntimeWarning
+        with pytest.raises(ValueError, match="ratio density must be"):
+            pops.RatioConditionalPopulation(
+                pops.RatioMarginalSpec.triangular(1.0, 2.0),
+                pops.ConditionalSpec("high", delta=0.01))
 
     def test_custom_family_requires_coverage(self):
         from demandlab.marginals import PwLinearTable
