@@ -22,21 +22,13 @@ from .demand import default_price_grid, demand_curve, invert_demand
 from . import identification as ident_mod
 from . import inequality as ineq_mod
 from . import populations as pops
-from .errors import (BoundaryMassZero, DegenerateRatio, DemoFailure,
-                     IllConditioned, InsufficientPrices,
-                     MonotonicityViolation, NoDensity, QuadratureFailure,
-                     ScenarioError, SpecialFunctionFailure, TailMassExceeded)
+from .errors import DemandLabError, ScenarioError
 from .scenario import load_scenario
-
-NUMERIC_ERRORS = (QuadratureFailure, IllConditioned, InsufficientPrices,
-                  BoundaryMassZero, DegenerateRatio, NoDensity,
-                  MonotonicityViolation, TailMassExceeded,
-                  SpecialFunctionFailure)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_NUMERIC = 3
-EXIT_DEMO = 4
+# stderr prefix for each DemandLabError.exit_code
+_PREFIX = {EXIT_INPUT: "error", 3: "numeric failure", 4: "demo failure"}
 
 
 def _atomic_write(path: str, text: str):
@@ -174,15 +166,10 @@ def main(argv=None) -> int:
             scenario = _replace_seed(scenario, args.seed)
         out_dir = args.out or scenario.out_dir or "."
         return COMMANDS[args.command](scenario, digest, out_dir)
-    except ScenarioError as exc:
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DemoFailure as exc:
-        print(f"demo failure ({args.command}): {exc}", file=sys.stderr)
-        return EXIT_DEMO
-    except NUMERIC_ERRORS as exc:
-        print(f"numeric failure ({args.command}): {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except DemandLabError as exc:
+        print(f"{_PREFIX[exc.exit_code]} ({args.command}): {exc}",
+              file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,7 +3,9 @@
 Every failure mode that callers are expected to branch on gets its own
 class; all of them derive from :class:`DemandLabError` so a bare
 ``except DemandLabError`` catches any library-specific problem without
-swallowing genuine bugs.
+swallowing genuine bugs.  ``exit_code`` is the command-line exit status
+for each class: 2 for bad input, 3 for a numeric failure, 4 for a failed
+demonstration check.
 """
 
 from __future__ import annotations
@@ -12,12 +14,16 @@ from __future__ import annotations
 class DemandLabError(Exception):
     """Base class for all library-specific failures."""
 
+    exit_code = 3
+
 
 class BoundViolation(DemandLabError):
     """A family parameter fell outside its admissible range.
 
     Carries the offending value and the bound so callers can report both.
     """
+
+    exit_code = 2
 
     def __init__(self, message: str, *, delta: float | None = None,
                  bound: float | None = None):
@@ -55,6 +61,8 @@ class BoundaryMassZero(DemandLabError):
 class DemoFailure(DemandLabError):
     """A demonstration assertion failed; names the check and the value."""
 
+    exit_code = 4
+
     def __init__(self, message: str, *, check: str | None = None,
                  value: float | None = None):
         super().__init__(message)
@@ -82,6 +90,8 @@ class InsufficientPrices(DemandLabError):
 
 class ScenarioError(DemandLabError):
     """A scenario document failed schema validation."""
+
+    exit_code = 2
 
 
 class SpecialFunctionFailure(DemandLabError):

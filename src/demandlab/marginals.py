@@ -3,11 +3,12 @@
 Every ``scipy.special`` call in the package goes through ``_special``.
 It imports ``scipy.special`` on its first call, so a command that needs
 no special function never loads scipy.  Arrays of at least ``SPLIT_MIN``
-elements are cut into chunks that the calling thread and a shared pool
-evaluate together, one thread per CPU in the process's affinity mask
-(restrict it with ``taskset``).  Each element's value does not depend on
-the split, so seeded samples, curves and surfaces are bit-identical
-whatever the CPU count.
+elements are cut into chunks that the calling thread evaluates together
+with workers started for that call and joined before it returns, one
+thread per CPU in the process's affinity mask (restrict it with
+``taskset``).  Each element's value does not depend on the split, so
+seeded samples, curves and surfaces are bit-identical whatever the CPU
+count.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,34 +29,12 @@ from .errors import NoDensity, SpecialFunctionFailure
 SPLIT_MIN = 2 ** 16
 CHUNK = 2 ** 14
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    # A forked child inherits the executor object but none of its threads.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(workers,
-                                       thread_name_prefix="demandlab-special")
-        return _pool
 
 
 def _drain(fn, sf_state: dict, args: list, out: np.ndarray, starts) -> None:
@@ -99,13 +77,12 @@ def _special(name: str, *args):
         # The caller drains too, so a busy CPU delays at most one chunk.
         # np.errstate lives in a context variable: each helper thread runs
         # in a copy of the caller's context, so it raises or warns alike.
-        pool = _executor(cpus - 1)
-        jobs = [pool.submit(contextvars.copy_context().run, _drain, *drain)
-                for _ in range(cpus - 1)]
-        try:
+        # Leaving the block joins the workers, also when the caller fails.
+        with ThreadPoolExecutor(
+                cpus - 1, thread_name_prefix="demandlab-special") as pool:
+            jobs = [pool.submit(contextvars.copy_context().run, _drain,
+                                *drain) for _ in range(cpus - 1)]
             _drain(*drain)
-        finally:
-            wait(jobs)
         for job in jobs:
             job.result()
     bad = np.isnan(out)

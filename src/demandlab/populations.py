@@ -278,6 +278,16 @@ class ConditionalSpec:
         return self.h_table.integral_between(a, b)
 
 
+def _trunc_mass(a0: float) -> float:
+    """2 Phi(a0) - 1, the mass a standard normal keeps on [-a0, a0]."""
+    z = float(2.0 * _special("ndtr", a0) - 1.0)
+    if not z > 0.0:
+        raise BoundViolation(
+            f"sigma multiplier {1.0 / a0:g} is too large: the truncated "
+            f"normal keeps no mass in floating point")
+    return z
+
+
 @lru_cache(maxsize=None)
 def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
     """Raw moments of a standard normal truncated to [-a0, a0].
@@ -286,11 +296,16 @@ def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
     t_n = (n - 1) t_{n-2} - 2 a0^(n-1) phi(a0) / (2 Phi(a0) - 1).
     """
     phi = math.exp(-0.5 * a0 * a0) / _SQRT2PI
-    z = 2.0 * _special("ndtr", a0) - 1.0
+    z = _trunc_mass(a0)
     t = [0.0] * (n_max + 1)
     t[0] = 1.0
-    for n in range(2, n_max + 1, 2):
-        t[n] = (n - 1) * t[n - 2] - 2.0 * a0 ** (n - 1) * phi / z
+    try:
+        for n in range(2, n_max + 1, 2):
+            t[n] = (n - 1) * t[n - 2] - 2.0 * a0 ** (n - 1) * phi / z
+    except OverflowError:
+        raise BoundViolation(
+            f"sigma multiplier {1.0 / a0:g} is too small: a0^{n - 1} "
+            f"overflows in the truncated-normal moments") from None
     return tuple(t)
 
 
@@ -341,6 +356,11 @@ class PointMassPopulation(Population):
             raise ValueError("good value must be finite and >= 0")
         if not (self.vm > 0.0 and np.isfinite(self.vm)):
             raise ValueError("money value must be finite and > 0")
+        try:
+            self.support  # the ratio's atom needs a finite bounding box
+        except ValueError:
+            raise DegenerateRatio(f"ratio {self.vk:g} / {self.vm:g} "
+                                  f"overflows") from None
 
     @cached_property
     def support(self) -> Support:
@@ -471,6 +491,10 @@ class IndependentPopulation(Population):
         if self.vm.lo <= 0.0:
             raise DegenerateRatio("money-value support must be bounded away "
                                   "from zero for a bounded ratio")
+        if self.vk.is_degenerate and self.vm.is_degenerate:
+            raise DegenerateRatio("both marginals are point masses; use the "
+                                  "point_mass population form for a single "
+                                  "consumer type")
 
     @cached_property
     def support(self) -> Support:
@@ -497,9 +521,6 @@ class IndependentPopulation(Population):
     @cached_property
     def _ratio_table_spec(self) -> RatioMarginalSpec:
         """Tabulated ratio marginal g(r) = int u f_vk(r u) f_vm(u) du."""
-        if self.vk.is_degenerate and self.vm.is_degenerate:
-            return RatioMarginalSpec.degenerate(
-                self.vk.value / self.vm.value, self.vm.hi)
         r = np.linspace(self.support.r_lo, self.support.r_hi,
                         TABLE_GRID_DEFAULT)
         if self.vm.is_degenerate:
@@ -663,7 +684,7 @@ class RatioConditionalPopulation(Population):
 
     @cached_property
     def _z_mass(self) -> float:
-        return float(2.0 * _special("ndtr", self._a0) - 1.0)
+        return _trunc_mass(self._a0)
 
     @cached_property
     def support(self) -> Support:

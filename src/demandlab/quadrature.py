@@ -39,11 +39,10 @@ _X15, _W15 = _rule(15)
 
 # integrate: bisections of one interval before it fails.
 MAX_LEVELS = 20
-# solve_crossings: coarse scan points, bisection steps per bracketed
-# cell, and roots allowed per row.
+# solve_crossings: coarse scan points and bisection steps per bracketed
+# cell.
 COARSE = 513
 BISECTIONS = 64
-MAX_ROOTS = 4
 
 
 def integrate(f, a: float, b: float, *, tol: float, breakpoints=()) -> float:
@@ -114,11 +113,11 @@ def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:
     whose sign flips in that cell; only these (row, cell) pairs are
     bisected, ``BISECTIONS`` times each.
 
-    Returns an (n_rows, MAX_ROOTS) matrix of each row's roots in
-    ascending order, padded with ``hi``; a row with more than
-    ``MAX_ROOTS`` flips raises :class:`QuadratureFailure`.  Roots are
-    only located where the coarse scan sees a sign flip, which is
-    adequate for the piecewise-monotone crossing functions used here.
+    Returns an (n_rows, k) matrix of each row's roots in ascending
+    order, padded with ``hi``, where k is the most roots any row has
+    (0 when no row has one).  Roots are only located where the coarse
+    scan sees a sign flip, which is adequate for the piecewise-monotone
+    crossing functions used here.
     """
     grid = np.linspace(lo, hi, COARSE)
     # binary search at every scan point for split[j], the first row with
@@ -142,10 +141,7 @@ def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:
     rows, cells = rows[order], cells[order]
     # pairs are sorted by row, so a root's slot is its rank in its row
     slot = np.arange(rows.size) - np.searchsorted(rows, rows)
-    if np.any(slot >= MAX_ROOTS):
-        raise QuadratureFailure(
-            f"more than {MAX_ROOTS} kinks per row in column integrand")
-    roots = np.full((n_rows, MAX_ROOTS), float(hi))
+    roots = np.full((n_rows, slot.max(initial=-1) + 1), float(hi))
     if not rows.size:
         return roots
     a, b = grid[cells], grid[cells + 1]

@@ -1,7 +1,8 @@
-"""Fixtures shared by the CLI and demo tests."""
+"""Fixtures shared across the suite."""
 
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,16 @@ import pytest
 import demandlab
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+@pytest.fixture(autouse=True)
+def no_special_function_workers_left():
+    """Fail a test after which a special-function worker is still alive:
+    every call joins the workers it started before it returns."""
+    yield
+    alive = [t.name for t in threading.enumerate()
+             if t.name.startswith("demandlab-special")]
+    assert not alive, f"special-function workers outlived their call: {alive}"
 
 
 @pytest.fixture

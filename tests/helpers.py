@@ -29,6 +29,17 @@ def kinked_ratio_low() -> pops.RatioConditionalPopulation:
     return pops.make_low_population(ratio, delta=0.5)
 
 
+def zigzag_ratio_low() -> pops.RatioConditionalPopulation:
+    """Low family over a ratio density with seven interior knots that
+    alternate up and down, at half its largest admissible offset; its
+    band edges cross a quality row more than four times."""
+    r = np.linspace(0.5, 2.0, 9)
+    g = 1.0 + 0.15 * (np.arange(9) % 2)
+    ratio = pops.RatioMarginalSpec.tabulated(r, g / np.trapezoid(g, r))
+    return pops.make_low_population(ratio,
+                                    delta=0.5 * pops._low_delta_bound(ratio))
+
+
 def kinked_h_custom() -> pops.RatioConditionalPopulation:
     """Custom family over a uniform ratio whose h has a knot at 1.0."""
     h = PwLinearTable.raw(np.array([0.5, 1.0, 2.0]),

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,11 @@ BETA_POP = {"form": "independent",
             "vm": {"kind": "beta", "alpha": 2.0, "beta": 2.0,
                    "lo": 0.5, "hi": 1.5}}
 
+LOW_POP = {"form": "ratio_conditional",
+           "ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
+           "family": "low", "delta": 0.5}
+
+PACKAGE_ROOT = Path(demandlab.__file__).resolve().parents[1]
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 NONID = {"ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
@@ -257,6 +264,30 @@ class TestInputErrors:
     def test_negative_seed_override(self, tmp_path):
         scn = write_scenario(tmp_path, {"population": PRODUCT_POP})
         assert run("sample", scn, "--seed", "-1") == 2
+
+    @pytest.mark.parametrize("pop", [
+        {"form": "independent",
+         "vk": {"kind": "point_mass", "value": 1.0},
+         "vm": {"kind": "point_mass", "value": 2.0}},
+        {"form": "point_mass", "vk": 1e308, "vm": 1e-308},
+        {**LOW_POP, "sigma_multiplier": 1e-300},
+        {**LOW_POP, "sigma_multiplier": 1e300},
+    ], ids=["two_point_masses", "infinite_ratio", "tiny_sigma",
+            "huge_sigma"])
+    def test_unusable_population_is_a_typed_error(self, tmp_path, pop):
+        scn = write_scenario(tmp_path, {
+            "population": pop,
+            "identification": {"price_lo": 1.1, "price_hi": 1.9,
+                               "n_prices": 5, "max_order": 2,
+                               "n_quality": 256}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "demandlab.cli", "identify",
+             "--scenario", str(scn), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)})
+        assert proc.returncode in (2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 @pytest.mark.usefixtures("declared_scripts_on_path")

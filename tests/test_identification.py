@@ -11,7 +11,8 @@ from demandlab import populations as pops
 from demandlab.errors import (IllConditioned, InsufficientPrices,
                               TailMassExceeded)
 from demandlab.marginals import MarginalSpec
-from helpers import beta_independent, kinked_h_custom, kinked_ratio_low
+from helpers import (beta_independent, kinked_h_custom, kinked_ratio_low,
+                     zigzag_ratio_low)
 
 
 class TestChebyshevPrices:
@@ -227,6 +228,23 @@ class TestEndToEnd:
         report = ident.verify_recovery(
             build(), ident.IdentificationConfig(0.5, 2.0))
         assert report.max_rel_error <= 1e-6
+
+    def test_band_edges_with_five_crossings_recover(self, monkeypatch):
+        # some quality rows cross a band edge five times; every crossing
+        # becomes a panel break
+        widths = []
+        solve = pops.quadrature.solve_crossings
+
+        def record(*args):
+            roots = solve(*args)
+            widths.append(roots.shape[1])
+            return roots
+
+        monkeypatch.setattr(pops.quadrature, "solve_crossings", record)
+        report = ident.verify_recovery(
+            zigzag_ratio_low(), ident.IdentificationConfig(0.5, 2.0))
+        assert max(widths) == 5
+        assert report.max_rel_error <= 1e-7
 
     def test_report_serialization(self):
         pop = beta_independent()

@@ -146,33 +146,50 @@ SPLIT_SIZES = (marginals.SPLIT_MIN - 1, marginals.SPLIT_MIN,
 
 
 @pytest.fixture
-def fresh_pool(monkeypatch):
-    """No pool yet, three CPUs whatever the machine has; shut down after."""
-    monkeypatch.setattr(marginals, "_pool", None)
+def three_cpus(monkeypatch):
+    """Three CPUs whatever the machine has."""
     monkeypatch.setattr(marginals, "_usable_cpus", lambda: 3)
-    yield
-    if marginals._pool is not None:
-        marginals._pool.shutdown()
+
+
+@pytest.fixture
+def drainers(monkeypatch):
+    """Names of the threads that drained chunks, one per drain."""
+    names = []
+    drain = marginals._drain
+
+    def record(*args):
+        names.append(threading.current_thread().name)
+        drain(*args)
+
+    monkeypatch.setattr(marginals, "_drain", record)
+    return names
+
+
+def _workers(names):
+    return [n for n in names if n.startswith("demandlab-special")]
 
 
 class TestSpecialHelper:
     @pytest.mark.parametrize("name", sorted(SPECIAL_ARGS))
     @pytest.mark.parametrize("n", SPLIT_SIZES)
-    def test_split_matches_direct_call(self, fresh_pool, name, n):
+    def test_split_matches_direct_call(self, three_cpus, drainers, name, n):
         args = SPECIAL_ARGS[name](n, np.random.default_rng(n))
         with np.errstate(all="raise"):
             got = _special(name, *args)
             want = getattr(scipy.special, name)(*args)
-        assert (marginals._pool is not None) == (n >= marginals.SPLIT_MIN)
+        # the caller and two workers drain a split call
+        split = n >= marginals.SPLIT_MIN
+        assert len(_workers(drainers)) == (2 if split else 0)
+        assert len(drainers) == (3 if split else 0)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("name", sorted(SPECIAL_ARGS))
-    def test_two_dimensional_input(self, fresh_pool, name):
+    def test_two_dimensional_input(self, three_cpus, drainers, name):
         flat = SPECIAL_ARGS[name](300 * 257, np.random.default_rng(3))
         args = [a.reshape(300, 257) if np.ndim(a) else a for a in flat]
         got = _special(name, *args)
-        assert marginals._pool is not None
+        assert len(_workers(drainers)) == 2
         want = getattr(scipy.special, name)(*args)
         assert got.shape == (300, 257)
         assert np.array_equal(got, want, equal_nan=True)
@@ -186,7 +203,7 @@ class TestSpecialHelper:
         assert type(got) is type(want) and np.ndim(got) == 0
         assert got == want
 
-    def test_every_thread_sees_the_callers_error_states(self, fresh_pool,
+    def test_every_thread_sees_the_callers_error_states(self, three_cpus,
                                                         monkeypatch):
         seen = []
 
@@ -207,7 +224,7 @@ class TestSpecialHelper:
             == {("raise", "raise")}
 
     @pytest.mark.parametrize("n", SPLIT_SIZES)
-    def test_domain_errors_match_on_both_paths(self, fresh_pool, n):
+    def test_domain_errors_match_on_both_paths(self, three_cpus, n):
         x = np.full(n, 0.5)
         x[-1] = 2.0  # outside betainc's domain: NaN from a finite input
         with scipy.special.errstate(domain="raise"):
@@ -227,38 +244,38 @@ class TestSpecialHelper:
                         .ppf(np.nan))
 
     def test_one_cpu_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(marginals, "_pool", None)
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(marginals, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         q = np.random.default_rng(2).random(2 * marginals.SPLIT_MIN)
         assert np.array_equal(_special("ndtri", q), scipy.special.ndtri(q))
-        assert marginals._pool is None
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
-    def test_forked_child_gets_a_working_pool(self, monkeypatch):
-        monkeypatch.setattr(marginals, "_pool", None)
+    def test_forked_child_gets_a_working_pool(self, monkeypatch, drainers):
+        # a child forked after a split call starts workers of its own
         monkeypatch.setattr(marginals, "_usable_cpus", lambda: 2)
         spec = MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0)
         q = np.random.default_rng(4).random(10 ** 6)
         want = hashlib.sha256(spec.ppf(q).tobytes()).hexdigest()
-        parent_pool = marginals._pool
-        assert parent_pool is not None
+        assert _workers(drainers)
         ctx = multiprocessing.get_context("fork")
         results = ctx.SimpleQueue()
         child = ctx.Process(target=_hash_ppf, args=(spec, q, results))
         try:
             child.start()
             child.join(timeout=60)
-            assert not child.is_alive(), "child hung on the inherited pool"
+            assert not child.is_alive(), "child hung"
             assert child.exitcode == 0
             assert results.get() == want
         finally:
             if child.is_alive():
                 child.kill()
                 child.join()
-            parent_pool.shutdown()
 
 
 def _hash_ppf(spec, q, results):

@@ -171,6 +171,11 @@ class TestIndependentPopulation:
                             for p in prices], 0.0, 1.0)
             assert np.array_equal(pop._demand_profile(prices), want)
 
+    def test_rejects_two_point_masses(self):
+        with pytest.raises(DegenerateRatio, match="point_mass"):
+            pops.IndependentPopulation(MarginalSpec.point_mass(1.0),
+                                       MarginalSpec.point_mass(2.0))
+
     def test_rejects_nonpositive_money_values(self):
         with pytest.raises(DegenerateRatio):
             pops.IndependentPopulation(

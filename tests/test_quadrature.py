@@ -106,48 +106,48 @@ def test_solve_crossings_locates_roots_per_row():
     c = np.array([-0.3, 0.0, 0.3])
     found = q.solve_crossings(lambda r, rows: _cubic(r) + c[rows],
                               0.0, 4.0, 3)
-    assert found.shape == (3, q.MAX_ROOTS) == (3, 4)
+    # as wide as the row with the most roots: every row has three
+    assert found.shape == (3, 3)
     for row, level in enumerate(c):
-        assert np.allclose(found[row, :3], _cubic_roots(level, 0.0, 4.0),
+        assert np.allclose(found[row], _cubic_roots(level, 0.0, 4.0),
                            rtol=0.0, atol=1e-12)
-    # unused slots are padded with the upper end point
-    assert np.all(found[:, 3] == 4.0)
 
 
 def test_solve_crossings_handles_rootless_rows():
     c = np.array([-9.0, 0.0, 3.0])
     found = q.solve_crossings(lambda r, rows: _cubic(r) + c[rows],
                               0.0, 4.0, 3)
-    assert found.shape == (3, 4)
+    # rows with fewer roots than the widest are padded with the upper end
+    assert found.shape == (3, 3)
     assert np.all(found[[0, 2]] == 4.0)
-    assert np.allclose(found[1, :3], [0.5, 1.5, 3.0], rtol=0.0, atol=1e-12)
+    assert np.allclose(found[1], [0.5, 1.5, 3.0], rtol=0.0, atol=1e-12)
     # a row whose psi is NaN counts as nonnegative, so sorted last it
     # brackets nothing, even where every other row is negative
     c_nan = np.array([-9.0, 0.0, np.nan])
     found = q.solve_crossings(lambda r, rows: _cubic(r) + c_nan[rows],
                               0.0, 4.0, 3)
+    assert found.shape == (3, 3)
     assert np.all(found[[0, 2]] == 4.0)
-    assert np.allclose(found[1, :3], [0.5, 1.5, 3.0], rtol=0.0, atol=1e-12)
-    # a single rootless row never reaches the bisection
+    assert np.allclose(found[1], [0.5, 1.5, 3.0], rtol=0.0, atol=1e-12)
+    # a single rootless row never reaches the bisection, and with no
+    # root anywhere the matrix has no columns
     sizes = []
 
     def psi(r, rows):
         sizes.append(np.broadcast(r, rows).size)
         return np.ones_like(r + rows, dtype=float)
 
-    assert np.all(q.solve_crossings(psi, 0.0, 1.0, 1) == 1.0)
+    assert q.solve_crossings(psi, 0.0, 1.0, 1).shape == (1, 0)
     assert sizes == [q.COARSE]
 
 
-def test_solve_crossings_rejects_more_roots_than_slots():
+def test_solve_crossings_returns_every_root():
     # sin(r) + c changes sign five times inside (0.5, 16) for these c
     c = np.array([-0.1, 0.0, 0.1])
     psi = lambda r, rows: np.sin(r) + c[rows]
-    with pytest.raises(QuadratureFailure, match="more than 4"):
-        q.solve_crossings(psi, 0.5, 16.0, 3)
-    # four sign changes still fit
-    found = q.solve_crossings(psi, 0.5, 13.0, 3)
-    k = np.arange(1, 5)
+    found = q.solve_crossings(psi, 0.5, 16.0, 3)
+    assert found.shape == (3, 5)
+    k = np.arange(1, 6)
     want = np.pi * k - (-1.0) ** k * np.arcsin(c)[:, None]
     assert np.allclose(found, want, rtol=0.0, atol=1e-12)
 
