@@ -81,12 +81,14 @@ class QualityDemandSurface:
     worst column's probability escapes the quality span (top entry away
     from 1 plus bottom entry away from 0); a finite grid can never cover
     all of the real line, so the truncation loss is surfaced here rather
-    than hidden.
+    than hidden.  ``quadrature_errors[j]`` bounds the absolute quadrature
+    error of column j (its worst row's estimate; zeros when not given).
     """
 
     quality_grid: np.ndarray
     price_grid: np.ndarray
     values: np.ndarray
+    quadrature_errors: np.ndarray | None = None
     tail_mass: float = field(init=False)
 
     def __post_init__(self):
@@ -95,6 +97,10 @@ class QualityDemandSurface:
         v = np.asarray(self.values, dtype=float)
         if xq.ndim != 1 or p.ndim != 1 or v.shape != (xq.size, p.size):
             raise ValueError("surface values must be (n_quality, n_price)")
+        errors = (np.zeros(p.size) if self.quadrature_errors is None
+                  else np.asarray(self.quadrature_errors, dtype=float))
+        if errors.shape != p.shape:
+            raise ValueError("need one quadrature error per price")
         if np.any(np.diff(xq) <= 0.0) or np.any(np.diff(p) <= 0.0):
             raise ValueError("grids must be strictly increasing")
         if np.any(p < 0.0):
@@ -114,6 +120,7 @@ class QualityDemandSurface:
         object.__setattr__(self, "quality_grid", xq)
         object.__setattr__(self, "price_grid", p)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "quadrature_errors", errors)
         object.__setattr__(self, "tail_mass", tail)
 
     def column(self, p: float) -> np.ndarray:
@@ -196,10 +203,13 @@ def quality_demand_mc(pop: Population, xq: float, p: float,
 
 def quality_demand_surface(pop: Population, quality_grid,
                            price_grid) -> QualityDemandSurface:
-    """Quality-augmented demand on the grid product, column by column."""
+    """Quality-augmented demand on the grid product, column by column,
+    with each column's quadrature error bound."""
     xq = np.asarray(quality_grid, dtype=float)
     prices = np.asarray(price_grid, dtype=float)
     if np.any(prices < 0.0):
         raise ValueError("price must be >= 0")
-    cols = [np.asarray(pop._quality_profile(float(p), xq)) for p in prices]
-    return QualityDemandSurface(xq, prices, np.column_stack(cols))
+    values, errors = zip(*(pop._quality_profile(float(p), xq, with_error=True)
+                           for p in prices))
+    return QualityDemandSurface(xq, prices, np.column_stack(values),
+                                np.array(errors))

@@ -246,7 +246,8 @@ class RecoveryReport:
     """End-to-end recovery outcome with per-entry diagnostics.
 
     ``surface`` is the quality-demand surface the slices were read from;
-    it stays out of the JSON report.
+    it stays out of the JSON report.  ``quadrature_error`` is the largest
+    of its per-column quadrature error estimates.
     """
 
     recovered: MomentTable
@@ -256,6 +257,7 @@ class RecoveryReport:
     recovered_mean_vm: float
     tail_mass: float
     repair: float
+    quadrature_error: float
     prices: tuple
     config: IdentificationConfig
     surface: QualityDemandSurface = field(repr=False)
@@ -266,6 +268,7 @@ class RecoveryReport:
             "recovered_mean_vm": self.recovered_mean_vm,
             "tail_mass": self.tail_mass,
             "isotonic_repair": self.repair,
+            "quadrature_error": self.quadrature_error,
             "prices": list(self.prices),
             "entry_rel_errors": {f"{j},{k}": v for (j, k), v in
                                  sorted(self.entry_rel_errors.items())},
@@ -315,5 +318,6 @@ def verify_recovery(pop: Population,
         recovered_mean_vm=recovered[(0, 1)],
         tail_mass=float(max(s.tail_mass for s in slices)),
         repair=float(max(s.repair for s in slices)),
+        quadrature_error=float(np.max(surface.quadrature_errors)),
         prices=tuple(float(p) for p in surface.price_grid),
         config=config, surface=surface)

@@ -38,6 +38,11 @@ from .marginals import MarginalSpec, PwLinearTable, _special
 TABLE_GRID_DEFAULT = 2048
 # Prices per quadrature call in IndependentPopulation._demand_profile.
 PRICE_BLOCK = 2048
+# Absolute error bound of every surface entry, demand value and ratio
+# table entry integrated by quadrature.segmented_gl.  Surface entries lie
+# in [0, 1], so this sits below QualityDemandSurface's 1e-9 monotonicity
+# check.
+SURFACE_TOL = 1e-10
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -292,13 +297,32 @@ def _trunc_mass(a0: float) -> float:
 def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
     """Raw moments of a standard normal truncated to [-a0, a0].
 
-    Odd moments vanish; even ones follow the two-sided recursion
-    t_n = (n - 1) t_{n-2} - 2 a0^(n-1) phi(a0) / (2 Phi(a0) - 1).
+    Odd moments vanish.  For a0 >= 2 even ones follow the two-sided
+    recursion t_n = (n - 1) t_{n-2} - 2 a0^(n-1) phi(a0) / (2 Phi(a0) - 1).
+    Below that its two terms nearly cancel, so t_n = a0^n E[U^n] comes
+    from U = Z / a0, whose density on [-1, 1] is proportional to
+    exp(-b u^2), b = a0^2 / 2.  By Kummer's transformation
+    int_0^1 u^n exp(-b u^2) du = exp(-b) S_n / (n + 1) with the
+    positive series S_n = sum_k b^k / ((n + 3) / 2)_k, so
+    E[U^n] = S_n / ((n + 1) S_0) without cancellation.
     """
-    phi = math.exp(-0.5 * a0 * a0) / _SQRT2PI
-    z = _trunc_mass(a0)
+    z = _trunc_mass(a0)  # raises first when the multiplier is too large
     t = [0.0] * (n_max + 1)
     t[0] = 1.0
+    if a0 < 2.0:
+        b = 0.5 * a0 * a0
+        series = []
+        for n in range(0, n_max + 1, 2):
+            term, total, c = 1.0, 1.0, 0.5 * (n + 3)
+            while term > 1e-17 * total:
+                term *= b / c
+                total += term
+                c += 1.0
+            series.append(total / (n + 1))
+        for n in range(2, n_max + 1, 2):
+            t[n] = a0 ** n * series[n // 2] / series[0]
+        return tuple(t)
+    phi = math.exp(-0.5 * a0 * a0) / _SQRT2PI
     try:
         for n in range(2, n_max + 1, 2):
             t[n] = (n - 1) * t[n - 2] - 2.0 * a0 ** (n - 1) * phi / z
@@ -314,6 +338,10 @@ class Population:
 
     # Subclasses implement: support, vk_upper, _density, _sample,
     # _ratio_marginal, _moment, _band_vm_moments, _quality_profile.
+    # _quality_profile(p, xq, *, with_error=False) returns the buying
+    # mass at price p for each quality offset in xq and, with
+    # with_error, also a bound on its absolute quadrature error (the
+    # worst row's estimate; 0 for closed forms).
 
     @property
     def support(self) -> Support:
@@ -387,15 +415,18 @@ class PointMassPopulation(Population):
         inside = ra <= self.vk / self.vm <= rb
         return (1.0 if inside else 0.0), (self.vm if inside else 0.0)
 
-    def _quality_profile(self, p, xq):
+    def _quality_profile(self, p, xq, *, with_error=False):
         xq = np.asarray(xq, dtype=float)
-        return (self.vk + xq - self.vm * p >= 0.0).astype(float)
+        out = (self.vk + xq - self.vm * p >= 0.0).astype(float)
+        return (out, 0.0) if with_error else out
 
-def _kink_breaks(knots: np.ndarray, n_rows: int) -> np.ndarray:
-    """Surface panel breaks at a law's kinks, the same in every row; more
-    than 8 knots is a dense table, treated as smooth (no breaks)."""
-    knots = knots if knots.size <= 8 else knots[:0]
-    return np.broadcast_to(knots, (n_rows, knots.size))
+
+def _column(values, errors, with_error: bool):
+    """A ``_quality_profile`` result from per-row values and quadrature
+    estimates."""
+    if with_error:
+        return values, float(np.max(errors, initial=0.0))
+    return values
 
 
 def _require_seed_ratio(ratio: RatioMarginalSpec):
@@ -453,29 +484,30 @@ class ProductPopulation(Population):
         mass = float(self.ratio.cdf(rb) - self.ratio.cdf(ra))
         return mass, mass * self.vm.mean
 
-    def _quality_profile(self, p, xq):
+    def _quality_profile(self, p, xq, *, with_error=False):
         xq = np.asarray(xq, dtype=float)
         n = xq.size
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
-        edges = [self.vm.lo, self.vm.hi]
-        cols = [np.full((n, 1), float(np.clip(p, r_lo, r_hi)))]
-        for edge in edges:
+        knots = self.ratio._as_table.x[1:-1]
+        cols = [np.full((n, 1), float(np.clip(p, r_lo, r_hi))),
+                np.broadcast_to(knots, (n, knots.size))]
+        for edge in (self.vm.lo, self.vm.hi):
             if edge > 0.0:
                 cols.append((p - xq / edge)[:, None])
-        cols.append(_kink_breaks(self.ratio._as_table.x[1:-1], n))
         breaks = np.concatenate(cols, axis=1)
-        nodes, wts = quadrature.segmented_gl(r_lo, r_hi, breaks,
-                                             order=16, panels=3)
-        c = nodes - p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(c != 0.0, -xq[:, None] / np.where(c != 0.0, c, 1.0),
-                         0.0)
-        f_at_t = np.asarray(self.vm.cdf(t))
-        s = np.where(c > 0.0, 1.0 - f_at_t,
-                     np.where(c < 0.0, f_at_t,
-                              (xq[:, None] >= 0.0).astype(float)))
-        g = self.ratio.pdf(nodes)
-        return np.einsum("ij,ij,ij->i", wts, g, s)
+
+        def integrand(nodes, rows):
+            x = xq[rows][:, None]
+            c = nodes - p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(c != 0.0, -x / np.where(c != 0.0, c, 1.0), 0.0)
+            f_at_t = np.asarray(self.vm.cdf(t))
+            s = np.where(c > 0.0, 1.0 - f_at_t,
+                         np.where(c < 0.0, f_at_t, (x >= 0.0).astype(float)))
+            return self.ratio.pdf(nodes) * s
+
+        return _column(*quadrature.segmented_gl(
+            r_lo, r_hi, breaks, integrand, tol=SURFACE_TOL), with_error)
 
 @dataclass(frozen=True, eq=False)
 class IndependentPopulation(Population):
@@ -540,11 +572,13 @@ class IndependentPopulation(Population):
                           np.inf),
                  np.where(rr > 0, self.vk.hi / np.where(rr > 0, rr, 1.0),
                           np.inf)), axis=1)
-        nodes, wts = quadrature.segmented_gl(self.vm.lo, self.vm.hi, breaks,
-                                             order=12, panels=2)
-        g = np.einsum("ij,ij->i", wts,
-                      nodes * self.vm.pdf(nodes) * self.vk.pdf(r[:, None]
-                                                               * nodes))
+
+        def integrand(nodes, rows):
+            return (nodes * self.vm.pdf(nodes)
+                    * self.vk.pdf(r[rows][:, None] * nodes))
+
+        g, _ = quadrature.segmented_gl(self.vm.lo, self.vm.hi, breaks,
+                                       integrand, tol=SURFACE_TOL)
         g = np.clip(g, 0.0, None)
         g /= np.trapezoid(g, r)
         return RatioMarginalSpec.tabulated(r, g, self.vm.hi)
@@ -579,28 +613,36 @@ class IndependentPopulation(Population):
                                       tol=1e-13, breakpoints=cuts)
         return mass, vm_int
 
-    def _quality_profile(self, p, xq):
+    def _quality_profile(self, p, xq, *, with_error=False):
         xq = np.asarray(xq, dtype=float)
+        errors = 0.0
         if p == 0.0:
-            return 1.0 - np.asarray(self.vk.cdf(-xq), dtype=float)
-        if self.vm.is_degenerate:
-            return 1.0 - np.asarray(
+            out = 1.0 - np.asarray(self.vk.cdf(-xq), dtype=float)
+        elif self.vm.is_degenerate:
+            out = 1.0 - np.asarray(
                 self.vk.cdf(p * self.vm.value - xq), dtype=float)
-        if self.vk.is_degenerate:
-            return np.asarray(self.vm.cdf((self.vk.value + xq) / p),
-                              dtype=float)
-        return self._integrated_profile(p, xq)
+        elif self.vk.is_degenerate:
+            out = np.asarray(self.vm.cdf((self.vk.value + xq) / p),
+                             dtype=float)
+        else:
+            out, errors = self._integrated_profile(p, xq)
+        return _column(out, errors, with_error)
 
     def _integrated_profile(self, p, xq):
         """P(vk + xq >= p vm) by quadrature over vm, one row per entry of
-        ``xq``; ``p`` is a positive scalar or one price per row."""
-        p_col = np.asarray(p, dtype=float)[..., None]
+        ``xq``; ``p`` is a positive scalar or one price per row.  Returns
+        the values and their per-row error estimates."""
+        p_row = np.broadcast_to(np.asarray(p, dtype=float), xq.shape)
         breaks = np.column_stack(((self.vk.lo + xq) / p,
                                   (self.vk.hi + xq) / p))
-        nodes, wts = quadrature.segmented_gl(self.vm.lo, self.vm.hi, breaks,
-                                             order=16, panels=3)
-        sk = 1.0 - np.asarray(self.vk.cdf(p_col * nodes - xq[:, None]))
-        return np.einsum("ij,ij,ij->i", wts, self.vm.pdf(nodes), sk)
+
+        def integrand(nodes, rows):
+            sk = 1.0 - np.asarray(self.vk.cdf(p_row[rows][:, None] * nodes
+                                              - xq[rows][:, None]))
+            return self.vm.pdf(nodes) * sk
+
+        return quadrature.segmented_gl(self.vm.lo, self.vm.hi, breaks,
+                                       integrand, tol=SURFACE_TOL)
 
     def _demand_profile(self, prices):
         # exact route for positive prices (the tabulated ratio marginal is
@@ -616,7 +658,7 @@ class IndependentPopulation(Population):
             for start in range(0, prices.size, PRICE_BLOCK):
                 block = prices[start:start + PRICE_BLOCK]
                 vals[start:start + PRICE_BLOCK] = self._integrated_profile(
-                    block, np.zeros(block.size))
+                    block, np.zeros(block.size))[0]
         return np.clip(vals, 0.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
@@ -761,7 +803,7 @@ class RatioConditionalPopulation(Population):
         """Conditional mean of vm exactly at the lower ratio endpoint."""
         return float(self._law(self.ratio.r_lo)[1])
 
-    def _quality_profile(self, p, xq):
+    def _quality_profile(self, p, xq, *, with_error=False):
         xq = np.asarray(xq, dtype=float)
         # solve_crossings needs psi nondecreasing in the row: solve on the
         # sorted offsets (NaN last) and scatter the rows back; rows are
@@ -780,30 +822,38 @@ class RatioConditionalPopulation(Population):
         roots_hi = quadrature.solve_crossings(edge_cross(+1.0), r_lo, r_hi, n)
         roots_lo = quadrature.solve_crossings(edge_cross(-1.0), r_lo, r_hi, n)
         fixed = np.full((n, 1), float(np.clip(p, r_lo, r_hi)))
-        breaks = np.concatenate((roots_hi, roots_lo, fixed,
-                                 _kink_breaks(self._knots, n)), axis=1)
-        nodes, wts = quadrature.segmented_gl(r_lo, r_hi, breaks,
-                                             order=16, panels=2)
+        breaks = np.concatenate(
+            (roots_hi, roots_lo, fixed,
+             np.broadcast_to(self._knots, (n, self._knots.size))), axis=1)
         a0 = self._a0
-        g, m, sig = self._law(nodes)
-        sig *= self.cond.sigma_multiplier
-        # c reuses the nodes, and m, sig, z go before s is formed, which
-        # bounds the node-sized arrays alive at once
-        c = np.subtract(nodes, p, out=nodes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = -xq[:, None] / np.where(c != 0.0, c, 1.0)
-            z -= m
-            z /= sig
-            np.clip(z, -a0, a0, out=z)
-        phi = _special("ndtr", z)
-        del m, sig, z
         hi_cap = _special("ndtr", a0)
-        s = np.where(c > 0.0, (hi_cap - phi) / self._z_mass,
-                     np.where(c < 0.0, (phi - (1.0 - hi_cap)) / self._z_mass,
-                              (xq[:, None] >= 0.0).astype(float)))
+
+        def integrand(nodes, rows):
+            g, m, sig = self._law(nodes)
+            sig *= self.cond.sigma_multiplier
+            # c reuses the nodes, and m, sig, z go before s is formed,
+            # which bounds the node-sized arrays alive at once
+            c = np.subtract(nodes, p, out=nodes)
+            x = xq[rows][:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = -x / np.where(c != 0.0, c, 1.0)
+                z -= m
+                z /= sig
+                np.clip(z, -a0, a0, out=z)
+            phi = _special("ndtr", z)
+            del m, sig, z
+            s = np.where(c > 0.0, (hi_cap - phi) / self._z_mass,
+                         np.where(c < 0.0,
+                                  (phi - (1.0 - hi_cap)) / self._z_mass,
+                                  (x >= 0.0).astype(float)))
+            s *= g
+            return s
+
+        values, errors = quadrature.segmented_gl(r_lo, r_hi, breaks,
+                                                 integrand, tol=SURFACE_TOL)
         out = np.empty(n)
-        out[order] = np.einsum("ij,ij,ij->i", wts, g, s)
-        return out
+        out[order] = values
+        return _column(out, errors, with_error)
 
 @dataclass(frozen=True, eq=False)
 class MixturePopulation(Population):
@@ -904,11 +954,14 @@ class MixturePopulation(Population):
             vm_int += w * v
         return mass, vm_int
 
-    def _quality_profile(self, p, xq):
-        out = 0.0
+    def _quality_profile(self, p, xq, *, with_error=False):
+        # a component's error bound weighs in like its values
+        out, error = 0.0, 0.0
         for w, pop in self.components:
-            out = out + w * pop._quality_profile(p, xq)
-        return out
+            values, err = pop._quality_profile(p, xq, with_error=True)
+            out = out + w * values
+            error += w * err
+        return (out, error) if with_error else out
 
     def _demand_profile(self, prices):
         # exact component blend; the tabulated marginal smears component

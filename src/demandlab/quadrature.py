@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature and vectorized panel rules.
+"""Adaptive quadrature: one integrand, and a family of row integrands.
 
 Integrands must be vectorized: they receive an ndarray of abscissae and
 return an ndarray of the same shape.  ``integrate`` controls absolute
@@ -10,39 +10,71 @@ raises :class:`QuadratureFailure`.
 The column helpers at the bottom (``solve_crossings``,
 ``segmented_gl``) integrate a family of integrands that differ only
 through a row parameter, splitting each row's interval at known or
-numerically located kinks so that plain Gauss-Legendre panels see smooth
-pieces.  They are the workhorses behind quality-demand surfaces.
-``solve_crossings`` takes a row-indexed ``psi(r, rows)`` that is
-nondecreasing in the row index; it binary-searches the rows at each
-coarse scan point instead of evaluating them all, and bisects only the
-cells where the scan brackets a root.  ``segmented_gl`` emits no panel
-for a zero-width segment, so each row's sum keeps its bits while the
-node count follows the row with the most positive-width segments.
+numerically located kinks.  They are the workhorses behind
+quality-demand surfaces.  ``solve_crossings`` takes a row-indexed
+``psi(r, rows)`` that is nondecreasing in the row index; it
+binary-searches the rows at each coarse scan point instead of evaluating
+them all, and bisects only the cells where the scan brackets a root.
+``segmented_gl`` flattens every row's positive-width segments into one
+list of (row, interval) pairs and applies the nested Gauss-Kronrod pair
+G10/K21 of QUADPACK (Piessens et al. 1983) to each: 21 integrand values
+give the interval's integral and, from |K21 - G10|, its error estimate.
+A row is finished once its summed estimate meets the absolute tolerance;
+otherwise only its intervals above their share of the remaining budget
+are bisected, so the node count follows each row's own error.  Each
+row's value and estimate depend on its own breaks and integrand values
+only, never on the other rows of the call.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureFailure
 
 
-@lru_cache(maxsize=None)
-def _rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+_X7, _W7 = np.polynomial.legendre.leggauss(7)
+_X15, _W15 = np.polynomial.legendre.leggauss(15)
 
+# QUADPACK qk21: the positive Kronrod abscissae, the last one 0, with
+# their K21 weights; the G10 nodes are every second abscissa from the
+# second, with the weights _WG10.
+_XK_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WK_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208292222815, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG10 = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# The 21 nodes in ascending order with their K21 weights, and K21 - G10
+# as weights on the same nodes.
+_XK21 = np.concatenate((-_XK_HALF[:-1], _XK_HALF[::-1]))
+_WK21 = np.concatenate((_WK_HALF[:-1], _WK_HALF[::-1]))
+_WG_HALF = np.zeros(11)
+_WG_HALF[1::2] = _WG10
+_WKG = _WK21 - np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
 
-_X7, _W7 = _rule(7)
-_X15, _W15 = _rule(15)
-
-# integrate: bisections of one interval before it fails.
+# integrate: bisections of one interval before it fails; segmented_gl:
+# bisection passes before a row that misses its tolerance fails.
 MAX_LEVELS = 20
 # solve_crossings: coarse scan points and bisection steps per bracketed
 # cell.
 COARSE = 513
 BISECTIONS = 64
+# segmented_gl: intervals per integrand call, which bounds the size of
+# the node arrays.
+INTERVAL_BLOCK = 2 ** 15
 
 
 def integrate(f, a: float, b: float, *, tol: float, breakpoints=()) -> float:
@@ -156,37 +188,83 @@ def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:
     return roots
 
 
-def segmented_gl(lo: float, hi: float, breaks: np.ndarray, *,
-                 order: int = 16, panels: int = 3):
-    """Per-row composite Gauss-Legendre nodes split at per-row breaks.
+def _estimate(f, half, kronrod):
+    """Error estimate of G10/K21 on intervals of half-width ``half``.
+
+    |K21 - G10| alone can fall below the true error on an interval that
+    holds a kink it does not resolve, where both rules err alike.
+    QUADPACK's qk21 therefore rescales it with the integrand's mean
+    deviation resasc = int |f - mean| to
+    resasc * min(1, (200 |K21 - G10| / resasc)^1.5), which is resasc
+    itself on such an interval.  The rescaling also shrinks small
+    estimates, so the larger of the two is taken: the estimate is never
+    below |K21 - G10|.
+    """
+    diff = np.abs(half * np.einsum("ij,j->i", f, _WKG))
+    mean = (0.5 * kronrod / half)[:, None]
+    asc = half * np.einsum("ij,j->i", np.abs(f - mean), _WK21)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = asc * np.fmin(1.0, (200.0 * diff / asc) ** 1.5)
+    return np.fmax(diff, scaled)
+
+
+def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
+                 tol: float):
+    """Integrate one integrand per row over [lo, hi], split at its breaks.
 
     ``breaks`` is (n_rows, k); entries outside (lo, hi) are clipped to the
-    nearest endpoint.  Each row's positive-width segments are moved to
-    the front in their order, and zero-width ones, whose panels would
-    carry weight 0, are dropped, so the node count is set by the row with
-    the most positive-width segments.  A shorter row is padded with its
-    own zero-width segments, which keep weight 0; a row sum in node order
-    is therefore the one the full-width rule gives.  Returns node and
-    weight matrices of shape (n_rows, n_nodes).
+    nearest endpoint, and zero-width segments are dropped.
+    ``integrand(nodes, rows)`` gets an (m, 21) node matrix, one interval
+    per line, and the row index of each line, and returns the (m, 21)
+    integrand values; it may overwrite ``nodes``.  Each pass applies
+    G10/K21 to every pending interval.  A row whose summed estimate is at
+    most ``tol`` (absolute) is finished; a NaN estimate finishes its row
+    too, since refining cannot mend it.  In the other rows each interval
+    whose estimate exceeds the row's remaining budget over its pending
+    interval count is bisected, and the rest are kept.  A row still short
+    after ``MAX_LEVELS`` bisection passes raises
+    :class:`QuadratureFailure` with the worst such row's estimate.
+
+    Returns per-row integrals and their error estimates.
     """
     n_rows = breaks.shape[0]
-    clipped = np.clip(breaks, lo, hi)
     edges = np.concatenate(
-        (np.full((n_rows, 1), float(lo)), np.sort(clipped, axis=1),
+        (np.full((n_rows, 1), float(lo)),
+         np.sort(np.clip(breaks, lo, hi), axis=1),
          np.full((n_rows, 1), float(hi))), axis=1)
-    x, w = _rule(order)
-    seg_lo = edges[:, :-1]
-    seg_len = np.diff(edges, axis=1)
-    keep = seg_len != 0.0  # NaN breaks keep their NaN panels
-    width = int(keep.sum(axis=1).max(initial=0))
-    front = np.argsort(~keep, axis=1, kind="stable")[:, :width]
-    seg_lo = np.take_along_axis(seg_lo, front, axis=1)
-    seg_len = np.take_along_axis(seg_len, front, axis=1)
-    # Subdivide each segment into `panels` uniform panels.
-    offs = (np.arange(panels) / panels)[None, None, :]
-    p_lo = seg_lo[:, :, None] + seg_len[:, :, None] * offs
-    p_half = seg_len[:, :, None] / (2.0 * panels)
-    mid = p_lo + p_half
-    nodes = mid[..., None] + p_half[..., None] * x
-    weights = np.broadcast_to(p_half[..., None], nodes.shape) * w
-    return nodes.reshape(n_rows, -1), weights.reshape(n_rows, -1)
+    # pairs are kept sorted by row and, within a row, by position, so a
+    # row sums its intervals in the same order whatever the other rows do
+    rows, seg = np.nonzero(np.diff(edges, axis=1) != 0.0)  # NaN is kept
+    a, b = edges[rows, seg], edges[rows, seg + 1]
+    values = np.zeros(n_rows)
+    errors = np.zeros(n_rows)
+    for level in range(MAX_LEVELS + 1):
+        k, e = np.empty(rows.size), np.empty(rows.size)
+        for s in range(0, rows.size, INTERVAL_BLOCK):
+            part = slice(s, s + INTERVAL_BLOCK)
+            half = 0.5 * (b[part] - a[part])
+            f = integrand((a[part] + half)[:, None] + half[:, None] * _XK21,
+                          rows[part])
+            k[part] = half * np.einsum("ij,j->i", f, _WK21)
+            e[part] = _estimate(f, half, k[part])
+        total = errors + np.bincount(rows, e, n_rows)
+        short = total[rows] > tol
+        split = short & (e > (tol - errors[rows])
+                         / np.bincount(rows, minlength=n_rows)[rows])
+        keep = ~split
+        values += np.bincount(rows[keep], k[keep], n_rows)
+        errors += np.bincount(rows[keep], e[keep], n_rows)
+        if not split.any():
+            return values, errors
+        if level == MAX_LEVELS:
+            worst = float(np.max(total[rows[short]]))
+            raise QuadratureFailure(
+                f"{np.unique(rows[short]).size} rows missed tolerance "
+                f"after {MAX_LEVELS} bisection passes "
+                f"(err {worst:.3e} > {tol:.3e})",
+                achieved=worst, requested=tol)
+        rows, a, b = rows[split], a[split], b[split]
+        mid = 0.5 * (a + b)
+        rows = np.repeat(rows, 2)
+        a, b = (np.column_stack((a, mid)).ravel(),
+                np.column_stack((mid, b)).ravel())

@@ -49,6 +49,17 @@ def kinked_h_custom() -> pops.RatioConditionalPopulation:
         pops.ConditionalSpec("custom", h_table=h))
 
 
+def sine_table_low(knots: int) -> pops.RatioConditionalPopulation:
+    """Low family over a ratio density 1 + 0.3 sin(3 r) tabulated at
+    ``knots`` equispaced points of [0.5, 2], at half its largest
+    admissible offset."""
+    r = np.linspace(0.5, 2.0, knots)
+    g = 1.0 + 0.3 * np.sin(3.0 * r)
+    ratio = pops.RatioMarginalSpec.tabulated(r, g / np.trapezoid(g, r))
+    return pops.make_low_population(ratio,
+                                    delta=0.5 * pops._low_delta_bound(ratio))
+
+
 def beta_independent() -> pops.IndependentPopulation:
     return pops.IndependentPopulation(
         MarginalSpec.scaled_beta(2.0, 3.0, lo=0.0, hi=1.0),

@@ -198,6 +198,21 @@ class TestQualityDemandSurface:
             dl.QualityDemandSurface(grid, prices,
                                     good[:, ::-1])  # rises along price
 
+    def test_carries_the_quadrature_error_of_each_column(self):
+        xq = np.linspace(-3.0, 3.0, 33)
+        prices = np.array([0.8, 1.2, 1.6])
+        for name, pop in population_zoo().items():
+            surf = dl.quality_demand_surface(pop, xq, prices)
+            want = [pop._quality_profile(p, xq, with_error=True)[1]
+                    for p in prices]
+            assert np.array_equal(surf.quadrature_errors, want), name
+        grid = np.linspace(-1.0, 1.0, 3)
+        good = np.array([[0.1, 0.0], [0.5, 0.3], [0.9, 0.8]])
+        bare = dl.QualityDemandSurface(grid, prices[:2], good)
+        assert np.array_equal(bare.quadrature_errors, [0.0, 0.0])
+        with pytest.raises(ValueError, match="one quadrature error"):
+            dl.QualityDemandSurface(grid, prices[:2], good, np.zeros(3))
+
     def test_csv_is_long_form(self):
         pop = population_zoo()["product"]
         surf = dl.quality_demand_surface(pop, np.linspace(-3, 3, 4),

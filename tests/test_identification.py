@@ -12,7 +12,7 @@ from demandlab.errors import (IllConditioned, InsufficientPrices,
                               TailMassExceeded)
 from demandlab.marginals import MarginalSpec
 from helpers import (beta_independent, kinked_h_custom, kinked_ratio_low,
-                     zigzag_ratio_low)
+                     seed_ratio, sine_table_low, zigzag_ratio_low)
 
 
 class TestChebyshevPrices:
@@ -246,14 +246,72 @@ class TestEndToEnd:
         assert max(widths) == 5
         assert report.max_rel_error <= 1e-7
 
+    @pytest.mark.parametrize("build, window, bound", [
+        # non-integer money-value shapes: the old fixed panels lost
+        # digits at 2.1 and 1.5 and broke monotonicity at 2.5
+        *[(lambda a=a, b=b: pops.IndependentPopulation(
+              MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0),
+              MarginalSpec.scaled_beta(a, b, 0.5, 1.5)), (0.5, 1.5), 1e-7)
+          for a, b in ((2.1, 2.0), (2.5, 2.5), (1.5, 3.0))],
+        # a narrow and a wide conditional; at sigma 0.01 the quality grid,
+        # not the quadrature, holds the error near 1.6e-6
+        (lambda: pops.make_low_population(seed_ratio(), 0.5,
+                                          sigma_multiplier=0.01),
+         (0.5, 1.5), 5e-6),
+        (lambda: pops.make_low_population(seed_ratio(), 0.5,
+                                          sigma_multiplier=1e4),
+         (0.5, 1.5), 1e-7),
+        # dense tables, split at every knot; the 9-knot table, which
+        # always split, sits at 9.8e-8 from the quality grid
+        (lambda: sine_table_low(12), (0.5, 2.0), 2e-7),
+        (lambda: sine_table_low(40), (0.5, 2.0), 2e-7),
+    ], ids=["beta2.1-2", "beta2.5-2.5", "beta1.5-3", "sigma0.01",
+            "sigma1e4", "table12", "table40"])
+    def test_laws_the_fixed_panels_failed_recover(self, build, window,
+                                                  bound):
+        report = ident.verify_recovery(build(),
+                                       ident.IdentificationConfig(*window))
+        assert report.max_rel_error <= bound
+        assert report.quadrature_error <= pops.SURFACE_TOL
+
+    def test_narrow_conditional_surface_matches_a_fine_fixed_rule(
+            self, monkeypatch):
+        # every entry against 16-point Gauss-Legendre on 200 panels per
+        # segment, the same breaks and the same integrand
+        pop = pops.make_low_population(seed_ratio(), 0.5,
+                                       sigma_multiplier=0.01)
+        xq = np.linspace(-3.0, 3.0, 129)
+        prices = np.array([0.7, 1.3])
+        surface = dl.quality_demand_surface(pop, xq, prices)
+        x16, w16 = np.polynomial.legendre.leggauss(16)
+
+        def fixed(lo, hi, breaks, integrand, *, tol):
+            n = breaks.shape[0]
+            edges = np.concatenate(
+                (np.full((n, 1), lo), np.sort(np.clip(breaks, lo, hi), axis=1),
+                 np.full((n, 1), hi)), axis=1)
+            panels = (edges[:, :-1, None] + np.diff(edges, axis=1)[..., None]
+                      * np.linspace(0.0, 1.0, 201))
+            a, b = panels[..., :-1].ravel(), panels[..., 1:].ravel()
+            rows = np.repeat(np.arange(n), a.size // n)
+            half = 0.5 * (b - a)
+            f = integrand((a + half)[:, None] + half[:, None] * x16, rows)
+            return np.bincount(rows, half * (f @ w16)), np.zeros(n)
+
+        monkeypatch.setattr(pops.quadrature, "segmented_gl", fixed)
+        reference = dl.quality_demand_surface(pop, xq, prices)
+        assert np.max(np.abs(surface.values - reference.values)) <= 1e-10
+        assert np.all(surface.quadrature_errors <= pops.SURFACE_TOL)
+
     def test_report_serialization(self):
         pop = beta_independent()
         config = ident.IdentificationConfig(0.5, 1.5, n_quality=1024)
         doc = ident.verify_recovery(pop, config).to_json_dict()
         assert sorted(doc) == ['config', 'entry_rel_errors',
                                'isotonic_repair', 'max_rel_error', 'prices',
-                               'recovered', 'recovered_mean_vm', 'reference',
-                               'tail_mass']
+                               'quadrature_error', 'recovered',
+                               'recovered_mean_vm', 'reference', 'tail_mass']
+        assert 0.0 <= doc['quadrature_error'] <= pops.SURFACE_TOL
         assert doc['recovered']['entries']['0,1'] == pytest.approx(1.0, abs=1e-6)
 
     def test_twin_surfaces_raise_no_runtime_warnings(self):

@@ -89,6 +89,49 @@ def test_truncated_normal_even_moments_match_scipy():
         assert ours[n] == pytest.approx(ref.moment(n), rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", np.geomspace(1e-2, 1e6, 17).tolist()
+                         + [0.5, 0.4999])
+def test_truncated_normal_moments_of_z_over_a0_match_quadrature(sigma):
+    # E[U^n] for U = Z / a0 has the density exp(-a0^2 u^2 / 2) on
+    # [-1, 1] up to a constant; that integrand is positive, so the
+    # reference has no cancellation.  sigma = 0.5 takes the recursion
+    a0 = 1.0 / sigma
+    t = pops._trunc_std_even_moments(a0, 16)
+    stops = sorted({min(k / a0, 1.0) for k in (1.0, 2.0, 4.0, 8.0)} - {1.0})
+
+    def integral(n):
+        value, _ = sci_integrate.quad(
+            lambda u: u ** n * np.exp(-0.5 * a0 * a0 * u * u), 0.0, 1.0,
+            epsabs=0.0, epsrel=1e-13, limit=500, points=stops or None)
+        return value
+
+    mass = integral(0)
+    for n in range(2, 17, 2):
+        assert t[n] / a0 ** n == pytest.approx(integral(n) / mass,
+                                               rel=1e-12), n
+    assert t[1::2] == (0.0,) * 8
+
+
+def test_quality_profile_reports_a_quadrature_error():
+    # closed forms report 0, quadrature forms an estimate within the
+    # surface tolerance, and a mixture the weighted sum of its parts'
+    xq = np.linspace(-3.0, 3.0, 65)
+    zoo = population_zoo()
+    for name, pop in zoo.items():
+        values, error = pop._quality_profile(1.3, xq, with_error=True)
+        assert np.array_equal(values, pop._quality_profile(1.3, xq)), name
+        assert 0.0 <= error <= pops.SURFACE_TOL, name
+    assert zoo["point_mass"]._quality_profile(1.3, xq, with_error=True)[1] \
+        == 0.0
+    assert zoo["independent"]._quality_profile(0.0, xq, with_error=True)[1] \
+        == 0.0
+    mix = zoo["mixture"]
+    want = sum(w * pop._quality_profile(1.3, xq, with_error=True)[1]
+               for w, pop in mix.components)
+    assert mix._quality_profile(1.3, xq, with_error=True)[1] == want
+    assert want > 0.0
+
+
 class TestProductPopulation:
     def make(self):
         return pops.ProductPopulation(
@@ -244,7 +287,7 @@ class TestRatioConditionalPopulation:
     def test_law_is_evaluated_once_per_psi_call_and_once_on_nodes(
             self, monkeypatch):
         low = pops.make_low_population(seed_ratio(), delta=0.5)
-        calls = {"psi": 0, "pdf": 0, "h": 0}
+        calls = {"psi": 0, "passes": 0, "pdf": 0, "h": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -256,14 +299,20 @@ class TestRatioConditionalPopulation:
         monkeypatch.setattr(
             pops.quadrature, "solve_crossings",
             lambda psi, *args: solve(counted("psi", psi), *args))
+        # the quadrature evaluates the law once per pass, on its nodes
+        quad = pops.quadrature.segmented_gl
+        monkeypatch.setattr(
+            pops.quadrature, "segmented_gl",
+            lambda lo, hi, breaks, f, **kw: quad(
+                lo, hi, breaks, counted("passes", f), **kw))
         monkeypatch.setattr(pops.RatioMarginalSpec, "pdf",
                             counted("pdf", pops.RatioMarginalSpec.pdf))
         monkeypatch.setattr(pops.ConditionalSpec, "h",
                             counted("h", pops.ConditionalSpec.h))
         low._quality_profile(1.3, np.linspace(-3.0, 3.0, 257))
-        assert calls["psi"] > 0
-        assert calls["pdf"] == calls["psi"] + 1
-        assert calls["h"] == calls["psi"] + 1
+        assert calls["psi"] > 0 and calls["passes"] > 0
+        assert calls["pdf"] == calls["psi"] + calls["passes"]
+        assert calls["h"] == calls["psi"] + calls["passes"]
 
     def test_moments_split_at_the_knots_of_a_custom_h(self):
         # h has a kink at 1.0; integrating across it unsplit missed the

@@ -32,61 +32,142 @@ def test_adaptive_reports_failure_with_achieved_error():
         assert float(lo) < float(hi)
 
 
+def _rows_of(f):
+    """A row-indexed integrand from f(nodes, params) and one parameter
+    per row."""
+    def bind(params):
+        return lambda nodes, rows: f(nodes, params[rows][:, None])
+    return bind
+
+
+def test_kronrod_pair_exact_to_degrees_31_and_19():
+    # one pass over [-1, 1] (an infinite tolerance finishes every row):
+    # K21 integrates x^d exactly up to d = 31 and G10 up to d = 19, so
+    # the estimate |K21 - G10| vanishes up to 19 and not beyond
+    degrees = np.arange(34)
+    exact = np.where(degrees % 2 == 0, 2.0 / (degrees + 1.0), 0.0)
+    got, est = q.segmented_gl(-1.0, 1.0, np.empty((34, 0)),
+                              _rows_of(np.power)(degrees), tol=np.inf)
+    kronrod_miss = np.abs(got - exact)
+    assert np.all(kronrod_miss[:32] <= 1e-15)
+    assert kronrod_miss[32] > 1e-12
+    assert np.all(est[:20] <= 1e-15)
+    assert np.all(est[20:32:2] > 1e-12)
+    # the G10 nodes and weights are numpy's 10-point Gauss-Legendre rule
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    w_g = q._WK21 - q._WKG
+    assert np.allclose(q._XK21[w_g != 0.0], x10, rtol=0.0, atol=1e-15)
+    assert np.allclose(w_g[w_g != 0.0], w10, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("tol", [np.inf, 1e-4, 1e-8, 1e-10])
+def test_estimate_bounds_the_error_of_rough_integrands(tol):
+    # sqrt(x - a) has an unbounded derivative at the end point a, and
+    # |x - c| a kink at c that no break marks.  For c = pi / 4 at 1e-12,
+    # |K21 - G10| alone came to 1.6e-13 against an error of 3.6e-13
+    a = np.array([0.0, 0.3, 0.9])
+    root, root_est = q.segmented_gl(
+        0.0, 2.0, a[:, None], _rows_of(
+            lambda x, a: np.sqrt(np.maximum(x - a, 0.0)))(a), tol=tol)
+    root_exact = 2.0 / 3.0 * (2.0 - a) ** 1.5
+    c = np.array([0.1, 0.7, 1.0 / 3.0, np.pi / 4.0])
+    kink, kink_est = q.segmented_gl(
+        0.0, 2.0, np.empty((4, 0)),
+        _rows_of(lambda x, c: np.abs(x - c))(c), tol=tol)
+    kink_exact = (c ** 2 + (2.0 - c) ** 2) / 2.0
+    for got, est, exact in ((root, root_est, root_exact),
+                            (kink, kink_est, kink_exact)):
+        assert np.all(np.abs(got - exact) <= est)
+        assert np.all(est <= tol)
+
+
+def test_kink_between_the_outermost_node_and_the_end_goes_unseen():
+    # no rule sees what falls between its nodes: on [0, 2] the outermost
+    # node is 1.99566, so a kink at 1.998 leaves every value on one line,
+    # both rules integrate c - x exactly, and the row finishes in one pass
+    # off by (2 - c)^2.  This is why every known kink is a break
+    c = 1.998
+    got, est = q.segmented_gl(0.0, 2.0, np.empty((1, 0)),
+                              lambda x, rows: np.abs(x - c), tol=1e-10)
+    exact = (c ** 2 + (2.0 - c) ** 2) / 2.0
+    assert est[0] <= 1e-15
+    assert abs(got[0] - exact) == pytest.approx((2.0 - c) ** 2, rel=1e-6)
+    split, split_est = q.segmented_gl(0.0, 2.0, np.array([[c]]),
+                                      lambda x, rows: np.abs(x - c),
+                                      tol=1e-10)
+    assert abs(split[0] - exact) <= split_est[0] + 1e-15
+
+
+def test_segmented_gl_raises_at_the_cap_with_achieved_error():
+    # a unit step at 1/3, where no break is: each pass halves the
+    # estimate of the interval holding it, so 1e-12 is out of reach
+    step = lambda x, rows: (x >= 1.0 / 3.0).astype(float)
+    with pytest.raises(QuadratureFailure) as exc:
+        q.segmented_gl(0.0, 1.0, np.empty((2, 0)), step, tol=1e-12)
+    assert exc.value.requested == 1e-12
+    assert 1e-12 < exc.value.achieved < 1e-4
+    assert "2 rows" in str(exc.value)
+
+
 def test_segmented_gl_is_exact_across_kinks():
-    # per-row |x - c| has a kink at c; a segment boundary there makes
-    # fixed-order Gauss-Legendre exact
-    breaks = np.array([[0.5], [1.0], [1.5]])
-    x, w = q.segmented_gl(0.0, 2.0, breaks, order=8, panels=1)
-    vals = np.abs(x - breaks)
-    got = np.sum(w * vals, axis=1)
-    want = np.array([(0.5 ** 2 + 1.5 ** 2) / 2,
-                     1.0,
-                     (1.5 ** 2 + 0.5 ** 2) / 2])
-    assert np.allclose(got, want, rtol=1e-14)
+    # per-row |x - c| has a kink at c; a break there makes each piece a
+    # polynomial the K21 rule integrates exactly, in one pass
+    c = np.array([0.5, 1.0, 1.5])
+    passes = []
 
+    def f(nodes, rows):
+        passes.append(rows.size)
+        return np.abs(nodes - c[rows][:, None])
 
-def _full_width_gl(lo, hi, breaks, order, panels):
-    """Every segment's panels, zero-width ones included, in edge order."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes, wts = [], []
-    for row in breaks:
-        edges = np.concatenate(([lo], np.sort(np.clip(row, lo, hi)), [hi]))
-        xs, ws = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = (b - a) / (2.0 * panels)
-            for k in range(panels):
-                mid = (a + (b - a) * (k / panels)) + half
-                xs.append(mid + half * x)
-                ws.append(half * w)
-        nodes.append(np.concatenate(xs))
-        wts.append(np.concatenate(ws))
-    return np.array(nodes), np.array(wts)
+    got, est = q.segmented_gl(0.0, 2.0, c[:, None], f, tol=1e-14)
+    want = (c ** 2 + (2.0 - c) ** 2) / 2.0
+    assert np.allclose(got, want, rtol=1e-15)
+    assert np.all(est <= 1e-15)
+    assert passes == [6]
 
 
 def test_segmented_gl_drops_zero_width_panels_keeping_row_sums():
     # breaks clipped to either end point, repeated, or outside the range
+    # give the bits of the same row with only its distinct inner breaks
     lo, hi = 0.5, 1.5
     breaks = np.array([[0.2, 0.9, 0.9, 2.0],
                        [0.7, 1.1, 1.1, 0.8],
                        [1.5, 1.5, 0.5, 0.5],
                        [-1.0, 0.6, 3.0, 1.2]])
-    x, w = q.segmented_gl(lo, hi, breaks, order=16, panels=3)
-    # the widest row has 4 of its 5 segments of positive width
-    assert x.shape == w.shape == (4, 4 * 3 * 16)
-    ref_x, ref_w = _full_width_gl(lo, hi, breaks, 16, 3)
-    assert ref_x.shape == (4, 5 * 3 * 16)
-    g = lambda v: np.exp(-v) * np.abs(v - 0.9)
-    h = lambda v: 1.0 + np.sin(3.0 * v)
-    got = np.einsum("ij,ij,ij->i", w, g(x), h(x))
-    want = np.einsum("ij,ij,ij->i", ref_w, g(ref_x), h(ref_x))
-    assert np.array_equal(got, want)
-    # the kept panels are the reference's positive-weight ones, in order
-    for row in range(4):
-        kept = ref_w[row] != 0.0
-        n = int(kept.sum())
-        assert np.array_equal(x[row, :n], ref_x[row, kept])
-        assert np.array_equal(w[row, :n], ref_w[row, kept])
-        assert not np.any(w[row, n:])
+    distinct = [[0.9], [0.7, 0.8, 1.1], [], [0.6, 1.2]]
+    widths = []
+
+    def f(nodes, rows):
+        widths.append(nodes[:, -1] - nodes[:, 0])
+        return np.exp(-nodes) * np.abs(nodes - 0.9) + np.sin(3.0 * nodes)
+
+    got, est = q.segmented_gl(lo, hi, breaks, f, tol=1e-12)
+    assert np.all(np.concatenate(widths) > 0.0)
+    for row, inner in enumerate(distinct):
+        alone = q.segmented_gl(lo, hi, np.array([inner]).reshape(1, -1), f,
+                               tol=1e-12)
+        assert got[row] == alone[0][0] and est[row] == alone[1][0]
+
+
+def test_each_row_keeps_its_bits_whatever_the_other_rows(monkeypatch):
+    # rows that need many passes (a kink at an unmarked point) and rows
+    # done in one share a call; every row gives the bits of its own call,
+    # also when the intervals go to the integrand in blocks of 3, and a
+    # NaN row is finished at once without spoiling the others
+    c = np.array([0.05, np.pi / 7.0, 2.0, np.nan, 1.0 / 3.0, -1.0])
+    breaks = np.column_stack((c, c + 0.25))
+    f = _rows_of(lambda x, c: np.abs(x - c) + np.cos(x))(c)
+    got, est = q.segmented_gl(0.0, 1.0, breaks, f, tol=1e-11)
+    assert np.isnan(got[3]) and np.isnan(est[3])
+    monkeypatch.setattr(q, "INTERVAL_BLOCK", 3)
+    blocked = q.segmented_gl(0.0, 1.0, breaks, f, tol=1e-11)
+    assert np.array_equal(blocked[0], got, equal_nan=True)
+    assert np.array_equal(blocked[1], est, equal_nan=True)
+    for row in np.flatnonzero(~np.isnan(c)):
+        one = _rows_of(lambda x, c: np.abs(x - c) + np.cos(x))(c[[row]])
+        alone = q.segmented_gl(0.0, 1.0, breaks[[row]], one, tol=1e-11)
+        assert got[row] == alone[0][0] and est[row] == alone[1][0]
+        assert est[row] <= 1e-11
 
 
 # Row-monotone crossing family psi(r, rows) = f(r) + c[rows] with c
