@@ -81,8 +81,9 @@ class QualityDemandSurface:
     worst column's probability escapes the quality span (top entry away
     from 1 plus bottom entry away from 0); a finite grid can never cover
     all of the real line, so the truncation loss is surfaced here rather
-    than hidden.  ``quadrature_errors[j]`` bounds the absolute quadrature
-    error of column j (its worst row's estimate; zeros when not given).
+    than hidden.  ``quadrature_errors[j]`` estimates the absolute
+    quadrature error of column j (its worst row's estimate; zeros when
+    not given).
     """
 
     quality_grid: np.ndarray
@@ -186,7 +187,8 @@ def quality_demand(pop: Population, xq: float, p: float) -> float:
     """Buying mass at quality xq and price p: P(vk + xq - vm p >= 0)."""
     if p < 0.0:
         raise ValueError("price must be >= 0")
-    out = float(pop._quality_profile(float(p), np.array([float(xq)]))[0])
+    values, _ = pop._quality_profile(float(p), np.array([float(xq)]))
+    out = float(values[0])
     return min(max(out, 0.0), 1.0)
 
 
@@ -204,12 +206,12 @@ def quality_demand_mc(pop: Population, xq: float, p: float,
 def quality_demand_surface(pop: Population, quality_grid,
                            price_grid) -> QualityDemandSurface:
     """Quality-augmented demand on the grid product, column by column,
-    with each column's quadrature error bound."""
+    with each column's quadrature error estimate."""
     xq = np.asarray(quality_grid, dtype=float)
     prices = np.asarray(price_grid, dtype=float)
     if np.any(prices < 0.0):
         raise ValueError("price must be >= 0")
-    values, errors = zip(*(pop._quality_profile(float(p), xq, with_error=True)
+    values, errors = zip(*(pop._quality_profile(float(p), xq)
                            for p in prices))
     return QualityDemandSurface(xq, prices, np.column_stack(values),
                                 np.array(errors))

@@ -272,6 +272,16 @@ class MarginalSpec:
     def mean(self) -> float:
         return self.moment(1)
 
+    @property
+    def end_shape(self) -> float:
+        """Smallest s of a density term |v - end|^(s - 1) at a support end
+        that is not a polynomial, i.e. a non-integer beta shape; inf for
+        every other law."""
+        if self.kind != "beta":
+            return math.inf
+        return min((s for s in (self.alpha, self.beta) if s != round(s)),
+                   default=math.inf)
+
     def moment(self, n: int) -> float:
         if n == 0:
             return 1.0

@@ -38,11 +38,16 @@ from .marginals import MarginalSpec, PwLinearTable, _special
 TABLE_GRID_DEFAULT = 2048
 # Prices per quadrature call in IndependentPopulation._demand_profile.
 PRICE_BLOCK = 2048
-# Absolute error bound of every surface entry, demand value and ratio
+# Absolute error tolerance of every surface entry, demand value and ratio
 # table entry integrated by quadrature.segmented_gl.  Surface entries lie
 # in [0, 1], so this sits below QualityDemandSurface's 1e-9 monotonicity
 # check.
 SURFACE_TOL = 1e-10
+# Largest segmented_gl grade (see _grade).  Terms with s below about 0.6,
+# other than s = 1/2, are left to the bisection and its QuadratureFailure:
+# within one ulp of the end they hold about ulp^s of mass, which no node
+# can resolve.
+MAX_GRADE = 4
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -338,10 +343,9 @@ class Population:
 
     # Subclasses implement: support, vk_upper, _density, _sample,
     # _ratio_marginal, _moment, _band_vm_moments, _quality_profile.
-    # _quality_profile(p, xq, *, with_error=False) returns the buying
-    # mass at price p for each quality offset in xq and, with
-    # with_error, also a bound on its absolute quadrature error (the
-    # worst row's estimate; 0 for closed forms).
+    # _quality_profile(p, xq) returns the buying mass at price p for each
+    # quality offset in xq and an estimate of its absolute quadrature
+    # error (the worst row's estimate; 0 for closed forms).
 
     @property
     def support(self) -> Support:
@@ -415,18 +419,26 @@ class PointMassPopulation(Population):
         inside = ra <= self.vk / self.vm <= rb
         return (1.0 if inside else 0.0), (self.vm if inside else 0.0)
 
-    def _quality_profile(self, p, xq, *, with_error=False):
+    def _quality_profile(self, p, xq):
         xq = np.asarray(xq, dtype=float)
-        out = (self.vk + xq - self.vm * p >= 0.0).astype(float)
-        return (out, 0.0) if with_error else out
+        return (self.vk + xq - self.vm * p >= 0.0).astype(float), 0.0
 
 
-def _column(values, errors, with_error: bool):
-    """A ``_quality_profile`` result from per-row values and quadrature
-    estimates."""
-    if with_error:
-        return values, float(np.max(errors, initial=0.0))
-    return values
+def _grade(*shapes) -> int:
+    """segmented_gl grade for an integrand whose end-point terms are
+    |u - end|^(s - 1) for the given s: the least m, at most MAX_GRADE,
+    that makes every graded term t^(m s - 1) a power series or at least
+    C^1 (m s an integer or m s >= 2).  An infinite s (no such term) asks
+    for nothing; a larger m than needed only crowds the nodes against
+    the ends, where the rounding of u shows."""
+    for m in range(1, MAX_GRADE + 1):
+        if all(m * s >= 2.0 or float(m * s).is_integer() for s in shapes):
+            return m
+    return MAX_GRADE
+
+
+def _worst(values, errors):
+    return values, float(np.max(errors, initial=0.0))
 
 
 def _require_seed_ratio(ratio: RatioMarginalSpec):
@@ -484,7 +496,7 @@ class ProductPopulation(Population):
         mass = float(self.ratio.cdf(rb) - self.ratio.cdf(ra))
         return mass, mass * self.vm.mean
 
-    def _quality_profile(self, p, xq, *, with_error=False):
+    def _quality_profile(self, p, xq):
         xq = np.asarray(xq, dtype=float)
         n = xq.size
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
@@ -506,8 +518,10 @@ class ProductPopulation(Population):
                          np.where(c < 0.0, f_at_t, (x >= 0.0).astype(float)))
             return self.ratio.pdf(nodes) * s
 
-        return _column(*quadrature.segmented_gl(
-            r_lo, r_hi, breaks, integrand, tol=SURFACE_TOL), with_error)
+        # vm's cdf contributes |u - break|^alpha at the breaks
+        return _worst(*quadrature.segmented_gl(
+            r_lo, r_hi, breaks, integrand, tol=SURFACE_TOL,
+            grade=_grade(self.vm.end_shape + 1.0)))
 
 @dataclass(frozen=True, eq=False)
 class IndependentPopulation(Population):
@@ -577,8 +591,9 @@ class IndependentPopulation(Population):
             return (nodes * self.vm.pdf(nodes)
                     * self.vk.pdf(r[rows][:, None] * nodes))
 
-        g, _ = quadrature.segmented_gl(self.vm.lo, self.vm.hi, breaks,
-                                       integrand, tol=SURFACE_TOL)
+        g, _ = quadrature.segmented_gl(
+            self.vm.lo, self.vm.hi, breaks, integrand, tol=SURFACE_TOL,
+            grade=_grade(self.vm.end_shape, self.vk.end_shape))
         g = np.clip(g, 0.0, None)
         g /= np.trapezoid(g, r)
         return RatioMarginalSpec.tabulated(r, g, self.vm.hi)
@@ -613,9 +628,8 @@ class IndependentPopulation(Population):
                                       tol=1e-13, breakpoints=cuts)
         return mass, vm_int
 
-    def _quality_profile(self, p, xq, *, with_error=False):
+    def _quality_profile(self, p, xq):
         xq = np.asarray(xq, dtype=float)
-        errors = 0.0
         if p == 0.0:
             out = 1.0 - np.asarray(self.vk.cdf(-xq), dtype=float)
         elif self.vm.is_degenerate:
@@ -625,8 +639,8 @@ class IndependentPopulation(Population):
             out = np.asarray(self.vm.cdf((self.vk.value + xq) / p),
                              dtype=float)
         else:
-            out, errors = self._integrated_profile(p, xq)
-        return _column(out, errors, with_error)
+            return _worst(*self._integrated_profile(p, xq))
+        return out, 0.0
 
     def _integrated_profile(self, p, xq):
         """P(vk + xq >= p vm) by quadrature over vm, one row per entry of
@@ -641,8 +655,9 @@ class IndependentPopulation(Population):
                                               - xq[rows][:, None]))
             return self.vm.pdf(nodes) * sk
 
-        return quadrature.segmented_gl(self.vm.lo, self.vm.hi, breaks,
-                                       integrand, tol=SURFACE_TOL)
+        return quadrature.segmented_gl(
+            self.vm.lo, self.vm.hi, breaks, integrand, tol=SURFACE_TOL,
+            grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0))
 
     def _demand_profile(self, prices):
         # exact route for positive prices (the tabulated ratio marginal is
@@ -803,7 +818,7 @@ class RatioConditionalPopulation(Population):
         """Conditional mean of vm exactly at the lower ratio endpoint."""
         return float(self._law(self.ratio.r_lo)[1])
 
-    def _quality_profile(self, p, xq, *, with_error=False):
+    def _quality_profile(self, p, xq):
         xq = np.asarray(xq, dtype=float)
         # solve_crossings needs psi nondecreasing in the row: solve on the
         # sorted offsets (NaN last) and scatter the rows back; rows are
@@ -853,7 +868,7 @@ class RatioConditionalPopulation(Population):
                                                  integrand, tol=SURFACE_TOL)
         out = np.empty(n)
         out[order] = values
-        return _column(out, errors, with_error)
+        return _worst(out, errors)
 
 @dataclass(frozen=True, eq=False)
 class MixturePopulation(Population):
@@ -954,14 +969,14 @@ class MixturePopulation(Population):
             vm_int += w * v
         return mass, vm_int
 
-    def _quality_profile(self, p, xq, *, with_error=False):
-        # a component's error bound weighs in like its values
+    def _quality_profile(self, p, xq):
+        # a component's error estimate weighs in like its values
         out, error = 0.0, 0.0
         for w, pop in self.components:
-            values, err = pop._quality_profile(p, xq, with_error=True)
+            values, err = pop._quality_profile(p, xq)
             out = out + w * values
             error += w * err
-        return (out, error) if with_error else out
+        return out, error
 
     def _demand_profile(self, prices):
         # exact component blend; the tabulated marginal smears component

@@ -21,12 +21,20 @@ G10/K21 of QUADPACK (Piessens et al. 1983) to each: 21 integrand values
 give the interval's integral and, from |K21 - G10|, its error estimate.
 A row is finished once its summed estimate meets the absolute tolerance;
 otherwise only its intervals above their share of the remaining budget
-are bisected, so the node count follows each row's own error.  Each
-row's value and estimate depend on its own breaks and integrand values
-only, never on the other rows of the call.
+are bisected, so the node count follows each row's own error.  A row
+whose absolute integral is so large that the tolerance lies below its
+round-off is held to its round-off instead.  With ``grade`` m > 1 each
+segment is first mapped onto [0, 1] by u = a + (b - a) I_t(m, m), whose
+Jacobian vanishes to order m - 1 at both ends: an end-point term
+|u - a|^(s - 1) becomes t^(m s - 1), which the rule resolves when m s is
+an integer or at least 2.  Each row's value and estimate depend on its
+own breaks and integrand values only, never on the other rows of the
+call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -75,6 +83,9 @@ BISECTIONS = 64
 # segmented_gl: intervals per integrand call, which bounds the size of
 # the node arrays.
 INTERVAL_BLOCK = 2 ** 15
+# segmented_gl: a row's tolerance is at least this many ulps of its
+# absolute integral (QUADPACK qk21's round-off level).
+ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def integrate(f, a: float, b: float, *, tol: float, breakpoints=()) -> float:
@@ -208,8 +219,26 @@ def _estimate(f, half, kronrod):
     return np.fmax(diff, scaled)
 
 
+def _graded(t, a, b, m: int):
+    """Nodes u = a + (b - a) I_t(m, m) of the parameters ``t`` on each
+    line's segment [a, b], and the Jacobian du/dt.  The regularized
+    incomplete beta I_t(m, m) is a polynomial for integer m; each end is
+    measured from its own side, so u keeps its relative accuracy near
+    both a and b.  A node that would round onto an end is moved to the
+    next float inside, where an end-point term stays finite."""
+    s = np.minimum(t, 1.0 - t)
+    phi = sum(math.comb(2 * m - 1, j) * s ** j * (1.0 - s) ** (2 * m - 1 - j)
+              for j in range(m, 2 * m))
+    a, b = a[:, None], b[:, None]
+    width = b - a
+    u = np.clip(np.where(t <= 0.5, a + width * phi, b - width * phi),
+                np.nextafter(a, b), np.nextafter(b, a))
+    scale = math.factorial(2 * m - 1) / math.factorial(m - 1) ** 2
+    return u, width * scale * (t * (1.0 - t)) ** (m - 1)
+
+
 def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
-                 tol: float):
+                 tol: float, grade: int = 1):
     """Integrate one integrand per row over [lo, hi], split at its breaks.
 
     ``breaks`` is (n_rows, k); entries outside (lo, hi) are clipped to the
@@ -218,12 +247,16 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
     per line, and the row index of each line, and returns the (m, 21)
     integrand values; it may overwrite ``nodes``.  Each pass applies
     G10/K21 to every pending interval.  A row whose summed estimate is at
-    most ``tol`` (absolute) is finished; a NaN estimate finishes its row
-    too, since refining cannot mend it.  In the other rows each interval
-    whose estimate exceeds the row's remaining budget over its pending
-    interval count is bisected, and the rest are kept.  A row still short
-    after ``MAX_LEVELS`` bisection passes raises
+    most its tolerance, the larger of ``tol`` (absolute) and ``ROUNDOFF``
+    times the integral of |integrand| over the row, is finished; a NaN
+    estimate finishes its row too, since refining cannot mend it.  In the
+    other rows each interval whose estimate exceeds the row's remaining
+    budget over its pending interval count is bisected, and the rest are
+    kept.  A row still short after ``MAX_LEVELS`` bisection passes raises
     :class:`QuadratureFailure` with the worst such row's estimate.
+    ``grade`` > 1 integrates each segment in the graded variable of the
+    module docstring, for integrands with algebraic end-point terms at
+    ``lo``, ``hi`` or the breaks.
 
     Returns per-row integrals and their error estimates.
     """
@@ -236,24 +269,38 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
     # row sums its intervals in the same order whatever the other rows do
     rows, seg = np.nonzero(np.diff(edges, axis=1) != 0.0)  # NaN is kept
     a, b = edges[rows, seg], edges[rows, seg + 1]
+    if grade > 1:
+        # intervals run over [0, 1] in the graded variable of segment seg
+        seg_a, seg_b = a, b
+        a, b = np.zeros(rows.size), np.ones(rows.size)
     values = np.zeros(n_rows)
     errors = np.zeros(n_rows)
+    sizes = np.zeros(n_rows)  # integral of |integrand| over kept intervals
     for level in range(MAX_LEVELS + 1):
-        k, e = np.empty(rows.size), np.empty(rows.size)
+        k, e, size = (np.empty(rows.size), np.empty(rows.size),
+                      np.empty(rows.size))
         for s in range(0, rows.size, INTERVAL_BLOCK):
             part = slice(s, s + INTERVAL_BLOCK)
             half = 0.5 * (b[part] - a[part])
-            f = integrand((a[part] + half)[:, None] + half[:, None] * _XK21,
-                          rows[part])
+            nodes = (a[part] + half)[:, None] + half[:, None] * _XK21
+            if grade > 1:
+                nodes, jac = _graded(nodes, seg_a[part], seg_b[part], grade)
+                f = integrand(nodes, rows[part]) * jac
+            else:
+                f = integrand(nodes, rows[part])
             k[part] = half * np.einsum("ij,j->i", f, _WK21)
             e[part] = _estimate(f, half, k[part])
+            size[part] = half * np.einsum("ij,j->i", np.abs(f), _WK21)
         total = errors + np.bincount(rows, e, n_rows)
-        short = total[rows] > tol
-        split = short & (e > (tol - errors[rows])
+        row_tol = np.fmax(tol, ROUNDOFF * (sizes
+                                           + np.bincount(rows, size, n_rows)))
+        short = total[rows] > row_tol[rows]
+        split = short & (e > (row_tol - errors)[rows]
                          / np.bincount(rows, minlength=n_rows)[rows])
         keep = ~split
         values += np.bincount(rows[keep], k[keep], n_rows)
         errors += np.bincount(rows[keep], e[keep], n_rows)
+        sizes += np.bincount(rows[keep], size[keep], n_rows)
         if not split.any():
             return values, errors
         if level == MAX_LEVELS:
@@ -268,3 +315,6 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
         rows = np.repeat(rows, 2)
         a, b = (np.column_stack((a, mid)).ravel(),
                 np.column_stack((mid, b)).ravel())
+        if grade > 1:
+            seg_a = np.repeat(seg_a[split], 2)
+            seg_b = np.repeat(seg_b[split], 2)

@@ -59,6 +59,32 @@ class TestDemand:
 
 
 class TestDemandCurve:
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    def test_rough_money_value_matches_integration_by_parts(self, alpha):
+        # vm ~ Beta(alpha, 2) on [0.5, 1.5] has a density term
+        # (vm - 0.5)^(alpha - 1); by parts, with vk ~ Beta(2, 3) on [0, 1],
+        # D(p) = 1 - F_vk(1.5 p) + p int F_vm(u) f_vk(p u) du, whose
+        # integrand is continuous; u = 0.5 + t^2 makes it smooth in t
+        from scipy import integrate, special
+        pop = pops.IndependentPopulation(
+            MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0),
+            MarginalSpec.scaled_beta(alpha, 2.0, 0.5, 1.5))
+        prices = np.linspace(0.05, 1.95, 39)
+        curve = dl.demand_curve(pop, prices)
+
+        def by_parts(p):
+            top = np.sqrt(min(1.5, 1.0 / p) - 0.5)
+            f = lambda t: (2.0 * t * special.betainc(alpha, 2.0, t * t)
+                           * 12.0 * p * (0.5 + t * t)
+                           * (1.0 - p * (0.5 + t * t)) ** 2)
+            tail = integrate.quad(f, 0.0, top, epsabs=1e-13,
+                                  epsrel=1e-13, limit=200)[0]
+            return 1.0 - special.betainc(2.0, 3.0, min(1.0, 1.5 * p)) \
+                + p * tail
+
+        want = [by_parts(p) for p in prices]
+        assert np.max(np.abs(curve.values - want)) <= 1e-10
+
     def test_default_grid_covers_the_choke_points(self):
         for name, pop in continuous_zoo().items():
             curve = dl.demand_curve(pop)
@@ -203,7 +229,7 @@ class TestQualityDemandSurface:
         prices = np.array([0.8, 1.2, 1.6])
         for name, pop in population_zoo().items():
             surf = dl.quality_demand_surface(pop, xq, prices)
-            want = [pop._quality_profile(p, xq, with_error=True)[1]
+            want = [pop._quality_profile(p, xq)[1]
                     for p in prices]
             assert np.array_equal(surf.quadrature_errors, want), name
         grid = np.linspace(-1.0, 1.0, 3)

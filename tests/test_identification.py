@@ -253,6 +253,11 @@ class TestEndToEnd:
               MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0),
               MarginalSpec.scaled_beta(a, b, 0.5, 1.5)), (0.5, 1.5), 1e-7)
           for a, b in ((2.1, 2.0), (2.5, 2.5), (1.5, 3.0))],
+        # rough shapes, integrated in the graded variable
+        *[(lambda a=a: pops.IndependentPopulation(
+              MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0),
+              MarginalSpec.scaled_beta(a, 2.0, 0.5, 1.5)), (0.5, 1.5), 1e-8)
+          for a in (0.5, 1.2)],
         # a narrow and a wide conditional; at sigma 0.01 the quality grid,
         # not the quadrature, holds the error near 1.6e-6
         (lambda: pops.make_low_population(seed_ratio(), 0.5,
@@ -265,7 +270,8 @@ class TestEndToEnd:
         # always split, sits at 9.8e-8 from the quality grid
         (lambda: sine_table_low(12), (0.5, 2.0), 2e-7),
         (lambda: sine_table_low(40), (0.5, 2.0), 2e-7),
-    ], ids=["beta2.1-2", "beta2.5-2.5", "beta1.5-3", "sigma0.01",
+    ], ids=["beta2.1-2", "beta2.5-2.5", "beta1.5-3", "beta0.5-2",
+            "beta1.2-2", "sigma0.01",
             "sigma1e4", "table12", "table40"])
     def test_laws_the_fixed_panels_failed_recover(self, build, window,
                                                   bound):

@@ -112,23 +112,32 @@ def test_truncated_normal_moments_of_z_over_a0_match_quadrature(sigma):
     assert t[1::2] == (0.0,) * 8
 
 
+def test_grade_follows_the_roughest_end_point_term():
+    # non-integer beta shapes are the only end-point terms; the grade is
+    # the least m with every m s an integer or at least 2, at most 4
+    assert MarginalSpec.scaled_beta(2.5, 0.7, 0.0, 1.0).end_shape == 0.7
+    assert MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0).end_shape == np.inf
+    assert MarginalSpec.uniform(0.0, 1.0).end_shape == np.inf
+    shapes = (np.inf, 2.1, 1.5, 1.2, 0.5, 0.7, 0.6, 0.3)
+    assert [pops._grade(s) for s in shapes] == [1, 1, 2, 2, 2, 3, 4, 4]
+    assert pops._grade(0.5, 0.7) == 4
+
+
 def test_quality_profile_reports_a_quadrature_error():
     # closed forms report 0, quadrature forms an estimate within the
     # surface tolerance, and a mixture the weighted sum of its parts'
     xq = np.linspace(-3.0, 3.0, 65)
     zoo = population_zoo()
     for name, pop in zoo.items():
-        values, error = pop._quality_profile(1.3, xq, with_error=True)
-        assert np.array_equal(values, pop._quality_profile(1.3, xq)), name
+        values, error = pop._quality_profile(1.3, xq)
+        assert values.shape == xq.shape, name
         assert 0.0 <= error <= pops.SURFACE_TOL, name
-    assert zoo["point_mass"]._quality_profile(1.3, xq, with_error=True)[1] \
-        == 0.0
-    assert zoo["independent"]._quality_profile(0.0, xq, with_error=True)[1] \
-        == 0.0
+    assert zoo["point_mass"]._quality_profile(1.3, xq)[1] == 0.0
+    assert zoo["independent"]._quality_profile(0.0, xq)[1] == 0.0
     mix = zoo["mixture"]
-    want = sum(w * pop._quality_profile(1.3, xq, with_error=True)[1]
+    want = sum(w * pop._quality_profile(1.3, xq)[1]
                for w, pop in mix.components)
-    assert mix._quality_profile(1.3, xq, with_error=True)[1] == want
+    assert mix._quality_profile(1.3, xq)[1] == want
     assert want > 0.0
 
 
@@ -158,6 +167,21 @@ class TestProductPopulation:
 
 
 class TestIndependentPopulation:
+    def test_narrow_good_value_table_builds_at_its_round_off(self):
+        # vk ~ U(0, 1e-9) puts the ratio density near 1e9, where an
+        # absolute 1e-10 lies below round-off.  Closed form:
+        # g(r) = 1e9 int_1^min(2, 1e-9 / r) 6 u (u - 1)(2 - u) du, and the
+        # table, read at its own nodes, is normalized by its trapezoid sum
+        vm = MarginalSpec.scaled_beta(2.0, 2.0, lo=1.0, hi=2.0)
+        pop = pops.IndependentPopulation(MarginalSpec.uniform(0.0, 1e-9),
+                                         vm)
+        spec = pops.ratio_marginal(pop)
+        r = np.linspace(pop.support.r_lo, pop.support.r_hi,
+                        pops.TABLE_GRID_DEFAULT)[1::256]
+        prim = np.polynomial.Polynomial([0.0, -12.0, 18.0, -6.0]).integ()
+        want = 1e9 * (prim(np.minimum(2.0, 1e-9 / r)) - prim(1.0))
+        assert spec.pdf(r) == pytest.approx(want, rel=1e-6)
+
     def test_support_from_marginal_ranges(self):
         pop = beta_independent()
         sup = pop.support
@@ -210,7 +234,7 @@ class TestIndependentPopulation:
             pop = pops.IndependentPopulation(good, money)
             prices = default_price_grid(pop, 101)
             zero = np.zeros(1)
-            want = np.clip([pop._quality_profile(float(p), zero)[0]
+            want = np.clip([pop._quality_profile(float(p), zero)[0][0]
                             for p in prices], 0.0, 1.0)
             assert np.array_equal(pop._demand_profile(prices), want)
 
@@ -276,11 +300,11 @@ class TestRatioConditionalPopulation:
         with_nan = xq.copy()
         with_nan[100] = np.nan
         for p in (0.6, 1.0, 1.4):
-            want = low._quality_profile(p, xq)
-            assert np.array_equal(low._quality_profile(p, xq[perm]),
+            want, _ = low._quality_profile(p, xq)
+            assert np.array_equal(low._quality_profile(p, xq[perm])[0],
                                   want[perm])
             # a NaN offset spoils its own row only
-            got = low._quality_profile(p, with_nan)
+            got, _ = low._quality_profile(p, with_nan)
             assert np.isnan(got[100])
             assert np.array_equal(np.delete(got, 100), np.delete(want, 100))
 

@@ -170,6 +170,54 @@ def test_each_row_keeps_its_bits_whatever_the_other_rows(monkeypatch):
         assert est[row] <= 1e-11
 
 
+@pytest.mark.parametrize("s, grade", [(0.5, 2), (0.7, 3), (1.2, 2)])
+def test_grade_smooths_end_point_terms(s, grade):
+    # x^(s - 1) at the end 0 and |x - c|^(s - 1) at a break c: bisection
+    # alone misses 1e-10 after MAX_LEVELS passes; graded, the terms
+    # become t^(grade s - 1), a power series or C^1, and each row keeps
+    # the bits of its own call
+    c = np.array([0.0, 0.3, 1.0 / 3.0])
+    f = _rows_of(lambda x, c: np.abs(x - c) ** (s - 1.0))(c)
+    with pytest.raises(QuadratureFailure):
+        q.segmented_gl(0.0, 1.0, c[:, None], f, tol=1e-10)
+    got, est = q.segmented_gl(0.0, 1.0, c[:, None], f, tol=1e-10,
+                              grade=grade)
+    exact = (c ** s + (1.0 - c) ** s) / s
+    assert np.all(np.abs(got - exact) <= est + 1e-14)
+    assert np.all(est <= 1e-10)
+    for row in range(c.size):
+        one = _rows_of(lambda x, c: np.abs(x - c) ** (s - 1.0))(c[[row]])
+        alone = q.segmented_gl(0.0, 1.0, c[[row], None], one, tol=1e-10,
+                               grade=grade)
+        assert got[row] == alone[0][0] and est[row] == alone[1][0]
+
+
+def test_graded_nodes_stay_inside_their_segment():
+    # on a segment two ulps wide the graded nodes would round onto its
+    # ends, where an end-point term is infinite; they take the one float
+    # inside instead
+    lo = 1.0
+    hi = np.nextafter(np.nextafter(lo, 2.0), 2.0)
+    seen = []
+
+    def f(nodes, rows):
+        seen.append(nodes.copy())
+        return np.ones_like(nodes)
+
+    got, _ = q.segmented_gl(lo, hi, np.empty((1, 0)), f, tol=1e-10, grade=4)
+    assert np.all(np.concatenate(seen) == np.nextafter(lo, 2.0))
+    assert got[0] == pytest.approx(hi - lo, rel=1e-12)
+
+
+def test_row_tolerance_stops_at_round_off():
+    # at a scale of 1e12 an absolute 1e-10 lies below round-off: the row
+    # is held to ROUNDOFF times its absolute integral instead of failing
+    got, est = q.segmented_gl(0.0, 1.0, np.empty((1, 0)),
+                              lambda x, rows: 1e12 * np.cos(x), tol=1e-10)
+    assert got[0] == pytest.approx(1e12 * np.sin(1.0), rel=1e-14)
+    assert 1e-10 < est[0] <= q.ROUNDOFF * 1e12 * np.sin(1.0)
+
+
 # Row-monotone crossing family psi(r, rows) = f(r) + c[rows] with c
 # sorted: f has roots 0.5, 1.5 and 3, and f + c keeps three roots in
 # (0, 4) for |c| <= 0.3, none for c = -9 or c = 3.
