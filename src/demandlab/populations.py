@@ -43,7 +43,7 @@ PRICE_BLOCK = 2048
 # in [0, 1], so this sits below QualityDemandSurface's 1e-9 monotonicity
 # check.
 SURFACE_TOL = 1e-10
-# Largest segmented_gl grade (see _grade).  Terms with s below about 0.6,
+# Largest segmented_gl grade (see _grade).  Terms with s below about 2/3,
 # other than s = 1/2, are left to the bisection and its QuadratureFailure:
 # within one ulp of the end they hold about ulp^s of mass, which no node
 # can resolve.

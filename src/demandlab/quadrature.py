@@ -221,20 +221,22 @@ def _estimate(f, half, kronrod):
 
 def _graded(t, a, b, m: int):
     """Nodes u = a + (b - a) I_t(m, m) of the parameters ``t`` on each
-    line's segment [a, b], and the Jacobian du/dt.  The regularized
-    incomplete beta I_t(m, m) is a polynomial for integer m; each end is
-    measured from its own side, so u keeps its relative accuracy near
-    both a and b.  A node that would round onto an end is moved to the
-    next float inside, where an end-point term stays finite."""
+    line's segment [a, b], the Jacobian du/dt, and which lines had a node
+    round onto an end.  The regularized incomplete beta I_t(m, m) is a
+    polynomial for integer m; each end is measured from its own side, so
+    u keeps its relative accuracy near both a and b.  A node that rounds
+    onto an end is moved to the next float inside, or left on the end
+    when there is none."""
     s = np.minimum(t, 1.0 - t)
     phi = sum(math.comb(2 * m - 1, j) * s ** j * (1.0 - s) ** (2 * m - 1 - j)
               for j in range(m, 2 * m))
     a, b = a[:, None], b[:, None]
     width = b - a
-    u = np.clip(np.where(t <= 0.5, a + width * phi, b - width * phi),
-                np.nextafter(a, b), np.nextafter(b, a))
+    u = np.where(t <= 0.5, a + width * phi, b - width * phi)
+    blind = np.any((u <= a) | (u >= b), axis=1)
+    u = np.clip(u, np.nextafter(a, b), np.nextafter(b, a))
     scale = math.factorial(2 * m - 1) / math.factorial(m - 1) ** 2
-    return u, width * scale * (t * (1.0 - t)) ** (m - 1)
+    return u, width * scale * (t * (1.0 - t)) ** (m - 1), blind
 
 
 def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
@@ -284,13 +286,19 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
             half = 0.5 * (b[part] - a[part])
             nodes = (a[part] + half)[:, None] + half[:, None] * _XK21
             if grade > 1:
-                nodes, jac = _graded(nodes, seg_a[part], seg_b[part], grade)
+                nodes, jac, blind = _graded(nodes, seg_a[part], seg_b[part],
+                                            grade)
                 f = integrand(nodes, rows[part]) * jac
             else:
                 f = integrand(nodes, rows[part])
             k[part] = half * np.einsum("ij,j->i", f, _WK21)
             e[part] = _estimate(f, half, k[part])
             size[part] = half * np.einsum("ij,j->i", np.abs(f), _WK21)
+            if grade > 1:
+                # a node rounded onto an end saw the integrand at the
+                # wrong place, so all of the interval's mass is in doubt
+                e[part] = np.where(blind, np.fmax(e[part], size[part]),
+                                   e[part])
         total = errors + np.bincount(rows, e, n_rows)
         row_tol = np.fmax(tol, ROUNDOFF * (sizes
                                            + np.bincount(rows, size, n_rows)))

@@ -209,6 +209,23 @@ def test_graded_nodes_stay_inside_their_segment():
     assert got[0] == pytest.approx(hi - lo, rel=1e-12)
 
 
+def test_nodes_rounded_onto_an_end_put_their_interval_in_doubt():
+    # a break one ulp above the end 0.5 of a term |x - 0.5|^(-1/2) leaves
+    # a segment with no float inside, so its nodes sit on the end, where
+    # the term reads 1e150 as a clipped beta density does.  The row
+    # fails instead of returning that; a bounded integrand loses at most
+    # an ulp of mass there and passes
+    lo = 0.5
+    breaks = np.array([[np.nextafter(lo, 1.0)]])
+    rough = lambda x, rows: np.maximum(x - lo, 1e-300) ** -0.5
+    with pytest.raises(QuadratureFailure):
+        q.segmented_gl(lo, 1.5, breaks, rough, tol=1e-10, grade=2)
+    got, est = q.segmented_gl(lo, 1.5, breaks, lambda x, rows: np.cos(x),
+                              tol=1e-10, grade=2)
+    assert got[0] == pytest.approx(np.sin(1.5) - np.sin(lo), abs=1e-14)
+    assert est[0] <= 1e-10
+
+
 def test_row_tolerance_stops_at_round_off():
     # at a scale of 1e12 an absolute 1e-10 lies below round-off: the row
     # is held to ROUNDOFF times its absolute integral instead of failing
