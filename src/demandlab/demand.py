@@ -106,6 +106,12 @@ class QualityDemandSurface:
             raise ValueError("grids must be strictly increasing")
         if np.any(p < 0.0):
             raise ValueError("prices must be >= 0")
+        bad = np.argwhere(~np.isfinite(v))
+        if bad.size:
+            i, j = bad[0]
+            raise MonotonicityViolation(
+                f"surface value {v[i, j]} at quality {float(xq[i])!r}, "
+                f"price {float(p[j])!r} is not finite")
         if v.shape[0] > 1:
             drop = np.max(-np.diff(v, axis=0), initial=0.0)
             if drop > 1e-9:

@@ -289,8 +289,12 @@ class ConditionalSpec:
 
 
 def _trunc_mass(a0: float) -> float:
-    """2 Phi(a0) - 1, the mass a standard normal keeps on [-a0, a0]."""
-    z = float(2.0 * _special("ndtr", a0) - 1.0)
+    """2 Phi(a0) - 1, the mass a standard normal keeps on [-a0, a0].
+    Below a0 = 2 the subtraction cancels, so erf(a0 / sqrt 2) gives it."""
+    if a0 < 2.0:
+        z = math.erf(a0 / math.sqrt(2.0))
+    else:
+        z = float(2.0 * _special("ndtr", a0) - 1.0)
     if not z > 0.0:
         raise BoundViolation(
             f"sigma multiplier {1.0 / a0:g} is too large: the truncated "
@@ -609,24 +613,20 @@ class IndependentPopulation(Population):
             u0 = self.vm.value
             mass = float(self.vk.cdf(rb * u0) - self.vk.cdf(ra * u0))
             return mass, mass * u0
-        cuts = []
-        for edge in (self.vk.lo, self.vk.hi):
-            for r_end in (ra, rb):
-                if r_end > 0:
-                    cuts.append(edge / r_end)
+        cuts = [edge / r_end for edge in (self.vk.lo, self.vk.hi)
+                for r_end in (ra, rb) if r_end > 0]
 
-        def kernel(extra_power):
-            def f(u):
-                inner = (np.asarray(self.vk.cdf(rb * u))
-                         - np.asarray(self.vk.cdf(ra * u)))
-                return u ** extra_power * self.vm.pdf(u) * inner
-            return f
+        def integrand(nodes, rows):
+            # row 0 integrates the band's mass, row 1 its vm integral
+            inner = (np.asarray(self.vk.cdf(rb * nodes))
+                     - np.asarray(self.vk.cdf(ra * nodes)))
+            return nodes ** rows[:, None] * self.vm.pdf(nodes) * inner
 
-        mass = quadrature.integrate(kernel(0), self.vm.lo, self.vm.hi,
-                                    tol=1e-13, breakpoints=cuts)
-        vm_int = quadrature.integrate(kernel(1), self.vm.lo, self.vm.hi,
-                                      tol=1e-13, breakpoints=cuts)
-        return mass, vm_int
+        (mass, vm_int), _ = quadrature.segmented_gl(
+            self.vm.lo, self.vm.hi, np.array([cuts, cuts]),
+            integrand, tol=1e-13,
+            grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0))
+        return float(mass), float(vm_int)
 
     def _quality_profile(self, p, xq):
         xq = np.asarray(xq, dtype=float)

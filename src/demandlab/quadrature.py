@@ -1,35 +1,28 @@
-"""Adaptive quadrature: one integrand, and a family of row integrands.
+"""Adaptive quadrature of a family of row integrands, and of one integrand.
 
-Integrands must be vectorized: they receive an ndarray of abscissae and
-return an ndarray of the same shape.  ``integrate`` controls absolute
-error by comparing a 7-point and a 15-point Gauss-Legendre rule on each
-interval and bisecting intervals that miss their share of the budget.
-After ``MAX_LEVELS`` bisections an interval that still misses its budget
-raises :class:`QuadratureFailure`.
-
-The column helpers at the bottom (``solve_crossings``,
-``segmented_gl``) integrate a family of integrands that differ only
-through a row parameter, splitting each row's interval at known or
-numerically located kinks.  They are the workhorses behind
-quality-demand surfaces.  ``solve_crossings`` takes a row-indexed
-``psi(r, rows)`` that is nondecreasing in the row index; it
-binary-searches the rows at each coarse scan point instead of evaluating
-them all, and bisects only the cells where the scan brackets a root.
-``segmented_gl`` flattens every row's positive-width segments into one
-list of (row, interval) pairs and applies the nested Gauss-Kronrod pair
-G10/K21 of QUADPACK (Piessens et al. 1983) to each: 21 integrand values
-give the interval's integral and, from |K21 - G10|, its error estimate.
-A row is finished once its summed estimate meets the absolute tolerance;
-otherwise only its intervals above their share of the remaining budget
-are bisected, so the node count follows each row's own error.  A row
-whose absolute integral is so large that the tolerance lies below its
-round-off is held to its round-off instead.  With ``grade`` m > 1 each
-segment is first mapped onto [0, 1] by u = a + (b - a) I_t(m, m), whose
-Jacobian vanishes to order m - 1 at both ends: an end-point term
-|u - a|^(s - 1) becomes t^(m s - 1), which the rule resolves when m s is
-an integer or at least 2.  Each row's value and estimate depend on its
-own breaks and integrand values only, never on the other rows of the
-call.
+The helpers work on a family of integrands that differ only through a
+row parameter, splitting each row's interval at known or numerically
+located kinks.  They are the workhorses behind quality-demand surfaces.
+``solve_crossings`` takes a row-indexed ``psi(r, rows)`` that is
+nondecreasing in the row index; it binary-searches the rows at each
+coarse scan point instead of evaluating them all, and bisects only the
+cells where the scan brackets a root.  ``segmented_gl`` is the one
+adaptive driver.  It flattens every row's positive-width segments into
+one list of (row, interval) pairs and applies the nested Gauss-Kronrod
+pair G10/K21 of QUADPACK (Piessens et al. 1983) to each: 21 integrand
+values give the interval's integral and, from |K21 - G10|, its error
+estimate.  A row is finished once its summed estimate meets the absolute
+tolerance; otherwise only its intervals above their share of the
+remaining budget are bisected, so the node count follows each row's own
+error.  A row whose absolute integral is so large that the tolerance
+lies below its round-off is held to its round-off instead.  With
+``grade`` m > 1 each segment is first mapped onto [0, 1] by
+u = a + (b - a) I_t(m, m), whose Jacobian vanishes to order m - 1 at
+both ends: an end-point term |u - a|^(s - 1) becomes t^(m s - 1), which
+the rule resolves when m s is an integer or at least 2.  Each row's
+value and estimate depend on its own breaks and integrand values only,
+never on the other rows of the call.  ``integrate`` is the one-row case
+for a single vectorized integrand f(x).
 """
 
 from __future__ import annotations
@@ -40,9 +33,6 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
 
 # QUADPACK qk21: the positive Kronrod abscissae, the last one 0, with
 # their K21 weights; the G10 nodes are every second abscissa from the
@@ -73,8 +63,8 @@ _WG_HALF = np.zeros(11)
 _WG_HALF[1::2] = _WG10
 _WKG = _WK21 - np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
 
-# integrate: bisections of one interval before it fails; segmented_gl:
-# bisection passes before a row that misses its tolerance fails.
+# segmented_gl: bisection passes before a row that misses its tolerance
+# fails.
 MAX_LEVELS = 20
 # solve_crossings: coarse scan points and bisection steps per bracketed
 # cell.
@@ -89,51 +79,24 @@ ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def integrate(f, a: float, b: float, *, tol: float, breakpoints=()) -> float:
-    """Adaptively integrate a vectorized integrand on a finite interval.
-
-    ``breakpoints`` lists abscissae where the integrand is known to be
-    non-smooth; the interval is pre-split there so panels only ever see
-    smooth pieces.  The error budget is absolute and divided across
-    segments in proportion to their length.
+    """Integrate a vectorized integrand ``f(x)`` over [a, b] to the
+    absolute tolerance ``tol``: the one-row case of :func:`segmented_gl`,
+    split at the ``breakpoints`` inside (a, b) where ``f`` is known to be
+    non-smooth.  A value that is not finite raises
+    :class:`QuadratureFailure`.
     """
     if b == a:
         return 0.0
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
-    cuts = [a] + sorted({float(p) for p in breakpoints if a < p < b}) + [b]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += _adaptive(f, lo, hi, tol * (hi - lo) / (b - a))
-    return total
-
-
-def _adaptive(f, a: float, b: float, tol: float) -> float:
-    acc = 0.0
-    stack = [(a, b, tol, 0)]
-    while stack:
-        lo, hi, budget, level = stack.pop()
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        xs = np.concatenate((mid + half * _X7, mid + half * _X15))
-        ys = np.asarray(f(xs), dtype=float)
-        coarse = half * float(np.dot(_W7, ys[:7]))
-        fine = half * float(np.dot(_W15, ys[7:]))
-        err = abs(fine - coarse)
-        # Roundoff floor: below ~1e2 ulps of the local magnitude further
-        # bisection cannot help.
-        floor = 128.0 * np.finfo(float).eps * (abs(fine) + 1e-30)
-        if err <= max(budget, floor):
-            acc += fine
-        elif level >= MAX_LEVELS:
-            raise QuadratureFailure(
-                f"interval [{float(lo)!r}, {float(hi)!r}] missed tolerance "
-                f"after {MAX_LEVELS} bisections "
-                f"(err {err:.3e} > {budget:.3e})",
-                achieved=err, requested=budget)
-        else:
-            stack.append((lo, mid, budget / 2.0, level + 1))
-            stack.append((mid, hi, budget / 2.0, level + 1))
-    return acc
+    breaks = np.array([[p for p in breakpoints if a < p < b]], dtype=float)
+    values, errors = segmented_gl(a, b, breaks, lambda nodes, rows: f(nodes),
+                                  tol=tol)
+    if not np.isfinite(values[0]):
+        raise QuadratureFailure(
+            f"integral over [{float(a)!r}, {float(b)!r}] is {values[0]}",
+            achieved=float(errors[0]), requested=tol)
+    return float(values[0])
 
 
 def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:
@@ -219,24 +182,29 @@ def _estimate(f, half, kronrod):
     return np.fmax(diff, scaled)
 
 
-def _graded(t, a, b, m: int):
+def _graded_map(t, a, b, m: int):
     """Nodes u = a + (b - a) I_t(m, m) of the parameters ``t`` on each
-    line's segment [a, b], the Jacobian du/dt, and which lines had a node
-    round onto an end.  The regularized incomplete beta I_t(m, m) is a
-    polynomial for integer m; each end is measured from its own side, so
-    u keeps its relative accuracy near both a and b.  A node that rounds
-    onto an end is moved to the next float inside, or left on the end
-    when there is none."""
+    line's segment [a, b].  The regularized incomplete beta I_t(m, m) is
+    a polynomial for integer m; each end is measured from its own side,
+    so u keeps its relative accuracy near both a and b."""
     s = np.minimum(t, 1.0 - t)
     phi = sum(math.comb(2 * m - 1, j) * s ** j * (1.0 - s) ** (2 * m - 1 - j)
               for j in range(m, 2 * m))
     a, b = a[:, None], b[:, None]
-    width = b - a
-    u = np.where(t <= 0.5, a + width * phi, b - width * phi)
+    return np.where(t <= 0.5, a + (b - a) * phi, b - (b - a) * phi)
+
+
+def _graded(t, a, b, m: int):
+    """The nodes of :func:`_graded_map`, the Jacobian du/dt, and which
+    lines had a node round onto an end.  A node that rounds onto an end
+    is moved to the next float inside, or left on the end when there is
+    none."""
+    u = _graded_map(t, a, b, m)
+    a, b = a[:, None], b[:, None]
     blind = np.any((u <= a) | (u >= b), axis=1)
     u = np.clip(u, np.nextafter(a, b), np.nextafter(b, a))
     scale = math.factorial(2 * m - 1) / math.factorial(m - 1) ** 2
-    return u, width * scale * (t * (1.0 - t)) ** (m - 1), blind
+    return u, (b - a) * scale * (t * (1.0 - t)) ** (m - 1), blind
 
 
 def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
@@ -255,7 +223,9 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
     other rows each interval whose estimate exceeds the row's remaining
     budget over its pending interval count is bisected, and the rest are
     kept.  A row still short after ``MAX_LEVELS`` bisection passes raises
-    :class:`QuadratureFailure` with the worst such row's estimate.
+    :class:`QuadratureFailure` with the worst such row's estimate and
+    tolerance; its message names that row and its interval with the
+    largest estimate.
     ``grade`` > 1 integrates each segment in the graded variable of the
     module docstring, for integrands with algebraic end-point terms at
     ``lo``, ``hi`` or the breaks.
@@ -312,12 +282,19 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
         if not split.any():
             return values, errors
         if level == MAX_LEVELS:
-            worst = float(np.max(total[rows[short]]))
+            bad = np.unique(rows[short])
+            row = bad[np.argmax(total[bad])]
+            i = np.argmax(np.where(rows == row, e, -np.inf))
+            ends = np.array([[a[i], b[i]]])
+            if grade > 1:
+                ends = _graded_map(ends, seg_a[[i]], seg_b[[i]], grade)
+            lo_i, hi_i = ends[0].tolist()
             raise QuadratureFailure(
-                f"{np.unique(rows[short]).size} rows missed tolerance "
-                f"after {MAX_LEVELS} bisection passes "
-                f"(err {worst:.3e} > {tol:.3e})",
-                achieved=worst, requested=tol)
+                f"{bad.size} rows missed tolerance after {MAX_LEVELS} "
+                f"bisection passes; the worst, row {row}, has err "
+                f"{total[row]:.3e} > {row_tol[row]:.3e} and its worst "
+                f"interval [{lo_i!r}, {hi_i!r}]",
+                achieved=float(total[row]), requested=float(row_tol[row]))
         rows, a, b = rows[split], a[split], b[split]
         mid = 0.5 * (a + b)
         rows = np.repeat(rows, 2)

@@ -290,6 +290,24 @@ class TestInputErrors:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+# Exit code of each demo scenario under demand, classify, sample, nonid
+# and identify: 2 where the scenario lacks the command's section.
+DEMO_EXIT_CODES = {"custom_conditional": [0, 0, 0, 2, 0],
+                   "high_regime": [0, 0, 0, 2, 2],
+                   "independent_betas": [0, 0, 0, 2, 0],
+                   "product_uniform": [0, 0, 0, 2, 2],
+                   "twin_markets": [2, 2, 2, 0, 2]}
+
+
+def test_demo_scenario_exit_codes(tmp_path, capsys):
+    got = {scn.stem: [run(command, scn, "--out",
+                          str(tmp_path / scn.stem / command))
+                      for command in ("demand", "classify", "sample",
+                                      "nonid", "identify")]
+           for scn in sorted(DEMO_SCENARIOS.glob("*.json"))}
+    assert got == DEMO_EXIT_CODES, capsys.readouterr().err
+
+
 @pytest.mark.usefixtures("declared_scripts_on_path")
 def test_installed_entry_point(tmp_path):
     scn = write_scenario(tmp_path, {

@@ -224,6 +224,20 @@ class TestQualityDemandSurface:
             dl.QualityDemandSurface(grid, prices,
                                     good[:, ::-1])  # rises along price
 
+    def test_validation_rejects_non_finite_values(self):
+        grid = np.linspace(-1.0, 1.0, 3)
+        prices = np.array([1.0, 2.0])
+        values = np.array([[0.1, 0.0], [0.5, np.nan], [0.9, 0.8]])
+        with pytest.raises(MonotonicityViolation,
+                           match=r"nan at quality 0\.0, price 2\.0"):
+            dl.QualityDemandSurface(grid, prices, values)
+        # a NaN quality offset spoils its own row of the surface
+        xq = np.linspace(-3.0, 3.0, 9)
+        xq[4] = np.nan
+        pop = pops.make_low_population(seed_ratio(), delta=0.5)
+        with pytest.raises(MonotonicityViolation, match="not finite"):
+            dl.quality_demand_surface(pop, xq, prices)
+
     def test_carries_the_quadrature_error_of_each_column(self):
         xq = np.linspace(-3.0, 3.0, 33)
         prices = np.array([0.8, 1.2, 1.6])

@@ -63,6 +63,21 @@ class TestBoundaryConditionalMean:
         assert bm.value == pytest.approx(1.15 / 1.05, abs=1e-5)
         assert abs(bm.value - 1.15 / 1.05) <= max(5 * bm.residual, 1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    def test_limit_estimate_under_a_rough_money_marginal(self, alpha):
+        # vm ~ Beta(alpha, 2) has an end-point term at 0.5 that the band
+        # integrals resolve in the graded variable; the limit is still
+        # mu3 / mu2 of the money marginal (see the test above)
+        vm = MarginalSpec.scaled_beta(alpha, 2.0, lo=0.5, hi=1.5)
+        pop = pops.IndependentPopulation(
+            MarginalSpec.scaled_beta(2.0, 3.0, lo=0.0, hi=1.0), vm)
+        report = dl.classify(pop)
+        want = vm.moment(3) / vm.moment(2)
+        assert report.method == "limit_estimate"
+        assert report.boundary_mean_vm == pytest.approx(want, abs=1e-5)
+        assert abs(report.boundary_mean_vm - want) <= 5 * report.residual
+        assert report.regime == "low"
+
     def test_band_ladder_cross_validates_the_analytic_limit(self):
         # rerun the generic band extrapolation on a population whose
         # limit is known in closed form; 1% agreement required

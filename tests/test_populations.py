@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
-from scipy import stats
+from scipy import special, stats
 
 from demandlab import inequality
 from demandlab import populations as pops
@@ -110,6 +112,9 @@ def test_truncated_normal_moments_of_z_over_a0_match_quadrature(sigma):
         assert t[n] / a0 ** n == pytest.approx(integral(n) / mass,
                                                rel=1e-12), n
     assert t[1::2] == (0.0,) * 8
+    # abs=0 keeps approx's default 1e-12 from hiding a relative error
+    assert pops._trunc_mass(a0) == pytest.approx(
+        math.erf(a0 / math.sqrt(2.0)), rel=1e-15, abs=0.0)
 
 
 def test_grade_follows_the_roughest_end_point_term():
@@ -206,6 +211,38 @@ class TestIndependentPopulation:
                 lambda u: u * float(pop.vm.pdf(u)) * float(pop.vk.pdf(r * u)),
                 0.5, 1.5, points=cuts)
             assert float(spec.pdf(r)) == pytest.approx(want, abs=5e-5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    def test_band_moments_of_a_rough_money_marginal_against_scipy_quad(
+            self, alpha):
+        # vm ~ Beta(alpha, 2) on [0.5, 1.5] has the end-point term
+        # (u - 0.5)^(alpha - 1), which scipy's algebraic weight takes on
+        # the first segment; the band's cuts 1 / r end smooth segments.
+        # The bound is the band tolerance: at alpha = 0.5 the masses are
+        # off by up to 3.7e-14, from the rounding of u - 0.5 at the graded
+        # nodes next to the end
+        pop = pops.IndependentPopulation(
+            MarginalSpec.scaled_beta(2.0, 3.0, lo=0.0, hi=1.0),
+            MarginalSpec.scaled_beta(alpha, 2.0, lo=0.5, hi=1.5))
+        norm = special.beta(alpha, 2.0)
+        for ra, rb in ((0.0, 0.5), (0.0, 1e-3), (0.3, 1.2)):
+            cuts = sorted({1.0 / r for r in (ra, rb)
+                           if r > 0.0 and 0.5 < 1.0 / r < 1.5})
+            edges = [0.5] + cuts + [1.5]
+            got = pop._band_vm_moments(ra, rb)
+            for power in (0, 1):
+                def smooth(u):
+                    band = float(pop.vk.cdf(rb * u) - pop.vk.cdf(ra * u))
+                    return u ** power * (1.5 - u) / norm * band
+
+                want = sci_integrate.quad(
+                    smooth, 0.5, edges[1], weight="alg",
+                    wvar=(alpha - 1.0, 0.0), epsabs=1e-16)[0]
+                want += sum(sci_integrate.quad(
+                    lambda u: smooth(u) * (u - 0.5) ** (alpha - 1.0), a, b,
+                    epsabs=1e-16)[0] for a, b in zip(edges[1:-1], edges[2:]))
+                assert got[power] == pytest.approx(want, abs=1e-13), (
+                    ra, rb, power)
 
     def test_degenerate_money_marginal_closed_form(self):
         pop = pops.IndependentPopulation(

@@ -32,6 +32,47 @@ def test_adaptive_reports_failure_with_achieved_error():
         assert float(lo) < float(hi)
 
 
+def test_integrate_is_the_one_row_case_of_segmented_gl():
+    # a kink at 1 and the steep root near 0 leave the value set by the
+    # tolerance, so another rule gives other bits; breakpoints outside
+    # (a, b) and repeated ones change nothing
+    f = lambda x: np.abs(x - 1.0) * np.sqrt(x + 0.01)
+    got = q.integrate(f, 0.0, 2.0, tol=1e-8,
+                      breakpoints=(1.0, 1.0, -1.0, 2.0, 7.0))
+    want, _ = q.segmented_gl(0.0, 2.0, np.array([[1.0]]),
+                             lambda nodes, rows: f(nodes), tol=1e-8)
+    assert type(got) is float
+    assert got == want[0]
+    assert q.integrate(f, 1.0, 1.0, tol=1e-12) == 0.0
+    with pytest.raises(ValueError):
+        q.integrate(f, 1.0, 0.5, tol=1e-12)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.full_like(x, np.nan),
+    lambda x: np.where(x < 0.3, np.nan, x)], ids=["all_nan", "partly_nan"])
+def test_integrate_raises_on_a_nan_integrand(f):
+    # segmented_gl finishes a NaN row; integrate turns it into a failure
+    with pytest.raises(QuadratureFailure, match="nan"):
+        q.integrate(f, 0.0, 1.0, tol=1e-12)
+
+
+def test_failure_maps_the_worst_interval_back_from_the_graded_variable():
+    # grade 2 turns the end-point term |x - 0.5|^(-0.9) into t^(-0.8),
+    # which no bisection resolves; the reported interval is in x, inside
+    # [0.25, 1.5] and ending on the break at 0.5, not in the graded
+    # variable's [0, 1]
+    f = lambda x, rows: np.maximum(np.abs(x - 0.5), 1e-300) ** -0.9
+    with pytest.raises(QuadratureFailure) as exc:
+        q.segmented_gl(0.25, 1.5, np.array([[0.5]]), f, tol=1e-10,
+                       grade=2)
+    lo, hi = map(float, re.search(r"interval \[(.+?), (.+?)\]",
+                                  str(exc.value)).groups())
+    assert 0.25 <= lo < hi <= 1.5
+    assert 0.5 in (lo, hi)
+    assert exc.value.achieved > exc.value.requested
+
+
 def _rows_of(f):
     """A row-indexed integrand from f(nodes, params) and one parameter
     per row."""
