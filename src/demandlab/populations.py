@@ -48,7 +48,11 @@ SURFACE_TOL = 1e-10
 # within one ulp of the end they hold about ulp^s of mass, which no node
 # can resolve.
 MAX_GRADE = 4
+# _margin_profile: relative margin by which a quality row must clear its
+# column's nobody-buys or everybody-buys bound to be left to the class.
+SATURATION_MARGIN = 1e-9
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -445,6 +449,47 @@ def _worst(values, errors):
     return values, float(np.max(errors, initial=0.0))
 
 
+def _margin_profile(pop: Population, p: float, xq: np.ndarray):
+    """``pop._quality_profile(p, xq)``, with the kernel run only on the
+    rows that the price can split.
+
+    With vk >= 0 and 0 < vm <= vm_hi in the support box, nobody buys
+    when xq < max(-vk_upper, -vm_hi max(r_hi - p, 0)) and everybody buys
+    when xq > min(p vm_hi, vm_hi max(p - r_lo, 0)).  In both classes
+    every break clips to an end and every cdf to 0 or 1, and the
+    kernel's rows are independent, so each row of a class gets the same
+    value and estimate.  The kernel runs on the rows between the classes
+    and on the innermost and outermost row of each class; a class whose
+    two rows agree bit for bit takes their value.  If a class's two rows
+    differ, every row is computed, so the result is always the kernel's.
+    """
+    xq = np.asarray(xq, dtype=float)
+    sup = pop.support
+    nobody = max(-pop.vk_upper, -sup.vm_hi * max(sup.r_hi - p, 0.0))
+    everybody = min(p * sup.vm_hi, sup.vm_hi * max(p - sup.r_lo, 0.0))
+    classes = [c for c in (
+        np.flatnonzero(xq < nobody - SATURATION_MARGIN * abs(nobody)),
+        np.flatnonzero(xq > everybody + SATURATION_MARGIN * abs(everybody)))
+        if c.size > 2]
+    if not classes:
+        return pop._quality_profile(p, xq)
+    run = np.ones(xq.size, dtype=bool)
+    ends = []
+    for c in classes:
+        run[c] = False
+        ends.append(c[[np.argmin(xq[c]), np.argmax(xq[c])]])
+        run[ends[-1]] = True
+    rows = np.flatnonzero(run)
+    values = np.empty(xq.size)
+    values[rows], error = pop._quality_profile(p, xq[rows])
+    for c, end in zip(classes, ends):
+        pair = values[end].view(np.int64)
+        if pair[0] != pair[1]:
+            return pop._quality_profile(p, xq)
+        values[c] = values[end[0]]
+    return values, error
+
+
 def _require_seed_ratio(ratio: RatioMarginalSpec):
     if ratio.atoms or ratio.kind == "degenerate":
         raise DegenerateRatio("ratio specs carrying atoms describe outputs "
@@ -801,8 +846,15 @@ class RatioConditionalPopulation(Population):
                                * self._even_moments[i])
             return g * r ** j * cond
 
-        value = quadrature.integrate(f, self.ratio.r_lo, self.ratio.r_hi,
-                                     tol=tol, breakpoints=self._knots)
+        try:
+            with np.errstate(over="raise"):
+                value = quadrature.integrate(f, self.ratio.r_lo,
+                                             self.ratio.r_hi, tol=tol,
+                                             breakpoints=self._knots)
+        except FloatingPointError:
+            raise BoundViolation(
+                f"sigma multiplier {self.cond.sigma_multiplier:g} is too "
+                f"large: the order-{n} conditional moments overflow") from None
         return value, tol
 
     def _mean_vm(self):
@@ -841,7 +893,11 @@ class RatioConditionalPopulation(Population):
             (roots_hi, roots_lo, fixed,
              np.broadcast_to(self._knots, (n, self._knots.size))), axis=1)
         a0 = self._a0
+        z_mass = self._z_mass
         hi_cap = _special("ndtr", a0)
+        # below a0 = 2, Phi(a0) - Phi(z) cancels; erf differences, as in
+        # _trunc_mass, keep the conditional probabilities accurate
+        erf_cap = _special("erf", a0 * _SQRT_HALF) if a0 < 2.0 else None
 
         def integrand(nodes, rows):
             g, m, sig = self._law(nodes)
@@ -855,12 +911,18 @@ class RatioConditionalPopulation(Population):
                 z -= m
                 z /= sig
                 np.clip(z, -a0, a0, out=z)
-            phi = _special("ndtr", z)
-            del m, sig, z
-            s = np.where(c > 0.0, (hi_cap - phi) / self._z_mass,
-                         np.where(c < 0.0,
-                                  (phi - (1.0 - hi_cap)) / self._z_mass,
-                                  (x >= 0.0).astype(float)))
+            if erf_cap is None:
+                phi = _special("ndtr", z)
+                above, below = hi_cap - phi, phi - (1.0 - hi_cap)
+            else:
+                z *= _SQRT_HALF
+                phi = _special("erf", z)
+                above, below = 0.5 * (erf_cap - phi), 0.5 * (phi + erf_cap)
+            del m, sig, z, phi
+            above /= z_mass
+            below /= z_mass
+            s = np.where(c > 0.0, above,
+                         np.where(c < 0.0, below, (x >= 0.0).astype(float)))
             s *= g
             return s
 
@@ -973,7 +1035,7 @@ class MixturePopulation(Population):
         # a component's error estimate weighs in like its values
         out, error = 0.0, 0.0
         for w, pop in self.components:
-            values, err = pop._quality_profile(p, xq)
+            values, err = _margin_profile(pop, p, xq)
             out = out + w * values
             error += w * err
         return out, error

@@ -97,3 +97,44 @@ def continuous_zoo() -> dict:
             pops.RatioMarginalSpec.triangular(0.8, 2.2, vm_hi=3.0),
             MarginalSpec.uniform(0.5, 1.5)))))
     return zoo
+
+
+def surface_zoo() -> dict:
+    """Every surface kernel path: the families above, point masses,
+    point-mass marginals of ``independent``, tables, a custom h, graded
+    beta shapes, a wide conditional and mixtures."""
+    zoo = population_zoo()
+    zoo["continuous_mixture"] = continuous_zoo()["mixture"]
+    zoo.update({
+        "kinked_table": kinked_ratio_low(),
+        "zigzag_table": zigzag_ratio_low(),
+        "custom_h": kinked_h_custom(),
+        "sine_table": sine_table_low(12),
+        "wide_conditional": pops.make_low_population(
+            seed_ratio(), 0.5, sigma_multiplier=1e4),
+        "point_mass_vk": pops.IndependentPopulation(
+            MarginalSpec.point_mass(0.8), MarginalSpec.uniform(0.5, 1.5)),
+        "point_mass_vm": pops.IndependentPopulation(
+            MarginalSpec.uniform(0.0, 1.0), MarginalSpec.point_mass(1.2)),
+        "product_table": pops.ProductPopulation(
+            pops.RatioMarginalSpec.tabulated(
+                [0.5, 1.0, 2.0], np.array([0.5, 1.0, 0.4]) / 1.075),
+            MarginalSpec.scaled_beta(1.5, 2.5, 0.0, 2.0)),
+        "mixture_with_conditional": pops.MixturePopulation((
+            (0.3, pops.PointMassPopulation(vk=1.0, vm=2.0)),
+            (0.3, beta_independent()),
+            (0.4, kinked_ratio_low()))),
+    })
+    for a in (0.5, 1.2, 2.5):
+        zoo[f"graded_beta{a}"] = pops.IndependentPopulation(
+            MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0),
+            MarginalSpec.scaled_beta(a, 2.0, 0.5, 1.5))
+    return zoo
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays of floats, bit for bit (NaN equals NaN; 0.0 differs
+    from -0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))

@@ -5,7 +5,8 @@ import demandlab as dl
 from demandlab import populations as pops
 from demandlab.errors import MonotonicityViolation
 from demandlab.marginals import MarginalSpec
-from helpers import continuous_zoo, population_zoo, seed_ratio
+from helpers import (continuous_zoo, population_zoo, same_bits, seed_ratio,
+                     surface_zoo)
 
 
 class TestPurchaseDecision:
@@ -252,6 +253,25 @@ class TestQualityDemandSurface:
         assert np.array_equal(bare.quadrature_errors, [0.0, 0.0])
         with pytest.raises(ValueError, match="one quadrature error"):
             dl.QualityDemandSurface(grid, prices[:2], good, np.zeros(3))
+
+    def test_equals_the_column_by_column_kernel(self):
+        # rows where nobody or everybody buys are computed once per
+        # column; values and quadrature errors keep the kernel's bits at
+        # a zero price, inside the ratio support and beyond it
+        for name, pop in surface_zoo().items():
+            sup = pop.support
+            prices = np.array([0.0, 0.5 * sup.r_lo, sup.r_lo,
+                               0.5 * (sup.r_lo + sup.r_hi), sup.r_hi,
+                               1.5 * sup.r_hi + 0.1])
+            prices = np.unique(prices)
+            half = 1.2 * max(pop.vk_upper, prices[-1] * sup.vm_hi)
+            xq = np.linspace(-half, half, 193)
+            surf = dl.quality_demand_surface(pop, xq, prices)
+            values, errors = zip(*(pop._quality_profile(float(p), xq)
+                                   for p in prices))
+            assert same_bits(surf.values,
+                             np.clip(np.column_stack(values), 0.0, 1.0)), name
+            assert same_bits(surf.quadrature_errors, errors), name
 
     def test_csv_is_long_form(self):
         pop = population_zoo()["product"]

@@ -258,21 +258,22 @@ class TestEndToEnd:
               MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0),
               MarginalSpec.scaled_beta(a, 2.0, 0.5, 1.5)), (0.5, 1.5), 1e-8)
           for a in (0.5, 1.2)],
-        # a narrow and a wide conditional; at sigma 0.01 the quality grid,
-        # not the quadrature, holds the error near 1.6e-6
+        # a narrow and three wide conditionals; at sigma 0.01 the quality
+        # grid, not the quadrature, holds the error near 1.6e-6, and the
+        # wide ones take erf differences where Phi differences cancel
         (lambda: pops.make_low_population(seed_ratio(), 0.5,
                                           sigma_multiplier=0.01),
          (0.5, 1.5), 5e-6),
-        (lambda: pops.make_low_population(seed_ratio(), 0.5,
-                                          sigma_multiplier=1e4),
-         (0.5, 1.5), 1e-7),
+        *[(lambda s=s: pops.make_low_population(seed_ratio(), 0.5,
+                                                sigma_multiplier=s),
+           (0.5, 1.5), 1e-7) for s in (1e4, 1e6, 1e12)],
         # dense tables, split at every knot; the 9-knot table, which
         # always split, sits at 9.8e-8 from the quality grid
         (lambda: sine_table_low(12), (0.5, 2.0), 2e-7),
         (lambda: sine_table_low(40), (0.5, 2.0), 2e-7),
     ], ids=["beta2.1-2", "beta2.5-2.5", "beta1.5-3", "beta0.5-2",
             "beta1.2-2", "sigma0.01",
-            "sigma1e4", "table12", "table40"])
+            "sigma1e4", "sigma1e6", "sigma1e12", "table12", "table40"])
     def test_laws_the_fixed_panels_failed_recover(self, build, window,
                                                   bound):
         report = ident.verify_recovery(build(),

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate as sci_integrate
 from scipy import special, stats
 
+from demandlab import identification as ident
 from demandlab import inequality
 from demandlab import populations as pops
 from demandlab.demand import default_price_grid
@@ -12,7 +13,7 @@ from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity)
 from demandlab.marginals import MarginalSpec
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, beta_independent, kinked_h_custom,
-                     population_zoo, seed_ratio)
+                     population_zoo, same_bits, seed_ratio, surface_zoo)
 
 
 class TestSupport:
@@ -144,6 +145,63 @@ def test_quality_profile_reports_a_quadrature_error():
                for w, pop in mix.components)
     assert mix._quality_profile(1.3, xq)[1] == want
     assert want > 0.0
+
+
+class TestMarginProfile:
+    """The kernel runs only on the rows a price can split."""
+
+    def test_equals_the_kernel_on_unsorted_grids_with_a_nan(self):
+        for name, pop in surface_zoo().items():
+            sup = pop.support
+            half = 1.2 * max(pop.vk_upper, 2.0 * sup.r_hi * sup.vm_hi)
+            xq = np.linspace(-half, half, 151)
+            xq = xq[np.random.default_rng(1).permutation(xq.size)]
+            xq[7] = np.nan
+            for p in (0.0, 0.5 * sup.r_lo, sup.r_lo,
+                      0.5 * (sup.r_lo + sup.r_hi), sup.r_hi, 2.0 * sup.r_hi):
+                got, got_err = pops._margin_profile(pop, p, xq)
+                want, want_err = pop._quality_profile(p, xq)
+                assert same_bits(got, want), (name, p)
+                assert same_bits(got_err, want_err), (name, p)
+
+    def test_kernel_skips_most_rows_of_the_seed_twin(self, monkeypatch):
+        # on the default grid the low twin at p = 1 has nobody buying
+        # below -2.25 and everybody above 0: a quarter of the rows split
+        low = pops.make_low_population(seed_ratio(), delta=0.5)
+        prices = ident.chebyshev_prices(0.5, 1.5, 9)
+        xq = ident.default_quality_grid(low, prices, 4096)
+        seen = []
+        kernel = pops.RatioConditionalPopulation._quality_profile
+
+        def counted(self, p, rows):
+            seen.append(rows.size)
+            return kernel(self, p, rows)
+
+        monkeypatch.setattr(pops.RatioConditionalPopulation,
+                            "_quality_profile", counted)
+        pops._margin_profile(low, 1.0, xq)
+        assert len(seen) == 1
+        assert seen[0] <= 0.4 * xq.size
+
+    def test_class_rows_that_differ_fall_back_to_every_row(
+            self, monkeypatch):
+        # a kernel whose saturated rows are not all alike: the class's
+        # innermost and outermost rows disagree, so every row is computed
+        pop = pops.PointMassPopulation(vk=2.0, vm=1.0)
+        xq = np.linspace(-6.0, 6.0, 49)
+        seen = []
+
+        def tilted(self, p, rows):
+            seen.append(rows.copy())
+            return 1e-3 * np.tanh(rows) + 0.5, 1e-12 * rows.size
+
+        monkeypatch.setattr(pops.PointMassPopulation, "_quality_profile",
+                            tilted)
+        values, error = pops._margin_profile(pop, 1.0, xq)
+        assert [rows.size for rows in seen] == [9, 49]
+        assert np.array_equal(seen[-1], xq)
+        assert same_bits(values, 1e-3 * np.tanh(xq) + 0.5)
+        assert error == 1e-12 * 49
 
 
 class TestProductPopulation:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import demandlab as dl
 from demandlab import populations as pops
 from demandlab.marginals import MarginalSpec
+from helpers import same_bits
 
 bounded = {"allow_nan": False, "allow_infinity": False}
 
@@ -53,6 +54,20 @@ def test_inversion_complements_the_curve(pop):
     table = dl.invert_demand(curve)
     np.testing.assert_allclose(table.G + curve.values, 1.0, atol=1e-15)
     assert np.all(np.diff(table.G) >= -1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(product_populations(), st.floats(0.0, 6.0, **bounded),
+       st.floats(1.0, 3.0, **bounded))
+def test_surface_keeps_the_kernel_bits(pop, p, widen):
+    # saturated rows are computed once per column without moving a bit
+    sup = pop.support
+    half = widen * max(pop.vk_upper, p * sup.vm_hi)
+    xq = np.linspace(-half, half, 97)
+    surf = dl.quality_demand_surface(pop, xq, np.array([p]))
+    values, error = pop._quality_profile(p, xq)
+    assert same_bits(surf.values[:, 0], np.clip(values, 0.0, 1.0))
+    assert surf.quadrature_errors[0] == error
 
 
 @settings(max_examples=50, deadline=None)

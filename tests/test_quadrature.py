@@ -150,6 +150,23 @@ def test_segmented_gl_raises_at_the_cap_with_achieved_error():
     assert "2 rows" in str(exc.value)
 
 
+def test_segmented_gl_caps_the_pending_intervals_of_a_row():
+    # a seeded noisy integrand never converges, so every interval splits
+    # each pass; the row count doubles until the cap stops it, well
+    # before MAX_LEVELS, and no pass holds more than the cap per row
+    rng = np.random.default_rng(7)
+    lines = []
+
+    def noise(nodes, rows):
+        lines.append(rows.size)
+        return rng.random(nodes.shape)
+
+    with pytest.raises(QuadratureFailure, match="intervals in one row"):
+        q.segmented_gl(0.0, 1.0, np.empty((3, 0)), noise, tol=1e-10)
+    assert max(lines) <= q.MAX_PENDING * 3
+    assert len(lines) <= q.MAX_PENDING.bit_length() < q.MAX_LEVELS
+
+
 def test_segmented_gl_is_exact_across_kinks():
     # per-row |x - c| has a kink at c; a break there makes each piece a
     # polynomial the K21 rule integrates exactly, in one pass
