@@ -894,10 +894,11 @@ class RatioConditionalPopulation(Population):
              np.broadcast_to(self._knots, (n, self._knots.size))), axis=1)
         a0 = self._a0
         z_mass = self._z_mass
-        hi_cap = _special("ndtr", a0)
         # below a0 = 2, Phi(a0) - Phi(z) cancels; erf differences, as in
         # _trunc_mass, keep the conditional probabilities accurate
-        erf_cap = _special("erf", a0 * _SQRT_HALF) if a0 < 2.0 else None
+        wide = a0 < 2.0
+        cap = (_special("erf", a0 * _SQRT_HALF) if wide
+               else _special("ndtr", a0))
 
         def integrand(nodes, rows):
             g, m, sig = self._law(nodes)
@@ -911,13 +912,13 @@ class RatioConditionalPopulation(Population):
                 z -= m
                 z /= sig
                 np.clip(z, -a0, a0, out=z)
-            if erf_cap is None:
-                phi = _special("ndtr", z)
-                above, below = hi_cap - phi, phi - (1.0 - hi_cap)
-            else:
+            if wide:
                 z *= _SQRT_HALF
                 phi = _special("erf", z)
-                above, below = 0.5 * (erf_cap - phi), 0.5 * (phi + erf_cap)
+                above, below = 0.5 * (cap - phi), 0.5 * (phi + cap)
+            else:
+                phi = _special("ndtr", z)
+                above, below = cap - phi, phi - (1.0 - cap)
             del m, sig, z, phi
             above /= z_mass
             below /= z_mass
