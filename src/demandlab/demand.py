@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MonotonicityViolation
-from .populations import Population, _margin_profile
+from .populations import Population
 
 MONOTONE_TOL = 1e-12
 
@@ -211,15 +211,14 @@ def quality_demand_mc(pop: Population, xq: float, p: float,
 
 def quality_demand_surface(pop: Population, quality_grid,
                            price_grid) -> QualityDemandSurface:
-    """Quality-augmented demand on the grid product, column by column,
-    with each column's quadrature error estimate.  Rows where nobody or
-    everybody buys are computed once per column (see
-    ``populations._margin_profile``), with the same bits."""
+    """Quality-augmented demand on the grid product, with each column's
+    quadrature error estimate.  Every column's rows go to one kernel call
+    (one per component of a mixture), and rows where nobody or everybody
+    buys are computed once per column (see
+    ``Population._quality_surface``), with the same bits."""
     xq = np.asarray(quality_grid, dtype=float)
     prices = np.asarray(price_grid, dtype=float)
     if np.any(prices < 0.0):
         raise ValueError("price must be >= 0")
-    values, errors = zip(*(_margin_profile(pop, float(p), xq)
-                           for p in prices))
-    return QualityDemandSurface(xq, prices, np.column_stack(values),
-                                np.array(errors))
+    values, errors = pop._quality_surface(prices, xq)
+    return QualityDemandSurface(xq, prices, values, errors)

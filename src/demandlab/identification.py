@@ -47,6 +47,8 @@ def chebyshev_prices(lo: float, hi: float, n: int) -> np.ndarray:
 def pava(y) -> np.ndarray:
     """Pool-adjacent-violators projection onto non-decreasing sequences."""
     y = np.asarray(y, dtype=float)
+    if np.all(np.diff(y) >= 0.0):
+        return y.copy()  # nothing to pool; a NaN takes the loop below
     vals: list[float] = []
     counts: list[int] = []
     for v in y:

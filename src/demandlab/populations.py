@@ -48,8 +48,9 @@ SURFACE_TOL = 1e-10
 # within one ulp of the end they hold about ulp^s of mass, which no node
 # can resolve.
 MAX_GRADE = 4
-# _margin_profile: relative margin by which a quality row must clear its
-# column's nobody-buys or everybody-buys bound to be left to the class.
+# Population._quality_surface: relative margin by which a quality row
+# must clear its column's nobody-buys or everybody-buys bound to be left
+# to the class.
 SATURATION_MARGIN = 1e-9
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -351,9 +352,10 @@ class Population:
 
     # Subclasses implement: support, vk_upper, _density, _sample,
     # _ratio_marginal, _moment, _band_vm_moments, _quality_profile.
-    # _quality_profile(p, xq) returns the buying mass at price p for each
-    # quality offset in xq and an estimate of its absolute quadrature
-    # error (the worst row's estimate; 0 for closed forms).
+    # _quality_profile(p, xq) takes prices p broadcastable against the
+    # quality offsets xq, so one call can hold the rows of many prices,
+    # and returns each row's buying mass and the estimate of its absolute
+    # quadrature error (0 for closed forms).
 
     @property
     def support(self) -> Support:
@@ -366,6 +368,62 @@ class Population:
     def _mean_vm(self) -> float:
         """E[vm]; forms with an exact closed form override this."""
         return self._moment(0, 1)[0]
+
+    def _saturation_bounds(self, p: float):
+        """Quality offsets below which nobody buys and above which
+        everybody buys at price p >= 0.  With vk >= 0 and
+        0 < vm <= vm_hi, the support box gives
+        max(-vk_upper, -vm_hi max(r_hi - p, 0)) and
+        min(p vm_hi, vm_hi max(p - r_lo, 0)); forms that know their own
+        range of vk - p vm override this."""
+        sup = self.support
+        return (max(-self.vk_upper, -sup.vm_hi * max(sup.r_hi - p, 0.0)),
+                min(p * sup.vm_hi, sup.vm_hi * max(p - sup.r_lo, 0.0)))
+
+    def _quality_surface(self, prices: np.ndarray, xq: np.ndarray):
+        """Buying mass at every (quality offset, price) pair of the grids,
+        as an (xq.size, prices.size) matrix, and each price column's
+        worst quadrature estimate, from one ``_quality_profile`` call.
+
+        In column p nobody buys below and everybody buys above the
+        offsets of ``_saturation_bounds(p)``.  In both classes every
+        break clips to an end and every cdf to 0 or 1, and the kernel's
+        rows are independent, so each row of a class gets the same value
+        and estimate.  The kernel runs, for all columns at once, on the
+        (price, offset) rows between the classes and on the innermost and
+        outermost row of each class; a class whose two rows agree bit for
+        bit takes their value.  A column where they differ is computed on
+        every row in a second call, so the result is always the kernel's.
+        """
+        run = np.ones((prices.size, xq.size), dtype=bool)
+        classes = []  # (column, rows of the class, its two end rows)
+        for j, p in enumerate(prices.tolist()):
+            nobody, everybody = self._saturation_bounds(p)
+            for c in (xq < nobody - SATURATION_MARGIN * abs(nobody),
+                      xq > everybody + SATURATION_MARGIN * abs(everybody)):
+                c = np.flatnonzero(c)
+                if c.size > 2:
+                    ends = c[[np.argmin(xq[c]), np.argmax(xq[c])]]
+                    run[j, c] = False
+                    run[j, ends] = True
+                    classes.append((j, c, ends))
+        values = np.empty(run.shape)
+        errors = np.zeros(run.shape)
+
+        def compute(col, row):  # the rows of one price are consecutive
+            values[col, row], errors[col, row] = self._quality_profile(
+                prices[col], xq[row])
+
+        compute(*np.nonzero(run))
+        redo = np.zeros(prices.size, dtype=bool)
+        for j, c, ends in classes:
+            pair = values[j, ends].view(np.int64)
+            redo[j] |= pair[0] != pair[1]
+            values[j, c] = values[j, ends[0]]
+        if redo.any():
+            run[:] = redo[:, None]
+            compute(*np.nonzero(run))
+        return values.T, np.max(errors, axis=1, initial=0.0)
 
     def _demand_profile(self, prices: np.ndarray) -> np.ndarray:
         """Buying mass at each price, the complement of the ratio law.
@@ -428,8 +486,9 @@ class PointMassPopulation(Population):
         return (1.0 if inside else 0.0), (self.vm if inside else 0.0)
 
     def _quality_profile(self, p, xq):
-        xq = np.asarray(xq, dtype=float)
-        return (self.vk + xq - self.vm * p >= 0.0).astype(float), 0.0
+        buys = (self.vk + np.asarray(xq, dtype=float)
+                - self.vm * np.asarray(p, dtype=float) >= 0.0)
+        return buys.astype(float), np.zeros(buys.shape)
 
 
 def _grade(*shapes) -> int:
@@ -443,51 +502,6 @@ def _grade(*shapes) -> int:
         if all(m * s >= 2.0 or float(m * s).is_integer() for s in shapes):
             return m
     return MAX_GRADE
-
-
-def _worst(values, errors):
-    return values, float(np.max(errors, initial=0.0))
-
-
-def _margin_profile(pop: Population, p: float, xq: np.ndarray):
-    """``pop._quality_profile(p, xq)``, with the kernel run only on the
-    rows that the price can split.
-
-    With vk >= 0 and 0 < vm <= vm_hi in the support box, nobody buys
-    when xq < max(-vk_upper, -vm_hi max(r_hi - p, 0)) and everybody buys
-    when xq > min(p vm_hi, vm_hi max(p - r_lo, 0)).  In both classes
-    every break clips to an end and every cdf to 0 or 1, and the
-    kernel's rows are independent, so each row of a class gets the same
-    value and estimate.  The kernel runs on the rows between the classes
-    and on the innermost and outermost row of each class; a class whose
-    two rows agree bit for bit takes their value.  If a class's two rows
-    differ, every row is computed, so the result is always the kernel's.
-    """
-    xq = np.asarray(xq, dtype=float)
-    sup = pop.support
-    nobody = max(-pop.vk_upper, -sup.vm_hi * max(sup.r_hi - p, 0.0))
-    everybody = min(p * sup.vm_hi, sup.vm_hi * max(p - sup.r_lo, 0.0))
-    classes = [c for c in (
-        np.flatnonzero(xq < nobody - SATURATION_MARGIN * abs(nobody)),
-        np.flatnonzero(xq > everybody + SATURATION_MARGIN * abs(everybody)))
-        if c.size > 2]
-    if not classes:
-        return pop._quality_profile(p, xq)
-    run = np.ones(xq.size, dtype=bool)
-    ends = []
-    for c in classes:
-        run[c] = False
-        ends.append(c[[np.argmin(xq[c]), np.argmax(xq[c])]])
-        run[ends[-1]] = True
-    rows = np.flatnonzero(run)
-    values = np.empty(xq.size)
-    values[rows], error = pop._quality_profile(p, xq[rows])
-    for c, end in zip(classes, ends):
-        pair = values[end].view(np.int64)
-        if pair[0] != pair[1]:
-            return pop._quality_profile(p, xq)
-        values[c] = values[end[0]]
-    return values, error
 
 
 def _require_seed_ratio(ratio: RatioMarginalSpec):
@@ -546,11 +560,12 @@ class ProductPopulation(Population):
         return mass, mass * self.vm.mean
 
     def _quality_profile(self, p, xq):
-        xq = np.asarray(xq, dtype=float)
+        p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                    np.asarray(xq, dtype=float))
         n = xq.size
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
         knots = self.ratio._as_table.x[1:-1]
-        cols = [np.full((n, 1), float(np.clip(p, r_lo, r_hi))),
+        cols = [np.clip(p, r_lo, r_hi)[:, None],
                 np.broadcast_to(knots, (n, knots.size))]
         for edge in (self.vm.lo, self.vm.hi):
             if edge > 0.0:
@@ -559,7 +574,7 @@ class ProductPopulation(Population):
 
         def integrand(nodes, rows):
             x = xq[rows][:, None]
-            c = nodes - p
+            c = nodes - p[rows][:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = np.where(c != 0.0, -x / np.where(c != 0.0, c, 1.0), 0.0)
             f_at_t = np.asarray(self.vm.cdf(t))
@@ -568,9 +583,9 @@ class ProductPopulation(Population):
             return self.ratio.pdf(nodes) * s
 
         # vm's cdf contributes |u - break|^alpha at the breaks
-        return _worst(*quadrature.segmented_gl(
+        return quadrature.segmented_gl(
             r_lo, r_hi, breaks, integrand, tol=SURFACE_TOL,
-            grade=_grade(self.vm.end_shape + 1.0)))
+            grade=_grade(self.vm.end_shape + 1.0))
 
 @dataclass(frozen=True, eq=False)
 class IndependentPopulation(Population):
@@ -673,19 +688,28 @@ class IndependentPopulation(Population):
             grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0))
         return float(mass), float(vm_int)
 
+    def _saturation_bounds(self, p):
+        # vk + xq - p vm runs over [vk.lo - p vm.hi, vk.hi - p vm.lo] + xq
+        return p * self.vm.lo - self.vk.hi, p * self.vm.hi - self.vk.lo
+
     def _quality_profile(self, p, xq):
-        xq = np.asarray(xq, dtype=float)
-        if p == 0.0:
-            out = 1.0 - np.asarray(self.vk.cdf(-xq), dtype=float)
-        elif self.vm.is_degenerate:
-            out = 1.0 - np.asarray(
+        p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                    np.asarray(xq, dtype=float))
+        out = np.empty(xq.shape)
+        errors = np.zeros(xq.shape)
+        free = p == 0.0
+        priced = ~free
+        out[free] = 1.0 - np.asarray(self.vk.cdf(-xq[free]), dtype=float)
+        p, xq = p[priced], xq[priced]
+        if self.vm.is_degenerate:
+            out[priced] = 1.0 - np.asarray(
                 self.vk.cdf(p * self.vm.value - xq), dtype=float)
         elif self.vk.is_degenerate:
-            out = np.asarray(self.vm.cdf((self.vk.value + xq) / p),
-                             dtype=float)
+            out[priced] = np.asarray(self.vm.cdf((self.vk.value + xq) / p),
+                                     dtype=float)
         else:
-            return _worst(*self._integrated_profile(p, xq))
-        return out, 0.0
+            out[priced], errors[priced] = self._integrated_profile(p, xq)
+        return out, errors
 
     def _integrated_profile(self, p, xq):
         """P(vk + xq >= p vm) by quadrature over vm, one row per entry of
@@ -871,24 +895,29 @@ class RatioConditionalPopulation(Population):
         return float(self._law(self.ratio.r_lo)[1])
 
     def _quality_profile(self, p, xq):
-        xq = np.asarray(xq, dtype=float)
-        # solve_crossings needs psi nondecreasing in the row: solve on the
-        # sorted offsets (NaN last) and scatter the rows back; rows are
-        # independent, so each keeps its bits
-        order = np.argsort(xq, kind="stable")
-        xq = xq[order]
+        p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                    np.asarray(xq, dtype=float))
+        # solve_crossings needs psi nondecreasing in the row within a
+        # group: sort the rows by price, then by offset (NaN last), solve
+        # each price's rows as one group and scatter the rows back; rows
+        # are independent, so each keeps its bits
+        order = np.lexsort((xq, p))
+        p, xq = p[order], xq[order]
         n = xq.size
+        starts = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
 
         def edge_cross(sign):
             def psi(r, rows):
                 m, eps = self._law(r)[1:]
-                return (m + sign * eps) * (r - p) + xq[rows]
+                return (m + sign * eps) * (r - p[rows]) + xq[rows]
             return psi
 
-        roots_hi = quadrature.solve_crossings(edge_cross(+1.0), r_lo, r_hi, n)
-        roots_lo = quadrature.solve_crossings(edge_cross(-1.0), r_lo, r_hi, n)
-        fixed = np.full((n, 1), float(np.clip(p, r_lo, r_hi)))
+        roots_hi = quadrature.solve_crossings(edge_cross(+1.0), r_lo, r_hi,
+                                              n, starts)
+        roots_lo = quadrature.solve_crossings(edge_cross(-1.0), r_lo, r_hi,
+                                              n, starts)
+        fixed = np.clip(p, r_lo, r_hi)[:, None]
         breaks = np.concatenate(
             (roots_hi, roots_lo, fixed,
              np.broadcast_to(self._knots, (n, self._knots.size))), axis=1)
@@ -905,7 +934,7 @@ class RatioConditionalPopulation(Population):
             sig *= self.cond.sigma_multiplier
             # c reuses the nodes, and m, sig, z go before s is formed,
             # which bounds the node-sized arrays alive at once
-            c = np.subtract(nodes, p, out=nodes)
+            c = np.subtract(nodes, p[rows][:, None], out=nodes)
             x = xq[rows][:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = -x / np.where(c != 0.0, c, 1.0)
@@ -929,9 +958,9 @@ class RatioConditionalPopulation(Population):
 
         values, errors = quadrature.segmented_gl(r_lo, r_hi, breaks,
                                                  integrand, tol=SURFACE_TOL)
-        out = np.empty(n)
-        out[order] = values
-        return _worst(out, errors)
+        out = np.empty((2, n))
+        out[:, order] = values, errors
+        return out[0], out[1]
 
 @dataclass(frozen=True, eq=False)
 class MixturePopulation(Population):
@@ -1032,14 +1061,22 @@ class MixturePopulation(Population):
             vm_int += w * v
         return mass, vm_int
 
-    def _quality_profile(self, p, xq):
+    def _blend(self, method: str, *args):
         # a component's error estimate weighs in like its values
-        out, error = 0.0, 0.0
+        out, errors = 0.0, 0.0
         for w, pop in self.components:
-            values, err = _margin_profile(pop, p, xq)
+            values, err = getattr(pop, method)(*args)
             out = out + w * values
-            error += w * err
-        return out, error
+            errors = errors + w * err
+        return out, errors
+
+    def _quality_profile(self, p, xq):
+        return self._blend("_quality_profile", p, xq)
+
+    def _quality_surface(self, prices, xq):
+        # each component skips the rows its own bounds saturate, and a
+        # column's estimate is the weighted sum of the components' worst
+        return self._blend("_quality_surface", prices, xq)
 
     def _demand_profile(self, prices):
         # exact component blend; the tabulated marginal smears component

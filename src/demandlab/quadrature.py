@@ -3,14 +3,21 @@
 The helpers work on a family of integrands that differ only through a
 row parameter, splitting each row's interval at known or numerically
 located kinks.  They are the workhorses behind quality-demand surfaces.
-``solve_crossings`` takes a row-indexed ``psi(r, rows)`` that is
-nondecreasing in the row index; it binary-searches the rows at each
-coarse scan point instead of evaluating them all, and bisects only the
-cells where the scan brackets a root.  ``segmented_gl`` is the one
+``solve_crossings`` takes a row-indexed ``psi(r, rows)`` whose rows
+fall into consecutive groups, each nondecreasing in the row index (a
+surface's rows of one price, sorted by quality offset).  It
+binary-searches every group's rows at each coarse scan point in the same
+``psi`` calls instead of evaluating them all, and bisects only the cells
+where the scan brackets a root until a pass changes nothing.  For the
+integrals, whatever their row count, ``segmented_gl`` is the one
 adaptive driver.  It flattens every row's positive-width segments into
-one list of (row, interval) pairs and applies the nested Gauss-Kronrod
-pair G10/K21 of QUADPACK (Piessens et al. 1983) to each: 21 integrand
-values give the interval's integral and, from |K21 - G10|, its error
+one list of (row, interval) pairs and hands them to the integrand
+``INTERVAL_BLOCK`` (2^11) at a time: a surface puts the rows of all its
+prices into one call, and small blocks keep the integrand's node-sized
+temporaries at a few hundred kB however many rows the call holds.  Each
+interval gets the nested Gauss-Kronrod pair G10/K21 of QUADPACK
+(Piessens et al. 1983): 21 integrand values give its integral and,
+from |K21 - G10|, its error
 estimate.  A row is finished once its summed estimate meets the absolute
 tolerance; otherwise only its intervals above their share of the
 remaining budget are bisected, so the node count follows each row's own
@@ -75,8 +82,8 @@ MAX_PENDING = 1024
 COARSE = 513
 BISECTIONS = 64
 # segmented_gl: intervals per integrand call, which bounds the size of
-# the node arrays.
-INTERVAL_BLOCK = 2 ** 15
+# the node arrays whatever the number of rows (see the module docstring).
+INTERVAL_BLOCK = 2 ** 11
 # segmented_gl: a row's tolerance is at least this many ulps of its
 # absolute integral (QUADPACK qk21's round-off level).
 ROUNDOFF = 50.0 * np.finfo(float).eps
@@ -103,48 +110,58 @@ def integrate(f, a: float, b: float, *, tol: float, breakpoints=()) -> float:
     return float(values[0])
 
 
-def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:
+def solve_crossings(psi, lo: float, hi: float, n_rows: int,
+                    starts=(0,)) -> np.ndarray:
     """Locate sign changes of a row-indexed function by bisection.
 
     ``psi(r, rows)`` evaluates rows ``rows`` at abscissae ``r`` and
     returns values of their broadcast shape, so a part shared by all
     rows is computed once per abscissa.  Each row is an independent
     one-dimensional root problem (the row index selects, e.g., one
-    quality offset).
+    (price, quality offset) pair).
 
-    Precondition: at every abscissa ``psi`` is nondecreasing in the row
-    index, as ``f(r) + c[rows]`` is for sorted ``c`` (``fl(a + x)`` is
+    ``starts`` holds the first row of each group of consecutive rows, in
+    ascending order; by default all rows form one group.  Precondition:
+    at every abscissa ``psi`` is nondecreasing in the row index within a
+    group, as ``f(r) + c[rows]`` is for sorted ``c`` (``fl(a + x)`` is
     monotone in x, so this holds exactly in floating point); a NaN value
-    counts as nonnegative, so rows that give NaN go last.  Then the rows
-    with ``psi >= 0`` at a scan point are a suffix, found by binary
-    search, and the coarse scan of ``COARSE`` points costs
-    ``COARSE * ceil(log2(n_rows + 1))`` evaluations.  The rows between
-    the suffix starts of two neighbouring scan points are exactly those
-    whose sign flips in that cell; only these (row, cell) pairs are
-    bisected, ``BISECTIONS`` times each.
+    counts as nonnegative, so rows that give NaN go last in their group.
+    Then a group's rows with ``psi >= 0`` at a scan point are a suffix,
+    found by binary search, and the coarse scan of ``COARSE`` points
+    costs ``COARSE * ceil(log2(n + 1))`` evaluations per group of n rows,
+    made for all groups in the same ``psi`` calls.  The rows between the
+    suffix starts of two neighbouring scan points are exactly those whose
+    sign flips in that cell; only these (row, cell) pairs are bisected,
+    at most ``BISECTIONS`` times each.  The bisection stops early once a
+    pass changes no pair: ``psi`` is deterministic, so every later pass
+    would change nothing either.
 
     Returns an (n_rows, k) matrix of each row's roots in ascending
     order, padded with ``hi``, where k is the most roots any row has
     (0 when no row has one).  Roots are only located where the coarse
     scan sees a sign flip, which is adequate for the piecewise-monotone
-    crossing functions used here.
+    crossing functions used here.  A row's roots depend on its own
+    values of ``psi`` only, never on the other rows or groups.
     """
     grid = np.linspace(lo, hi, COARSE)
-    # binary search at every scan point for split[j], the first row with
-    # psi(grid[j], row) >= 0 or NaN (n_rows if none)
-    split = np.zeros(COARSE, dtype=np.intp)
-    top = np.full(COARSE, n_rows, dtype=np.intp)
-    for _ in range(int(n_rows).bit_length()):
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = np.append(starts[1:], n_rows)
+    # binary search at every group and scan point for split[g, j], the
+    # first row of group g with psi(grid[j], row) >= 0 or NaN (the end of
+    # the group if none)
+    split = np.repeat(starts[:, None], COARSE, axis=1)
+    top = np.repeat(ends[:, None], COARSE, axis=1)
+    for _ in range(int(np.max(ends - starts, initial=0)).bit_length()):
         mid = (split + top) // 2
         up = ~(psi(grid, np.minimum(mid, n_rows - 1)) < 0.0)
         open_ = split < top
         top = np.where(open_ & up, mid, top)
         split = np.where(open_ & ~up, mid + 1, split)
-    # cell j brackets the rows from the lower of its two splits up to
-    # the higher one
-    start = np.minimum(split[:-1], split[1:])
-    count = np.abs(np.diff(split))
-    cells = np.repeat(np.arange(COARSE - 1), count)
+    # cell j of a group brackets the rows from the lower of its two
+    # splits up to the higher one
+    start = np.minimum(split[:, :-1], split[:, 1:]).ravel()
+    count = np.abs(np.diff(split, axis=1)).ravel()
+    cells = np.repeat(np.tile(np.arange(COARSE - 1), starts.size), count)
     rows = (np.repeat(start - np.cumsum(count) + count, count)
             + np.arange(cells.size))
     order = np.lexsort((cells, rows))
@@ -160,8 +177,12 @@ def solve_crossings(psi, lo: float, hi: float, n_rows: int) -> np.ndarray:
         m = 0.5 * (a + b)
         fm = psi(m, rows)
         left = fa * fm <= 0.0
-        a, b, fa = (np.where(left, a, m), np.where(left, m, b),
-                    np.where(left, fa, fm))
+        state = (np.where(left, a, m), np.where(left, m, b),
+                 np.where(left, fa, fm))
+        if all(np.array_equal(new.view(np.int64), old.view(np.int64))
+               for new, old in zip(state, (a, b, fa))):
+            break
+        a, b, fa = state
     roots[rows, slot] = 0.5 * (a + b)
     return roots
 

@@ -1,5 +1,7 @@
 """Shared builders for the test suite: one population per family."""
 
+import random
+
 import numpy as np
 
 from demandlab import populations as pops
@@ -130,6 +132,46 @@ def surface_zoo() -> dict:
             MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0),
             MarginalSpec.scaled_beta(a, 2.0, 0.5, 1.5))
     return zoo
+
+
+def benchmark_populations(seed: int) -> dict:
+    """The populations of the benchmark's two identify workloads at
+    ``seed``, drawn as ``perfbench/bench_inputs.py`` draws them: the twins
+    on a uniform ratio on [1, 2] with vm_hi 100, and the smooth forms with
+    integer beta shapes and their even mixture."""
+    rng = random.Random(f"identify_conditional:{seed}")
+    ratio = seed_ratio()
+    out = {"low": pops.make_low_population(ratio, rng.uniform(0.46, 0.55)),
+           "high": pops.make_high_population(ratio,
+                                             rng.uniform(0.035, 0.045))}
+    rng = random.Random(f"identify_smooth:{seed}")
+    vk = (rng.choice((2, 3)), rng.choice((3, 4)))
+    vm_ind = (rng.choice((2, 3)), rng.choice((2, 3)))
+    vm_prod = (rng.choice((2, 3)), rng.choice((2, 3)))
+    out["independent"] = pops.IndependentPopulation(
+        MarginalSpec.scaled_beta(*vk, 0.0, 1.0),
+        MarginalSpec.scaled_beta(*vm_ind, 0.5, 1.5))
+    out["product"] = pops.ProductPopulation(
+        pops.RatioMarginalSpec.uniform(1.0, 2.0),
+        MarginalSpec.scaled_beta(*vm_prod, 0.5, 1.5))
+    out["mixture"] = pops.MixturePopulation(
+        ((0.5, out["independent"]), (0.5, out["product"])))
+    return out
+
+
+def column_kernel(pop, p, xq):
+    """One scalar-price kernel call on every row of the column at ``p``:
+    its values and worst estimate.  A mixture's are the weighted sums of
+    its components', in component order, as its surface column's are."""
+    if isinstance(pop, pops.MixturePopulation):
+        values, error = 0.0, 0.0
+        for w, part in pop.components:
+            v, e = column_kernel(part, p, xq)
+            values = values + w * v
+            error = error + w * e
+        return values, error
+    values, errors = pop._quality_profile(float(p), xq)
+    return values, float(np.max(errors, initial=0.0))
 
 
 def same_bits(a, b) -> bool:

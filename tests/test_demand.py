@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import demandlab as dl
+from demandlab import identification as ident
 from demandlab import populations as pops
 from demandlab.errors import MonotonicityViolation
 from demandlab.marginals import MarginalSpec
-from helpers import (continuous_zoo, population_zoo, same_bits, seed_ratio,
-                     surface_zoo)
+from helpers import (benchmark_populations, column_kernel, continuous_zoo,
+                     population_zoo, same_bits, seed_ratio, surface_zoo)
 
 
 class TestPurchaseDecision:
@@ -244,8 +245,7 @@ class TestQualityDemandSurface:
         prices = np.array([0.8, 1.2, 1.6])
         for name, pop in population_zoo().items():
             surf = dl.quality_demand_surface(pop, xq, prices)
-            want = [pop._quality_profile(p, xq)[1]
-                    for p in prices]
+            want = [column_kernel(pop, p, xq)[1] for p in prices]
             assert np.array_equal(surf.quadrature_errors, want), name
         grid = np.linspace(-1.0, 1.0, 3)
         good = np.array([[0.1, 0.0], [0.5, 0.3], [0.9, 0.8]])
@@ -255,8 +255,9 @@ class TestQualityDemandSurface:
             dl.QualityDemandSurface(grid, prices[:2], good, np.zeros(3))
 
     def test_equals_the_column_by_column_kernel(self):
-        # rows where nobody or everybody buys are computed once per
-        # column; values and quadrature errors keep the kernel's bits at
+        # every column's rows go to one kernel call, and rows where nobody
+        # or everybody buys are computed once per column; values and
+        # quadrature errors keep the bits of one kernel call per column at
         # a zero price, inside the ratio support and beyond it
         for name, pop in surface_zoo().items():
             sup = pop.support
@@ -267,7 +268,23 @@ class TestQualityDemandSurface:
             half = 1.2 * max(pop.vk_upper, prices[-1] * sup.vm_hi)
             xq = np.linspace(-half, half, 193)
             surf = dl.quality_demand_surface(pop, xq, prices)
-            values, errors = zip(*(pop._quality_profile(float(p), xq)
+            values, errors = zip(*(column_kernel(pop, p, xq)
+                                   for p in prices))
+            assert same_bits(surf.values,
+                             np.clip(np.column_stack(values), 0.0, 1.0)), name
+            assert same_bits(surf.quadrature_errors, errors), name
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_benchmark_surfaces_equal_the_column_by_column_kernel(
+            self, seed):
+        # the identify workloads' populations at their 9 prices, on the
+        # default quality span with a quarter of its 4096 rows: one
+        # batched call gives every column's bits
+        prices = ident.chebyshev_prices(0.5, 1.5, 9)
+        for name, pop in benchmark_populations(seed).items():
+            xq = ident.default_quality_grid(pop, prices, 1024)
+            surf = dl.quality_demand_surface(pop, xq, prices)
+            values, errors = zip(*(column_kernel(pop, p, xq)
                                    for p in prices))
             assert same_bits(surf.values,
                              np.clip(np.column_stack(values), 0.0, 1.0)), name

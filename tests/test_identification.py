@@ -12,7 +12,7 @@ from demandlab.errors import (IllConditioned, InsufficientPrices,
                               TailMassExceeded)
 from demandlab.marginals import MarginalSpec
 from helpers import (beta_independent, kinked_h_custom, kinked_ratio_low,
-                     seed_ratio, sine_table_low, zigzag_ratio_low)
+                     same_bits, seed_ratio, sine_table_low, zigzag_ratio_low)
 
 
 class TestChebyshevPrices:
@@ -38,6 +38,38 @@ class TestPava:
             ours = ident.pava(y)
             ref = isotonic_regression(y).x
             np.testing.assert_allclose(ours, ref, atol=1e-12)
+
+    def test_sorted_input_takes_the_loops_bits(self):
+        # nondecreasing input is returned as a copy; the pooling loop
+        # would give the same bits, and keeps every other input (a
+        # decrease, a NaN)
+        def pooled(y):
+            vals, counts = [], []
+            for v in y:
+                vals.append(float(v))
+                counts.append(1)
+                while len(vals) > 1 and vals[-2] > vals[-1]:
+                    total = vals[-1] * counts[-1] + vals[-2] * counts[-2]
+                    cnt = counts[-1] + counts[-2]
+                    vals.pop()
+                    counts.pop()
+                    vals[-1] = total / cnt
+                    counts[-1] = cnt
+            return np.repeat(vals, counts)
+
+        cases = {"sorted": np.linspace(-1.0, 2.0, 17),
+                 "tied": np.array([0.0, 0.0, 0.25, 0.25, 0.25, 1.0]),
+                 "signed_zeros": np.array([0.0, -0.0, 0.0, -0.0]),
+                 "decreasing": np.array([0.0, 0.5, 0.4, 0.9, 0.3, 1.0]),
+                 "nan": np.array([0.0, 0.2, np.nan, 0.6, 1.0]),
+                 "one": np.array([0.7]), "empty": np.array([])}
+        for name, y in cases.items():
+            got = ident.pava(y)
+            assert got is not y, name
+            assert same_bits(got, pooled(y)), name
+        y = cases["sorted"]
+        ident.pava(y)[0] = 9.0
+        assert y[0] == -1.0
 
     def test_idempotent_and_mean_preserving(self):
         y = np.array([3.0, 1.0, 2.0, 0.5, 4.0])

@@ -8,12 +8,13 @@ from scipy import special, stats
 from demandlab import identification as ident
 from demandlab import inequality
 from demandlab import populations as pops
-from demandlab.demand import default_price_grid
+from demandlab.demand import default_price_grid, quality_demand_surface
 from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity)
 from demandlab.marginals import MarginalSpec
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
-                     LOW_MEAN_VM, beta_independent, kinked_h_custom,
-                     population_zoo, same_bits, seed_ratio, surface_zoo)
+                     LOW_MEAN_VM, benchmark_populations, beta_independent,
+                     column_kernel, kinked_h_custom, population_zoo,
+                     same_bits, seed_ratio, surface_zoo)
 
 
 class TestSupport:
@@ -130,78 +131,140 @@ def test_grade_follows_the_roughest_end_point_term():
 
 
 def test_quality_profile_reports_a_quadrature_error():
-    # closed forms report 0, quadrature forms an estimate within the
-    # surface tolerance, and a mixture the weighted sum of its parts'
+    # every row gets an estimate: closed forms report 0, quadrature forms
+    # one within the surface tolerance, and a mixture the weighted sum of
+    # its parts'
     xq = np.linspace(-3.0, 3.0, 65)
     zoo = population_zoo()
     for name, pop in zoo.items():
-        values, error = pop._quality_profile(1.3, xq)
-        assert values.shape == xq.shape, name
-        assert 0.0 <= error <= pops.SURFACE_TOL, name
-    assert zoo["point_mass"]._quality_profile(1.3, xq)[1] == 0.0
-    assert zoo["independent"]._quality_profile(0.0, xq)[1] == 0.0
+        values, errors = pop._quality_profile(1.3, xq)
+        assert values.shape == errors.shape == xq.shape, name
+        assert np.all((errors >= 0.0) & (errors <= pops.SURFACE_TOL)), name
+    assert not np.any(zoo["point_mass"]._quality_profile(1.3, xq)[1])
+    assert not np.any(zoo["independent"]._quality_profile(0.0, xq)[1])
     mix = zoo["mixture"]
     want = sum(w * pop._quality_profile(1.3, xq)[1]
                for w, pop in mix.components)
-    assert mix._quality_profile(1.3, xq)[1] == want
-    assert want > 0.0
+    assert np.array_equal(mix._quality_profile(1.3, xq)[1], want)
+    assert np.max(want) > 0.0
+
+
+def _count_kernel_rows(monkeypatch, cls):
+    """Record the row count of every ``cls._quality_profile`` call."""
+    seen = []
+    kernel = cls._quality_profile
+
+    def counted(self, p, rows):
+        seen.append(rows.size)
+        return kernel(self, p, rows)
+
+    monkeypatch.setattr(cls, "_quality_profile", counted)
+    return seen
 
 
 class TestMarginProfile:
-    """The kernel runs only on the rows a price can split."""
+    """One kernel call per surface, on the rows the prices can split."""
 
     def test_equals_the_kernel_on_unsorted_grids_with_a_nan(self):
+        rng = np.random.default_rng(1)
         for name, pop in surface_zoo().items():
             sup = pop.support
             half = 1.2 * max(pop.vk_upper, 2.0 * sup.r_hi * sup.vm_hi)
             xq = np.linspace(-half, half, 151)
-            xq = xq[np.random.default_rng(1).permutation(xq.size)]
+            xq = xq[rng.permutation(xq.size)]
             xq[7] = np.nan
-            for p in (0.0, 0.5 * sup.r_lo, sup.r_lo,
-                      0.5 * (sup.r_lo + sup.r_hi), sup.r_hi, 2.0 * sup.r_hi):
-                got, got_err = pops._margin_profile(pop, p, xq)
-                want, want_err = pop._quality_profile(p, xq)
-                assert same_bits(got, want), (name, p)
-                assert same_bits(got_err, want_err), (name, p)
+            prices = np.array([0.0, 0.5 * sup.r_lo, sup.r_lo,
+                               0.5 * (sup.r_lo + sup.r_hi), sup.r_hi,
+                               2.0 * sup.r_hi])
+            prices = prices[rng.permutation(prices.size)]
+            got, got_err = pop._quality_surface(prices, xq)
+            for j, p in enumerate(prices):
+                want, want_err = column_kernel(pop, p, xq)
+                assert same_bits(got[:, j], want), (name, p)
+                assert same_bits(got_err[j], want_err), (name, p)
 
     def test_kernel_skips_most_rows_of_the_seed_twin(self, monkeypatch):
-        # on the default grid the low twin at p = 1 has nobody buying
-        # below -2.25 and everybody above 0: a quarter of the rows split
+        # on the default grid the low twin's 9 columns go to one kernel
+        # call; at p = 1 nobody buys below -2.25 and everybody above 0,
+        # and over all 9 prices 29 % of the rows reach the kernel
         low = pops.make_low_population(seed_ratio(), delta=0.5)
         prices = ident.chebyshev_prices(0.5, 1.5, 9)
         xq = ident.default_quality_grid(low, prices, 4096)
-        seen = []
-        kernel = pops.RatioConditionalPopulation._quality_profile
-
-        def counted(self, p, rows):
-            seen.append(rows.size)
-            return kernel(self, p, rows)
-
-        monkeypatch.setattr(pops.RatioConditionalPopulation,
-                            "_quality_profile", counted)
-        pops._margin_profile(low, 1.0, xq)
+        seen = _count_kernel_rows(monkeypatch,
+                                  pops.RatioConditionalPopulation)
+        low._quality_surface(prices, xq)
         assert len(seen) == 1
-        assert seen[0] <= 0.4 * xq.size
+        assert seen[0] <= 0.4 * xq.size * prices.size
+
+    def test_kernel_runs_once_per_component_of_a_mixture(self, monkeypatch):
+        mix = benchmark_populations(3)["mixture"]
+        prices = ident.chebyshev_prices(0.5, 1.5, 9)
+        xq = ident.default_quality_grid(mix, prices, 4096)
+        seen = {cls: _count_kernel_rows(monkeypatch, cls) for cls in (
+            pops.MixturePopulation, pops.IndependentPopulation,
+            pops.ProductPopulation)}
+        quality_demand_surface(mix, xq, prices)
+        assert [len(rows) for rows in seen.values()] == [0, 1, 1]
+
+    def test_independent_bounds_are_its_own(self, monkeypatch):
+        # nobody buys below p vm.lo - vk.hi and everybody above
+        # p vm.hi - vk.lo, tighter than the support box: on the default
+        # grid under 45 % of the rows reach the kernel, against 55 % with
+        # the box
+        pop = benchmark_populations(3)["independent"]
+        assert pop._saturation_bounds(1.2) == (1.2 * 0.5 - 1.0, 1.2 * 1.5)
+        prices = ident.chebyshev_prices(0.5, 1.5, 9)
+        xq = ident.default_quality_grid(pop, prices, 4096)
+        seen = _count_kernel_rows(monkeypatch, pops.IndependentPopulation)
+        own = pop._quality_surface(prices, xq)
+        monkeypatch.setattr(pops.IndependentPopulation, "_saturation_bounds",
+                            pops.Population._saturation_bounds)
+        box = pop._quality_surface(prices, xq)
+        assert seen[0] <= 0.45 * xq.size * prices.size < seen[1]
+        assert same_bits(own[0], box[0]) and same_bits(own[1], box[1])
 
     def test_class_rows_that_differ_fall_back_to_every_row(
             self, monkeypatch):
-        # a kernel whose saturated rows are not all alike: the class's
-        # innermost and outermost rows disagree, so every row is computed
+        # a kernel whose saturated rows are not all alike at p = 1: that
+        # column's innermost and outermost class rows disagree, so a second
+        # call computes its every row; the column at p = 3 keeps its classes
         pop = pops.PointMassPopulation(vk=2.0, vm=1.0)
         xq = np.linspace(-6.0, 6.0, 49)
         seen = []
 
         def tilted(self, p, rows):
             seen.append(rows.copy())
-            return 1e-3 * np.tanh(rows) + 0.5, 1e-12 * rows.size
+            return (0.5 + 1e-3 * np.tanh(rows) * (p == 1.0),
+                    np.full(rows.shape, 1e-12))
 
         monkeypatch.setattr(pops.PointMassPopulation, "_quality_profile",
                             tilted)
-        values, error = pops._margin_profile(pop, 1.0, xq)
-        assert [rows.size for rows in seen] == [9, 49]
+        values, errors = pop._quality_surface(np.array([1.0, 3.0]), xq)
+        assert [rows.size for rows in seen] == [18, 49]
         assert np.array_equal(seen[-1], xq)
-        assert same_bits(values, 1e-3 * np.tanh(xq) + 0.5)
-        assert error == 1e-12 * 49
+        assert same_bits(values[:, 0], 1e-3 * np.tanh(xq) + 0.5)
+        assert np.all(values[:, 1] == 0.5)
+        assert np.array_equal(errors, [1e-12, 1e-12])
+
+    def test_integrand_sees_at_most_a_block_of_lines(self, monkeypatch):
+        # a twin's 9 columns hold many blocks of intervals; each integrand
+        # call gets at most INTERVAL_BLOCK of them
+        low = pops.make_low_population(seed_ratio(), delta=0.5)
+        prices = ident.chebyshev_prices(0.5, 1.5, 9)
+        xq = ident.default_quality_grid(low, prices, 4096)
+        lines = []
+        quad = pops.quadrature.segmented_gl
+
+        def recorded(lo, hi, breaks, f, **kw):
+            def integrand(nodes, rows):
+                lines.append(nodes.shape[0])
+                return f(nodes, rows)
+            return quad(lo, hi, breaks, integrand, **kw)
+
+        monkeypatch.setattr(pops.quadrature, "segmented_gl", recorded)
+        low._quality_surface(prices, xq)
+        assert max(lines) == pops.quadrature.INTERVAL_BLOCK
+        assert sum(lines) > 4 * pops.quadrature.INTERVAL_BLOCK
 
 
 class TestProductPopulation:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import demandlab as dl
 from demandlab import populations as pops
 from demandlab.marginals import MarginalSpec
-from helpers import same_bits
+from helpers import column_kernel, same_bits
 
 bounded = {"allow_nan": False, "allow_infinity": False}
 
@@ -65,7 +65,7 @@ def test_surface_keeps_the_kernel_bits(pop, p, widen):
     half = widen * max(pop.vk_upper, p * sup.vm_hi)
     xq = np.linspace(-half, half, 97)
     surf = dl.quality_demand_surface(pop, xq, np.array([p]))
-    values, error = pop._quality_profile(p, xq)
+    values, error = column_kernel(pop, p, xq)
     assert same_bits(surf.values[:, 0], np.clip(values, 0.0, 1.0))
     assert surf.quadrature_errors[0] == error
 

@@ -150,10 +150,12 @@ def test_segmented_gl_raises_at_the_cap_with_achieved_error():
     assert "2 rows" in str(exc.value)
 
 
-def test_segmented_gl_caps_the_pending_intervals_of_a_row():
+def test_segmented_gl_caps_the_pending_intervals_of_a_row(monkeypatch):
     # a seeded noisy integrand never converges, so every interval splits
     # each pass; the row count doubles until the cap stops it, well
-    # before MAX_LEVELS, and no pass holds more than the cap per row
+    # before MAX_LEVELS, and no pass holds more than the cap per row (a
+    # block as large as the cap allows makes each pass one integrand call)
+    monkeypatch.setattr(q, "INTERVAL_BLOCK", q.MAX_PENDING * 3)
     rng = np.random.default_rng(7)
     lines = []
 
@@ -356,9 +358,22 @@ def test_solve_crossings_returns_every_root():
     assert np.allclose(found, want, rtol=0.0, atol=1e-12)
 
 
+def _bisect_every_pass(psi, a, b, rows):
+    """The bisection of solve_crossings run for all BISECTIONS passes."""
+    fa = psi(a, rows)
+    for _ in range(q.BISECTIONS):
+        m = 0.5 * (a + b)
+        fm = psi(m, rows)
+        left = fa * fm <= 0.0
+        a, b, fa = (np.where(left, a, m), np.where(left, m, b),
+                    np.where(left, fa, fm))
+    return 0.5 * (a + b)
+
+
 def test_solve_crossings_bisects_only_bracketed_cells():
     # many rows, most rootless: the scan costs about COARSE evaluations
-    # per halving of the row range, and only bracketed cells are bisected
+    # per halving of the row range, and only bracketed cells are bisected,
+    # until a pass changes nothing
     c = np.concatenate((np.full(200, -9.0), np.linspace(-0.3, 0.3, 40),
                         np.full(160, 3.0)))
     sizes = []
@@ -370,9 +385,11 @@ def test_solve_crossings_bisects_only_bracketed_cells():
     n_rows = c.size
     found = q.solve_crossings(psi, 0.0, 4.0, n_rows)
     pairs = 3 * 40
-    scan, bisect = sizes[:-(q.BISECTIONS + 1)], sizes[-(q.BISECTIONS + 1):]
+    halvings = int(n_rows).bit_length()
+    scan, bisect = sizes[:halvings], sizes[halvings:]
     assert sum(scan) <= q.COARSE * int(np.ceil(np.log2(n_rows + 1)))
-    assert bisect == [pairs] * (q.BISECTIONS + 1)
+    assert bisect == [pairs] * len(bisect)
+    assert len(bisect) <= q.BISECTIONS + 1
     # the same brackets as a scan of every row at every point
     grid = np.linspace(0.0, 4.0, q.COARSE)
     sgn = np.where(_cubic(grid)[None, :] + c[:, None] >= 0.0, 1.0, -1.0)
@@ -381,3 +398,34 @@ def test_solve_crossings_bisects_only_bracketed_cells():
     for row in np.flatnonzero(flips):
         assert np.allclose(found[row, :3], _cubic_roots(c[row], 0.0, 4.0),
                            rtol=0.0, atol=1e-12)
+    # stopping early keeps the roots of every pass, bit for bit
+    rows, cells = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0.0)
+    full = _bisect_every_pass(lambda r, rows: _cubic(r) + c[rows],
+                              grid[cells], grid[cells + 1], rows)
+    assert np.array_equal(found[found < 4.0], full)
+
+
+def test_solve_crossings_of_groups_equal_separate_calls():
+    # row groups that each rise in the row but not across groups (here
+    # with different levels and slopes) give the roots of one call per
+    # group, bit for bit: one group with no root, one of a single row
+    groups = [np.linspace(-0.3, 0.3, 7), np.array([9.0, 12.0]),
+              np.array([0.1]), np.linspace(-0.2, 0.25, 5)]
+    scale = np.concatenate([np.full(g.size, 1.0 + k)
+                            for k, g in enumerate(groups)])
+    c = np.concatenate(groups)
+    starts = np.cumsum([0] + [g.size for g in groups[:-1]])
+
+    def psi(r, rows):
+        return scale[rows] * _cubic(r) + c[rows]
+
+    found = q.solve_crossings(psi, 0.0, 4.0, c.size, starts)
+    assert found.shape == (c.size, 3)
+    for start, g in zip(starts, groups):
+        sub = lambda r, rows: psi(r, rows + start)
+        alone = q.solve_crossings(sub, 0.0, 4.0, g.size)
+        width = alone.shape[1]
+        block = found[start:start + g.size]
+        assert np.array_equal(block[:, :width], alone)
+        assert np.all(block[:, width:] == 4.0)
+    assert np.all(found[7:9] == 4.0)
