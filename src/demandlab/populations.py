@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +37,10 @@ from .marginals import MarginalSpec, PwLinearTable, _special
 
 TABLE_GRID_DEFAULT = 2048
 # Prices per quadrature call in IndependentPopulation._demand_profile.
+# Price grids have no size cap, so the block bounds memory: on 2 CPUs
+# (Python 3.11, NumPy 2.4, SciPy 1.17) one call for every price took a
+# 20k-price curve from 84 to 64 ms, but raised peak RSS from 61 to 103 MB
+# at 200k prices and from 79 to 291 MB at 1e6.
 PRICE_BLOCK = 2048
 # Absolute error tolerance of every surface entry, demand value and ratio
 # table entry integrated by quadrature.segmented_gl.  Surface entries lie
@@ -307,7 +311,6 @@ def _trunc_mass(a0: float) -> float:
     return z
 
 
-@lru_cache(maxsize=None)
 def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
     """Raw moments of a standard normal truncated to [-a0, a0].
 
@@ -693,13 +696,18 @@ class IndependentPopulation(Population):
         return p * self.vm.lo - self.vk.hi, p * self.vm.hi - self.vk.lo
 
     def _quality_profile(self, p, xq):
+        # P(vk + xq >= p vm): closed forms at a free price and for a
+        # point-mass marginal, else quadrature over vm, one row per entry
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                     np.asarray(xq, dtype=float))
         out = np.empty(xq.shape)
         errors = np.zeros(xq.shape)
         free = p == 0.0
         priced = ~free
-        out[free] = 1.0 - np.asarray(self.vk.cdf(-xq[free]), dtype=float)
+        if self.vk.is_degenerate:  # a tie buys
+            out[free] = self.vk.value + xq[free] >= 0.0
+        else:
+            out[free] = 1.0 - np.asarray(self.vk.cdf(-xq[free]), dtype=float)
         p, xq = p[priced], xq[priced]
         if self.vm.is_degenerate:
             out[priced] = 1.0 - np.asarray(
@@ -708,42 +716,31 @@ class IndependentPopulation(Population):
             out[priced] = np.asarray(self.vm.cdf((self.vk.value + xq) / p),
                                      dtype=float)
         else:
-            out[priced], errors[priced] = self._integrated_profile(p, xq)
+            def integrand(nodes, rows):
+                sk = 1.0 - np.asarray(self.vk.cdf(p[rows][:, None] * nodes
+                                                  - xq[rows][:, None]))
+                return self.vm.pdf(nodes) * sk
+
+            out[priced], errors[priced] = quadrature.segmented_gl(
+                self.vm.lo, self.vm.hi,
+                np.column_stack(((self.vk.lo + xq) / p,
+                                 (self.vk.hi + xq) / p)),
+                integrand, tol=SURFACE_TOL,
+                grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0))
         return out, errors
 
-    def _integrated_profile(self, p, xq):
-        """P(vk + xq >= p vm) by quadrature over vm, one row per entry of
-        ``xq``; ``p`` is a positive scalar or one price per row.  Returns
-        the values and their per-row error estimates."""
-        p_row = np.broadcast_to(np.asarray(p, dtype=float), xq.shape)
-        breaks = np.column_stack(((self.vk.lo + xq) / p,
-                                  (self.vk.hi + xq) / p))
-
-        def integrand(nodes, rows):
-            sk = 1.0 - np.asarray(self.vk.cdf(p_row[rows][:, None] * nodes
-                                              - xq[rows][:, None]))
-            return self.vm.pdf(nodes) * sk
-
-        return quadrature.segmented_gl(
-            self.vm.lo, self.vm.hi, breaks, integrand, tol=SURFACE_TOL,
-            grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0))
-
     def _demand_profile(self, prices):
-        # exact route for positive prices (the tabulated ratio marginal is
-        # an export layer): closed forms for a point-mass marginal, else
-        # PRICE_BLOCK prices per quadrature call, rows as one-price calls
+        # exact route (the tabulated ratio marginal is an export layer):
+        # the quality kernel's rows at offset 0, PRICE_BLOCK prices per
+        # call; rows are independent, so each keeps its one-price bits
         prices = np.asarray(prices, dtype=float)
-        if self.vm.is_degenerate:
-            vals = 1.0 - np.asarray(self.vk.cdf(prices * self.vm.value))
-        elif self.vk.is_degenerate:
-            vals = np.asarray(self.vm.cdf(self.vk.value / prices))
-        else:
-            vals = np.empty(prices.size)
-            for start in range(0, prices.size, PRICE_BLOCK):
-                block = prices[start:start + PRICE_BLOCK]
-                vals[start:start + PRICE_BLOCK] = self._integrated_profile(
-                    block, np.zeros(block.size))[0]
-        return np.clip(vals, 0.0, 1.0)
+        flat = prices.ravel()
+        vals = np.empty(flat.size)
+        for start in range(0, flat.size, PRICE_BLOCK):
+            block = flat[start:start + PRICE_BLOCK]
+            vals[start:start + PRICE_BLOCK] = self._quality_profile(
+                block, np.zeros(block.size))[0]
+        return np.clip(vals.reshape(prices.shape), 0.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
 class RatioConditionalPopulation(Population):
@@ -1041,34 +1038,24 @@ class MixturePopulation(Population):
         return self._mixture_ratio_spec
 
     def _moment(self, j, k):
-        value = 0.0
-        diag = 0.0
-        for w, pop in self.components:
-            v, d = pop._moment(j, k)
-            value += w * v
-            diag += w * d
-        return value, diag
+        return self._blend("_moment", j, k)
 
     def _mean_vm(self):
         return sum(w * pop._mean_vm() for w, pop in self.components)
 
     def _band_vm_moments(self, ra, rb):
-        mass = 0.0
-        vm_int = 0.0
-        for w, pop in self.components:
-            m, v = pop._band_vm_moments(ra, rb)
-            mass += w * m
-            vm_int += w * v
-        return mass, vm_int
+        return self._blend("_band_vm_moments", ra, rb)
 
     def _blend(self, method: str, *args):
-        # a component's error estimate weighs in like its values
-        out, errors = 0.0, 0.0
+        # each half of a pair-valued hook is the weighted sum of the
+        # components' halves, in component order; an error estimate
+        # weighs in like its values
+        first, second = 0.0, 0.0
         for w, pop in self.components:
-            values, err = getattr(pop, method)(*args)
-            out = out + w * values
-            errors = errors + w * err
-        return out, errors
+            a, b = getattr(pop, method)(*args)
+            first = first + w * a
+            second = second + w * b
+        return first, second
 
     def _quality_profile(self, p, xq):
         return self._blend("_quality_profile", p, xq)

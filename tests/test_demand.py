@@ -47,6 +47,16 @@ class TestDemand:
         assert dl.demand_at(pop, 2.0 + 1e-12) == 0.0
         assert dl.demand_at(pop, 1.0) == 1.0
 
+    def test_price_array_keeps_its_shape(self):
+        prices = np.array([[0.6, 0.9], [1.2, 1.5]])
+        zoo = surface_zoo()
+        for name in ("independent", "point_mass_vk", "point_mass_vm",
+                     "mixture_with_conditional"):
+            got = dl.demand_at(zoo[name], prices)
+            want = [[dl.demand_at(zoo[name], p) for p in row]
+                    for row in prices]
+            assert same_bits(got, want), name
+
     def test_scale_covariance(self):
         # measuring money in different units moves prices with it
         c = 3.7
@@ -168,6 +178,18 @@ class TestQualityDemand:
             want = 1.0 - float(pop.vk.cdf(-xq))
             assert dl.quality_demand(pop, xq, 0.0) == pytest.approx(
                 want, abs=1e-10)
+
+    def test_free_good_tie_buys_for_a_point_mass_good_value(self):
+        # at price 0 a consumer with vk + xq = 0 is indifferent and buys,
+        # as the point-mass form has it
+        pop = pops.IndependentPopulation(
+            MarginalSpec.point_mass(0.7),
+            MarginalSpec.scaled_beta(2.0, 2.0, lo=0.5, hi=1.5))
+        point = pops.PointMassPopulation(0.7, 1.0)
+        for xq in (-0.7, -0.7 - 1e-7, -0.7 + 1e-7):
+            assert dl.quality_demand(pop, xq, 0.0) == dl.quality_demand(
+                point, xq, 0.0), xq
+        assert dl.quality_demand(pop, -0.7, 0.0) == 1.0
 
     def test_monotone_in_quality_and_price(self):
         pop = population_zoo()["conditional_low"]

@@ -546,6 +546,47 @@ class TestMixturePopulation:
             want = sum(w * t[key] for w, t in parts)
             assert table[key] == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("name", ["mixture", "continuous_mixture",
+                                      "mixture_with_conditional"])
+    def test_hooks_are_weighted_sums_bit_for_bit(self, name):
+        # each hook is sum w * component hook, added in component order;
+        # a pair-valued hook sums each half that way
+        mix = surface_zoo()[name]
+
+        def fold(hook, *args):
+            total = 0.0
+            for w, part in mix.components:
+                total = total + w * np.asarray(getattr(part, hook)(*args))
+            return total
+
+        def fold_pair(hook, *args):
+            first, second = 0.0, 0.0
+            for w, part in mix.components:
+                a, b = getattr(part, hook)(*args)
+                first = first + w * a
+                second = second + w * b
+            return first, second
+
+        xq = np.linspace(-1.5, 1.5, 64)
+        prices = np.array([0.8, 1.3, 1.9])
+        calls = [("_moment", j, n - j) for n in range(5) for j in range(n + 1)]
+        calls += [("_band_vm_moments", 1.1, 1.3),
+                  ("_band_vm_moments", 1.4, 1.9),
+                  ("_quality_profile", 1.3, xq),
+                  ("_quality_surface", prices, xq)]
+        for hook, *args in calls:
+            got = getattr(mix, hook)(*args)
+            for half, want in zip(got, fold_pair(hook, *args)):
+                assert same_bits(half, want), (hook, args)
+        assert same_bits(mix._mean_vm(), fold("_mean_vm"))
+        assert same_bits(mix._demand_profile(prices),
+                         np.clip(fold("_demand_profile", prices), 0.0, 1.0))
+        if name == "continuous_mixture":
+            vk, vm = np.meshgrid(np.linspace(0.4, 3.0, 7),
+                                 np.linspace(0.4, 1.6, 5))
+            assert same_bits(pops.density(mix, vk, vm),
+                             fold("_density", vk, vm))
+
     def test_ratio_marginal_blends_atom_and_density(self):
         mix = self.make()
         spec = pops.ratio_marginal(mix)
