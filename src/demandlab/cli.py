@@ -18,7 +18,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .demand import default_price_grid, demand_curve, invert_demand
+from .demand import (csv_column, csv_text, default_price_grid, demand_curve,
+                     invert_demand)
 from . import identification as ident_mod
 from . import inequality as ineq_mod
 from . import populations as pops
@@ -121,10 +122,9 @@ def cmd_identify(scenario, digest: str, out_dir: str) -> int:
 def cmd_sample(scenario, digest: str, out_dir: str) -> int:
     pop = _require(scenario.population, "population")
     draws = pops.sample(pop, scenario.sample_n, scenario.seed)
-    lines = ["vk,vm"]
-    lines += [f"{a:.17g},{b:.17g}" for a, b in draws]
     _atomic_write(os.path.join(out_dir, "samples.csv"),
-                  "\n".join(lines) + "\n")
+                  csv_text("vk,vm", csv_column(draws[:, 0]),
+                           csv_column(draws[:, 1])))
     return EXIT_OK
 
 

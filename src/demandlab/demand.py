@@ -18,6 +18,19 @@ from .populations import Population
 MONOTONE_TOL = 1e-12
 
 
+def csv_column(values) -> list:
+    """Each value as round-trip text (``.17g``), formatted from Python
+    floats: a NumPy scalar per element would cost several times more."""
+    return list(map("{:.17g}".format,
+                    np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def csv_text(header: str, *columns) -> str:
+    """``header``, then one comma-joined line per row of the equally long
+    ``csv_column`` lists."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
 def purchase_decision(vk, vm, xq, p):
     """1 if the consumer buys at price p and quality xq, else 0."""
     vk = np.asarray(vk, dtype=float)
@@ -53,10 +66,8 @@ class DemandCurve:
         object.__setattr__(self, "values", np.clip(d, 0.0, 1.0))
 
     def to_csv(self) -> str:
-        lines = ["p,D"]
-        lines += [f"{p:.17g},{d:.17g}"
-                  for p, d in zip(self.prices, self.values)]
-        return "\n".join(lines) + "\n"
+        return csv_text("p,D", csv_column(self.prices),
+                        csv_column(self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +78,7 @@ class RatioCdfTable:
     G: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["r,G"]
-        lines += [f"{a:.17g},{b:.17g}" for a, b in zip(self.r, self.G)]
-        return "\n".join(lines) + "\n"
+        return csv_text("r,G", csv_column(self.r), csv_column(self.G))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +147,11 @@ class QualityDemandSurface:
         return self.values[:, hits[0]]
 
     def to_csv(self) -> str:
-        lines = ["xQ,p,DQ"]
-        for i, xq in enumerate(self.quality_grid):
-            for j, p in enumerate(self.price_grid):
-                lines.append(f"{xq:.17g},{p:.17g},{self.values[i, j]:.17g}")
-        return "\n".join(lines) + "\n"
+        # long form, price fastest; each grid value is formatted once
+        xq = csv_column(self.quality_grid)
+        p = csv_column(self.price_grid)
+        return csv_text("xQ,p,DQ", [x for x in xq for _ in p], p * len(xq),
+                        csv_column(self.values))
 
 
 def default_price_grid(pop: Population, n: int = 257) -> np.ndarray:

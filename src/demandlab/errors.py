@@ -41,13 +41,17 @@ class DegenerateRatio(DemandLabError):
 
 
 class QuadratureFailure(DemandLabError):
-    """Adaptive integration hit its refinement cap above tolerance."""
+    """Adaptive integration hit its refinement cap above tolerance.
+
+    ``row`` is the index of the worst row when the integrand had rows.
+    """
 
     def __init__(self, message: str, *, achieved: float | None = None,
-                 requested: float | None = None):
+                 requested: float | None = None, row: int | None = None):
         super().__init__(message)
         self.achieved = achieved
         self.requested = requested
+        self.row = row
 
 
 class MonotonicityViolation(DemandLabError):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import populations as pops
-from .demand import DemandCurve, default_price_grid, demand_curve
+from .demand import (DemandCurve, csv_column, csv_text, default_price_grid,
+                     demand_curve)
 from .errors import BoundaryMassZero, DemoFailure
 from .populations import (Population, PointMassPopulation,
                           RatioConditionalPopulation, RatioMarginalSpec)
@@ -92,12 +93,12 @@ class NonIdDemo:
     mc_gap: float | None = None
 
     def curves_csv(self) -> str:
-        lines = ["p,D_low,D_high,gap"]
-        low = self.shared_curve
-        high = self.high_curve
-        for p, a, b in zip(low.prices, low.values, high.values):
-            lines.append(f"{p:.17g},{a:.17g},{b:.17g},{abs(a - b):.17g}")
-        return "\n".join(lines) + "\n"
+        low = self.shared_curve.values
+        high = self.high_curve.values
+        return csv_text("p,D_low,D_high,gap",
+                        csv_column(self.shared_curve.prices),
+                        csv_column(low), csv_column(high),
+                        csv_column(np.abs(low - high)))
 
     def to_json_dict(self) -> dict:
         out = {"delta_low": self.delta_low,

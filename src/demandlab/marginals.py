@@ -3,51 +3,30 @@
 Every ``scipy.special`` call in the package goes through ``_special``.
 It imports ``scipy.special`` on its first call, so a command that needs
 no special function never loads scipy.  Arrays of at least ``SPLIT_MIN``
-elements are cut into chunks that the calling thread evaluates together
-with workers started for that call and joined before it returns, one
-thread per CPU in the process's affinity mask (restrict it with
-``taskset``).  Each element's value does not depend on the split, so
-seeded samples, curves and surfaces are bit-identical whatever the CPU
-count.
+elements are cut into chunks of ``CHUNK`` that ``workers.run`` spreads
+over the CPUs of the process's affinity mask (restrict it with
+``taskset``; there is no other setting), as it spreads the blocks of
+each quadrature pass.  A call inside such a block runs its chunks on
+the block's thread.  Each element's value does not depend on the split,
+so seeded samples, curves and surfaces are bit-identical whatever the
+CPU count.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import workers
 from .errors import NoDensity, SpecialFunctionFailure
 
-# Below this many elements a special function runs on the calling thread;
-# above it, threads take CHUNK elements at a time.
+# Below this many elements a special function runs as one call; above
+# it, workers.run takes CHUNK elements per item.
 SPLIT_MIN = 2 ** 16
 CHUNK = 2 ** 14
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _drain(fn, sf_state: dict, args: list, out: np.ndarray, starts) -> None:
-    """Evaluate chunks from the shared iterator ``starts`` until none is
-    left; every thread of one call drains the same iterator, whose
-    ``next`` is atomic under the GIL."""
-    # scipy.special.errstate is per thread, so the caller's is reapplied
-    import scipy.special
-    with scipy.special.errstate(**sf_state):
-        for lo in starts:
-            hi = lo + CHUNK
-            fn(*(a if a.ndim == 0 else a[lo:hi] for a in args),
-               out=out[lo:hi])
 
 
 def _special(name: str, *args):
@@ -63,28 +42,20 @@ def _special(name: str, *args):
     size = math.prod(shape)
     # Only float64 scalars and full-shape arrays are sliced, so the
     # output dtype and every element's arguments match the direct call.
-    cpus = 1
     if size >= SPLIT_MIN and all(a.dtype == np.float64
                                  and a.shape in ((), shape) for a in arrays):
-        cpus = _usable_cpus()
-    if cpus < 2:
-        out = fn(*args)
-    else:
         out = np.empty(shape)
         flat = [a.reshape(-1) if a.ndim else a for a in arrays]
-        starts = iter(range(0, size, CHUNK))
-        drain = (fn, scipy.special.geterr(), flat, out.reshape(-1), starts)
-        # The caller drains too, so a busy CPU delays at most one chunk.
-        # np.errstate lives in a context variable: each helper thread runs
-        # in a copy of the caller's context, so it raises or warns alike.
-        # Leaving the block joins the workers, also when the caller fails.
-        with ThreadPoolExecutor(
-                cpus - 1, thread_name_prefix="demandlab-special") as pool:
-            jobs = [pool.submit(contextvars.copy_context().run, _drain,
-                                *drain) for _ in range(cpus - 1)]
-            _drain(*drain)
-        for job in jobs:
-            job.result()
+        flat_out = out.reshape(-1)
+
+        def chunk(i):
+            part = slice(i * CHUNK, (i + 1) * CHUNK)
+            fn(*(a if a.ndim == 0 else a[part] for a in flat),
+               out=flat_out[part])
+
+        workers.run(chunk, -(-size // CHUNK))
+    else:
+        out = fn(*args)
     bad = np.isnan(out)
     if np.any(bad):
         for a in arrays:

@@ -26,13 +26,15 @@ quantities are cached on first use.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import quadrature
-from .errors import BoundViolation, DegenerateRatio, NoDensity
+from .errors import (BoundViolation, DegenerateRatio, NoDensity,
+                     QuadratureFailure)
 from .marginals import MarginalSpec, PwLinearTable, _special
 
 TABLE_GRID_DEFAULT = 2048
@@ -414,8 +416,16 @@ class Population:
         errors = np.zeros(run.shape)
 
         def compute(col, row):  # the rows of one price are consecutive
-            values[col, row], errors[col, row] = self._quality_profile(
-                prices[col], xq[row])
+            try:
+                values[col, row], errors[col, row] = self._quality_profile(
+                    prices[col], xq[row])
+            except QuadratureFailure as exc:
+                if exc.row is None:
+                    raise
+                raise QuadratureFailure(
+                    f"quality surface at price {float(prices[col[exc.row]])!r}"
+                    f", quality offset {float(xq[row[exc.row]])!r}: {exc}",
+                    achieved=exc.achieved, requested=exc.requested) from exc
 
         compute(*np.nonzero(run))
         redo = np.zeros(prices.size, dtype=bool)
@@ -505,6 +515,19 @@ def _grade(*shapes) -> int:
         if all(m * s >= 2.0 or float(m * s).is_integer() for s in shapes):
             return m
     return MAX_GRADE
+
+
+@contextmanager
+def _renumbered(rows):
+    """Make the row of a QuadratureFailure raised inside the caller's:
+    a kernel that passes its rows ``rows`` to segmented_gl, in that
+    order, reports segmented_gl's row r as ``rows[r]``."""
+    try:
+        yield
+    except QuadratureFailure as exc:
+        if exc.row is not None:
+            exc.row = int(rows[exc.row])
+        raise
 
 
 def _require_seed_ratio(ratio: RatioMarginalSpec):
@@ -721,12 +744,14 @@ class IndependentPopulation(Population):
                                                   - xq[rows][:, None]))
                 return self.vm.pdf(nodes) * sk
 
-            out[priced], errors[priced] = quadrature.segmented_gl(
-                self.vm.lo, self.vm.hi,
-                np.column_stack(((self.vk.lo + xq) / p,
-                                 (self.vk.hi + xq) / p)),
-                integrand, tol=SURFACE_TOL,
-                grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0))
+            with _renumbered(np.flatnonzero(priced)):
+                out[priced], errors[priced] = quadrature.segmented_gl(
+                    self.vm.lo, self.vm.hi,
+                    np.column_stack(((self.vk.lo + xq) / p,
+                                     (self.vk.hi + xq) / p)),
+                    integrand, tol=SURFACE_TOL,
+                    grade=_grade(self.vm.end_shape,
+                                 self.vk.end_shape + 1.0))
         return out, errors
 
     def _demand_profile(self, prices):
@@ -953,8 +978,10 @@ class RatioConditionalPopulation(Population):
             s *= g
             return s
 
-        values, errors = quadrature.segmented_gl(r_lo, r_hi, breaks,
-                                                 integrand, tol=SURFACE_TOL)
+        with _renumbered(order):
+            values, errors = quadrature.segmented_gl(r_lo, r_hi, breaks,
+                                                     integrand,
+                                                     tol=SURFACE_TOL)
         out = np.empty((2, n))
         out[:, order] = values, errors
         return out[0], out[1]

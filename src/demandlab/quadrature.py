@@ -12,12 +12,15 @@ where the scan brackets a root until a pass changes nothing.  For the
 integrals, whatever their row count, ``segmented_gl`` is the one
 adaptive driver.  It flattens every row's positive-width segments into
 one list of (row, interval) pairs and hands them to the integrand
-``INTERVAL_BLOCK`` (2^11) at a time: a surface puts the rows of all its
+``INTERVAL_BLOCK`` at a time: a surface puts the rows of all its
 prices into one call, and small blocks keep the integrand's node-sized
-temporaries at a few hundred kB however many rows the call holds.  Each
-interval gets the nested Gauss-Kronrod pair G10/K21 of QUADPACK
-(Piessens et al. 1983): 21 integrand values give its integral and,
-from |K21 - G10|, its error
+temporaries at a few hundred kB however many rows the call holds.  The
+blocks of a pass are independent, so ``workers.run`` spreads them over
+the CPUs of the process's affinity mask (restrict it with ``taskset``;
+there is no other setting); a pass of one block runs on the calling
+thread, and so does every pass on one CPU.  Each interval gets the
+nested Gauss-Kronrod pair G10/K21 of QUADPACK (Piessens et al. 1983):
+21 integrand values give its integral and, from |K21 - G10|, its error
 estimate.  A row is finished once its summed estimate meets the absolute
 tolerance; otherwise only its intervals above their share of the
 remaining budget are bisected, so the node count follows each row's own
@@ -28,8 +31,9 @@ u = a + (b - a) I_t(m, m), whose Jacobian vanishes to order m - 1 at
 both ends: an end-point term |u - a|^(s - 1) becomes t^(m s - 1), which
 the rule resolves when m s is an integer or at least 2.  Each row's
 value and estimate depend on its own breaks and integrand values only,
-never on the other rows of the call.  ``integrate`` is the one-row case
-for a single vectorized integrand f(x).
+never on the other rows of the call or on which thread ran its blocks,
+so results are bit-identical whatever the CPU count.  ``integrate`` is
+the one-row case for a single vectorized integrand f(x).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import math
 
 import numpy as np
 
+from . import workers
 from .errors import QuadratureFailure
 
 
@@ -83,7 +88,11 @@ COARSE = 513
 BISECTIONS = 64
 # segmented_gl: intervals per integrand call, which bounds the size of
 # the node arrays whatever the number of rows (see the module docstring).
-INTERVAL_BLOCK = 2 ** 11
+# Each thread of a pass holds one block's temporaries: on 2 CPUs
+# (Python 3.11, NumPy 2.4, SciPy 1.17) the identify_smooth benchmark's
+# peak RSS read 77 MB at 2^10 and 81 MB at 2^11 (75 MB on one thread),
+# for rounds 2-5 % slower.
+INTERVAL_BLOCK = 2 ** 10
 # segmented_gl: a row's tolerance is at least this many ulps of its
 # absolute integral (QUADPACK qk21's round-off level).
 ROUNDOFF = 50.0 * np.finfo(float).eps
@@ -248,8 +257,8 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
     other rows each interval whose estimate exceeds the row's remaining
     budget over its pending interval count is bisected, and the rest are
     kept.  A row still short after ``MAX_LEVELS`` bisection passes raises
-    :class:`QuadratureFailure` with the worst such row's estimate and
-    tolerance; its message names that row and its interval with the
+    :class:`QuadratureFailure` with the worst such row's index, estimate
+    and tolerance; its message names that row's interval with the
     largest estimate.
     ``grade`` > 1 integrates each segment in the graded variable of the
     module docstring, for integrands with algebraic end-point terms at
@@ -276,8 +285,9 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
     for level in range(MAX_LEVELS + 1):
         k, e, size = (np.empty(rows.size), np.empty(rows.size),
                       np.empty(rows.size))
-        for s in range(0, rows.size, INTERVAL_BLOCK):
-            part = slice(s, s + INTERVAL_BLOCK)
+
+        def block(i):  # each block writes only its own part of k, e, size
+            part = slice(i * INTERVAL_BLOCK, (i + 1) * INTERVAL_BLOCK)
             half = 0.5 * (b[part] - a[part])
             nodes = (a[part] + half)[:, None] + half[:, None] * _XK21
             if grade > 1:
@@ -294,6 +304,8 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
                 # wrong place, so all of the interval's mass is in doubt
                 e[part] = np.where(blind, np.fmax(e[part], size[part]),
                                    e[part])
+
+        workers.run(block, -(-rows.size // INTERVAL_BLOCK))
         total = errors + np.bincount(rows, e, n_rows)
         row_tol = np.fmax(tol, ROUNDOFF * (sizes
                                            + np.bincount(rows, size, n_rows)))
@@ -319,10 +331,11 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
                    f"intervals in one row)" if pending > MAX_PENDING else "")
             raise QuadratureFailure(
                 f"{bad.size} rows missed tolerance after {level} bisection "
-                f"passes{cap}; the worst, row {row}, has err "
-                f"{total[row]:.3e} > {row_tol[row]:.3e} and its worst "
-                f"interval [{lo_i!r}, {hi_i!r}]",
-                achieved=float(total[row]), requested=float(row_tol[row]))
+                f"passes{cap}; the worst has err {total[row]:.3e} > "
+                f"{row_tol[row]:.3e} and its worst interval "
+                f"[{lo_i!r}, {hi_i!r}]",
+                achieved=float(total[row]), requested=float(row_tol[row]),
+                row=int(row))
         rows, a, b = rows[split], a[split], b[split]
         mid = 0.5 * (a + b)
         rows = np.repeat(rows, 2)

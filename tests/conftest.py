@@ -13,13 +13,13 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 @pytest.fixture(autouse=True)
-def no_special_function_workers_left():
-    """Fail a test after which a special-function worker is still alive:
-    every call joins the workers it started before it returns."""
+def no_workers_left():
+    """Fail a test after which a worker thread is still alive: every
+    ``workers.run`` joins the threads it started before it returns."""
     yield
     alive = [t.name for t in threading.enumerate()
-             if t.name.startswith("demandlab-special")]
-    assert not alive, f"special-function workers outlived their call: {alive}"
+             if t.name.startswith("demandlab-worker")]
+    assert not alive, f"workers outlived their call: {alive}"
 
 
 @pytest.fixture

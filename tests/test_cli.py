@@ -1,16 +1,20 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import demandlab
 from demandlab import identification as ident
+from demandlab import populations as pops
 from demandlab.cli import main
 from demandlab.demand import quality_demand_surface
+from demandlab.errors import QuadratureFailure
 from demandlab.scenario import scenario_from_dict
 
 PRODUCT_POP = {"form": "product",
@@ -185,6 +189,30 @@ class TestIdentifyCommand:
                                        scenario.identification)
         assert (out / "surface.csv").read_text() == expected.to_csv()
 
+    def test_surface_failure_names_its_price_and_quality(self, tmp_path,
+                                                         capsys):
+        # vm ~ Beta(0.3, 2) puts |u - 0.5|^-0.7 at the money-value floor,
+        # which no grade resolves; the message names the worst entry by
+        # its price and quality offset, not by a kernel row index
+        rough = {**BETA_POP, "vm": {**BETA_POP["vm"], "alpha": 0.3}}
+        doc = {"population": rough,
+               "identification": {"price_lo": 0.5, "price_hi": 1.5,
+                                  "n_quality": 1024}}
+        scn = write_scenario(tmp_path, doc)
+        assert run("identify", scn, "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "row " not in err
+        found = re.search(r"quality surface at price (\S+), quality offset "
+                          r"(\S+): ", err)
+        p, x = map(float, found.groups())
+        pop = scenario_from_dict(doc).population
+        prices = ident.chebyshev_prices(0.5, 1.5, 9)
+        assert p in prices.tolist()
+        assert x in ident.default_quality_grid(pop, prices, 1024).tolist()
+        # that entry misses its tolerance on its own too
+        with pytest.raises(QuadratureFailure):
+            pop._quality_profile(p, np.array([x]))
+
     def test_price_shortage_is_a_numeric_failure(self, tmp_path):
         scn = write_scenario(tmp_path, {
             "population": BETA_POP,
@@ -203,6 +231,9 @@ class TestSampleCommand:
         lines = (out / "samples.csv").read_text().splitlines()
         assert lines[0] == "vk,vm"
         assert len(lines) == 1 + 100
+        draws = pops.sample(scenario_from_dict(
+            {"population": PRODUCT_POP}).population, 100, 42)
+        assert lines[1:] == [f"{a:.17g},{b:.17g}" for a, b in draws]
         first = digest_of(out / "samples.csv")
         assert run("sample", scn, "--out", str(out)) == 0
         assert digest_of(out / "samples.csv") == first

@@ -4,6 +4,7 @@ import pytest
 import demandlab as dl
 from demandlab import identification as ident
 from demandlab import populations as pops
+from demandlab.demand import csv_column, csv_text
 from demandlab.errors import MonotonicityViolation
 from demandlab.marginals import MarginalSpec
 from helpers import (benchmark_populations, column_kernel, continuous_zoo,
@@ -319,6 +320,43 @@ class TestQualityDemandSurface:
         lines = surf.to_csv().strip().split("\n")
         assert lines[0] == "xQ,p,DQ"
         assert len(lines) == 1 + 4 * 2
+
+
+# Values whose text is easy to get wrong: signed zeros, the smallest
+# subnormals, the largest finite values and fractions that need all 17
+# digits.
+TRICKY = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                   1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.5e-16,
+                   1e-300, 123456789.125, 1.0, -2.0])
+
+
+def per_element_csv(header, *columns):
+    """CSV as the writers formed it before: one f-string per row of NumPy
+    scalars."""
+    rows = [",".join(f"{x:.17g}" for x in row) for row in zip(*columns)]
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestCsvText:
+    def test_bytes_equal_the_per_element_format(self):
+        a, b = TRICKY, TRICKY[::-1].copy()
+        assert dl.RatioCdfTable(a, b).to_csv() == per_element_csv("r,G", a, b)
+        assert dl.RatioCdfTable(a[:0], b[:0]).to_csv() == "r,G\n"
+        assert (csv_text("x,y,z", *map(csv_column, (a, b, a * b)))
+                == per_element_csv("x,y,z", a, b, a * b))
+
+    def test_writers_keep_their_bytes(self):
+        curve = dl.DemandCurve(np.array([5e-324, 0.1, 1e308]),
+                               np.array([1.0, 1.0 / 3.0, -0.0]))
+        assert curve.to_csv() == per_element_csv("p,D", curve.prices,
+                                                 curve.values)
+        xq = np.array([-3.0, -0.0, 5e-324, 1.0 / 3.0])
+        prices = np.array([0.0, 0.1, 1.7])
+        surf = dl.quality_demand_surface(population_zoo()["product"], xq,
+                                         prices)
+        rows = [(x, p, surf.values[i, j]) for i, x in enumerate(xq)
+                for j, p in enumerate(prices)]
+        assert surf.to_csv() == per_element_csv("xQ,p,DQ", *zip(*rows))
 
 
 class TestDefaultPriceGrid:

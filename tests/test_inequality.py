@@ -178,6 +178,10 @@ class TestNonIdDemo:
         lines = demo.curves_csv().strip().split("\n")
         assert lines[0] == "p,D_low,D_high,gap"
         assert len(lines) == 1 + 257
+        low, high = demo.shared_curve, demo.high_curve
+        assert lines[1:] == [
+            f"{p:.17g},{a:.17g},{b:.17g},{abs(a - b):.17g}"
+            for p, a, b in zip(low.prices, low.values, high.values)]
         doc = demo.to_json_dict()
         assert doc["low"]["regime"] == "low"
         assert doc["high"]["regime"] == "high"

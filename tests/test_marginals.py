@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 from scipy import stats
 
-from demandlab import MomentTable, marginals
+from demandlab import MomentTable, marginals, workers
 from demandlab.errors import NoDensity, SpecialFunctionFailure
 from demandlab.marginals import MarginalSpec, PwLinearTable, _special
 
@@ -148,25 +148,25 @@ SPLIT_SIZES = (marginals.SPLIT_MIN - 1, marginals.SPLIT_MIN,
 @pytest.fixture
 def three_cpus(monkeypatch):
     """Three CPUs whatever the machine has."""
-    monkeypatch.setattr(marginals, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
 
 
 @pytest.fixture
 def drainers(monkeypatch):
     """Names of the threads that drained chunks, one per drain."""
     names = []
-    drain = marginals._drain
+    drain = workers._drain
 
     def record(*args):
         names.append(threading.current_thread().name)
         drain(*args)
 
-    monkeypatch.setattr(marginals, "_drain", record)
+    monkeypatch.setattr(workers, "_drain", record)
     return names
 
 
 def _workers(names):
-    return [n for n in names if n.startswith("demandlab-special")]
+    return [n for n in names if n.startswith("demandlab-worker")]
 
 
 class TestSpecialHelper:
@@ -247,7 +247,7 @@ class TestSpecialHelper:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was built")
 
-        monkeypatch.setattr(marginals, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(workers, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -258,7 +258,7 @@ class TestSpecialHelper:
                         reason="needs the fork start method")
     def test_forked_child_gets_a_working_pool(self, monkeypatch, drainers):
         # a child forked after a split call starts workers of its own
-        monkeypatch.setattr(marginals, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         spec = MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0)
         q = np.random.default_rng(4).random(10 ** 6)
         want = hashlib.sha256(spec.ppf(q).tobytes()).hexdigest()

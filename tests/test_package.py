@@ -63,3 +63,12 @@ def test_scipy_loads_only_for_special_functions(tmp_path, command, scenario,
     code = ("from demandlab.cli import main\n"
             f"assert main({argv!r}) == 0")
     assert _loads_scipy(code) is loads
+
+
+def test_worker_threads_do_not_load_scipy():
+    # the workers take the caller's scipy.special error state only when
+    # scipy is already loaded
+    assert not _loads_scipy(
+        "from demandlab import workers\n"
+        "workers._usable_cpus = lambda: 2\n"
+        "workers.run(lambda i: None, 4)")

@@ -9,7 +9,8 @@ from demandlab import identification as ident
 from demandlab import inequality
 from demandlab import populations as pops
 from demandlab.demand import default_price_grid, quality_demand_surface
-from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity)
+from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity,
+                              QuadratureFailure)
 from demandlab.marginals import MarginalSpec
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, benchmark_populations, beta_independent,
@@ -147,6 +148,24 @@ def test_quality_profile_reports_a_quadrature_error():
                for w, pop in mix.components)
     assert np.array_equal(mix._quality_profile(1.3, xq)[1], want)
     assert np.max(want) > 0.0
+
+
+def test_quadrature_failure_names_the_callers_row(monkeypatch):
+    # the kernels hand segmented_gl their rows in another order (priced
+    # rows only, or sorted by price and offset); a failure names the row
+    # of the caller's arrays.  A stand-in segmented_gl fails on its last
+    # row, which for the conditional form is the largest (price, offset)
+    def fail_last(lo, hi, breaks, integrand, **kwargs):
+        raise QuadratureFailure("stand-in", row=breaks.shape[0] - 1)
+
+    monkeypatch.setattr(pops.quadrature, "segmented_gl", fail_last)
+    p = np.array([1.4, 0.0, 1.4, 0.7, 0.0])
+    xq = np.array([0.3, 0.9, -0.2, 0.5, -0.4])
+    for pop, row in ((beta_independent(), 3),
+                     (population_zoo()["conditional_low"], 0)):
+        with pytest.raises(QuadratureFailure) as exc:
+            pop._quality_profile(p, xq)
+        assert exc.value.row == row
 
 
 def _count_kernel_rows(monkeypatch, cls):
