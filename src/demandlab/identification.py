@@ -47,12 +47,21 @@ def chebyshev_prices(lo: float, hi: float, n: int) -> np.ndarray:
 def pava(y) -> np.ndarray:
     """Pool-adjacent-violators projection onto non-decreasing sequences."""
     y = np.asarray(y, dtype=float)
-    if np.all(np.diff(y) >= 0.0):
-        return y.copy()  # nothing to pool; a NaN takes the loop below
-    vals: list[float] = []
-    counts: list[int] = []
-    for v in y:
-        vals.append(float(v))
+    # only a strict drop y[i] > y[i + 1] starts pooling (a NaN compares
+    # false, so it never does): the values up to the first drop go onto
+    # the stack unpooled, and past the last drop nothing pools once the
+    # top of the stack is not above the next value
+    drops = np.flatnonzero(y[:-1] > y[1:])
+    if not drops.size:
+        return y.copy()
+    first, last = int(drops[0]), int(drops[-1])
+    vals: list[float] = y[:first + 1].tolist()
+    counts: list[int] = [1] * len(vals)
+    for i in range(first + 1, y.size):
+        v = float(y[i])
+        if i > last and not vals[-1] > v:
+            return np.concatenate((np.repeat(vals, counts), y[i:]))
+        vals.append(v)
         counts.append(1)
         while len(vals) > 1 and vals[-2] > vals[-1]:
             total = vals[-1] * counts[-1] + vals[-2] * counts[-2]
@@ -166,7 +175,8 @@ def _integrate_uniform(y: np.ndarray, h: float) -> float:
     return float(out)
 
 
-def slice_moments(sdist: SliceDistribution, n: int) -> np.ndarray:
+def slice_moments(sdist: SliceDistribution, n: int, *,
+                  powers: dict | None = None) -> np.ndarray:
     """Raw moments E[W_p**m] for m = 1..n from the tabulated CDF.
 
     Integration by parts turns the Stieltjes integral into
@@ -174,11 +184,20 @@ def slice_moments(sdist: SliceDistribution, n: int) -> np.ndarray:
     (mass escaping the ends is assigned to the end points, a tail-bound
     size effect).  Uniform grids get a high-order Newton-Cotes rule;
     irregular grids fall back to the exact integral of the
-    piecewise-linear interpolant.
+    piecewise-linear interpolant.  ``powers`` caches ``w_grid ** e`` by
+    exponent e; slices on one grid may share it, so that each power is
+    computed once.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     w = sdist.w_grid
+    powers = {} if powers is None else powers
+
+    def power(e):
+        if e not in powers:
+            powers[e] = w ** e
+        return powers[e]
+
     f = sdist.cdf
     steps = np.diff(w)
     h = steps[0]
@@ -187,11 +206,11 @@ def slice_moments(sdist: SliceDistribution, n: int) -> np.ndarray:
     a, b = w[0], w[-1]
     for m in range(1, n + 1):
         if uniform:
-            integral = _integrate_uniform(w ** (m - 1) * f, h)
+            integral = _integrate_uniform(power(m - 1) * f, h)
             out[m - 1] = b ** m - m * integral
         else:
             df = np.diff(f)
-            cell = (w[1:] ** (m + 1) - w[:-1] ** (m + 1)) / ((m + 1) * steps)
+            cell = (power(m + 1)[1:] - power(m + 1)[:-1]) / ((m + 1) * steps)
             out[m - 1] = (a ** m * f[0] + float(np.sum(df * cell))
                           + b ** m * (1.0 - f[-1]))
     return out
@@ -239,7 +258,11 @@ def recover_cross_moments(slices, max_order: int) -> MomentTable:
     if not slices:
         raise InsufficientPrices("no slices supplied")
     prices = np.array([s.p for s in slices])
-    rows = np.vstack([slice_moments(s, max_order) for s in slices])
+    grids = {}  # the powers of each distinct grid, computed once
+    rows = np.vstack([
+        slice_moments(s, max_order, powers=grids.setdefault(
+            (s.w_grid.dtype.str, s.w_grid.shape, s.w_grid.tobytes()), {}))
+        for s in slices])
     return recover_from_slice_moments(prices, rows, max_order)
 
 

@@ -356,7 +356,10 @@ class Population:
     """Common interface of all population forms (see module docstring)."""
 
     # Subclasses implement: support, vk_upper, _density, _sample,
-    # _ratio_marginal, _moment, _band_vm_moments, _quality_profile.
+    # _ratio_marginal, _moments, _band_vm_moments, _quality_profile.
+    # _moments(pairs) takes a list of (j, k) pairs and returns two arrays
+    # in their order: E[vk**j vm**k] and each entry's diagnostic (0 for
+    # closed forms, the quadrature tolerance for integrated entries).
     # _quality_profile(p, xq) takes prices p broadcastable against the
     # quality offsets xq, so one call can hold the rows of many prices,
     # and returns each row's buying mass and the estimate of its absolute
@@ -372,7 +375,7 @@ class Population:
 
     def _mean_vm(self) -> float:
         """E[vm]; forms with an exact closed form override this."""
-        return self._moment(0, 1)[0]
+        return float(self._moments([(0, 1)])[0][0])
 
     def _saturation_bounds(self, p: float):
         """Quality offsets below which nobody buys and above which
@@ -491,8 +494,9 @@ class PointMassPopulation(Population):
     def _ratio_marginal(self) -> RatioMarginalSpec:
         return RatioMarginalSpec.degenerate(self.vk / self.vm, self.vm)
 
-    def _moment(self, j, k):
-        return self.vk ** j * self.vm ** k, 0.0
+    def _moments(self, pairs):
+        return (np.array([self.vk ** j * self.vm ** k for j, k in pairs]),
+                np.zeros(len(pairs)))
 
     def _band_vm_moments(self, ra, rb):
         inside = ra <= self.vk / self.vm <= rb
@@ -578,8 +582,9 @@ class ProductPopulation(Population):
     def _ratio_marginal(self) -> RatioMarginalSpec:
         return self.ratio
 
-    def _moment(self, j, k):
-        return self.ratio.moment(j) * self.vm.moment(j + k), 0.0
+    def _moments(self, pairs):
+        return (np.array([self.ratio.moment(j) * self.vm.moment(j + k)
+                          for j, k in pairs]), np.zeros(len(pairs)))
 
     def _band_vm_moments(self, ra, rb):
         mass = float(self.ratio.cdf(rb) - self.ratio.cdf(ra))
@@ -691,8 +696,9 @@ class IndependentPopulation(Population):
     def _ratio_marginal(self) -> RatioMarginalSpec:
         return self._ratio_table_spec
 
-    def _moment(self, j, k):
-        return self.vk.moment(j) * self.vm.moment(k), 0.0
+    def _moments(self, pairs):
+        return (np.array([self.vk.moment(j) * self.vm.moment(k)
+                          for j, k in pairs]), np.zeros(len(pairs)))
 
     def _band_vm_moments(self, ra, rb):
         if self.vm.is_degenerate:
@@ -820,10 +826,54 @@ class RatioConditionalPopulation(Population):
         return knots[(knots > self.ratio.r_lo) & (knots < self.ratio.r_hi)]
 
     @cached_property
-    def _scan(self):
-        """The law on a dense grid holding every knot."""
+    def _scan_grid(self) -> np.ndarray:
+        """A dense grid of the ratio range holding every knot."""
         grid = np.linspace(self.ratio.r_lo, self.ratio.r_hi, 1025)
-        return self._law(np.union1d(grid, self._knots))
+        return np.union1d(grid, self._knots)
+
+    @cached_property
+    def _scan(self):
+        """The law on the scan grid."""
+        return self._law(self._scan_grid)
+
+    @cached_property
+    def _vm_cells(self):
+        """Cells of the ratio range on which m - eps and m + eps are
+        monotone, as their edges and each cell's least m - eps and most
+        m + eps, which are then found at its ends.
+
+        The scan grid holds every knot, so on each of its cells g and a
+        custom h are linear, and for the low and custom families
+        m = h / g is a ratio of linear functions, monotone where g > 0.
+        For the high family m = 1 / (sqrt(s) g) with s = r - r_lo + delta;
+        where g = c r + d on a cell, d/dr (sqrt(s) g) has the sign of
+        3 c r + d + 2 c (delta - r_lo), so m turns at most once there, and
+        that root becomes an edge.  eps is m / 2 or a constant, so
+        m - eps and m + eps follow m.
+        """
+        r = self._scan_grid
+        if self.cond.family == "high":
+            g = self._scan[0]
+            c = np.diff(g) / np.diff(r)
+            d = g[:-1] - c * r[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                turn = (2.0 * c * (self.ratio.r_lo - self.cond.delta)
+                        - d) / (3.0 * c)
+            r = np.union1d(r, turn[(turn > r[:-1]) & (turn < r[1:])])
+        _, m, eps = self._law(r)
+        lo, hi = m - eps, m + eps
+        return r, np.minimum(lo[:-1], lo[1:]), np.maximum(hi[:-1], hi[1:])
+
+    def _saturation_bounds(self, p):
+        # W = vm (r - p) over a cell [a, b] lies between the products of
+        # vm's bounds [lo, hi] there and a - p, b - p.  vm > 0, so W is at
+        # most hi (b - p), or lo (b - p) where b < p, and at least
+        # hi (a - p), or lo (a - p) where a > p
+        r, lo, hi = self._vm_cells
+        below, above = r[:-1] - p, r[1:] - p
+        top = np.max(np.where(above >= 0.0, hi, lo) * above)
+        bottom = np.min(np.where(below <= 0.0, hi, lo) * below)
+        return -float(top), -float(bottom)
 
     @property
     def _a0(self) -> float:
@@ -879,29 +929,55 @@ class RatioConditionalPopulation(Population):
     def _even_moments(self):
         return _trunc_std_even_moments(self._a0, 16)
 
-    def _moment(self, j, k):
+    def _moments(self, pairs):
+        # one segmented_gl row per pair, split at the knots.  The law is
+        # evaluated once per block; each row's integrand is then formed
+        # on that row's nodes alone, elementwise, so every row keeps the
+        # bits of its own one-row quadrature.integrate call
         tol = 1e-11
-        n = j + k
+        r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
+        orders = [j + k for j, k in pairs]
 
-        def f(r):
-            g, m, eps = self._law(r)
-            sig = self.cond.sigma_multiplier * eps
-            cond = np.zeros_like(r)  # E[vm**n | r]
-            for i in range(0, n + 1, 2):
-                cond = cond + (math.comb(n, i) * m ** (n - i) * sig ** i
-                               * self._even_moments[i])
-            return g * r ** j * cond
+        def overflow(n):
+            return BoundViolation(
+                f"sigma multiplier {self.cond.sigma_multiplier:g} is too "
+                f"large: the order-{n} conditional moments overflow")
+
+        def integrand(nodes, rows):
+            row = int(rows[0])  # the row at work, named on an overflow
+            try:
+                g, m, eps = self._law(nodes)
+                sig = self.cond.sigma_multiplier * eps
+                out = np.empty_like(nodes)
+                for row in np.unique(rows).tolist():
+                    j, n = pairs[row][0], orders[row]
+                    line = rows == row
+                    r, m_r, sig_r = nodes[line], m[line], sig[line]
+                    cond = np.zeros_like(r)  # E[vm**n | r]
+                    for i in range(0, n + 1, 2):
+                        cond = cond + (math.comb(n, i) * m_r ** (n - i)
+                                       * sig_r ** i * self._even_moments[i])
+                    out[line] = g[line] * r ** j * cond
+            except FloatingPointError:
+                raise overflow(orders[row]) from None
+            return out
 
         try:
             with np.errstate(over="raise"):
-                value = quadrature.integrate(f, self.ratio.r_lo,
-                                             self.ratio.r_hi, tol=tol,
-                                             breakpoints=self._knots)
-        except FloatingPointError:
-            raise BoundViolation(
-                f"sigma multiplier {self.cond.sigma_multiplier:g} is too "
-                f"large: the order-{n} conditional moments overflow") from None
-        return value, tol
+                values, errors = quadrature.segmented_gl(
+                    r_lo, r_hi,
+                    np.broadcast_to(self._knots, (len(pairs),
+                                                  self._knots.size)),
+                    integrand, tol=tol)
+        except FloatingPointError:  # in the quadrature's own arithmetic
+            raise overflow(max(orders)) from None
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise QuadratureFailure(
+                f"integral over [{float(r_lo)!r}, {float(r_hi)!r}] is "
+                f"{values[bad[0]]}", achieved=float(errors[bad[0]]),
+                requested=tol)
+        return values, np.full(len(pairs), tol)
 
     def _mean_vm(self):
         return self.cond.h_integral(self.ratio.r_lo, self.ratio.r_lo,
@@ -1064,8 +1140,8 @@ class MixturePopulation(Population):
     def _ratio_marginal(self) -> RatioMarginalSpec:
         return self._mixture_ratio_spec
 
-    def _moment(self, j, k):
-        return self._blend("_moment", j, k)
+    def _moments(self, pairs):
+        return self._blend("_moments", pairs)
 
     def _mean_vm(self):
         return sum(w * pop._mean_vm() for w, pop in self.components)
@@ -1231,11 +1307,8 @@ def moments(pop: Population, max_order: int) -> MomentTable:
     """Cross moments E[vk**j vm**k] for all j + k <= max_order."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    entries = {}
-    errors = {}
-    for n in range(max_order + 1):
-        for j in range(n + 1):
-            value, diag = pop._moment(j, n - j)
-            entries[(j, n - j)] = float(value)
-            errors[(j, n - j)] = float(diag)
-    return MomentTable(max_order, entries, errors)
+    pairs = [(j, n - j) for n in range(max_order + 1) for j in range(n + 1)]
+    values, diags = pop._moments(pairs)
+    return MomentTable(max_order,
+                       {pair: float(v) for pair, v in zip(pairs, values)},
+                       {pair: float(d) for pair, d in zip(pairs, diags)})

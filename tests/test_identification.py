@@ -30,6 +30,22 @@ class TestChebyshevPrices:
             ident.chebyshev_prices(0.5, 1.5, 0)
 
 
+def pooled(y):
+    """The pool-adjacent-violators stack, run on every value."""
+    vals, counts = [], []
+    for v in y:
+        vals.append(float(v))
+        counts.append(1)
+        while len(vals) > 1 and vals[-2] > vals[-1]:
+            total = vals[-1] * counts[-1] + vals[-2] * counts[-2]
+            cnt = counts[-1] + counts[-2]
+            vals.pop()
+            counts.pop()
+            vals[-1] = total / cnt
+            counts[-1] = cnt
+    return np.repeat(vals, counts)
+
+
 class TestPava:
     def test_matches_scipy_isotonic_regression(self):
         rng = np.random.default_rng(5)
@@ -43,20 +59,6 @@ class TestPava:
         # nondecreasing input is returned as a copy; the pooling loop
         # would give the same bits, and keeps every other input (a
         # decrease, a NaN)
-        def pooled(y):
-            vals, counts = [], []
-            for v in y:
-                vals.append(float(v))
-                counts.append(1)
-                while len(vals) > 1 and vals[-2] > vals[-1]:
-                    total = vals[-1] * counts[-1] + vals[-2] * counts[-2]
-                    cnt = counts[-1] + counts[-2]
-                    vals.pop()
-                    counts.pop()
-                    vals[-1] = total / cnt
-                    counts[-1] = cnt
-            return np.repeat(vals, counts)
-
         cases = {"sorted": np.linspace(-1.0, 2.0, 17),
                  "tied": np.array([0.0, 0.0, 0.25, 0.25, 0.25, 1.0]),
                  "signed_zeros": np.array([0.0, -0.0, 0.0, -0.0]),
@@ -70,6 +72,26 @@ class TestPava:
         y = cases["sorted"]
         ident.pava(y)[0] = 9.0
         assert y[0] == -1.0
+
+    def test_prefix_and_suffix_take_the_loops_bits(self):
+        # the values before the first drop start the stack and the values
+        # after the last one are appended once nothing pools: a block can
+        # still pool past the last drop, and NaN, signed zeros and ties
+        # sit on either side
+        cases = [[0.0, 0.1, 0.2, 0.9, 0.3, 0.4, 0.5, 0.6],
+                 [5.0, 0.0, 1.0, 2.0, 3.0, 6.0],
+                 [0.0, 0.5, 0.4, 0.45, 0.45, 0.7, 0.2, 0.8, 0.9],
+                 [np.nan, 0.3, 0.2, 0.4, np.nan, 0.1, 0.5],
+                 [-0.0, 0.0, 0.5, 0.5, 0.25, -0.0, 0.0, 1.0],
+                 [1.0, 0.0]]
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            y = np.sort(rng.normal(size=rng.integers(2, 60)))
+            y[rng.integers(y.size)] += rng.normal()
+            cases.append(y)
+        for y in cases:
+            y = np.asarray(y)
+            assert same_bits(ident.pava(y), pooled(y)), y
 
     def test_idempotent_and_mean_preserving(self):
         y = np.array([3.0, 1.0, 2.0, 0.5, 4.0])
@@ -107,6 +129,26 @@ class TestSliceExtraction:
         m = ident.slice_moments(sdist, 2)
         assert m[0] == pytest.approx(0.5, abs=1e-9)
         assert m[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+    def test_slices_of_one_grid_share_its_powers(self):
+        # each power of the grid is computed once for all the slices of a
+        # surface, with the bits each slice gets on its own
+        pop = beta_independent()
+        grid = np.linspace(-2.5, 2.5, 513)
+        prices = np.array([0.6, 1.0, 1.4])
+        surface = dl.quality_demand_surface(pop, grid, prices)
+        slices = [ident.slice_from_surface(surface, p) for p in prices]
+        shared = {}
+        for sdist in slices:
+            alone = ident.slice_moments(sdist, 4)
+            assert same_bits(ident.slice_moments(sdist, 4, powers=shared),
+                             alone)
+        assert sorted(shared) == [0, 1, 2, 3]
+        assert same_bits(shared[3], slices[0].w_grid ** 3)
+        table = ident.recover_cross_moments(slices, 2)
+        rows = np.vstack([ident.slice_moments(s, 2) for s in slices])
+        want = ident.recover_from_slice_moments(prices, rows, 2)
+        assert table.entries == want.entries
 
     def test_tail_mass_guard(self):
         pop = beta_independent()
@@ -341,6 +383,25 @@ class TestEndToEnd:
         reference = dl.quality_demand_surface(pop, xq, prices)
         assert np.max(np.abs(surface.values - reference.values)) <= 1e-10
         assert np.all(surface.quadrature_errors <= pops.SURFACE_TOL)
+
+    def test_twin_recovery_makes_two_quadrature_calls(self, monkeypatch):
+        # one for the whole surface and one for the whole reference table
+        calls = []
+        quad = pops.quadrature.segmented_gl
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].shape[0])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(pops.quadrature, "segmented_gl", counted)
+        config = ident.IdentificationConfig(0.5, 1.5, n_prices=9,
+                                            max_order=4, n_quality=4096)
+        for pop in (pops.make_low_population(seed_ratio(), 0.5),
+                    pops.make_high_population(seed_ratio(), 0.04)):
+            calls.clear()
+            ident.verify_recovery(pop, config)
+            assert len(calls) == 2
+            assert calls[1] == 15  # the pairs j + k <= 4
 
     def test_report_serialization(self):
         pop = beta_independent()

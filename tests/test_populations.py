@@ -205,7 +205,7 @@ class TestMarginProfile:
     def test_kernel_skips_most_rows_of_the_seed_twin(self, monkeypatch):
         # on the default grid the low twin's 9 columns go to one kernel
         # call; at p = 1 nobody buys below -2.25 and everybody above 0,
-        # and over all 9 prices 29 % of the rows reach the kernel
+        # and over all 9 prices 26 % of the rows reach the kernel
         low = pops.make_low_population(seed_ratio(), delta=0.5)
         prices = ident.chebyshev_prices(0.5, 1.5, 9)
         xq = ident.default_quality_grid(low, prices, 4096)
@@ -241,6 +241,67 @@ class TestMarginProfile:
         box = pop._quality_surface(prices, xq)
         assert seen[0] <= 0.45 * xq.size * prices.size < seen[1]
         assert same_bits(own[0], box[0]) and same_bits(own[1], box[1])
+
+    def test_twin_bounds_are_their_own(self, monkeypatch):
+        # the range of vm (r - p) over the law, not over the support box,
+        # which takes vm_hi (7.5 for the high twin) at every r: the same
+        # bits, with under 10 % of the high twin's rows in the kernel
+        # against 29 % with the box
+        twins = benchmark_populations(3)
+        prices = ident.chebyshev_prices(0.5, 1.5, 9)
+        cls = pops.RatioConditionalPopulation
+        for name, share in (("low", 0.27), ("high", 0.1)):
+            pop = twins[name]
+            xq = ident.default_quality_grid(pop, prices, 4096)
+            seen = _count_kernel_rows(monkeypatch, cls)
+            own = pop._quality_surface(prices, xq)
+            with monkeypatch.context() as box_bounds:
+                box_bounds.setattr(cls, "_saturation_bounds",
+                                   pops.Population._saturation_bounds)
+                box = pop._quality_surface(prices, xq)
+            assert seen[0] <= share * xq.size * prices.size, name
+            assert 0.29 * xq.size * prices.size < seen[1], name
+            assert same_bits(own[0], box[0]), name
+            assert same_bits(own[1], box[1]), name
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", ["low", "high", "custom_h",
+                                      "fixed_eps", "tent_ratio",
+                                      "falling_ratio"])
+    def test_conditional_bounds_hold_the_range_of_the_law(self, name):
+        # W = vm (r - p) with vm in [m - eps, m + eps] given r: on a
+        # dense scan W never reaches above -nobody or below -everybody,
+        # and the bounds stay within 1 % of W's range.  The tabulated
+        # tent takes the place of a triangular ratio, whose zero ends the
+        # form rejects; on the falling ramp the high family's m turns
+        # inside a cell, at r = 1.5 - 2 delta / 3
+        tent = pops.RatioMarginalSpec.tabulated([1.0, 1.5, 2.0],
+                                                [0.5, 1.5, 0.5])
+        ramp = pops.RatioMarginalSpec.tabulated([1.0, 2.0], [1.5, 0.5])
+        pop = {"low": pops.make_low_population(seed_ratio(), 0.5),
+               "high": pops.make_high_population(seed_ratio(), 0.04),
+               "custom_h": kinked_h_custom(),
+               "fixed_eps": pops.make_low_population(
+                   seed_ratio(), 0.5, epsilon_kind="fixed",
+                   epsilon_value=0.4),
+               "tent_ratio": pops.make_high_population(tent, 0.1),
+               "falling_ratio": pops.make_high_population(ramp, 0.02),
+               }[name]
+        r_lo, r_hi = pop.ratio.r_lo, pop.ratio.r_hi
+        r = np.union1d(np.linspace(r_lo, r_hi, 400_001), pop._knots)
+        _, m, eps = pop._law(r)
+        # each cell's vm bounds hold the law at every point of the cell
+        edges, lo, hi = pop._vm_cells
+        cell = np.clip(np.searchsorted(edges, r, side="right") - 1, 0,
+                       lo.size - 1)
+        assert np.all(lo[cell] <= m - eps) and np.all(m + eps <= hi[cell])
+        for p in (0.5 * r_lo, r_lo, 0.7 * r_lo + 0.3 * r_hi,
+                  0.5 * (r_lo + r_hi), r_hi, 1.5 * r_hi):
+            w = np.concatenate(((m - eps) * (r - p), (m + eps) * (r - p)))
+            nobody, everybody = pop._saturation_bounds(p)
+            slack = 0.01 * (w.max() - w.min())
+            assert -nobody - slack <= w.max() <= -nobody, (name, p)
+            assert -everybody <= w.min() <= -everybody + slack, (name, p)
 
     def test_class_rows_that_differ_fall_back_to_every_row(
             self, monkeypatch):
@@ -515,6 +576,42 @@ class TestRatioConditionalPopulation:
         assert calls["pdf"] == calls["psi"] + calls["passes"]
         assert calls["h"] == calls["psi"] + calls["passes"]
 
+    @pytest.mark.parametrize("name", ["conditional_low", "conditional_high",
+                                      "custom_h", "sine_table",
+                                      "wide_conditional"])
+    def test_moment_table_is_one_integral_per_pair(self, name):
+        # the table comes from one quadrature call, one row per pair; each
+        # entry keeps the bits of integrating its pair alone, split at
+        # the knots, to 1e-11
+        pop = surface_zoo()[name]
+        table = pops.moments(pop, 4)
+        for j, k in table.keys():
+            n = j + k
+
+            def f(r):
+                g, m, eps = pop._law(r)
+                sig = pop.cond.sigma_multiplier * eps
+                cond = np.zeros_like(r)  # E[vm**n | r]
+                for i in range(0, n + 1, 2):
+                    cond = cond + (math.comb(n, i) * m ** (n - i) * sig ** i
+                                   * pop._even_moments[i])
+                return g * r ** j * cond
+
+            want = pops.quadrature.integrate(f, pop.ratio.r_lo,
+                                             pop.ratio.r_hi, tol=1e-11,
+                                             breakpoints=pop._knots)
+            assert same_bits(table[(j, k)], want), (name, j, k)
+            assert table.errors[(j, k)] == 1e-11
+
+    @pytest.mark.parametrize("sigma, order", [(1e300, 2), (1e100, 4)])
+    def test_moment_overflow_names_the_lowest_order(self, sigma, order):
+        # the lowest order whose conditional moments overflow is named,
+        # as when each pair was integrated in turn
+        pop = pops.make_low_population(seed_ratio(), 0.5,
+                                       sigma_multiplier=sigma)
+        with pytest.raises(BoundViolation, match=f"the order-{order} "):
+            pops.moments(pop, 6)
+
     def test_moments_split_at_the_knots_of_a_custom_h(self):
         # h has a kink at 1.0; integrating across it unsplit missed the
         # moment tolerance
@@ -588,7 +685,8 @@ class TestMixturePopulation:
 
         xq = np.linspace(-1.5, 1.5, 64)
         prices = np.array([0.8, 1.3, 1.9])
-        calls = [("_moment", j, n - j) for n in range(5) for j in range(n + 1)]
+        calls = [("_moments",
+                  [(j, n - j) for n in range(5) for j in range(n + 1)])]
         calls += [("_band_vm_moments", 1.1, 1.3),
                   ("_band_vm_moments", 1.4, 1.9),
                   ("_quality_profile", 1.3, xq),
@@ -668,7 +766,7 @@ class TestModuleOps:
                 pops.density(pop, 2.0, 1.0)
 
     def test_mean_vm_is_the_first_money_moment(self):
-        # forms without a closed form of their own read E[vm] off _moment
+        # forms without a closed form of their own read E[vm] off _moments
         zoo = population_zoo()
         for name in ("point_mass", "product", "independent", "mixture"):
             pop = zoo[name]
