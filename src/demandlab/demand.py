@@ -54,9 +54,10 @@ class DemandCurve:
         d = np.asarray(self.values, dtype=float)
         if p.ndim != 1 or p.shape != d.shape or p.size < 2:
             raise ValueError("need matching 1-d price/value arrays")
-        if np.any(p <= 0.0) or np.any(np.diff(p) <= 0.0):
-            raise ValueError("prices must be positive, strictly increasing")
-        if np.any(d < -MONOTONE_TOL) or np.any(d > 1.0 + MONOTONE_TOL):
+        if not (np.all(np.diff(p) > 0.0) and 0.0 < p[0] and p[-1] < np.inf):
+            raise ValueError("prices must be finite, positive, strictly "
+                             "increasing")
+        if not np.all((d >= -MONOTONE_TOL) & (d <= 1.0 + MONOTONE_TOL)):
             raise ValueError("demand values must lie in [0, 1]")
         rise = np.max(np.diff(d), initial=0.0)
         if rise > MONOTONE_TOL:
@@ -174,7 +175,7 @@ def default_price_grid(pop: Population, n: int = 257) -> np.ndarray:
 def demand_at(pop: Population, p) -> float:
     """Buying mass at price p: P(vk / vm >= p) = 1 - G(p) + atom at p."""
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0):
+    if not np.all(p_arr > 0.0):
         raise ValueError("price must be positive")
     out = pop._demand_profile(np.atleast_1d(p_arr).astype(float))
     return out.reshape(p_arr.shape) if p_arr.ndim else float(out[0])
@@ -185,7 +186,7 @@ def demand_curve(pop: Population, price_grid=None) -> DemandCurve:
     if price_grid is None:
         price_grid = default_price_grid(pop)
     price_grid = np.asarray(price_grid, dtype=float)
-    if np.any(price_grid <= 0.0):
+    if not np.all(price_grid > 0.0):
         raise ValueError("price must be positive")
     return DemandCurve(price_grid, pop._demand_profile(price_grid))
 

@@ -112,7 +112,7 @@ class IdentificationConfig:
                 f"{self.max_order}; need at least {self.max_order + 1}")
         if self.n_quality < 16:
             raise ValueError("quality grid too small")
-        if self.tail_bound <= 0.0:
+        if not self.tail_bound > 0.0:
             raise ValueError("tail bound must be positive")
         if self.quality_span is not None:
             lo, hi = self.quality_span

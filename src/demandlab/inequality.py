@@ -171,12 +171,7 @@ def check_delta_bounds(ratio: RatioMarginalSpec, delta: float,
     """
     if family not in ("low", "high"):
         raise ValueError(f"unknown family {family!r}")
-    if family == "low":
-        bound = pops._low_delta_bound(ratio)
-        ok = 0.0 < delta <= bound
-    else:
-        bound = pops._high_delta_bound(ratio)
-        ok = 0.0 < delta < bound
+    bound, ok = pops._delta_admissible(ratio, delta, family)
     return DeltaBoundCheck(family, float(delta), float(bound), ok)
 
 

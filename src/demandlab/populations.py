@@ -314,42 +314,33 @@ def _trunc_mass(a0: float) -> float:
 
 
 def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
-    """Raw moments of a standard normal truncated to [-a0, a0].
+    """E[U^n] for n <= n_max, where U = Z / a0 lies in [-1, 1] and Z is a
+    standard normal truncated to [-a0, a0]; so each lies in [0, 1].
 
     Odd moments vanish.  For a0 >= 2 even ones follow the two-sided
-    recursion t_n = (n - 1) t_{n-2} - 2 a0^(n-1) phi(a0) / (2 Phi(a0) - 1).
-    Below that its two terms nearly cancel, so t_n = a0^n E[U^n] comes
-    from U = Z / a0, whose density on [-1, 1] is proportional to
-    exp(-b u^2), b = a0^2 / 2.  By Kummer's transformation
-    int_0^1 u^n exp(-b u^2) du = exp(-b) S_n / (n + 1) with the
-    positive series S_n = sum_k b^k / ((n + 3) / 2)_k, so
+    recursion u_n = (n - 1) u_{n-2} / a0^2 - 2 phi(a0) / (a0 z), where
+    z = 2 Phi(a0) - 1.  Below that its two terms nearly cancel.  U's
+    density is proportional to exp(-b u^2), b = a0^2 / 2, and by Kummer's
+    transformation int_0^1 u^n exp(-b u^2) du = exp(-b) S_n / (n + 1) with
+    the positive series S_n = sum_k b^k / ((n + 3) / 2)_k, so
     E[U^n] = S_n / ((n + 1) S_0) without cancellation.
     """
     z = _trunc_mass(a0)  # raises first when the multiplier is too large
-    t = [0.0] * (n_max + 1)
-    t[0] = 1.0
+    u = [1.0] + [0.0] * n_max
     if a0 < 2.0:
         b = 0.5 * a0 * a0
-        series = []
         for n in range(0, n_max + 1, 2):
             term, total, c = 1.0, 1.0, 0.5 * (n + 3)
             while term > 1e-17 * total:
                 term *= b / c
                 total += term
                 c += 1.0
-            series.append(total / (n + 1))
-        for n in range(2, n_max + 1, 2):
-            t[n] = a0 ** n * series[n // 2] / series[0]
-        return tuple(t)
+            u[n] = total / (n + 1)
+        return tuple(x / u[0] for x in u)
     phi = math.exp(-0.5 * a0 * a0) / _SQRT2PI
-    try:
-        for n in range(2, n_max + 1, 2):
-            t[n] = (n - 1) * t[n - 2] - 2.0 * a0 ** (n - 1) * phi / z
-    except OverflowError:
-        raise BoundViolation(
-            f"sigma multiplier {1.0 / a0:g} is too small: a0^{n - 1} "
-            f"overflows in the truncated-normal moments") from None
-    return tuple(t)
+    for n in range(2, n_max + 1, 2):
+        u[n] = (n - 1) * u[n - 2] / (a0 * a0) - 2.0 * phi / (a0 * z)
+    return tuple(u)
 
 
 class Population:
@@ -936,41 +927,25 @@ class RatioConditionalPopulation(Population):
         # bits of its own one-row quadrature.integrate call
         tol = 1e-11
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
-        orders = [j + k for j, k in pairs]
-
-        def overflow(n):
-            return BoundViolation(
-                f"sigma multiplier {self.cond.sigma_multiplier:g} is too "
-                f"large: the order-{n} conditional moments overflow")
 
         def integrand(nodes, rows):
-            row = int(rows[0])  # the row at work, named on an overflow
-            try:
-                g, m, eps = self._law(nodes)
-                sig = self.cond.sigma_multiplier * eps
-                out = np.empty_like(nodes)
-                for row in np.unique(rows).tolist():
-                    j, n = pairs[row][0], orders[row]
-                    line = rows == row
-                    r, m_r, sig_r = nodes[line], m[line], sig[line]
-                    cond = np.zeros_like(r)  # E[vm**n | r]
-                    for i in range(0, n + 1, 2):
-                        cond = cond + (math.comb(n, i) * m_r ** (n - i)
-                                       * sig_r ** i * self._even_moments[i])
-                    out[line] = g[line] * r ** j * cond
-            except FloatingPointError:
-                raise overflow(orders[row]) from None
+            g, m, eps = self._law(nodes)
+            out = np.empty_like(nodes)
+            for row in np.unique(rows).tolist():
+                j, n = pairs[row][0], sum(pairs[row])
+                line = rows == row
+                r, m_r, eps_r = nodes[line], m[line], eps[line]
+                cond = np.zeros_like(r)  # E[vm**n | r], vm = m + eps U
+                for i in range(0, n + 1, 2):
+                    cond = cond + (math.comb(n, i) * m_r ** (n - i)
+                                   * eps_r ** i * self._even_moments[i])
+                out[line] = g[line] * r ** j * cond
             return out
 
-        try:
-            with np.errstate(over="raise"):
-                values, errors = quadrature.segmented_gl(
-                    r_lo, r_hi,
-                    np.broadcast_to(self._knots, (len(pairs),
-                                                  self._knots.size)),
-                    integrand, tol=tol)
-        except FloatingPointError:  # in the quadrature's own arithmetic
-            raise overflow(max(orders)) from None
+        values, errors = quadrature.segmented_gl(
+            r_lo, r_hi,
+            np.broadcast_to(self._knots, (len(pairs), self._knots.size)),
+            integrand, tol=tol)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise QuadratureFailure(
@@ -1074,7 +1049,7 @@ class MixturePopulation(Population):
         comps = []
         total = 0.0
         for weight, pop in self.components:
-            if weight <= 0.0:
+            if not weight > 0.0:
                 raise ValueError("mixture weights must be positive")
             if not isinstance(pop, Population):
                 raise TypeError("mixture components must be populations")
@@ -1201,6 +1176,29 @@ def _high_delta_bound(ratio: RatioMarginalSpec) -> float:
     return 0.5 * (math.sqrt(length ** 2 + 1.0 / (4.0 * g0 ** 2)) - length)
 
 
+def _delta_admissible(ratio: RatioMarginalSpec, delta: float,
+                      family: str) -> tuple:
+    """The family's offset bound, and whether 0 < delta <= bound (low
+    family) or 0 < delta < bound (high family, strict) holds."""
+    if family == "low":
+        bound = _low_delta_bound(ratio)
+        return bound, 0.0 < delta <= bound
+    bound = _high_delta_bound(ratio)
+    return bound, 0.0 < delta < bound
+
+
+def _family_population(ratio, delta, family, cond_kwargs):
+    _require_seed_ratio(ratio)
+    bound, ok = _delta_admissible(ratio, delta, family)
+    if not ok:
+        end = "]" if family == "low" else ")"
+        raise BoundViolation(
+            f"{family}-family offset {delta:g} outside (0, {bound:g}{end}",
+            delta=delta, bound=bound)
+    return RatioConditionalPopulation(
+        ratio, ConditionalSpec(family, delta=delta, **cond_kwargs))
+
+
 def make_low_population(ratio: RatioMarginalSpec, delta: float,
                         **cond_kwargs) -> RatioConditionalPopulation:
     """Population with the given ratio marginal and a *low* boundary mean.
@@ -1209,14 +1207,7 @@ def make_low_population(ratio: RatioMarginalSpec, delta: float,
     offset must satisfy 0 < delta <= 2 g(r_lo) * int (r - r_lo) dr, else
     :class:`BoundViolation`.
     """
-    _require_seed_ratio(ratio)
-    bound = _low_delta_bound(ratio)
-    if not 0.0 < delta <= bound:
-        raise BoundViolation(
-            f"low-family offset {delta:g} outside (0, {bound:g}]",
-            delta=delta, bound=bound)
-    return RatioConditionalPopulation(
-        ratio, ConditionalSpec("low", delta=delta, **cond_kwargs))
+    return _family_population(ratio, delta, "low", cond_kwargs)
 
 
 def make_high_population(ratio: RatioMarginalSpec, delta: float,
@@ -1228,14 +1219,7 @@ def make_high_population(ratio: RatioMarginalSpec, delta: float,
     root of delta**2 + L*delta - 1/(16 g(r_lo)**2) (strict inequality),
     else :class:`BoundViolation`.
     """
-    _require_seed_ratio(ratio)
-    bound = _high_delta_bound(ratio)
-    if not 0.0 < delta < bound:
-        raise BoundViolation(
-            f"high-family offset {delta:g} outside (0, {bound:g})",
-            delta=delta, bound=bound)
-    return RatioConditionalPopulation(
-        ratio, ConditionalSpec("high", delta=delta, **cond_kwargs))
+    return _family_population(ratio, delta, "high", cond_kwargs)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,13 @@ class TestDemand:
         with pytest.raises(ValueError):
             dl.demand_at(pop, 0.0)
 
+    def test_nan_price_is_rejected(self):
+        pop = pops.PointMassPopulation(2.0, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            dl.demand_at(pop, float("nan"))
+        with pytest.raises(ValueError, match="positive"):
+            dl.demand_curve(pop, [1.0, float("nan"), 2.0])
+
     def test_atom_buys_at_its_own_price(self):
         pop = pops.PointMassPopulation(2.0, 1.0)  # r = 2 exactly
         assert dl.demand_at(pop, 2.0) == 1.0
@@ -117,6 +124,15 @@ class TestDemandCurve:
         with pytest.raises(ValueError):
             dl.DemandCurve(np.array([-1.0, 2.0, 3.0]),
                            np.array([0.9, 0.8, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_curve_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="prices"):
+            dl.DemandCurve(np.array([1.0, 2.0, bad]),
+                           np.array([0.9, 0.8, 0.5]))
+        with pytest.raises(ValueError, match="values"):
+            dl.DemandCurve(np.array([1.0, 2.0, 3.0]),
+                           np.array([0.9, bad, 0.5]))
 
     def test_csv_layout(self):
         curve = dl.DemandCurve(np.array([1.0, 2.0]), np.array([0.75, 0.25]))

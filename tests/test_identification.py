@@ -284,6 +284,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ident.IdentificationConfig(0.5, 1.5, tail_bound=-1.0)
 
+    def test_nan_tail_bound_is_rejected(self):
+        # no tail mass exceeds NaN, so it would turn the tail gate off
+        with pytest.raises(ValueError, match="tail bound"):
+            ident.IdentificationConfig(0.5, 1.5, tail_bound=float("nan"))
+
 
 class TestEndToEnd:
     def test_independent_beta_recovery(self):

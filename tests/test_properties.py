@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import demandlab as dl
 from demandlab import populations as pops
 from demandlab.marginals import MarginalSpec
-from helpers import column_kernel, same_bits
+from helpers import column_kernel, same_bits, seed_ratio
 
 bounded = {"allow_nan": False, "allow_infinity": False}
 
@@ -80,3 +80,18 @@ def test_isotonic_projection_properties(ys):
     assert abs(z.mean() - y.mean()) <= 1e-9 * max(1.0, abs(y.mean()))
     # projecting a second time changes nothing
     np.testing.assert_array_equal(dl.identification.pava(z), z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-6.0, 300.0, **bounded))
+def test_conditional_moments_hold_for_every_sigma(log_sigma):
+    # the table is formed from E[U**i] of U = Z / a0 in [-1, 1], so no
+    # term grows with the sigma multiplier
+    pop = pops.make_low_population(seed_ratio(), 0.5,
+                                   sigma_multiplier=10.0 ** log_sigma)
+    table = pops.moments(pop, 4)
+    assert all(np.isfinite(v) for v in table.entries.values())
+    assert abs(table[(0, 1)] - pop._mean_vm()) <= 1e-11
+    even = np.array(pop._even_moments[::2])
+    assert np.all((even >= 0.0) & (even <= 1.0))
+    assert np.all(np.diff(even) <= 0.0)
