@@ -1,5 +1,14 @@
 """One-dimensional value distributions used as population building blocks.
 
+A beta law whose shapes a and b are integers with a + b at most
+``INT_SHAPE_MAX`` takes its cdf and pdf in closed form on the calling
+thread: I_t(a, b) = t^a sum_{k<b} C(a+k-1, k) (1-t)^k by Horner in
+1 - t, and (a+b-1) C(a+b-2, a-1) t^(a-1) (1-t)^(b-1) for the density.
+Powers are repeated products, never ``np.power``, so each element's bits
+do not depend on how its array is split.  Such a law's cdf and pdf load
+no scipy; its ppf, and every other shape's cdf and pdf, go through
+``betaincinv``, ``betainc`` and ``betaln``.
+
 Every ``scipy.special`` call in the package goes through ``_special``.
 It imports ``scipy.special`` on its first call, so a command that needs
 no special function never loads scipy.  Arrays of at least ``SPLIT_MIN``
@@ -27,6 +36,10 @@ from .errors import NoDensity, SpecialFunctionFailure
 # it, workers.run takes CHUNK elements per item.
 SPLIT_MIN = 2 ** 16
 CHUNK = 2 ** 14
+# Integer beta shapes with alpha + beta at most this take the closed-form
+# cdf and pdf; every other shape takes betainc and betaln.  The cap bounds
+# the passes over each array: a + b - 2 products for the pdf.
+INT_SHAPE_MAX = 32
 
 
 def _special(name: str, *args):
@@ -173,6 +186,30 @@ class PwLinearTable:
         return float(np.sum(weights * vals))
 
 
+def _int_beta_cdf(a: int, b: int, t: np.ndarray) -> np.ndarray:
+    """I_t(a, b) = t^a sum_{k<b} C(a+k-1, k) (1-t)^k for t in [0, 1], by
+    Horner in 1 - t, then a products by t."""
+    u = 1.0 - t
+    out = np.full_like(t, float(math.comb(a + b - 2, b - 1)))
+    for k in range(b - 2, -1, -1):
+        out *= u
+        out += math.comb(a + k - 1, k)
+    for _ in range(a):
+        out *= t
+    return out
+
+
+def _int_beta_pdf(a: int, b: int, t: np.ndarray, scale: float) -> np.ndarray:
+    """(a+b-1) C(a+b-2, a-1) t^(a-1) (1-t)^(b-1) / scale for t in [0, 1]."""
+    u = 1.0 - t
+    out = np.full_like(t, (a + b - 1) * math.comb(a + b - 2, a - 1) / scale)
+    for _ in range(a - 1):
+        out *= t
+    for _ in range(b - 1):
+        out *= u
+    return out
+
+
 # Product of (alpha + i) / (alpha + beta + i), i.e. the raw moments of a
 # standard Beta(alpha, beta) variate.
 def _beta_raw_moment(alpha: float, beta: float, n: int) -> float:
@@ -211,8 +248,10 @@ class MarginalSpec:
         elif self.hi <= self.lo:
             raise ValueError("marginal needs lo < hi")
         if self.kind == "beta" and (self.alpha is None or self.beta is None
-                                    or self.alpha <= 0 or self.beta <= 0):
-            raise ValueError("beta marginal needs positive shape parameters")
+                                    or not 0.0 < self.alpha < math.inf
+                                    or not 0.0 < self.beta < math.inf):
+            raise ValueError(
+                "beta marginal needs positive, finite shape parameters")
         if self.kind == "tabulated" and self.table is None:
             raise ValueError("tabulated marginal needs a table")
 
@@ -253,6 +292,17 @@ class MarginalSpec:
         return min((s for s in (self.alpha, self.beta) if s != round(s)),
                    default=math.inf)
 
+    @cached_property
+    def _int_shapes(self) -> tuple[int, int] | None:
+        """The shapes as ints when ``cdf`` and ``pdf`` take the closed
+        forms: a beta law whose shapes are integers with alpha + beta at
+        most ``INT_SHAPE_MAX``; else None."""
+        if (self.kind == "beta" and self.alpha + self.beta <= INT_SHAPE_MAX
+                and float(self.alpha).is_integer()
+                and float(self.beta).is_integer()):
+            return int(self.alpha), int(self.beta)
+        return None
+
     def moment(self, n: int) -> float:
         if n == 0:
             return 1.0
@@ -281,12 +331,16 @@ class MarginalSpec:
             scale = self.hi - self.lo
             t = (v - self.lo) / scale
             inside = (t >= 0.0) & (t <= 1.0)
-            ts = np.clip(t, 1e-300, 1.0 - 1e-16)
-            logpdf = ((self.alpha - 1.0) * np.log(ts)
-                      + (self.beta - 1.0) * np.log1p(-ts)
-                      - _special("betaln", self.alpha, self.beta)
-                      - np.log(scale))
-            out = np.where(inside, np.exp(logpdf), 0.0)
+            if self._int_shapes:
+                out = _int_beta_pdf(*self._int_shapes, np.clip(t, 0.0, 1.0),
+                                    scale)
+            else:
+                ts = np.clip(t, 1e-300, 1.0 - 1e-16)
+                out = np.exp((self.alpha - 1.0) * np.log(ts)
+                             + (self.beta - 1.0) * np.log1p(-ts)
+                             - _special("betaln", self.alpha, self.beta)
+                             - np.log(scale))
+            out = np.where(inside, out, 0.0)
         else:
             out = self.table.value_at(v)
         return out if out.ndim else float(out)
@@ -299,7 +353,8 @@ class MarginalSpec:
             out = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         elif self.kind == "beta":
             t = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-            out = _special("betainc", self.alpha, self.beta, t)
+            out = (_int_beta_cdf(*self._int_shapes, t) if self._int_shapes
+                   else _special("betainc", self.alpha, self.beta, t))
         else:
             out = np.asarray(self.table.cdf(v))
         return out if out.ndim else float(out)

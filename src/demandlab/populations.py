@@ -266,14 +266,14 @@ class ConditionalSpec:
         if self.family not in ("low", "high", "custom"):
             raise ValueError(f"unknown conditional family {self.family!r}")
         if self.family in ("low", "high"):
-            if self.delta is None or self.delta <= 0:
+            if self.delta is None or not self.delta > 0:
                 raise ValueError(f"{self.family} family needs delta > 0")
         elif self.h_table is None:
             raise ValueError("custom family needs an h table")
         if self.epsilon_kind not in ("half_mean", "fixed"):
             raise ValueError(f"unknown epsilon rule {self.epsilon_kind!r}")
         if self.epsilon_kind == "fixed" and (self.epsilon_value is None
-                                             or self.epsilon_value <= 0):
+                                             or not self.epsilon_value > 0):
             raise ValueError("fixed epsilon rule needs a positive value")
         if not 0.0 < self.sigma_multiplier < np.inf:
             raise ValueError("sigma multiplier must be positive and finite")
@@ -301,16 +301,11 @@ class ConditionalSpec:
 
 def _trunc_mass(a0: float) -> float:
     """2 Phi(a0) - 1, the mass a standard normal keeps on [-a0, a0].
-    Below a0 = 2 the subtraction cancels, so erf(a0 / sqrt 2) gives it."""
+    Below a0 = 2 the subtraction cancels, so erf(a0 / sqrt 2) gives it.
+    A finite sigma multiplier gives a0 >= 5.6e-309, where erf is > 0."""
     if a0 < 2.0:
-        z = math.erf(a0 / math.sqrt(2.0))
-    else:
-        z = float(2.0 * _special("ndtr", a0) - 1.0)
-    if not z > 0.0:
-        raise BoundViolation(
-            f"sigma multiplier {1.0 / a0:g} is too large: the truncated "
-            f"normal keeps no mass in floating point")
-    return z
+        return math.erf(a0 / math.sqrt(2.0))
+    return float(2.0 * _special("ndtr", a0) - 1.0)
 
 
 def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
@@ -325,7 +320,6 @@ def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
     the positive series S_n = sum_k b^k / ((n + 3) / 2)_k, so
     E[U^n] = S_n / ((n + 1) S_0) without cancellation.
     """
-    z = _trunc_mass(a0)  # raises first when the multiplier is too large
     u = [1.0] + [0.0] * n_max
     if a0 < 2.0:
         b = 0.5 * a0 * a0
@@ -337,6 +331,7 @@ def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
                 c += 1.0
             u[n] = total / (n + 1)
         return tuple(x / u[0] for x in u)
+    z = _trunc_mass(a0)  # near 1 here, since a0 >= 2
     phi = math.exp(-0.5 * a0 * a0) / _SQRT2PI
     for n in range(2, n_max + 1, 2):
         u[n] = (n - 1) * u[n - 2] / (a0 * a0) - 2.0 * phi / (a0 * z)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import multiprocessing
 import os
 import threading
@@ -12,6 +13,7 @@ from scipy import stats
 from demandlab import MomentTable, marginals, workers
 from demandlab.errors import NoDensity, SpecialFunctionFailure
 from demandlab.marginals import MarginalSpec, PwLinearTable, _special
+from helpers import same_bits
 
 
 class TestPwLinearTable:
@@ -99,6 +101,123 @@ class TestMarginalSpec:
         big = spec.sample(200_000, np.random.default_rng(6))
         se = big.std(ddof=1) / np.sqrt(big.size)
         assert abs(big.mean() - spec.mean) < 4 * se
+
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 2.0), (2.0, np.nan),
+                                             (np.inf, 2.0), (2.0, np.inf)])
+    def test_beta_shapes_must_be_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite shape"):
+            MarginalSpec.scaled_beta(alpha, beta, 0.5, 1.5)
+
+
+def _powers(x: int, n: int) -> list:
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def _rel_error(x: float, num: int, den: int) -> float:
+    """|x - num/den| / (num/den), exactly up to the final rounding."""
+    xn, xd = float(x).as_integer_ratio()
+    return abs(xn * den - num * xd) / (num * xd)
+
+
+class TestIntegerShapes:
+    """Closed-form cdf and pdf of integer beta shapes up to the cap."""
+
+    def test_within_rounding_bounds_of_exact_sums(self):
+        # At t = n / d (d a power of 2) and m = d - n, d^(a+b-1) I_t(a, b)
+        # is the integer n^a sum_{k<b} C(a+k-1, k) m^k d^(b-1-k), and
+        # d^(a+b-2) times the density is (a+b-1) C(a+b-2, a-1) n^(a-1)
+        # m^(b-1).  With u = 2^-53: rounding 1 - t costs at most u, which
+        # the b-1 powers of 1 - t amplify (b-1)-fold; Horner adds a product
+        # and a sum per step and t^a a products, so the cdf is within
+        # (a + 3b - 3) u and the density (a + 2b - 3) u.  Normal results
+        # only, since a subnormal one keeps fewer digits.
+        cap = marginals.INT_SHAPE_MAX
+        rng = np.random.default_rng(19)
+        t = np.concatenate([rng.random(8), 10.0 ** rng.uniform(-12, 0, 8),
+                            1.0 - 10.0 ** rng.uniform(-12, -0.3, 8),
+                            [0.5, np.nextafter(0.5, 0.0),
+                             np.nextafter(1.0, 0.0)]])
+        points = []
+        for x in t.tolist():
+            n, d = x.as_integer_ratio()
+            points.append((_powers(n, cap), _powers(d - n, cap),
+                           _powers(d, cap)))
+        tiny = 2 ** 1022  # exact value * tiny >= 1: a normal float
+        u = 2.0 ** -53
+        misses = []
+        for s in range(2, cap + 1):
+            for a in range(1, s):
+                b = s - a
+                spec = MarginalSpec.scaled_beta(a, b, 0.0, 1.0)
+                cdf, pdf = spec.cdf(t), spec.pdf(t)
+                for i, (pn, pm, pd) in enumerate(points):
+                    num = pn[a] * sum(math.comb(a + k - 1, k) * pm[k]
+                                      * pd[b - 1 - k] for k in range(b))
+                    if num * tiny >= pd[s - 1]:
+                        err = _rel_error(cdf[i], num, pd[s - 1])
+                        if not err <= (a + 3 * b - 3) * u:
+                            misses.append(("cdf", a, b, t[i], err / u))
+                    num = ((s - 1) * math.comb(s - 2, a - 1) * pn[a - 1]
+                           * pm[b - 1])
+                    if num * tiny >= pd[s - 2]:
+                        err = _rel_error(pdf[i], num, pd[s - 2])
+                        if not err <= (a + 2 * b - 3) * u:
+                            misses.append(("pdf", a, b, t[i], err / u))
+        assert misses == []
+
+    def test_ends_and_outside(self):
+        spec = MarginalSpec.scaled_beta(3.0, 4.0, 0.5, 1.5)
+        assert spec.cdf(np.array([0.0, 0.5, 1.5, 2.0])).tolist() \
+            == [0.0, 0.0, 1.0, 1.0]
+        assert spec.pdf(np.array([0.0, 0.5, 1.5, 2.0])).tolist() \
+            == [0.0, 0.0, 0.0, 0.0]
+        assert MarginalSpec.scaled_beta(1.0, 1.0, 0.5, 1.5).pdf(1.5) == 1.0
+        assert np.isnan(spec.cdf(np.nan)) and spec.pdf(np.nan) == 0.0
+
+    def test_bits_do_not_depend_on_the_split(self):
+        # products and sums only, so an element's bits are the same in
+        # a whole array, in its halves and alone
+        spec = MarginalSpec.scaled_beta(3.0, 20.0, 0.5, 1.5)
+        v = 0.5 + np.random.default_rng(3).random(1001)
+        for fn in (spec.cdf, spec.pdf):
+            whole = fn(v)
+            assert same_bits(whole, np.concatenate([fn(v[:500]),
+                                                    fn(v[500:])]))
+            assert same_bits(whole[::97], [fn(x) for x in v[::97]])
+
+    def test_cap_decides_the_route(self, monkeypatch):
+        def no_scipy(name, *args):
+            raise AssertionError(f"scipy.special.{name}")
+
+        monkeypatch.setattr(marginals, "_special", no_scipy)
+        v = np.linspace(0.0, 1.0, 9)
+        cap = marginals.INT_SHAPE_MAX
+        for a, b in ((1.0, 1.0), (cap / 2, cap / 2), (cap - 1.0, 1.0)):
+            spec = MarginalSpec.scaled_beta(a, b, 0.0, 1.0)
+            spec.cdf(v), spec.pdf(v)
+        # 1e308 is an integer-valued float far above the cap
+        for a, b in ((cap / 2, cap / 2 + 1.0), (2.5, 3.0), (1e308, 3.0)):
+            spec = MarginalSpec.scaled_beta(a, b, 0.0, 1.0)
+            with pytest.raises(AssertionError, match="betainc"):
+                spec.cdf(v)
+
+    @pytest.mark.parametrize("a, b", [(2.5, 3.0), (16.0, 17.0)])
+    def test_other_shapes_keep_scipy_bits(self, a, b):
+        lo, hi = 0.25, 1.75
+        spec = MarginalSpec.scaled_beta(a, b, lo, hi)
+        v = np.linspace(0.2, 1.8, 33)
+        t = (v - lo) / (hi - lo)
+        assert same_bits(spec.cdf(v),
+                         scipy.special.betainc(a, b, np.clip(t, 0.0, 1.0)))
+        ts = np.clip(t, 1e-300, 1.0 - 1e-16)
+        log_pdf = ((a - 1.0) * np.log(ts) + (b - 1.0) * np.log1p(-ts)
+                   - scipy.special.betaln(a, b) - np.log(hi - lo))
+        assert same_bits(spec.pdf(v),
+                         np.where((t >= 0.0) & (t <= 1.0),
+                                  np.exp(log_pdf), 0.0))
 
 
 class TestMomentTable:

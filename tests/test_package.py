@@ -53,8 +53,13 @@ def test_import_does_not_load_scipy():
     ("demand", "product_uniform", False),
     ("classify", "product_uniform", False),
     ("nonid", "twin_markets", False),
+    # integer beta shapes take a closed-form cdf and pdf
+    ("demand", "independent_betas", False),
+    ("classify", "independent_betas", False),
+    ("identify", "independent_betas", False),
     # a beta marginal's inverse cdf needs scipy.special
     ("sample", "product_uniform", True),
+    ("sample", "independent_betas", True),
 ])
 def test_scipy_loads_only_for_special_functions(tmp_path, command, scenario,
                                                 loads):

@@ -85,6 +85,15 @@ class TestConditionalSpec:
             assert spec.h_integral(1.0, 1.2, 1.9) == pytest.approx(
                 want, rel=1e-11)
 
+    def test_nan_epsilon_is_rejected(self):
+        with pytest.raises(ValueError, match="positive value"):
+            pops.ConditionalSpec("low", delta=0.5, epsilon_kind="fixed",
+                                 epsilon_value=float("nan"))
+
+    def test_nan_offset_is_rejected(self):
+        with pytest.raises(ValueError, match="delta > 0"):
+            pops.ConditionalSpec("high", delta=float("nan"))
+
 
 def test_truncated_normal_even_moments_match_scipy():
     a0 = 2.0

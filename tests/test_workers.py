@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 import scipy.special
 
-from demandlab import quadrature, workers
+from demandlab import marginals, quadrature, workers
 from demandlab.demand import (demand_curve, invert_demand,
                               quality_demand_surface)
-from demandlab.marginals import SPLIT_MIN, _special
+from demandlab.marginals import SPLIT_MIN, MarginalSpec, _special
+from demandlab.populations import (IndependentPopulation, ProductPopulation,
+                                   RatioMarginalSpec)
 from helpers import beta_independent, population_zoo, same_bits
 
 
@@ -69,6 +71,33 @@ def test_results_keep_their_bits_whatever_the_cpu_count(monkeypatch, pools):
     assert len(serial) == len(threaded)
     for a, b in zip(serial, threaded):
         assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_integer_shape_surfaces_take_no_scipy_and_keep_their_bits(
+        monkeypatch, pools, cpus):
+    # the closed-form beta cdf and pdf run in the quadrature blocks
+    def no_scipy(name, *args):
+        raise AssertionError(f"scipy.special.{name}")
+
+    def surfaces():
+        vm = MarginalSpec.scaled_beta(3.0, 2.0, lo=0.5, hi=1.5)
+        xq = np.linspace(-1.5, 1.5, 64)
+        prices = np.array([0.5, 0.9, 1.3])
+        return [quality_demand_surface(pop, xq, prices).values for pop in (
+            IndependentPopulation(
+                MarginalSpec.scaled_beta(3.0, 4.0, lo=0.0, hi=1.0), vm),
+            ProductPopulation(RatioMarginalSpec.uniform(1.0, 2.0, vm_hi=3.0),
+                              vm))]
+
+    _many_blocks(monkeypatch)
+    _cpus(monkeypatch, 1)
+    serial = surfaces()
+    monkeypatch.setattr(marginals, "_special", no_scipy)
+    _cpus(monkeypatch, cpus)
+    again = surfaces()
+    assert (set(pools) == {1}) if cpus == 2 else pools == []
+    assert all(same_bits(a, b) for a, b in zip(serial, again))
 
 
 def _late_failure(nodes, rows):
