@@ -15,7 +15,7 @@ from .demand import (DemandCurve, QualityDemandSurface, RatioCdfTable,
 from .errors import (BoundaryMassZero, BoundViolation, DegenerateRatio,
                      DemandLabError, DemoFailure, IllConditioned,
                      InsufficientPrices, MonotonicityViolation, NoDensity,
-                     QuadratureFailure, ScenarioError,
+                     NonFiniteMoment, QuadratureFailure, ScenarioError,
                      SpecialFunctionFailure, TailMassExceeded)
 from .identification import (IdentificationConfig, RecoveryReport,
                              SliceDistribution, build_surface,
@@ -46,8 +46,8 @@ __all__ = [
     "IdentificationConfig", "IllConditioned", "IndependentPopulation",
     "InequalityReport", "InsufficientPrices", "MarginalSpec",
     "MixturePopulation", "MomentTable", "MonotonicityViolation",
-    "NoDensity", "NonIdDemo", "PointMassPopulation", "Population",
-    "ProductPopulation", "PwLinearTable", "QuadratureFailure",
+    "NoDensity", "NonFiniteMoment", "NonIdDemo", "PointMassPopulation",
+    "Population", "ProductPopulation", "PwLinearTable", "QuadratureFailure",
     "QualityDemandSurface", "RatioCdfTable", "RatioConditionalPopulation",
     "RatioMarginalSpec", "RecoveryReport", "Scenario", "ScenarioError",
     "SliceDistribution", "SpecialFunctionFailure", "Support",

@@ -142,7 +142,7 @@ class QualityDemandSurface:
 
     def column(self, p: float) -> np.ndarray:
         hits = np.nonzero(np.isclose(self.price_grid, p,
-                                     rtol=1e-12, atol=1e-300))[0]
+                                     rtol=1e-12, atol=0.0))[0]
         if hits.size != 1:
             raise ValueError(f"price {p!r} is not a unique surface column")
         return self.values[:, hits[0]]

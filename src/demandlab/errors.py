@@ -88,6 +88,10 @@ class IllConditioned(DemandLabError):
         self.condition = condition
 
 
+class NonFiniteMoment(DemandLabError):
+    """A moment or a slice moment is not finite in double precision."""
+
+
 class InsufficientPrices(DemandLabError):
     """Too few distinct prices to determine the requested moments."""
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import populations as pops
 from .demand import QualityDemandSurface, quality_demand_surface
-from .errors import IllConditioned, InsufficientPrices, TailMassExceeded
+from .errors import (IllConditioned, InsufficientPrices, NonFiniteMoment,
+                     TailMassExceeded)
 from .populations import MomentTable, Population
 
 CONDITION_LIMIT = 1e10
@@ -175,6 +176,7 @@ def _integrate_uniform(y: np.ndarray, h: float) -> float:
     return float(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def slice_moments(sdist: SliceDistribution, n: int, *,
                   powers: dict | None = None) -> np.ndarray:
     """Raw moments E[W_p**m] for m = 1..n from the tabulated CDF.
@@ -186,7 +188,7 @@ def slice_moments(sdist: SliceDistribution, n: int, *,
     irregular grids fall back to the exact integral of the
     piecewise-linear interpolant.  ``powers`` caches ``w_grid ** e`` by
     exponent e; slices on one grid may share it, so that each power is
-    computed once.
+    computed once.  A moment that is not finite raises NonFiniteMoment.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -213,9 +215,13 @@ def slice_moments(sdist: SliceDistribution, n: int, *,
             cell = (power(m + 1)[1:] - power(m + 1)[:-1]) / ((m + 1) * steps)
             out[m - 1] = (a ** m * f[0] + float(np.sum(df * cell))
                           + b ** m * (1.0 - f[-1]))
+        if not np.isfinite(out[m - 1]):
+            raise NonFiniteMoment(f"slice moment E[W**{m}] at price "
+                                  f"{float(sdist.p)!r} is not finite")
     return out
 
 
+@np.errstate(over="ignore")  # an overflowing price power makes cond inf
 def recover_from_slice_moments(prices, moment_rows,
                                max_order: int) -> MomentTable:
     """Solve the per-order price systems for the cross-moment table.
@@ -223,7 +229,8 @@ def recover_from_slice_moments(prices, moment_rows,
     ``moment_rows[i, m-1]`` holds E[W_{p_i}**m].  Each total order n
     gives an (n_prices x (n+1)) system solved by least squares; its
     condition number is stored as the diagnostic of every order-n entry
-    and guarded against ``CONDITION_LIMIT``.
+    and guarded against ``CONDITION_LIMIT``.  An entry that is not
+    finite raises NonFiniteMoment.
     """
     prices = np.asarray(prices, dtype=float)
     rows = np.asarray(moment_rows, dtype=float)
@@ -247,6 +254,9 @@ def recover_from_slice_moments(prices, moment_rows,
                 "widen the price window", order=n, condition=cond)
         sol, *_ = np.linalg.lstsq(design, rows[:, n - 1], rcond=None)
         for k in range(n + 1):
+            if not np.isfinite(sol[k]):
+                raise NonFiniteMoment(f"recovered moment E[vk**{n - k} "
+                                      f"vm**{k}] is not finite")
             entries[(n - k, k)] = float(sol[k])
             errors[(n - k, k)] = cond
     return MomentTable(max_order, entries, errors)

@@ -1,4 +1,5 @@
-"""One-dimensional value distributions used as population building blocks.
+"""One-dimensional laws, ``MarginalSpec``: the vk and vm marginals of a
+population and the continuous part of its ratio law r = vk / vm.
 
 A beta law whose shapes a and b are integers with a + b at most
 ``INT_SHAPE_MAX`` takes its cdf and pdf in closed form on the calling
@@ -221,12 +222,14 @@ def _beta_raw_moment(alpha: float, beta: float, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MarginalSpec:
-    """Descriptor for a one-dimensional value marginal.
+    """Descriptor for a one-dimensional law.
 
     Kinds: ``point_mass`` (single atom), ``uniform``, ``beta`` (shape
-    ``alpha, beta`` rescaled to [lo, hi]) and ``tabulated``
-    (piecewise-linear density).  Build instances through the
-    classmethods; the raw constructor performs only consistency checks.
+    ``alpha, beta`` rescaled to [lo, hi]), ``tabulated`` (piecewise-linear
+    density, whose mass is its table's ``total``) and ``triangular``
+    (symmetric, its density also held as a table; scenario files offer
+    it for ratio laws only).  Build instances through the classmethods;
+    the raw constructor performs only consistency checks.
     """
 
     kind: str
@@ -238,7 +241,8 @@ class MarginalSpec:
     table: PwLinearTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("point_mass", "uniform", "beta", "tabulated"):
+        if self.kind not in ("point_mass", "uniform", "beta", "tabulated",
+                             "triangular"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi):
             raise ValueError("marginal support must be finite")
@@ -254,6 +258,10 @@ class MarginalSpec:
                 "beta marginal needs positive, finite shape parameters")
         if self.kind == "tabulated" and self.table is None:
             raise ValueError("tabulated marginal needs a table")
+        if self.kind == "triangular":  # its density, as a table
+            object.__setattr__(self, "table", PwLinearTable(
+                np.array([self.lo, 0.5 * (self.lo + self.hi), self.hi]),
+                np.array([0.0, 2.0 / (self.hi - self.lo), 0.0])))
 
     @classmethod
     def point_mass(cls, value: float):
@@ -262,6 +270,10 @@ class MarginalSpec:
     @classmethod
     def uniform(cls, lo: float, hi: float):
         return cls("uniform", float(lo), float(hi))
+
+    @classmethod
+    def triangular(cls, lo: float, hi: float):
+        return cls("triangular", float(lo), float(hi))
 
     @classmethod
     def scaled_beta(cls, alpha: float, beta: float, lo: float, hi: float):
@@ -281,6 +293,12 @@ class MarginalSpec:
     @property
     def mean(self) -> float:
         return self.moment(1)
+
+    @property
+    def knots(self) -> np.ndarray:
+        """The support ends and the kinks of the density between them."""
+        return (np.array([self.lo, self.hi]) if self.table is None
+                else self.table.x)
 
     @property
     def end_shape(self) -> float:
@@ -327,6 +345,10 @@ class MarginalSpec:
         if self.kind == "uniform":
             inside = (v >= self.lo) & (v <= self.hi)
             out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
+        elif self.kind == "triangular":
+            sq = (self.hi - self.lo) ** 2
+            out = np.clip(np.minimum(4.0 * (v - self.lo) / sq,
+                                     4.0 * (self.hi - v) / sq), 0.0, None)
         elif self.kind == "beta":
             scale = self.hi - self.lo
             t = (v - self.lo) / scale
@@ -351,6 +373,12 @@ class MarginalSpec:
             out = np.where(v >= self.value, 1.0, 0.0)
         elif self.kind == "uniform":
             out = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        elif self.kind == "triangular":
+            length = self.hi - self.lo
+            vc = np.clip(v, self.lo, self.hi)
+            lower = 2.0 * ((vc - self.lo) / length) ** 2
+            upper = 1.0 - 2.0 * ((self.hi - vc) / length) ** 2
+            out = np.where(vc <= 0.5 * (self.lo + self.hi), lower, upper)
         elif self.kind == "beta":
             t = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
             out = (_int_beta_cdf(*self._int_shapes, t) if self._int_shapes
@@ -365,6 +393,11 @@ class MarginalSpec:
             out = np.full_like(q, self.value)
         elif self.kind == "uniform":
             out = self.lo + (self.hi - self.lo) * q
+        elif self.kind == "triangular":
+            length = self.hi - self.lo
+            lower = self.lo + length * np.sqrt(np.clip(q, 0.0, 1.0) / 2.0)
+            upper = self.hi - length * np.sqrt(np.clip(1 - q, 0.0, 1.0) / 2.0)
+            out = np.where(q <= 0.5, lower, upper)
         elif self.kind == "beta":
             out = self.lo + (self.hi - self.lo) * _special(
                 "betaincinv", self.alpha, self.beta, np.clip(q, 0.0, 1.0))

@@ -17,7 +17,9 @@ supported:
   m(r), which is what makes the low/high constructions work.
 * ``MixturePopulation`` -- a finite convex combination of the above.
 
-``moments`` tabulates a population's cross moments as a ``MomentTable``.
+A ratio law, ``RatioMarginalSpec``, is a one-dimensional law of
+``marginals`` (its continuous part) plus atoms.  ``moments`` tabulates
+a population's cross moments as a ``MomentTable``.
 
 Instances are immutable and safe to share across threads; derived
 quantities are cached on first use.
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import (BoundViolation, DegenerateRatio, NoDensity,
-                     QuadratureFailure)
+                     NonFiniteMoment, QuadratureFailure)
 from .marginals import MarginalSpec, PwLinearTable, _special
 
 TABLE_GRID_DEFAULT = 2048
@@ -81,63 +83,54 @@ class Support:
 class RatioMarginalSpec:
     """Marginal law of the reservation-price ratio r = vk / vm.
 
-    ``kind`` is one of ``uniform``, ``triangular`` (symmetric),
-    ``tabulated`` (piecewise-linear density) or ``degenerate`` (single
-    atom).  ``atoms`` carries (position, mass) pairs and is nonempty
-    only for degenerate specs and for tabulations reported from
-    mixtures that contain point masses; such specs describe outputs and
-    cannot seed new populations.
+    ``law`` is the continuous part, a uniform, symmetric triangular or
+    tabulated :class:`MarginalSpec` that carries the mass the atoms
+    leave, or None.  ``atoms`` carries (position, mass) pairs and is
+    nonempty only for degenerate specs (one atom, no law) and for the
+    ratio laws reported for mixtures that contain point masses; such
+    specs describe outputs and cannot seed new populations.
     """
 
-    kind: str
+    law: MarginalSpec | None
     support: Support
-    table: PwLinearTable | None = field(default=None, repr=False)
     atoms: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "triangular", "tabulated",
-                             "degenerate"):
-            raise ValueError(f"unknown ratio marginal kind {self.kind!r}")
-        if self.kind == "tabulated" and self.table is None:
-            raise ValueError("tabulated ratio marginal needs a table")
-        if self.kind == "degenerate" and len(self.atoms) != 1:
-            raise ValueError("degenerate ratio marginal needs exactly "
-                             "one atom")
+        if self.law is None and not self.atoms:
+            raise ValueError("ratio marginal needs a law or atoms")
         if any(m <= 0.0 for _, m in self.atoms):
             raise ValueError("atom masses must be positive")
         if sum(m for _, m in self.atoms) > 1.0 + 1e-12:
             raise ValueError("atom mass exceeds 1")
 
-    # -- constructors -------------------------------------------------
-
     @classmethod
     def uniform(cls, r_lo: float, r_hi: float, vm_hi: float = 1.0):
-        return cls("uniform", Support(r_lo, r_hi, vm_hi))
+        return cls(support=Support(r_lo, r_hi, vm_hi),  # Support checks first
+                   law=MarginalSpec.uniform(r_lo, r_hi))
 
     @classmethod
     def triangular(cls, r_lo: float, r_hi: float, vm_hi: float = 1.0):
-        return cls("triangular", Support(r_lo, r_hi, vm_hi))
+        return cls(support=Support(r_lo, r_hi, vm_hi),
+                   law=MarginalSpec.triangular(r_lo, r_hi))
 
     @classmethod
     def tabulated(cls, r, g, vm_hi: float = 1.0, *, atoms=()):
         cont = 1.0 - sum(m for _, m in atoms)
         table = PwLinearTable.density(r, g, total=cont)
-        return cls("tabulated",
-                   Support(float(table.x[0]), float(table.x[-1]), vm_hi),
-                   table=table, atoms=tuple(atoms))
+        lo, hi = float(table.x[0]), float(table.x[-1])
+        return cls(MarginalSpec("tabulated", lo, hi, table=table),
+                   Support(lo, hi, vm_hi), tuple(atoms))
 
     @classmethod
     def degenerate(cls, r0: float, vm_hi: float = 1.0):
         r0 = float(r0)
         pad = max(abs(r0), 1.0) * 1e-9
-        return cls("degenerate", Support(max(r0 - pad, 0.0), r0 + pad, vm_hi),
-                   atoms=((r0, 1.0),))
-
-    # -- basic queries ------------------------------------------------
+        return cls(None, Support(max(r0 - pad, 0.0), r0 + pad, vm_hi),
+                   ((r0, 1.0),))
 
     @property
     def has_density(self) -> bool:
-        return self.kind != "degenerate" and not self.atoms
+        return self.law is not None and not self.atoms
 
     @property
     def r_lo(self) -> float:
@@ -147,93 +140,33 @@ class RatioMarginalSpec:
     def r_hi(self) -> float:
         return self.support.r_hi
 
-    @cached_property
-    def _as_table(self) -> PwLinearTable:
-        """Piecewise-linear view of the continuous density part."""
-        a, b = self.r_lo, self.r_hi
-        if self.kind == "uniform":
-            h = 1.0 / (b - a)
-            return PwLinearTable(np.array([a, b]), np.array([h, h]))
-        if self.kind == "triangular":
-            peak = 2.0 / (b - a)
-            return PwLinearTable(np.array([a, 0.5 * (a + b), b]),
-                                 np.array([0.0, peak, 0.0]))
-        if self.kind == "tabulated":
-            return self.table
-        raise DegenerateRatio("degenerate ratio marginal has no density")
-
     def pdf(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "uniform":
-            inside = (r >= self.r_lo) & (r <= self.r_hi)
-            out = np.where(inside, 1.0 / (self.r_hi - self.r_lo), 0.0)
-        elif self.kind == "triangular":
-            a, b = self.r_lo, self.r_hi
-            length = b - a
-            up = 4.0 * (r - a) / length ** 2
-            down = 4.0 * (b - r) / length ** 2
-            out = np.clip(np.minimum(up, down), 0.0, None)
-        elif self.kind == "tabulated":
-            out = self.table.value_at(r)
-        else:
-            out = np.zeros_like(r)
-        return out if out.ndim else float(out)
+        out = np.zeros(np.shape(r)) if self.law is None else self.law.pdf(r)
+        return out if np.ndim(out) else float(out)
 
     def cdf(self, r):
         r = np.asarray(r, dtype=float)
-        if self.kind == "uniform":
-            out = np.clip((r - self.r_lo) / (self.r_hi - self.r_lo),
-                          0.0, 1.0)
-        elif self.kind == "triangular":
-            a, b = self.r_lo, self.r_hi
-            length = b - a
-            mid = 0.5 * (a + b)
-            rc = np.clip(r, a, b)
-            lower = 2.0 * ((rc - a) / length) ** 2
-            upper = 1.0 - 2.0 * ((b - rc) / length) ** 2
-            out = np.where(rc <= mid, lower, upper)
-        elif self.kind == "tabulated":
-            out = np.asarray(self.table.cdf(r))
-        else:
-            out = np.zeros_like(r)
+        out = 0.0 if self.law is None else self.law.cdf(r)
         for pos, mass in self.atoms:
             out = out + mass * (r >= pos)
-        return out if out.ndim else float(out)
+        return out if np.ndim(out) else float(out)
 
     def ppf(self, q):
         if not self.has_density:
             raise DegenerateRatio(
                 "quantile function needs a purely continuous ratio marginal")
-        q = np.asarray(q, dtype=float)
-        if self.kind == "uniform":
-            out = self.r_lo + (self.r_hi - self.r_lo) * q
-        elif self.kind == "triangular":
-            a, b = self.r_lo, self.r_hi
-            length = b - a
-            lower = a + length * np.sqrt(np.clip(q, 0.0, 1.0) / 2.0)
-            upper = b - length * np.sqrt(np.clip(1.0 - q, 0.0, 1.0) / 2.0)
-            out = np.where(q <= 0.5, lower, upper)
-        else:
-            out = np.asarray(self.table.ppf(q))
-        return out if out.ndim else float(out)
+        return self.law.ppf(q)
 
     def moment(self, j: int) -> float:
         if j == 0:
             return 1.0
-        if self.kind == "uniform":
-            a, b = self.r_lo, self.r_hi
-            cont = (b ** (j + 1) - a ** (j + 1)) / ((j + 1) * (b - a))
-        elif self.kind == "degenerate":
-            cont = 0.0
-        else:
-            cont = self._as_table.moment(j)
+        cont = 0.0 if self.law is None else self.law.moment(j)
         return cont + sum(m * pos ** j for pos, m in self.atoms)
 
     @property
     def g_lo(self) -> float:
         """Density value at the lower ratio endpoint."""
         return float(self.pdf(self.r_lo))
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,7 +454,7 @@ def _renumbered(rows):
 
 
 def _require_seed_ratio(ratio: RatioMarginalSpec):
-    if ratio.atoms or ratio.kind == "degenerate":
+    if ratio.atoms:
         raise DegenerateRatio("ratio specs carrying atoms describe outputs "
                               "and cannot seed a population")
 
@@ -581,7 +514,7 @@ class ProductPopulation(Population):
                                     np.asarray(xq, dtype=float))
         n = xq.size
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
-        knots = self.ratio._as_table.x[1:-1]
+        knots = self.ratio.law.knots[1:-1]
         cols = [np.clip(p, r_lo, r_hi)[:, None],
                 np.broadcast_to(knots, (n, knots.size))]
         for edge in (self.vm.lo, self.vm.hi):
@@ -806,7 +739,7 @@ class RatioConditionalPopulation(Population):
     @cached_property
     def _knots(self) -> np.ndarray:
         """Interior knots of g and of a custom h: the kinks of the law."""
-        knots = self.ratio._as_table.x
+        knots = self.ratio.law.knots
         if self.cond.family == "custom":
             knots = np.union1d(knots, self.cond.h_table.x)
         return knots[(knots > self.ratio.r_lo) & (knots < self.ratio.r_hi)]
@@ -937,16 +870,10 @@ class RatioConditionalPopulation(Population):
                 out[line] = g[line] * r ** j * cond
             return out
 
-        values, errors = quadrature.segmented_gl(
+        values, _ = quadrature.segmented_gl(
             r_lo, r_hi,
             np.broadcast_to(self._knots, (len(pairs), self._knots.size)),
             integrand, tol=tol)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise QuadratureFailure(
-                f"integral over [{float(r_lo)!r}, {float(r_hi)!r}] is "
-                f"{values[bad[0]]}", achieved=float(errors[bad[0]]),
-                requested=tol)
         return values, np.full(len(pairs), tol)
 
     def _mean_vm(self):
@@ -1066,9 +993,7 @@ class MixturePopulation(Population):
         return max(pop.vk_upper for _, pop in self.components)
 
     def _density(self, vk, vm):
-        out = 0.0
-        for w, pop in self.components:
-            out = out + w * np.asarray(pop._density(vk, vm))
+        out = self._blend("_density", vk, vm)
         return out if np.ndim(out) else float(out)
 
     def _sample(self, n, rng):
@@ -1085,22 +1010,16 @@ class MixturePopulation(Population):
     @cached_property
     def _mixture_ratio_spec(self) -> RatioMarginalSpec:
         specs = [(w, pop._ratio_marginal()) for w, pop in self.components]
-        atoms: list = []
-        for w, spec in specs:
-            atoms.extend((pos, w * mass) for pos, mass in spec.atoms)
+        atoms = [(pos, w * mass) for w, spec in specs
+                 for pos, mass in spec.atoms]
         cont = 1.0 - sum(m for _, m in atoms)
         sup = self.support
         if cont <= 1e-12:
-            if len(atoms) == 1:
-                return RatioMarginalSpec.degenerate(atoms[0][0], sup.vm_hi)
-            zero = np.zeros(2)
-            table = PwLinearTable(np.array([sup.r_lo, sup.r_hi]), zero, 0.0)
-            return RatioMarginalSpec("tabulated", sup, table=table,
-                                     atoms=tuple(atoms))
+            return RatioMarginalSpec(None, sup, tuple(atoms))
         r = np.linspace(sup.r_lo, sup.r_hi, TABLE_GRID_DEFAULT)
         g = np.zeros_like(r)
         for w, spec in specs:
-            if spec.kind != "degenerate":
+            if spec.law is not None:
                 g = g + w * np.asarray(spec.pdf(r))
         raw = np.trapezoid(g, r)
         g = g * (cont / raw)
@@ -1114,21 +1033,21 @@ class MixturePopulation(Population):
         return self._blend("_moments", pairs)
 
     def _mean_vm(self):
-        return sum(w * pop._mean_vm() for w, pop in self.components)
+        return self._blend("_mean_vm")
 
     def _band_vm_moments(self, ra, rb):
         return self._blend("_band_vm_moments", ra, rb)
 
     def _blend(self, method: str, *args):
-        # each half of a pair-valued hook is the weighted sum of the
-        # components' halves, in component order; an error estimate
-        # weighs in like its values
-        first, second = 0.0, 0.0
+        # the weighted sum of the components' results in component order,
+        # halfwise for a pair-valued hook: an error weighs in like values
+        total = []
         for w, pop in self.components:
-            a, b = getattr(pop, method)(*args)
-            first = first + w * a
-            second = second + w * b
-        return first, second
+            out = getattr(pop, method)(*args)
+            parts = out if isinstance(out, tuple) else (out,)
+            total = [t + w * x
+                     for t, x in zip(total or [0.0] * len(parts), parts)]
+        return tuple(total) if isinstance(out, tuple) else total[0]
 
     def _quality_profile(self, p, xq):
         return self._blend("_quality_profile", p, xq)
@@ -1141,10 +1060,7 @@ class MixturePopulation(Population):
     def _demand_profile(self, prices):
         # exact component blend; the tabulated marginal smears component
         # edges over one grid cell and is kept for export only
-        out = 0.0
-        for w, pop in self.components:
-            out = out + w * pop._demand_profile(prices)
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(self._blend("_demand_profile", prices), 0.0, 1.0)
 
 # -- family constructors and bounds -----------------------------------
 
@@ -1282,12 +1198,28 @@ def ratio_marginal(pop: Population) -> RatioMarginalSpec:
     return pop._ratio_marginal()
 
 
+def _moment_or_inf(pop: Population, pair) -> float:
+    try:
+        return float(pop._moments([pair])[0][0])
+    except OverflowError:
+        return math.inf
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def moments(pop: Population, max_order: int) -> MomentTable:
-    """Cross moments E[vk**j vm**k] for all j + k <= max_order."""
+    """Cross moments E[vk**j vm**k] for all j + k <= max_order; the
+    first entry that overflows double precision raises NonFiniteMoment."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     pairs = [(j, n - j) for n in range(max_order + 1) for j in range(n + 1)]
-    values, diags = pop._moments(pairs)
+    try:
+        values, diags = pop._moments(pairs)
+    except OverflowError:  # a closed form's float power: find its entry
+        values = [_moment_or_inf(pop, pair) for pair in pairs]
+    for (j, k), value in zip(pairs, values):
+        if not math.isfinite(value):
+            raise NonFiniteMoment(
+                f"moment E[vk**{j} vm**{k}] overflows double precision")
     return MomentTable(max_order,
                        {pair: float(v) for pair, v in zip(pairs, values)},
                        {pair: float(d) for pair, d in zip(pairs, diags)})

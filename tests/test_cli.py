@@ -318,6 +318,39 @@ class TestInputErrors:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
+    @pytest.mark.parametrize("pop, window, order, message", [
+        ({**PRODUCT_POP, "vm": {"kind": "uniform", "lo": 1e160,
+                                "hi": 2e160}}, (1.1, 1.9), 4, "E[W**2]"),
+        ({"form": "independent",
+          "vk": {"kind": "uniform", "lo": 0.0, "hi": 1e200},
+          "vm": {"kind": "uniform", "lo": 0.5, "hi": 1.5}},
+         (1.1, 1.9), 2, "E[W**2]"),
+        ({"form": "ratio_conditional", "ratio": LOW_POP["ratio"],
+          "family": "custom", "h_table": [[1.0, 1e100], [2.0, 1e100]]},
+         (1.1, 1.9), 4, "E[W**4]"),
+        ({**PRODUCT_POP, "ratio": {"kind": "uniform", "r_lo": 1e-300,
+                                   "r_hi": 2e-300}},
+         (1e-300, 2e-300), 4, "condition")],
+        ids=["huge_vm", "huge_vk", "huge_h", "tiny_prices"])
+    def test_extreme_scales_are_numeric_failures(self, tmp_path, pop,
+                                                 window, order, message):
+        # overflowing moments and underflowing price powers exit 3 with
+        # one line that names the entry, and no NumPy warning
+        scn = write_scenario(tmp_path, {
+            "population": pop,
+            "identification": {"price_lo": window[0], "price_hi": window[1],
+                               "n_prices": 5, "max_order": order,
+                               "n_quality": 256}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "demandlab.cli", "identify",
+             "--scenario", str(scn), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)})
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numeric failure (identify): ")
+        assert message in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
     def test_huge_sigma_recovers(self, tmp_path, capsys):
         # the conditional moments are formed in units of the truncation
         # half-width, so no term grows with the sigma multiplier
@@ -337,6 +370,28 @@ DEMO_EXIT_CODES = {"custom_conditional": [0, 0, 0, 2, 0],
                    "independent_betas": [0, 0, 0, 2, 0],
                    "product_uniform": [0, 0, 0, 2, 2],
                    "twin_markets": [2, 2, 2, 0, 2]}
+
+
+# sha256 of samples.csv for each population demo scenario at --seed 7,
+# taken with NumPy 2.4.6 and SciPy 1.17.1.  Sample bytes are part of the
+# artifact contract and hold across versions of demandlab.
+SAMPLE_DIGESTS = {
+    "custom_conditional":
+        "ed53fc0bcc85754c93d1d8e15c00f018f7198c19ad387aaad387d044da25a200",
+    "high_regime":
+        "3a691b5a3e9c863fdd02001973f29f0c4c3a86ac934e3e20d0d6a9c5f39090e2",
+    "independent_betas":
+        "cec7a2c9f445da43ff2c2d8d7b4f6cfa7f6614ac745b7b796427e64b1b532123",
+    "product_uniform":
+        "cb97e28645af8c648201a58a36aa76e8113f4ee47bca57d10cb96c8f2aba37f2"}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_demo_samples_keep_their_bytes(tmp_path, name):
+    out = tmp_path / "out"
+    assert run("sample", DEMO_SCENARIOS / f"{name}.json", "--out", str(out),
+               "--seed", "7") == 0
+    assert digest_of(out / "samples.csv") == SAMPLE_DIGESTS[name]
 
 
 def test_demo_scenario_exit_codes(tmp_path, capsys):

@@ -253,6 +253,13 @@ class TestQualityDemandSurface:
         with pytest.raises(ValueError):
             surf.column(1.25)
 
+    def test_column_lookup_is_relative_at_tiny_prices(self):
+        prices = np.linspace(1e-300, 2e-300, 5)
+        surf = dl.QualityDemandSurface(np.linspace(-1.0, 1.0, 3), prices,
+                                       np.tile([[0.0], [0.5], [1.0]], 5))
+        for j, p in enumerate(prices):
+            assert np.array_equal(surf.column(p), surf.values[:, j])
+
     def test_validation_rejects_non_monotone_values(self):
         grid = np.linspace(-1.0, 1.0, 3)
         prices = np.array([1.0, 2.0])

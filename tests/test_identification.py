@@ -9,7 +9,7 @@ import demandlab as dl
 from demandlab import identification as ident
 from demandlab import populations as pops
 from demandlab.errors import (IllConditioned, InsufficientPrices,
-                              TailMassExceeded)
+                              NonFiniteMoment, TailMassExceeded)
 from demandlab.marginals import MarginalSpec
 from helpers import (beta_independent, kinked_h_custom, kinked_ratio_low,
                      same_bits, seed_ratio, sine_table_low, zigzag_ratio_low)
@@ -117,6 +117,21 @@ class TestSliceExtraction:
             # step cdf is resolved to one grid cell, so O(h) accuracy
             assert m[0] == pytest.approx(w_star, abs=5e-3)
             assert m[1] == pytest.approx(w_star ** 2, abs=5e-3)
+
+    @pytest.mark.parametrize("n, order", [(4097, 4), (4096, 3)],
+                             ids=["uniform", "irregular"])
+    def test_overflowing_slice_moment_is_named(self, n, order):
+        # W of order 1e100: E[W^4] overflows, and the irregular rule's
+        # cell integrals of w^(m + 1) one order sooner; no NumPy warning
+        w = np.linspace(-2e100, 2e100, 4097)
+        if n == 4096:
+            w = np.delete(w, 1)
+        sdist = ident.SliceDistribution(1.5, w, np.linspace(0.0, 1.0, n),
+                                        0.0, 0.0)
+        assert np.all(np.isfinite(ident.slice_moments(sdist, order - 1)))
+        with pytest.raises(NonFiniteMoment,
+                           match=rf"E\[W\*\*{order}\] at price 1\.5 "):
+            ident.slice_moments(sdist, 4)
 
     def test_linear_cdf_slice_moment_is_exact(self):
         # vk ~ U[0,1], vm = 1, p = 0: W = vk, E[W^2] = 1/3 and the cdf
@@ -262,6 +277,17 @@ class TestMomentRecovery:
                 np.array([0.5, 0.5, 0.9, 1.1]), np.ones((4, 3)), 3)
         with pytest.raises(InsufficientPrices):
             ident.recover_cross_moments([], 4)
+
+    def test_non_finite_solutions_are_named(self):
+        prices = np.array([0.5, 1.0, 2.0])
+        rows = np.array([[1.0, 2.0], [0.5, np.inf], [0.0, 1.0]])
+        with pytest.raises(NonFiniteMoment,
+                           match=r"E\[vk\*\*2 vm\*\*0\] is not finite"):
+            ident.recover_from_slice_moments(prices, rows, 2)
+        # finite rows whose solution overflows
+        rows = np.array([[1.7e308], [-1.7e308], [-1.7e308]])
+        with pytest.raises(NonFiniteMoment, match="recovered moment E"):
+            ident.recover_from_slice_moments(prices, rows, 1)
 
     def test_clustered_prices_trip_the_condition_guard(self):
         prices = 1.0 + np.linspace(0.0, 1e-9, 9)

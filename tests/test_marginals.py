@@ -60,6 +60,18 @@ class TestMarginalSpec:
         assert spec.mean == pytest.approx(1.0)
         assert spec.moment(2) == pytest.approx(1.0 + 1.0 / 12.0)
 
+    def test_triangular_closed_forms(self):
+        spec = MarginalSpec.triangular(1.0, 3.0)
+        assert spec.pdf(2.0) == 1.0 and spec.pdf(0.5) == 0.0
+        assert spec.cdf(2.0) == 0.5 and spec.cdf(1.5) == 0.125
+        x = np.linspace(1.0, 3.0, 41)
+        np.testing.assert_allclose(spec.ppf(spec.cdf(x)), x, rtol=1e-14)
+        # v = 2 + X with X symmetric and E[X^2] = (3 - 1)^2 / 24
+        for n, want in ((1, 2.0), (2, 25.0 / 6.0), (3, 9.0)):
+            assert spec.moment(n) == pytest.approx(want, rel=1e-14)
+        assert spec.knots.tolist() == [1.0, 2.0, 3.0]
+        assert MarginalSpec.uniform(1.0, 3.0).knots.tolist() == [1.0, 3.0]
+
     def test_point_mass(self):
         spec = MarginalSpec.point_mass(2.0)
         assert spec.is_degenerate

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from demandlab import inequality
 from demandlab import populations as pops
 from demandlab.demand import default_price_grid, quality_demand_surface
 from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity,
-                              QuadratureFailure)
-from demandlab.marginals import MarginalSpec
+                              NonFiniteMoment, QuadratureFailure)
+from demandlab.marginals import MarginalSpec, PwLinearTable
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, benchmark_populations, beta_independent,
                      column_kernel, kinked_h_custom, population_zoo,
@@ -67,6 +68,43 @@ class TestRatioMarginalSpec:
         assert spec.moment(2) == pytest.approx(1.5 ** 2)
         with pytest.raises(DegenerateRatio):
             spec.ppf(0.5)
+
+    @pytest.mark.parametrize("kind", ["uniform", "triangular", "tabulated"])
+    def test_continuous_part_is_a_marginal_spec(self, kind):
+        # each query of an atom-free ratio law is its law's, bit for bit
+        if kind == "tabulated":
+            spec = pops.RatioMarginalSpec.tabulated(
+                [0.5, 1.0, 2.0], np.array([0.5, 1.0, 0.4]) / 1.075)
+        else:
+            spec = getattr(pops.RatioMarginalSpec, kind)(0.8, 2.2)
+        law = spec.law
+        assert isinstance(law, MarginalSpec) and law.kind == kind
+        assert (law.lo, law.hi) == (spec.r_lo, spec.r_hi)
+        r = np.linspace(0.3, 2.5, 45)
+        q = np.linspace(0.0, 1.0, 33)
+        for query, x in (("pdf", r), ("cdf", r), ("ppf", q)):
+            assert same_bits(getattr(spec, query)(x),
+                             getattr(law, query)(x)), query
+        assert [spec.moment(j) for j in range(5)] == \
+            [1.0] + [law.moment(j) for j in range(1, 5)]
+
+    def test_a_law_without_a_continuous_part_is_its_atoms(self):
+        mix = pops.MixturePopulation((
+            (0.25, pops.PointMassPopulation(1.0, 1.0)),
+            (0.75, pops.PointMassPopulation(3.0, 2.0))))
+        spec = pops.ratio_marginal(mix)
+        assert spec.law is None and not spec.has_density
+        assert spec.atoms == ((1.0, 0.25), (1.5, 0.75))
+        assert same_bits(spec.cdf([0.9, 1.0, 1.2, 1.5]),
+                         [0.0, 0.25, 0.25, 1.0])
+        assert same_bits(spec.pdf([1.0, 1.5]), [0.0, 0.0])
+        assert spec.moment(2) == 0.25 + 0.75 * 1.5 ** 2
+        with pytest.raises(DegenerateRatio):
+            spec.ppf(0.5)
+
+    def test_needs_a_law_or_atoms(self):
+        with pytest.raises(ValueError, match="law or atoms"):
+            pops.RatioMarginalSpec(None, pops.Support(1.0, 2.0, 1.0))
 
 
 class TestConditionalSpec:
@@ -780,6 +818,23 @@ class TestModuleOps:
     def test_moments_requires_positive_order(self):
         with pytest.raises(ValueError):
             pops.moments(pops.PointMassPopulation(2.0, 1.0), 0)
+
+    @pytest.mark.parametrize("pop, entry", [
+        (pops.PointMassPopulation(1e200, 1.0), "E[vk**2 vm**0]"),
+        (pops.ProductPopulation(seed_ratio(2e160),
+                                MarginalSpec.uniform(1e160, 2e160)),
+         "E[vk**0 vm**1]"),
+        (pops.RatioConditionalPopulation(
+            seed_ratio(), pops.ConditionalSpec("custom", h_table=(
+                PwLinearTable.raw([1.0, 2.0], [1e100, 1e100])))),
+         "E[vk**0 vm**4]")],
+        ids=["float_power", "closed_form", "quadrature"])
+    def test_overflow_names_the_entry(self, pop, entry):
+        # a float power that raises OverflowError, and a quadrature
+        # integrand that overflows, are one typed error; any NumPy
+        # warning would fail the test
+        with pytest.raises(NonFiniteMoment, match=re.escape(entry)):
+            pops.moments(pop, 4)
 
     def test_point_mass_ratio_marginal_is_degenerate(self):
         spec = pops.ratio_marginal(pops.PointMassPopulation(3.0, 2.0))

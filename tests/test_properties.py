@@ -39,8 +39,7 @@ def test_demand_is_invariant_to_money_units(pop, p, c):
     # rescaling the currency divides ratios and prices by c and
     # multiplies money values by c; buying behavior cannot change
     sup = pop.ratio.support
-    maker = (pops.RatioMarginalSpec.uniform if pop.ratio.kind == "uniform"
-             else pops.RatioMarginalSpec.triangular)
+    maker = getattr(pops.RatioMarginalSpec, pop.ratio.law.kind)
     scaled = pops.ProductPopulation(
         maker(sup.r_lo / c, sup.r_hi / c, vm_hi=c * sup.vm_hi),
         MarginalSpec.uniform(c * pop.vm.lo, c * pop.vm.hi))

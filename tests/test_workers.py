@@ -54,7 +54,7 @@ def _results():
     pop = beta_independent()
     curve = demand_curve(pop, np.linspace(0.05, 3.0, 40))
     out += [curve.values, invert_demand(curve).G,
-            pop._ratio_marginal().table.y]
+            pop._ratio_marginal().law.table.y]
     out.append(quadrature.integrate(lambda x: np.cos(200.0 * x), 0.0, 1.0,
                                     tol=1e-12))
     return out
