@@ -89,7 +89,8 @@ class IllConditioned(DemandLabError):
 
 
 class NonFiniteMoment(DemandLabError):
-    """A moment or a slice moment is not finite in double precision."""
+    """A moment or a slice moment is not finite in double precision, or
+    a slice moment underflows it."""
 
 
 class InsufficientPrices(DemandLabError):

@@ -188,7 +188,9 @@ def slice_moments(sdist: SliceDistribution, n: int, *,
     irregular grids fall back to the exact integral of the
     piecewise-linear interpolant.  ``powers`` caches ``w_grid ** e`` by
     exponent e; slices on one grid may share it, so that each power is
-    computed once.  A moment that is not finite raises NonFiniteMoment.
+    computed once.  A moment that is not finite raises NonFiniteMoment,
+    and so does one whose every term lies below the smallest normal
+    float, since it keeps no reliable digit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -206,6 +208,7 @@ def slice_moments(sdist: SliceDistribution, n: int, *,
     uniform = np.max(np.abs(steps - h)) <= 1e-9 * abs(h)
     out = np.empty(n)
     a, b = w[0], w[-1]
+    reach = max(abs(a), abs(b))  # of |W| on the grid
     for m in range(1, n + 1):
         if uniform:
             integral = _integrate_uniform(power(m - 1) * f, h)
@@ -218,6 +221,10 @@ def slice_moments(sdist: SliceDistribution, n: int, *,
         if not np.isfinite(out[m - 1]):
             raise NonFiniteMoment(f"slice moment E[W**{m}] at price "
                                   f"{float(sdist.p)!r} is not finite")
+        if reach ** m < np.finfo(float).tiny:
+            raise NonFiniteMoment(
+                f"slice moment E[W**{m}] at price {float(sdist.p)!r} "
+                f"underflows: |W| reaches only {float(reach):.3g}")
     return out
 
 
@@ -229,8 +236,13 @@ def recover_from_slice_moments(prices, moment_rows,
     ``moment_rows[i, m-1]`` holds E[W_{p_i}**m].  Each total order n
     gives an (n_prices x (n+1)) system solved by least squares; its
     condition number is stored as the diagnostic of every order-n entry
-    and guarded against ``CONDITION_LIMIT``.  An entry that is not
-    finite raises NonFiniteMoment.
+    and guarded against ``CONDITION_LIMIT``.  The systems are set in
+    the money unit s = 2^e nearest the geometric mid-range of the
+    prices, e = round((log2 p_min + log2 p_max) / 2): column k holds
+    (-p/s)**k and its solution is s**k E[vk**(n-k) vm**k], which is
+    rescaled exactly.  So the condition reflects the spread of the
+    prices, not their unit.  An entry that is not finite after the
+    rescaling raises NonFiniteMoment.
     """
     prices = np.asarray(prices, dtype=float)
     rows = np.asarray(moment_rows, dtype=float)
@@ -241,12 +253,15 @@ def recover_from_slice_moments(prices, moment_rows,
         raise InsufficientPrices(
             f"only {distinct} distinct prices for order {max_order}; "
             f"need at least {max_order + 1}")
+    logs = np.log2(prices[(prices > 0.0) & np.isfinite(prices)])
+    e = round(float(logs.min() + logs.max()) / 2.0) if logs.size else 0
+    scaled = np.ldexp(prices, -e)  # exact
     entries = {(0, 0): 1.0}
     errors = {(0, 0): 0.0}
     for n in range(1, max_order + 1):
         design = np.empty((prices.size, n + 1))
         for k in range(n + 1):
-            design[:, k] = math.comb(n, k) * (-prices) ** k
+            design[:, k] = math.comb(n, k) * (-scaled) ** k
         cond = float(np.linalg.cond(design))
         if cond > CONDITION_LIMIT:
             raise IllConditioned(
@@ -254,10 +269,11 @@ def recover_from_slice_moments(prices, moment_rows,
                 "widen the price window", order=n, condition=cond)
         sol, *_ = np.linalg.lstsq(design, rows[:, n - 1], rcond=None)
         for k in range(n + 1):
-            if not np.isfinite(sol[k]):
+            value = float(np.ldexp(sol[k], -e * k))
+            if not math.isfinite(value):
                 raise NonFiniteMoment(f"recovered moment E[vk**{n - k} "
                                       f"vm**{k}] is not finite")
-            entries[(n - k, k)] = float(sol[k])
+            entries[(n - k, k)] = value
             errors[(n - k, k)] = cond
     return MomentTable(max_order, entries, errors)
 

@@ -4,11 +4,15 @@ population and the continuous part of its ratio law r = vk / vm.
 A beta law whose shapes a and b are integers with a + b at most
 ``INT_SHAPE_MAX`` takes its cdf and pdf in closed form on the calling
 thread: I_t(a, b) = t^a sum_{k<b} C(a+k-1, k) (1-t)^k by Horner in
-1 - t, and (a+b-1) C(a+b-2, a-1) t^(a-1) (1-t)^(b-1) for the density.
-Powers are repeated products, never ``np.power``, so each element's bits
-do not depend on how its array is split.  Such a law's cdf and pdf load
-no scipy; its ppf, and every other shape's cdf and pdf, go through
-``betaincinv``, ``betainc`` and ``betaln``.
+1 - t, and (a+b-1) C(a+b-2, a-1) t^(a-1) (1-t)^(b-1) for the density,
+whose powers are taken by squaring.  Both are products and sums only,
+never ``np.power``, so each element's bits do not depend on how its
+array is split.  Such a law's cdf and pdf load no scipy; its ppf, and
+every other shape's cdf and pdf, go through ``betaincinv``, ``betainc``
+and ``betaln``.  Between its knots the density of a uniform law, or of
+a beta law with these closed forms, is a polynomial whose degree
+``MarginalSpec.degree`` reports, so quadrature can take an exact
+fixed rule.
 
 Every ``scipy.special`` call in the package goes through ``_special``.
 It imports ``scipy.special`` on its first call, so a command that needs
@@ -39,7 +43,7 @@ SPLIT_MIN = 2 ** 16
 CHUNK = 2 ** 14
 # Integer beta shapes with alpha + beta at most this take the closed-form
 # cdf and pdf; every other shape takes betainc and betaln.  The cap bounds
-# the passes over each array: a + b - 2 products for the pdf.
+# the passes over each array: a + b - 1 Horner steps for the cdf.
 INT_SHAPE_MAX = 32
 
 
@@ -200,15 +204,40 @@ def _int_beta_cdf(a: int, b: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _times_power(out, x: np.ndarray, n: int) -> np.ndarray:
+    """out * x^n by squaring, for n >= 1, where ``out`` is a scalar or an
+    array.  Works in place: x is overwritten, and so is an array ``out``."""
+    while True:
+        if n & 1:
+            if np.ndim(out):
+                out *= x
+            elif n == 1:  # x is not needed again
+                x *= out
+                out = x
+            else:
+                out = x * out
+        n >>= 1
+        if not n:
+            return out
+        x *= x
+
+
 def _int_beta_pdf(a: int, b: int, t: np.ndarray, scale: float) -> np.ndarray:
-    """(a+b-1) C(a+b-2, a-1) t^(a-1) (1-t)^(b-1) / scale for t in [0, 1]."""
+    """(a+b-1) C(a+b-2, a-1) t^(a-1) (1-t)^(b-1) / scale for t in [0, 1],
+    as (t (1-t))^(min(a, b) - 1) times the surplus power of t or 1 - t,
+    each power by squaring.  The running product starts from the
+    constant, so it never falls below the result, where a normal result
+    would lose digits to a subnormal partial product."""
+    out = (a + b - 1) * math.comb(a + b - 2, a - 1) / scale
     u = 1.0 - t
-    out = np.full_like(t, (a + b - 1) * math.comb(a + b - 2, a - 1) / scale)
-    for _ in range(a - 1):
-        out *= t
-    for _ in range(b - 1):
-        out *= u
-    return out
+    if a == b and a > 1:  # 1 - t is not needed again
+        u *= t
+        out = _times_power(out, u, a - 1)
+    elif min(a, b) > 1:
+        out = _times_power(out, t * u, min(a, b) - 1)
+    if a != b:
+        out = _times_power(out, u if b > a else t.copy(), abs(a - b))
+    return out if np.ndim(out) else np.full_like(t, out)
 
 
 # Product of (alpha + i) / (alpha + beta + i), i.e. the raw moments of a
@@ -310,6 +339,17 @@ class MarginalSpec:
         return min((s for s in (self.alpha, self.beta) if s != round(s)),
                    default=math.inf)
 
+    @property
+    def degree(self) -> int | None:
+        """Degree of the density as a polynomial on the support: 0 for a
+        uniform law, a + b - 2 for a beta law that takes the closed
+        forms; None for every other law."""
+        if self.kind == "uniform":
+            return 0
+        if self._int_shapes:
+            return sum(self._int_shapes) - 2
+        return None
+
     @cached_property
     def _int_shapes(self) -> tuple[int, int] | None:
         """The shapes as ints when ``cdf`` and ``pdf`` take the closed
@@ -327,8 +367,10 @@ class MarginalSpec:
         if self.kind == "point_mass":
             return float(self.value) ** n
         if self.kind == "uniform":
-            return float((self.hi ** (n + 1) - self.lo ** (n + 1))
-                         / ((n + 1) * (self.hi - self.lo)))
+            # (hi^(n+1) - lo^(n+1)) / ((n+1)(hi - lo)) with no power above
+            # n, which would overflow first
+            return sum(self.hi ** i * self.lo ** (n - i)
+                       for i in range(n + 1)) / (n + 1)
         if self.kind == "beta":
             scale = self.hi - self.lo
             out = 0.0

@@ -578,6 +578,16 @@ class IndependentPopulation(Population):
         money = self.vm.sample(n, rng)
         return np.column_stack((good, money))
 
+    def _degree(self, extra: int) -> int | None:
+        """Polynomial degree between its breaks of a kernel made of one
+        density or cdf of each marginal and further factors: the two
+        density degrees plus ``extra``, which counts one for a cdf and
+        one for a factor u.  None, for the adaptive rule, unless both
+        densities are polynomials."""
+        if self.vk.degree is None or self.vm.degree is None:
+            return None
+        return self.vk.degree + self.vm.degree + extra
+
     @cached_property
     def _ratio_table_spec(self) -> RatioMarginalSpec:
         """Tabulated ratio marginal g(r) = int u f_vk(r u) f_vm(u) du."""
@@ -607,7 +617,8 @@ class IndependentPopulation(Population):
 
         g, _ = quadrature.segmented_gl(
             self.vm.lo, self.vm.hi, breaks, integrand, tol=SURFACE_TOL,
-            grade=_grade(self.vm.end_shape, self.vk.end_shape))
+            grade=_grade(self.vm.end_shape, self.vk.end_shape),
+            degree=self._degree(1))
         g = np.clip(g, 0.0, None)
         g /= np.trapezoid(g, r)
         return RatioMarginalSpec.tabulated(r, g, self.vm.hi)
@@ -636,7 +647,8 @@ class IndependentPopulation(Population):
         (mass, vm_int), _ = quadrature.segmented_gl(
             self.vm.lo, self.vm.hi, np.array([cuts, cuts]),
             integrand, tol=1e-13,
-            grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0))
+            grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0),
+            degree=self._degree(2))
         return float(mass), float(vm_int)
 
     def _saturation_bounds(self, p):
@@ -676,7 +688,8 @@ class IndependentPopulation(Population):
                                      (self.vk.hi + xq) / p)),
                     integrand, tol=SURFACE_TOL,
                     grade=_grade(self.vm.end_shape,
-                                 self.vk.end_shape + 1.0))
+                                 self.vk.end_shape + 1.0),
+                    degree=self._degree(1))
         return out, errors
 
     def _demand_profile(self, prices):

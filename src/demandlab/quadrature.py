@@ -1,4 +1,4 @@
-"""Adaptive quadrature of a family of row integrands, and of one integrand.
+"""Quadrature of a family of row integrands, and of one integrand.
 
 The helpers work on a family of integrands that differ only through a
 row parameter, splitting each row's interval at known or numerically
@@ -10,11 +10,12 @@ binary-searches every group's rows at each coarse scan point in the same
 ``psi`` calls instead of evaluating them all, and bisects only the cells
 where the scan brackets a root until a pass changes nothing.  For the
 integrals, whatever their row count, ``segmented_gl`` is the one
-adaptive driver.  It flattens every row's positive-width segments into
-one list of (row, interval) pairs and hands them to the integrand
-``INTERVAL_BLOCK`` at a time: a surface puts the rows of all its
-prices into one call, and small blocks keep the integrand's node-sized
-temporaries at a few hundred kB however many rows the call holds.  The
+driver.  It flattens every row's positive-width segments into
+one list of (row, interval) pairs and hands them to the integrand in
+blocks of at most ``INTERVAL_BLOCK`` * 21 nodes: a surface puts the rows
+of all its prices into one call, and small blocks keep the integrand's
+node-sized temporaries at a few hundred kB however many rows the call
+holds.  The
 blocks of a pass are independent, so ``workers.run`` spreads them over
 the CPUs of the process's affinity mask (restrict it with ``taskset``;
 there is no other setting); a pass of one block runs on the calling
@@ -25,7 +26,13 @@ estimate.  A row is finished once its summed estimate meets the absolute
 tolerance; otherwise only its intervals above their share of the
 remaining budget are bisected, so the node count follows each row's own
 error.  A row whose absolute integral is so large that the tolerance
-lies below its round-off is held to its round-off instead.  With
+lies below its round-off is held to its round-off instead.  An integrand
+that the caller knows to be a polynomial of degree d between its breaks
+(densities and cdfs of uniform and integer-shape beta laws) takes an
+exact rule instead: one pass of the (d // 2 + 1)-node Gauss-Legendre
+rule on every segment, with each row's round-off floor as its estimate.
+It uses the same segments, blocks, threads and row-order sums, and its
+nodes are computed on first use for each node count.  With
 ``grade`` m > 1 each segment is first mapped onto [0, 1] by
 u = a + (b - a) I_t(m, m), whose Jacobian vanishes to order m - 1 at
 both ends: an end-point term |u - a|^(s - 1) becomes t^(m s - 1), which
@@ -38,6 +45,7 @@ the one-row case for a single vectorized integrand f(x).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,8 +94,9 @@ MAX_PENDING = 1024
 # cell.
 COARSE = 513
 BISECTIONS = 64
-# segmented_gl: intervals per integrand call, which bounds the size of
-# the node arrays whatever the number of rows (see the module docstring).
+# segmented_gl: G10/K21 intervals per integrand call, which bounds the
+# size of the node arrays whatever the number of rows (see the module
+# docstring); a block of the exact rule holds as many nodes.
 # Each thread of a pass holds one block's temporaries: on 2 CPUs
 # (Python 3.11, NumPy 2.4, SciPy 1.17) the identify_smooth benchmark's
 # peak RSS read 77 MB at 2^10 and 81 MB at 2^11 (75 MB on one thread),
@@ -96,6 +105,46 @@ INTERVAL_BLOCK = 2 ** 10
 # segmented_gl: a row's tolerance is at least this many ulps of its
 # absolute integral (QUADPACK qk21's round-off level).
 ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
+@functools.cache
+def _gauss_legendre(n: int):
+    """The n Gauss-Legendre nodes on [-1, 1], ascending, and their
+    weights, computed on first use for each n.
+
+    Newton's method on the Legendre polynomial P_n runs in 40-digit
+    decimal arithmetic from the asymptotic guess cos(pi (i - 1/4) /
+    (n + 1/2)); each node x and its weight 2 (1 - x^2) / (n P_{n-1}(x))^2
+    is then rounded to a float.  A weight formed in floating point from
+    the rounded node would be off by up to hundreds of ulps near the ends
+    (NumPy's ``leggauss`` integrates 31 (1 - t)^30 over [0, 1] with 31
+    nodes to 4e-14), and the weight of an end node is where a density
+    piled against a support end puts its mass.
+    """
+    import decimal  # only the first call of each n needs it
+    with decimal.localcontext(decimal.Context(prec=40)):
+        def legendre(x):  # P_{n-1}(x) and P_n(x) by their recurrence
+            p0, p1 = decimal.Decimal(1), x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            return p0, p1
+
+        nodes, weights = [], []  # the positive nodes, descending
+        for i in range(1, n // 2 + 1):
+            x = decimal.Decimal(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+            for _ in range(20):
+                p0, p1 = legendre(x)
+                step = p1 * (1 - x * x) / (n * (p0 - x * p1))
+                x -= step
+                if abs(step) < decimal.Decimal("1e-36"):
+                    break
+            nodes.append(float(x))
+            weights.append(float(2 * (1 - x * x) / (n * legendre(x)[0]) ** 2))
+        middle = ([float(2 / (n * legendre(decimal.Decimal(0))[0]) ** 2)]
+                  if n % 2 else [])
+    x, w = np.array(nodes), np.array(weights)
+    return (np.concatenate((-x, [0.0] if n % 2 else [], x[::-1])),
+            np.concatenate((w, middle, w[::-1])))
 
 
 def integrate(f, a: float, b: float, *, tol: float, breakpoints=()) -> float:
@@ -242,7 +291,7 @@ def _graded(t, a, b, m: int):
 
 
 def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
-                 tol: float, grade: int = 1):
+                 tol: float, grade: int = 1, degree: int | None = None):
     """Integrate one integrand per row over [lo, hi], split at its breaks.
 
     ``breaks`` is (n_rows, k); entries outside (lo, hi) are clipped to the
@@ -264,8 +313,23 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
     module docstring, for integrands with algebraic end-point terms at
     ``lo``, ``hi`` or the breaks.
 
+    ``degree`` d, for an integrand that is a polynomial of degree at
+    most d between its breaks, takes instead one pass of the
+    Gauss-Legendre rule of d // 2 + 1 nodes, exact for it, on every
+    segment (the node matrix has that many columns); each row's estimate
+    is its round-off floor, ``ROUNDOFF`` times the integral of
+    |integrand|, and ``tol`` is not consulted.
+
     Returns per-row integrals and their error estimates.
     """
+    if degree is None:
+        x, w = _XK21, _WK21
+    elif grade > 1:
+        raise ValueError("an exact rule takes no graded variable")
+    else:
+        x, w = _gauss_legendre(degree // 2 + 1)
+    # a block holds at most INTERVAL_BLOCK * 21 nodes whatever the rule
+    span = INTERVAL_BLOCK * _XK21.size // x.size
     n_rows = breaks.shape[0]
     edges = np.concatenate(
         (np.full((n_rows, 1), float(lo)),
@@ -287,25 +351,30 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
                       np.empty(rows.size))
 
         def block(i):  # each block writes only its own part of k, e, size
-            part = slice(i * INTERVAL_BLOCK, (i + 1) * INTERVAL_BLOCK)
+            part = slice(i * span, (i + 1) * span)
             half = 0.5 * (b[part] - a[part])
-            nodes = (a[part] + half)[:, None] + half[:, None] * _XK21
+            nodes = (a[part] + half)[:, None] + half[:, None] * x
             if grade > 1:
                 nodes, jac, blind = _graded(nodes, seg_a[part], seg_b[part],
                                             grade)
                 f = integrand(nodes, rows[part]) * jac
             else:
                 f = integrand(nodes, rows[part])
-            k[part] = half * np.einsum("ij,j->i", f, _WK21)
+            k[part] = half * np.einsum("ij,j->i", f, w)
+            size[part] = half * np.einsum("ij,j->i", np.abs(f), w)
+            if degree is not None:
+                return
             e[part] = _estimate(f, half, k[part])
-            size[part] = half * np.einsum("ij,j->i", np.abs(f), _WK21)
             if grade > 1:
                 # a node rounded onto an end saw the integrand at the
                 # wrong place, so all of the interval's mass is in doubt
                 e[part] = np.where(blind, np.fmax(e[part], size[part]),
                                    e[part])
 
-        workers.run(block, -(-rows.size // INTERVAL_BLOCK))
+        workers.run(block, -(-rows.size // span))
+        if degree is not None:  # every row is finished
+            return (np.bincount(rows, k, n_rows),
+                    ROUNDOFF * np.bincount(rows, size, n_rows))
         total = errors + np.bincount(rows, e, n_rows)
         row_tol = np.fmax(tol, ROUNDOFF * (sizes
                                            + np.bincount(rows, size, n_rows)))

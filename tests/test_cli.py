@@ -94,6 +94,16 @@ class TestClassifyCommand:
         assert doc["boundary_mean_vm"] == pytest.approx(5.0, abs=1e-9)
         assert doc["method"] == "analytic"
 
+    def test_huge_money_values(self, tmp_path):
+        # E[vm] = 1.5e160 fits in a double, though hi**2 does not
+        scn = write_scenario(tmp_path, {"population": {
+            **PRODUCT_POP, "vm": {"kind": "uniform", "lo": 1e160,
+                                  "hi": 2e160}}})
+        out = tmp_path / "out"
+        assert run("classify", scn, "--out", str(out)) == 0
+        doc = json.loads((out / "inequality.json").read_text())
+        assert doc["mean_vm"] == 1.5e160
+
 
 class TestNonIdCommand:
     def test_demo_artifacts(self, tmp_path):
@@ -213,6 +223,27 @@ class TestIdentifyCommand:
         with pytest.raises(QuadratureFailure):
             pop._quality_profile(p, np.array([x]))
 
+    @pytest.mark.parametrize("vk_unit, vm_unit", [
+        (1.0, 1e3), (1.0, 1e-3), (1.0, 1e8), (1e8, 1.0)],
+        ids=["money_1e3", "money_1e-3", "money_1e8", "good_1e8"])
+    def test_recovery_does_not_depend_on_the_units(self, tmp_path, capsys,
+                                                   vk_unit, vm_unit):
+        # the demo population in other units of good value and of money:
+        # its prices scale by vk_unit / vm_unit, and the price systems
+        # are set in the power-of-two money unit nearest them
+        doc = json.loads(
+            (DEMO_SCENARIOS / "independent_betas.json").read_text())
+        for key, unit in (("vk", vk_unit), ("vm", vm_unit)):
+            doc["population"][key]["lo"] *= unit
+            doc["population"][key]["hi"] *= unit
+        for key in ("price_lo", "price_hi"):
+            doc["identification"][key] *= vk_unit / vm_unit
+        out = tmp_path / "out"
+        assert run("identify", write_scenario(tmp_path, doc),
+                   "--out", str(out)) == 0, capsys.readouterr().err
+        report = json.loads((out / "recovery_report.json").read_text())
+        assert report["max_rel_error"] <= 1e-9
+
     def test_price_shortage_is_a_numeric_failure(self, tmp_path):
         scn = write_scenario(tmp_path, {
             "population": BETA_POP,
@@ -330,11 +361,12 @@ class TestInputErrors:
          (1.1, 1.9), 4, "E[W**4]"),
         ({**PRODUCT_POP, "ratio": {"kind": "uniform", "r_lo": 1e-300,
                                    "r_hi": 2e-300}},
-         (1e-300, 2e-300), 4, "condition")],
+         (1e-300, 2e-300), 4, "E[W**2] at price 1.0244717418524233e-300 "
+                              "underflows")],
         ids=["huge_vm", "huge_vk", "huge_h", "tiny_prices"])
     def test_extreme_scales_are_numeric_failures(self, tmp_path, pop,
                                                  window, order, message):
-        # overflowing moments and underflowing price powers exit 3 with
+        # overflowing moments and underflowing slice moments exit 3 with
         # one line that names the entry, and no NumPy warning
         scn = write_scenario(tmp_path, {
             "population": pop,

@@ -59,6 +59,28 @@ class TestMarginalSpec:
         spec = MarginalSpec.uniform(0.5, 1.5)
         assert spec.mean == pytest.approx(1.0)
         assert spec.moment(2) == pytest.approx(1.0 + 1.0 / 12.0)
+        # no power above the order, so E[vm] fits where hi**2 does not
+        assert MarginalSpec.uniform(1e160, 2e160).mean == 1.5e160
+        for lo, hi in ((0.0, 1e-3), (0.5, 1.5), (2.0, 7.0)):
+            spec = MarginalSpec.uniform(lo, hi)
+            for n in range(1, 7):
+                want = (hi ** (n + 1) - lo ** (n + 1)) / ((n + 1) * (hi - lo))
+                assert spec.moment(n) == pytest.approx(want, rel=1e-14)
+
+    def test_degree_of_polynomial_densities(self):
+        assert MarginalSpec.uniform(0.5, 1.5).degree == 0
+        assert MarginalSpec.scaled_beta(3.0, 4.0, 0.0, 1.0).degree == 5
+        assert MarginalSpec.scaled_beta(1.0, 1.0, 0.0, 1.0).degree == 0
+        cap = marginals.INT_SHAPE_MAX
+        assert MarginalSpec.scaled_beta(cap - 1.0, 1.0, 0.0, 1.0).degree \
+            == cap - 2
+        for spec in (MarginalSpec.scaled_beta(2.5, 3.0, 0.0, 1.0),
+                     MarginalSpec.scaled_beta(cap / 2, cap / 2 + 1.0, 0.0,
+                                              1.0),
+                     MarginalSpec.point_mass(1.0),
+                     MarginalSpec.triangular(0.0, 1.0),
+                     MarginalSpec.tabulated([0.0, 1.0], [1.0, 1.0])):
+            assert spec.degree is None
 
     def test_triangular_closed_forms(self):
         spec = MarginalSpec.triangular(1.0, 3.0)

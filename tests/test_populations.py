@@ -534,6 +534,99 @@ class TestIndependentPopulation:
                 MarginalSpec.uniform(0.0, 1.0))  # vm can hit zero
 
 
+def _exact_route_results(pop):
+    """A surface, the ratio table and two band moments of ``pop``."""
+    xq = np.linspace(-2.0, 2.0, 33)
+    prices = np.array([0.0, 0.55, 1.0, 1.7, 2.9])
+    return (quality_demand_surface(pop, xq, prices).values,
+            pop._ratio_marginal().law.table.y,
+            np.array([pop._band_vm_moments(0.4, 1.3),
+                      pop._band_vm_moments(0.0, 0.9)]))
+
+
+def _record_degrees(monkeypatch):
+    """The ``degree`` of every segmented_gl call."""
+    seen = []
+    real = pops.quadrature.segmented_gl
+
+    def recording(*args, degree=None, **kwargs):
+        seen.append(degree)
+        return real(*args, degree=degree, **kwargs)
+
+    monkeypatch.setattr(pops.quadrature, "segmented_gl", recording)
+    return seen
+
+
+class TestExactRule:
+    """Polynomial kernels of independent laws take the exact rule."""
+
+    @pytest.mark.parametrize("vk, vm", [
+        *[((a, b), (c, d)) for a in (1, 2, 3) for b in (1, 2, 3)
+          for c, d in ((1, 1), (1, 3), (2, 2), (3, 2))],
+        ((16, 15), (10, 12)), (None, (3, 2)), ((2, 1), None), (None, None)])
+    def test_matches_the_adaptive_rule(self, monkeypatch, vk, vm):
+        # integer beta and uniform (None) marginals.  Ratio-table entries
+        # are densities of up to 3.6 here, so the bound scales with the
+        # largest entry: at the cap case the table reads 4.0e-15 apart
+        def build():
+            return pops.IndependentPopulation(
+                MarginalSpec.scaled_beta(*vk, 0.0, 1.0) if vk
+                else MarginalSpec.uniform(0.0, 1.0),
+                MarginalSpec.scaled_beta(*vm, 0.5, 1.5) if vm
+                else MarginalSpec.uniform(0.5, 1.5))
+
+        degrees = _record_degrees(monkeypatch)
+        exact = _exact_route_results(build())
+        assert None not in degrees
+        monkeypatch.setattr(MarginalSpec, "degree", property(lambda s: None))
+        adaptive = _exact_route_results(build())
+        for got, want in zip(exact, adaptive):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 4e-15 * scale
+
+    def test_kernel_degrees(self, monkeypatch):
+        # f_vm (1 - F_vk) for the surface, u f_vm f_vk(r u) for the
+        # ratio table and u^row f_vm (F_vk(rb u) - F_vk(ra u)) for a band
+        pop = pops.IndependentPopulation(
+            MarginalSpec.scaled_beta(3.0, 4.0, 0.0, 1.0),
+            MarginalSpec.uniform(0.5, 1.5))
+        degrees = _record_degrees(monkeypatch)
+        pop._quality_profile(1.2, np.array([0.1]))
+        pop._ratio_marginal()
+        pop._band_vm_moments(0.5, 1.0)
+        assert degrees == [6, 6, 7]
+
+    def test_other_laws_keep_the_adaptive_rule(self, monkeypatch):
+        beta = MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0)
+        table = MarginalSpec.tabulated([0.5, 1.0, 1.5], [0.5, 1.5, 0.5])
+        zoo = surface_zoo()
+        others = [pops.IndependentPopulation(
+                      beta, MarginalSpec.scaled_beta(2.5, 3.0, 0.5, 1.5)),
+                  pops.IndependentPopulation(
+                      MarginalSpec.scaled_beta(2.5, 3.0, 0.0, 1.0),
+                      MarginalSpec.uniform(0.5, 1.5)),
+                  pops.IndependentPopulation(beta, table),
+                  zoo["point_mass_vk"], zoo["point_mass_vm"],
+                  zoo["product"], zoo["product_table"],
+                  zoo["conditional_low"], zoo["custom_h"]]
+        degrees = _record_degrees(monkeypatch)
+        for pop in others:
+            quality_demand_surface(pop, np.linspace(-2.0, 2.0, 17),
+                                   np.array([0.0, 0.7, 1.4]))
+            pops.ratio_marginal(pop)
+            pops.moments(pop, 2)
+            pop._band_vm_moments(0.5, 1.5)
+        assert degrees and set(degrees) == {None}
+
+    def test_a_mixture_component_takes_it(self, monkeypatch):
+        degrees = _record_degrees(monkeypatch)
+        zoo = surface_zoo()
+        quality_demand_surface(zoo["mixture_with_conditional"],
+                               np.linspace(-2.0, 2.0, 17),
+                               np.array([0.7, 1.4]))
+        assert None in degrees and 6 in degrees  # Beta(2, 3) and (2, 2)
+
+
 class TestRatioConditionalPopulation:
     def test_mass_and_mean_against_scipy(self):
         low = pops.make_low_population(seed_ratio(), delta=0.5)
@@ -823,7 +916,7 @@ class TestModuleOps:
         (pops.PointMassPopulation(1e200, 1.0), "E[vk**2 vm**0]"),
         (pops.ProductPopulation(seed_ratio(2e160),
                                 MarginalSpec.uniform(1e160, 2e160)),
-         "E[vk**0 vm**1]"),
+         "E[vk**0 vm**2]"),
         (pops.RatioConditionalPopulation(
             seed_ratio(), pops.ConditionalSpec("custom", h_table=(
                 PwLinearTable.raw([1.0, 2.0], [1e100, 1e100])))),

@@ -1,10 +1,18 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demandlab
 from demandlab import quadrature as q
 from demandlab.errors import QuadratureFailure
+from helpers import same_bits
+
+PACKAGE_ROOT = Path(demandlab.__file__).resolve().parents[1]
 
 
 def test_adaptive_matches_closed_forms():
@@ -99,6 +107,68 @@ def test_kronrod_pair_exact_to_degrees_31_and_19():
     w_g = q._WK21 - q._WKG
     assert np.allclose(q._XK21[w_g != 0.0], x10, rtol=0.0, atol=1e-15)
     assert np.allclose(w_g[w_g != 0.0], w10, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 12, 31, 61])
+def test_exact_rule_takes_one_pass_of_half_the_degree_plus_one_nodes(
+        monkeypatch, degree):
+    # every segment of every row gets degree // 2 + 1 nodes in a single
+    # workers.run pass, exact for x^d up to the degree; the estimate is
+    # the round-off floor
+    passes = []
+    monkeypatch.setattr(q.workers, "run", lambda fn, n: (passes.append(n),
+                                                         [fn(i) for i in
+                                                          range(n)]))
+    widths = []
+    powers = np.arange(degree + 1)
+
+    def f(nodes, rows):
+        widths.append(nodes.shape[1])
+        return nodes ** powers[rows][:, None]
+
+    breaks = np.tile([-0.5, 0.25, 0.6], (powers.size, 1))
+    got, est = q.segmented_gl(-1.0, 1.0, breaks, f, tol=0.0, degree=degree)
+    exact = np.where(powers % 2 == 0, 2.0 / (powers + 1.0), 0.0)
+    assert len(passes) == 1
+    assert set(widths) == {degree // 2 + 1}
+    assert np.all(np.abs(got - exact) <= 1e-15)
+    size = np.array([q.segmented_gl(-1.0, 1.0, breaks[:1],
+                                    lambda x, rows: np.abs(x ** p),
+                                    tol=0.0, degree=degree)[0][0]
+                     for p in powers])
+    assert same_bits(est, q.ROUNDOFF * size)
+
+
+def test_gauss_legendre_rule_is_rounded_from_the_exact_one():
+    # 31 (1 - t)^30 piles its mass against t = 0, where the weights are
+    # small; NumPy's leggauss weights, formed from the rounded nodes,
+    # integrate it with 31 nodes to 4e-14
+    x, w = q._gauss_legendre(31)
+    t = 0.5 + 0.5 * x
+    assert abs(0.5 * np.dot(w, 31.0 * (1.0 - t) ** 30) - 1.0) <= 1e-15
+    x_np, w_np = np.polynomial.legendre.leggauss(31)
+    assert np.allclose(x, x_np, rtol=0.0, atol=2e-16)
+    assert np.allclose(w, w_np, rtol=1e-12, atol=0.0)
+    assert np.array_equal(x, -x[::-1]) and same_bits(w, w[::-1])
+    assert q._gauss_legendre(31) is q._gauss_legendre(31)  # cached
+    assert [q._gauss_legendre(n)[1].sum() for n in (1, 2, 3)] == [2.0] * 3
+
+
+def test_importing_the_package_makes_no_rule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, demandlab; from demandlab import quadrature; "
+         "print(quadrature._gauss_legendre.cache_info().currsize, "
+         "'decimal' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)})
+    assert proc.stdout.split() == ["0", "False"]
+
+
+def test_exact_rule_takes_no_graded_variable():
+    with pytest.raises(ValueError):
+        q.segmented_gl(0.0, 1.0, np.empty((1, 0)), lambda x, rows: x,
+                       tol=1e-10, grade=2, degree=3)
 
 
 @pytest.mark.parametrize("tol", [np.inf, 1e-4, 1e-8, 1e-10])
