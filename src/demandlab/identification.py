@@ -253,8 +253,9 @@ def recover_from_slice_moments(prices, moment_rows,
         raise InsufficientPrices(
             f"only {distinct} distinct prices for order {max_order}; "
             f"need at least {max_order + 1}")
-    logs = np.log2(prices[(prices > 0.0) & np.isfinite(prices)])
-    e = round(float(logs.min() + logs.max()) / 2.0) if logs.size else 0
+    positive = prices[(prices > 0.0) & np.isfinite(prices)]
+    e = (pops.unit_exponent(positive.min(), positive.max()) if positive.size
+         else 0)
     scaled = np.ldexp(prices, -e)  # exact
     entries = {(0, 0): 1.0}
     errors = {(0, 0): 0.0}

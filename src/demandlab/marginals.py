@@ -399,11 +399,13 @@ class MarginalSpec:
                 out = _int_beta_pdf(*self._int_shapes, np.clip(t, 0.0, 1.0),
                                     scale)
             else:
+                # the density on [0, 1], then over the scale: a power-of-
+                # two rescaling of the support moves no bit
                 ts = np.clip(t, 1e-300, 1.0 - 1e-16)
                 out = np.exp((self.alpha - 1.0) * np.log(ts)
                              + (self.beta - 1.0) * np.log1p(-ts)
-                             - _special("betaln", self.alpha, self.beta)
-                             - np.log(scale))
+                             - _special("betaln", self.alpha,
+                                        self.beta)) / scale
             out = np.where(inside, out, 0.0)
         else:
             out = self.table.value_at(v)

@@ -427,6 +427,23 @@ class PointMassPopulation(Population):
         return buys.astype(float), np.zeros(buys.shape)
 
 
+def unit_exponent(lo: float, hi: float) -> int:
+    """The exponent e of the money unit 2^e nearest the geometric
+    mid-range of [lo, hi], 0 < lo <= hi: e = round((log2 lo + log2 hi)
+    / 2).  Rescaling lo and hi by a power of two shifts e by its
+    exponent."""
+    return round(float(np.log2(lo) + np.log2(hi)) / 2.0)
+
+
+def _polymul(x, y):
+    """Products of the polynomials on each line of ``x`` and ``y``, with
+    coefficients lowest power first."""
+    out = np.zeros((x.shape[0], x.shape[1] + y.shape[1] - 1))
+    for i in range(x.shape[1]):
+        out[:, i:i + y.shape[1]] += x[:, i:i + 1] * y
+    return out
+
+
 def _grade(*shapes) -> int:
     """segmented_gl grade for an integrand whose end-point terms are
     |u - end|^(s - 1) for the given s: the least m, at most MAX_GRADE,
@@ -644,9 +661,12 @@ class IndependentPopulation(Population):
                      - np.asarray(self.vk.cdf(ra * nodes)))
             return nodes ** rows[:, None] * self.vm.pdf(nodes) * inner
 
+        # the vm row is held to 1e-13 in vm's unit, so rescaling money by
+        # a power of two moves no bit
+        unit = math.ldexp(1.0, unit_exponent(self.vm.lo, self.vm.hi))
         (mass, vm_int), _ = quadrature.segmented_gl(
             self.vm.lo, self.vm.hi, np.array([cuts, cuts]),
-            integrand, tol=1e-13,
+            integrand, tol=np.array([1e-13, 1e-13 * unit]),
             grade=_grade(self.vm.end_shape, self.vk.end_shape + 1.0),
             degree=self._degree(2))
         return float(mass), float(vm_int)
@@ -777,24 +797,29 @@ class RatioConditionalPopulation(Population):
         The scan grid holds every knot, so on each of its cells g and a
         custom h are linear, and for the low and custom families
         m = h / g is a ratio of linear functions, monotone where g > 0.
-        For the high family m = 1 / (sqrt(s) g) with s = r - r_lo + delta;
-        where g = c r + d on a cell, d/dr (sqrt(s) g) has the sign of
-        3 c r + d + 2 c (delta - r_lo), so m turns at most once there, and
-        that root becomes an edge.  eps is m / 2 or a constant, so
+        For the high family m turns at most once on a cell (``_turns``),
+        and that root becomes an edge.  eps is m / 2 or a constant, so
         m - eps and m + eps follow m.
         """
         r = self._scan_grid
         if self.cond.family == "high":
-            g = self._scan[0]
-            c = np.diff(g) / np.diff(r)
-            d = g[:-1] - c * r[:-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                turn = (2.0 * c * (self.ratio.r_lo - self.cond.delta)
-                        - d) / (3.0 * c)
-            r = np.union1d(r, turn[(turn > r[:-1]) & (turn < r[1:])])
+            turn = self._turns(r, self._scan[0])
+            r = np.union1d(r, turn[~np.isnan(turn)])
         _, m, eps = self._law(r)
         lo, hi = m - eps, m + eps
         return r, np.minimum(lo[:-1], lo[1:]), np.maximum(hi[:-1], hi[1:])
+
+    def _turns(self, r, g):
+        """Where m turns inside each cell of ``r`` on which g is linear,
+        for the high family, or NaN: m = 1 / (sqrt(s) g) with
+        s = r - r_lo + delta, and where g = c r + d, d/dr (sqrt(s) g) has
+        the sign of 3 c r + d + 2 c (delta - r_lo)."""
+        c = np.diff(g) / np.diff(r)
+        d = g[:-1] - c * r[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            turn = (2.0 * c * (self.ratio.r_lo - self.cond.delta)
+                    - d) / (3.0 * c)
+        return np.where((turn > r[:-1]) & (turn < r[1:]), turn, np.nan)
 
     def _saturation_bounds(self, p):
         # W = vm (r - p) over a cell [a, b] lies between the products of
@@ -902,32 +927,132 @@ class RatioConditionalPopulation(Population):
         """Conditional mean of vm exactly at the lower ratio endpoint."""
         return float(self._law(self.ratio.r_lo)[1])
 
+    @cached_property
+    def _cells(self):
+        """The cells between r_lo, the knots and r_hi, as their ends with
+        g and h there (one ``ratio.pdf`` and one ``cond.h`` call), and
+        each cell's least and most m: at its ends, where m is monotone
+        (see ``_vm_cells``), and at the turn of the high family."""
+        r_lo = self.ratio.r_lo
+        r = np.concatenate(([r_lo], self._knots, [self.ratio.r_hi]))
+        g, h = self.ratio.pdf(r), self.cond.h(r, r_lo)
+        m = h / g
+        m_lo, m_hi = np.minimum(m[:-1], m[1:]), np.maximum(m[:-1], m[1:])
+        if self.cond.family == "high":  # NaN where m does not turn
+            turn = self._turns(r, g)
+            m_turn = 1.0 / (np.sqrt(turn - r_lo + self.cond.delta)
+                            * np.interp(turn, r, g))
+            m_lo, m_hi = np.fmin(m_lo, m_turn), np.fmax(m_hi, m_turn)
+        return r, g, h, m_lo, m_hi
+
+    def _crossing_pairs(self, edge_lo, edge_hi, p, xq, starts):
+        """The (row, cell) pairs whose -xq lies in the cell's range of
+        edge * (r - p), for an edge between ``edge_lo`` and ``edge_hi`` > 0
+        on each cell, as ``_saturation_bounds`` bounds W, widened by
+        ``SATURATION_MARGIN``.  The rows are sorted by price, then by
+        offset (NaN last, in no pair), and ``starts`` holds the first row
+        of each price."""
+        r = self._cells[0]
+        rows = [np.zeros(0, dtype=np.intp)]
+        cells = [rows[0]]
+        for s, t in zip(starts.tolist(), np.append(starts[1:], xq.size)):
+            below, above = r[:-1] - p[s], r[1:] - p[s]
+            top = np.where(above >= 0.0, edge_hi, edge_lo) * above
+            bottom = np.where(below <= 0.0, edge_hi, edge_lo) * below
+            pad = SATURATION_MARGIN * np.maximum(np.abs(top), np.abs(bottom))
+            first = np.searchsorted(xq[s:t], -top - pad, "left")
+            count = np.searchsorted(xq[s:t], -bottom + pad, "right") - first
+            cells.append(np.repeat(np.arange(r.size - 1), count))
+            rows.append(s + np.arange(cells[-1].size)
+                        + np.repeat(first - np.cumsum(count) + count, count))
+        return np.concatenate(rows), np.concatenate(cells)
+
+    def _crossing_roots(self, sign, p, xq, starts):
+        """Where each row's price line meets the band edge m + sign * eps:
+        the roots in (r_lo, r_hi] of (m(r) + sign eps(r)) (r - p) + xq, as
+        an (n, k) matrix padded with r_hi, for rows sorted as
+        ``_crossing_pairs`` takes them.
+
+        On a cell [a, b] g and a custom h are linear, and the roots are
+        those of H(r) (r - p) + xq g(r), the crossing function times
+        g > 0, with H = (1 + sign / 2) h for half_mean and H = h + sign
+        eps g for a fixed eps: a quadratic in t = r - a for the low and
+        custom families.  For the high family h = 1 / u with
+        u = sqrt(r - r_lo + delta), so the function times u g is a
+        polynomial in v = u - u(a), since r - a = v (2 u(a) + v): of
+        degree 2 for half_mean on a constant g, 3 for half_mean on a
+        sloping g or a fixed eps on a constant one, and 5 for a fixed eps
+        on a sloping g.  ``quadrature.poly_roots`` solves them, on the
+        pairs of ``_crossing_pairs`` only.  A row's roots depend on its
+        own price, offset and cells only.
+        """
+        r, g, h, m_lo, m_hi = self._cells
+        fixed = self.cond.epsilon_kind == "fixed"
+        e = sign * self.cond.epsilon_value if fixed else 0.0
+        k = 1.0 if fixed else 1.0 + 0.5 * sign
+        rows, c = self._crossing_pairs(k * m_lo + e, k * m_hi + e, p, xq,
+                                       starts)
+        x, q = xq[rows], r[c] - p[rows]
+        g_a, g_s = g[c], (np.diff(g) / np.diff(r))[c]
+        if self.cond.family == "high":
+            u = np.sqrt(r - self.ratio.r_lo + self.cond.delta)
+            ua = u[c]
+            width = u[c + 1] - ua
+            rp = np.column_stack((q, 2.0 * ua, np.ones(q.size)))  # r - p
+            ug = np.column_stack((ua * g_a, g_a + 2.0 * ua * ua * g_s,
+                                  3.0 * ua * g_s, g_s))  # u g
+            if fixed:  # (1 + e u g)(r - p) + x u g
+                one = e * ug
+                one[:, 0] += 1.0
+                coef = _polymul(one, rp)
+                coef[:, :4] += x[:, None] * ug
+                degree = np.where(g_s != 0.0, 5, 3)
+            else:  # k (r - p) + x u g
+                coef = x[:, None] * ug
+                coef[:, :3] += k * rp
+                degree = np.where(g_s != 0.0, 3, 2)
+        else:  # (H0 + H1 t)(q + t) + x g
+            width = np.diff(r)[c]
+            H0 = k * h[c] + e * g_a
+            H1 = k * (np.diff(h) / np.diff(r))[c] + e * g_s
+            coef = np.column_stack((H0 * q + x * g_a, H0 + H1 * q + x * g_s,
+                                    H1))
+            degree = np.full(rows.size, 2)
+        hit_rows, hit_roots = [rows[:0]], [q[:0]]
+        for d in np.unique(degree).tolist():
+            pick = np.flatnonzero(degree == d)
+            t = quadrature.poly_roots(coef[pick, :d + 1], width[pick])
+            # a root on a cell's left end is the previous cell's right end
+            line, slot = np.nonzero(t > 0.0)
+            t, line = t[line, slot], pick[line]
+            hit_rows.append(rows[line])
+            hit_roots.append(r[c[line]] + (t * (2.0 * ua[line] + t)
+                                           if self.cond.family == "high"
+                                           else t))
+        rows, found = np.concatenate(hit_rows), np.concatenate(hit_roots)
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+        roots = np.full((xq.size, slot.max(initial=-1) + 1), self.ratio.r_hi)
+        roots[rows, slot] = found[order]
+        return roots
+
     def _quality_profile(self, p, xq):
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                     np.asarray(xq, dtype=float))
-        # solve_crossings needs psi nondecreasing in the row within a
-        # group: sort the rows by price, then by offset (NaN last), solve
-        # each price's rows as one group and scatter the rows back; rows
-        # are independent, so each keeps its bits
+        # the crossing roots are found per price in the rows sorted by
+        # offset (NaN last): sort the rows by price, then by offset, and
+        # scatter them back; rows are independent, so each keeps its bits
         order = np.lexsort((xq, p))
         p, xq = p[order], xq[order]
         n = xq.size
-        starts = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        starts = np.flatnonzero(np.r_[n > 0, p[1:] != p[:-1]])
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
-
-        def edge_cross(sign):
-            def psi(r, rows):
-                m, eps = self._law(r)[1:]
-                return (m + sign * eps) * (r - p[rows]) + xq[rows]
-            return psi
-
-        roots_hi = quadrature.solve_crossings(edge_cross(+1.0), r_lo, r_hi,
-                                              n, starts)
-        roots_lo = quadrature.solve_crossings(edge_cross(-1.0), r_lo, r_hi,
-                                              n, starts)
+        roots = [self._crossing_roots(sign, p, xq, starts)
+                 for sign in (1.0, -1.0)]
         fixed = np.clip(p, r_lo, r_hi)[:, None]
         breaks = np.concatenate(
-            (roots_hi, roots_lo, fixed,
+            (*roots, fixed,
              np.broadcast_to(self._knots, (n, self._knots.size))), axis=1)
         a0 = self._a0
         z_mass = self._z_mass

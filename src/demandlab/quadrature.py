@@ -1,24 +1,23 @@
 """Quadrature of a family of row integrands, and of one integrand.
 
 The helpers work on a family of integrands that differ only through a
-row parameter, splitting each row's interval at known or numerically
-located kinks.  They are the workhorses behind quality-demand surfaces.
-``solve_crossings`` takes a row-indexed ``psi(r, rows)`` whose rows
-fall into consecutive groups, each nondecreasing in the row index (a
-surface's rows of one price, sorted by quality offset).  It
-binary-searches every group's rows at each coarse scan point in the same
-``psi`` calls instead of evaluating them all, and bisects only the cells
-where the scan brackets a root until a pass changes nothing.  For the
-integrals, whatever their row count, ``segmented_gl`` is the one
-driver.  It flattens every row's positive-width segments into
-one list of (row, interval) pairs and hands them to the integrand in
-blocks of at most ``INTERVAL_BLOCK`` * 21 nodes: a surface puts the rows
-of all its prices into one call, and small blocks keep the integrand's
-node-sized temporaries at a few hundred kB however many rows the call
-holds.  The
-blocks of a pass are independent, so ``workers.run`` spreads them over
-the CPUs of the process's affinity mask (restrict it with ``taskset``;
-there is no other setting); a pass of one block runs on the calling
+row parameter, splitting each row's interval at known kinks or at kinks
+located in closed form.  They are the workhorses behind quality-demand
+surfaces.  ``poly_roots`` finds the real roots of one low-degree
+polynomial per row on an interval: a ``ratio_conditional`` surface's
+band edges cross a row's price line at such roots on each cell of its
+law.  ``solve_crossings``, a coarse scan and bisection of any row-indexed
+function, is the tests' reference for those roots and has no caller in
+the package.  For the integrals, whatever their row count,
+``segmented_gl`` is the one driver.  It flattens every row's
+positive-width segments into one list of (row, interval) pairs and hands
+them to the integrand in blocks of at most ``INTERVAL_BLOCK`` * 21
+nodes: a surface puts the rows of all its prices into one call, and
+small blocks keep the integrand's node-sized temporaries at a few
+hundred kB however many rows the call holds.  The blocks of a pass are
+independent, so ``workers.run`` spreads them over the CPUs of the
+process's affinity mask (restrict it with ``taskset``; there is no
+other setting); a pass of one block runs on the calling
 thread, and so does every pass on one CPU.  Each interval gets the
 nested Gauss-Kronrod pair G10/K21 of QUADPACK (Piessens et al. 1983):
 21 integrand values give its integral and, from |K21 - G10|, its error
@@ -91,7 +90,7 @@ _WKG = _WK21 - np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
 MAX_LEVELS = 20
 MAX_PENDING = 1024
 # solve_crossings: coarse scan points and bisection steps per bracketed
-# cell.
+# cell; poly_roots bisects a monotone piece at most BISECTIONS times.
 COARSE = 513
 BISECTIONS = 64
 # segmented_gl: G10/K21 intervals per integrand call, which bounds the
@@ -172,6 +171,9 @@ def solve_crossings(psi, lo: float, hi: float, n_rows: int,
                     starts=(0,)) -> np.ndarray:
     """Locate sign changes of a row-indexed function by bisection.
 
+    The reference root finder of the tests: the package finds its
+    crossing roots with :func:`poly_roots`, and calls this nowhere.
+
     ``psi(r, rows)`` evaluates rows ``rows`` at abscissae ``r`` and
     returns values of their broadcast shape, so a part shared by all
     rows is computed once per abscissa.  Each row is an independent
@@ -245,6 +247,67 @@ def solve_crossings(psi, lo: float, hi: float, n_rows: int,
     return roots
 
 
+def _horner(coef, x):
+    """The polynomials with coefficients ``coef[0], coef[1], ...`` (lowest
+    power first, each broadcasting against ``x``) at ``x``."""
+    out = coef[-1] * x
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= x
+    out += coef[0]
+    return out
+
+
+def poly_roots(coef: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Real roots in [0, width] of one polynomial per row.
+
+    ``coef`` is (n, d + 1) with d >= 2, lowest power first, and
+    ``width`` is (n,).  Returns an (n, d) matrix of each row's roots in
+    ascending order, padded with NaN.  At d = 2 they come in closed form
+    from the stable quadratic formula: with
+    q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2 the roots are q / a and c / q,
+    or -c / b when a = 0, and a double root counts twice.  Above degree 2
+    the real roots of the derivative, found by this same routine, cut
+    [0, width] into pieces on which the polynomial is monotone.  Each
+    piece whose ends differ in sign (zero counting as nonnegative) holds
+    one root, which is bisected with Horner's rule until a pass moves no
+    end, at most ``BISECTIONS`` times.  A row's roots depend on its own
+    coefficients only.
+    """
+    n, d = coef.shape[0], coef.shape[1] - 1
+    width = np.asarray(width, dtype=float)
+    if d == 2:
+        c0, c1, c2 = coef.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0),
+                                         c1))
+            one = np.where(c2 != 0.0, q / c2, -c0 / c1)
+            two = np.where(c2 == 0.0, np.nan,
+                           np.where(q != 0.0, c0 / q, one))
+        roots = np.column_stack((one, two))
+        roots[~((roots >= 0.0) & (roots <= width[:, None]))] = np.nan
+        return np.sort(roots, axis=1)
+    crit = poly_roots(coef[:, 1:] * np.arange(1, d + 1), width)
+    ends = np.column_stack((np.zeros(n),
+                            np.where(np.isnan(crit), width[:, None], crit),
+                            width))
+    neg = _horner(coef.T[:, :, None], ends) < 0.0
+    row, piece = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    a, b = ends[row, piece], ends[row, piece + 1]
+    sign_a, line = neg[row, piece], coef[row].T.copy()
+    for _ in range(BISECTIONS):
+        m = 0.5 * (a + b)
+        left = (_horner(line, m) < 0.0) != sign_a
+        new_a, new_b = np.where(left, a, m), np.where(left, m, b)
+        if np.array_equal(new_a, a) and np.array_equal(new_b, b):
+            break
+        a, b = new_a, new_b
+    roots = np.full((n, d), np.nan)
+    # pieces come sorted by row, then by position
+    roots[row, np.arange(row.size) - np.searchsorted(row, row)] = 0.5 * (a + b)
+    return roots
+
+
 def _estimate(f, half, kronrod):
     """Error estimate of G10/K21 on intervals of half-width ``half``.
 
@@ -300,9 +363,10 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
     per line, and the row index of each line, and returns the (m, 21)
     integrand values; it may overwrite ``nodes``.  Each pass applies
     G10/K21 to every pending interval.  A row whose summed estimate is at
-    most its tolerance, the larger of ``tol`` (absolute) and ``ROUNDOFF``
-    times the integral of |integrand| over the row, is finished; a NaN
-    estimate finishes its row too, since refining cannot mend it.  In the
+    most its tolerance, the larger of ``tol`` (absolute; a scalar, or an
+    array with one value per row) and ``ROUNDOFF`` times the integral of
+    |integrand| over the row, is finished; a NaN estimate finishes its
+    row too, since refining cannot mend it.  In the
     other rows each interval whose estimate exceeds the row's remaining
     budget over its pending interval count is bisected, and the rest are
     kept.  A row still short after ``MAX_LEVELS`` bisection passes raises

@@ -62,6 +62,30 @@ def sine_table_low(knots: int) -> pops.RatioConditionalPopulation:
                                     delta=0.5 * pops._low_delta_bound(ratio))
 
 
+def tent_ratio() -> pops.RatioMarginalSpec:
+    """A tent-shaped tabulated ratio density on [1, 2], peaking at 1.5;
+    positive at both ends, which the conditional construction needs."""
+    return pops.RatioMarginalSpec.tabulated([1.0, 1.5, 2.0], [0.6, 1.4, 0.6])
+
+
+def fixed_eps_high(ratio, delta) -> pops.RatioConditionalPopulation:
+    """High family with a fixed truncation half-width, half the least
+    conditional mean."""
+    pop = pops.make_high_population(ratio, delta)
+    eps = 0.5 * float(np.min(pop._scan[1]))
+    return pops.make_high_population(ratio, delta, epsilon_kind="fixed",
+                                     epsilon_value=eps)
+
+
+def flat_h_custom() -> pops.RatioConditionalPopulation:
+    """Custom family over a uniform ratio whose h is flat on [1, 1.5]."""
+    h = PwLinearTable.raw(np.array([0.5, 1.0, 1.5, 2.0]),
+                          np.array([0.6, 1.0, 1.0, 0.7]))
+    return pops.RatioConditionalPopulation(
+        pops.RatioMarginalSpec.uniform(0.5, 2.0),
+        pops.ConditionalSpec("custom", h_table=h))
+
+
 def beta_independent() -> pops.IndependentPopulation:
     return pops.IndependentPopulation(
         MarginalSpec.scaled_beta(2.0, 3.0, lo=0.0, hi=1.0),
@@ -104,7 +128,12 @@ def continuous_zoo() -> dict:
 def surface_zoo() -> dict:
     """Every surface kernel path: the families above, point masses,
     point-mass marginals of ``independent``, tables, a custom h, graded
-    beta shapes, a wide conditional and mixtures."""
+    beta shapes, a wide conditional and mixtures.  The conditional forms
+    give every degree of crossing polynomial on a cell: linear (a flat
+    custom h), quadratic (low and custom families, and the high family
+    with eps = m / 2 on a constant density), cubic (the high family on a
+    sloping density, or with a fixed eps on a constant one) and quintic
+    (the high family with a fixed eps on a sloping density)."""
     zoo = population_zoo()
     zoo["continuous_mixture"] = continuous_zoo()["mixture"]
     zoo.update({
@@ -112,6 +141,10 @@ def surface_zoo() -> dict:
         "zigzag_table": zigzag_ratio_low(),
         "custom_h": kinked_h_custom(),
         "sine_table": sine_table_low(12),
+        "tent_high": pops.make_high_population(tent_ratio(), 0.05),
+        "fixed_high": fixed_eps_high(seed_ratio(), 0.04),
+        "fixed_high_table": fixed_eps_high(tent_ratio(), 0.05),
+        "flat_h_custom": flat_h_custom(),
         "wide_conditional": pops.make_low_population(
             seed_ratio(), 0.5, sigma_multiplier=1e4),
         "point_mass_vk": pops.IndependentPopulation(
@@ -180,3 +213,47 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
                                                  b.view(np.int64))
+
+
+def _edge_roots(pop, p, xq, solve):
+    """Per band edge of a ratio_conditional population, the crossing
+    roots that ``solve(sign, p, xq, starts)`` returns for the rows sorted
+    by price, then by offset: an (n, k) matrix in the order of the rows
+    ``p``, ``xq``, each row's roots ascending and padded with NaN."""
+    p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                np.asarray(xq, dtype=float))
+    order = np.lexsort((xq, p))
+    ps, xs = p[order], xq[order]
+    starts = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])
+    out = []
+    for sign in (1.0, -1.0):
+        found = solve(sign, ps, xs, starts)
+        found = np.sort(np.where(found < pop.ratio.r_hi, found, np.nan),
+                        axis=1)
+        out.append(np.empty_like(found))
+        out[-1][order] = found
+    return out
+
+
+def closed_form_roots(pop, p, xq):
+    """The crossing roots of ``_crossing_roots``, per band edge."""
+    return _edge_roots(pop, p, xq, pop._crossing_roots)
+
+
+def bisection_roots(pop, p, xq):
+    """The crossing roots that ``quadrature.solve_crossings`` brackets on
+    its coarse scan, per band edge: the reference root finder."""
+    def solve(sign, ps, xs, starts):
+        def psi(r, rows):
+            m, eps = pop._law(r)[1:]
+            return (m + sign * eps) * (r - ps[rows]) + xs[rows]
+        return pops.quadrature.solve_crossings(psi, pop.ratio.r_lo,
+                                               pop.ratio.r_hi, xs.size,
+                                               starts)
+    return _edge_roots(pop, p, xq, solve)
+
+
+def conditional_forms() -> dict:
+    """The ratio_conditional populations of ``surface_zoo()``."""
+    return {name: pop for name, pop in surface_zoo().items()
+            if isinstance(pop, pops.RatioConditionalPopulation)}

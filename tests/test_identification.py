@@ -12,7 +12,8 @@ from demandlab.errors import (IllConditioned, InsufficientPrices,
                               NonFiniteMoment, TailMassExceeded)
 from demandlab.marginals import MarginalSpec
 from helpers import (beta_independent, kinked_h_custom, kinked_ratio_low,
-                     same_bits, seed_ratio, sine_table_low, zigzag_ratio_low)
+                     same_bits, seed_ratio, sine_table_low, surface_zoo,
+                     zigzag_ratio_low)
 
 
 class TestChebyshevPrices:
@@ -334,18 +335,30 @@ class TestEndToEnd:
             build(), ident.IdentificationConfig(0.5, 2.0))
         assert report.max_rel_error <= 1e-6
 
+    @pytest.mark.parametrize("name", ["tent_high", "fixed_high",
+                                      "fixed_high_table", "flat_h_custom"])
+    def test_every_crossing_degree_recovers(self, name):
+        # band edges whose crossings solve a cubic, a quintic or a linear
+        # equation on some cell; every order-4 moment within 1e-6
+        pop = surface_zoo()[name]
+        report = ident.verify_recovery(
+            pop, ident.IdentificationConfig(pop.ratio.r_lo, pop.ratio.r_hi))
+        assert report.max_rel_error <= 1e-6
+        assert report.quadrature_error <= pops.SURFACE_TOL
+
     def test_band_edges_with_five_crossings_recover(self, monkeypatch):
         # some quality rows cross a band edge five times; every crossing
         # becomes a panel break
         widths = []
-        solve = pops.quadrature.solve_crossings
+        solve = pops.RatioConditionalPopulation._crossing_roots
 
         def record(*args):
             roots = solve(*args)
             widths.append(roots.shape[1])
             return roots
 
-        monkeypatch.setattr(pops.quadrature, "solve_crossings", record)
+        monkeypatch.setattr(pops.RatioConditionalPopulation,
+                            "_crossing_roots", record)
         report = ident.verify_recovery(
             zigzag_ratio_low(), ident.IdentificationConfig(0.5, 2.0))
         assert max(widths) == 5

@@ -116,6 +116,23 @@ class TestScaleCovariance:
             assert b.boundary_mean_vm == pytest.approx(
                 c * a.boundary_mean_vm, rel=1e-6)
 
+    @pytest.mark.parametrize("vk, vm", [((2.5, 3.0), (2.5, 2.0)),
+                                        ((3.3, 2.2), (0.8, 1.7))])
+    def test_band_means_keep_their_bits_in_any_money_unit(self, vk, vm):
+        # non-integer shapes take the adaptive rule, whose vm row is held
+        # to a tolerance in vm's own unit; at 2**40 an absolute 1e-13
+        # failed, and the ratio moved by up to 9.6e-9 at 2**-40
+        def ratio(c):
+            report = dl.classify(pops.IndependentPopulation(
+                MarginalSpec.scaled_beta(*vk, 0.0, 1.0),
+                MarginalSpec.scaled_beta(*vm, 0.5 * c, 1.5 * c)))
+            return report.boundary_mean_vm / report.mean_vm
+
+        base = ratio(1.0)
+        assert ratio(2.0 ** -40) == base
+        assert ratio(2.0 ** 40) == base
+        assert ratio(1e30) == pytest.approx(base, rel=1e-10)
+
 
 class TestDeltaBounds:
     def test_low_is_weak_high_is_strict(self):

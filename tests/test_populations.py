@@ -15,8 +15,9 @@ from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity,
 from demandlab.marginals import MarginalSpec, PwLinearTable
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, benchmark_populations, beta_independent,
-                     column_kernel, kinked_h_custom, population_zoo,
-                     same_bits, seed_ratio, surface_zoo)
+                     bisection_roots, closed_form_roots, column_kernel,
+                     conditional_forms, kinked_h_custom, population_zoo,
+                     same_bits, seed_ratio, sine_table_low, surface_zoo)
 
 
 class TestSupport:
@@ -685,10 +686,11 @@ class TestRatioConditionalPopulation:
             assert np.isnan(got[100])
             assert np.array_equal(np.delete(got, 100), np.delete(want, 100))
 
-    def test_law_is_evaluated_once_per_psi_call_and_once_on_nodes(
-            self, monkeypatch):
+    def test_law_is_evaluated_on_knots_and_nodes(self, monkeypatch):
+        # the crossing roots read g and h once, on the cell ends, and the
+        # quadrature once per pass, on its nodes; no row evaluates the law
         low = pops.make_low_population(seed_ratio(), delta=0.5)
-        calls = {"psi": 0, "passes": 0, "pdf": 0, "h": 0}
+        calls = {"passes": 0, "pdf": 0, "h": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -696,11 +698,6 @@ class TestRatioConditionalPopulation:
                 return fn(*args, **kwargs)
             return wrapper
 
-        solve = pops.quadrature.solve_crossings
-        monkeypatch.setattr(
-            pops.quadrature, "solve_crossings",
-            lambda psi, *args: solve(counted("psi", psi), *args))
-        # the quadrature evaluates the law once per pass, on its nodes
         quad = pops.quadrature.segmented_gl
         monkeypatch.setattr(
             pops.quadrature, "segmented_gl",
@@ -710,14 +707,19 @@ class TestRatioConditionalPopulation:
                             counted("pdf", pops.RatioMarginalSpec.pdf))
         monkeypatch.setattr(pops.ConditionalSpec, "h",
                             counted("h", pops.ConditionalSpec.h))
-        low._quality_profile(1.3, np.linspace(-3.0, 3.0, 257))
-        assert calls["psi"] > 0 and calls["passes"] > 0
-        assert calls["pdf"] == calls["psi"] + calls["passes"]
-        assert calls["h"] == calls["psi"] + calls["passes"]
+        xq = np.linspace(-3.0, 3.0, 257)
+        low._quality_profile(1.3, xq)
+        assert calls["passes"] > 0
+        assert calls["pdf"] == calls["h"] == calls["passes"] + 1
+        calls.update(passes=0, pdf=0, h=0)
+        low._quality_profile(1.3, xq)  # the cell ends are kept
+        assert calls["pdf"] == calls["h"] == calls["passes"]
 
     @pytest.mark.parametrize("name", ["conditional_low", "conditional_high",
                                       "custom_h", "sine_table",
-                                      "wide_conditional"])
+                                      "wide_conditional", "tent_high",
+                                      "fixed_high", "fixed_high_table",
+                                      "flat_h_custom"])
     def test_moment_table_is_one_integral_per_pair(self, name):
         # the table comes from one quadrature call, one row per pair; each
         # entry keeps the bits of integrating its pair alone, split at
@@ -766,6 +768,72 @@ class TestRatioConditionalPopulation:
         with pytest.raises(ValueError):
             pops.RatioConditionalPopulation(
                 seed_ratio(), pops.ConditionalSpec("custom", h_table=short))
+
+
+class TestCrossingRoots:
+    """Band-edge crossings in closed form, against the bisection."""
+
+    @staticmethod
+    def surface_rows(pop, window):
+        prices = ident.chebyshev_prices(*window, 9)
+        xq = ident.default_quality_grid(pop, prices, 4096)
+        return np.repeat(prices, xq.size), np.tile(xq, prices.size)
+
+    @pytest.mark.parametrize("name, seed", [
+        *[(name, None) for name in conditional_forms()],
+        *[(twin, seed) for seed in (5, 97, 211) for twin in ("low", "high")]])
+    def test_roots_equal_bisection_on_surface_rows(self, name, seed):
+        # every row of a 9-price identification surface: the same root
+        # count on both edges, and the same roots to 1e-13 relative
+        if seed is None:
+            pop = conditional_forms()[name]
+            window = (pop.ratio.r_lo, pop.ratio.r_hi)
+        else:
+            pop, window = benchmark_populations(seed)[name], (0.5, 1.5)
+        p, xq = self.surface_rows(pop, window)
+        for new, old in zip(closed_form_roots(pop, p, xq),
+                            bisection_roots(pop, p, xq)):
+            assert new.shape == old.shape and np.any(~np.isnan(new))
+            assert np.array_equal(np.isnan(new), np.isnan(old))
+            assert np.nanmax(np.abs(new - old)
+                             / np.fmax(1.0, np.abs(old))) <= 1e-13
+
+    def test_dense_table_solves_only_cells_its_rows_cross(self, monkeypatch):
+        # 1,024 cells: each row reaches the root solver in about two
+        # (row, cell) pairs per edge, not in every cell
+        pop = sine_table_low(1025)
+        prices = ident.chebyshev_prices(0.5, 2.0, 9)
+        xq = ident.default_quality_grid(pop, prices, 4096)
+        p, xq = np.repeat(prices, xq.size), np.tile(xq, prices.size)
+        inside = np.zeros(p.size, dtype=bool)
+        for price in prices:
+            nobody, everybody = pop._saturation_bounds(price)
+            inside |= (p == price) & (xq >= nobody) & (xq <= everybody)
+        p, xq = p[inside], xq[inside]
+        pairs = []
+        solve = pops.quadrature.poly_roots
+
+        def counted(coef, width):
+            pairs.append(coef.shape[0])
+            return solve(coef, width)
+
+        monkeypatch.setattr(pops.quadrature, "poly_roots", counted)
+        roots = closed_form_roots(pop, p, xq)
+        assert 0 < sum(pairs) <= 2 * 4 * p.size
+        assert sum(np.sum(~np.isnan(r)) for r in roots) > p.size
+
+    def test_roots_of_a_row_ignore_the_other_rows(self):
+        pop = conditional_forms()["fixed_high_table"]
+        p, xq = self.surface_rows(pop, (1.0, 2.0))
+        pick = np.arange(0, p.size, 97)
+        xq[pick[::5]] = np.nan
+        every = closed_form_roots(pop, p, xq)
+        alone = closed_form_roots(pop, p[pick], xq[pick])
+        for edge, part in zip(every, alone):
+            width = part.shape[1]
+            assert same_bits(edge[pick, :width], part)
+            assert np.all(np.isnan(edge[pick, width:]))
+            assert np.all(np.isnan(part[::5]))
 
 
 class TestMixturePopulation:

@@ -1,13 +1,15 @@
 """Randomized invariants: monotonicity, unit freedom, complementarity."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import demandlab as dl
 from demandlab import populations as pops
 from demandlab.marginals import MarginalSpec
-from helpers import column_kernel, same_bits, seed_ratio
+from demandlab import quadrature
+from helpers import (bisection_roots, closed_form_roots, column_kernel,
+                     conditional_forms, same_bits, seed_ratio)
 
 bounded = {"allow_nan": False, "allow_infinity": False}
 
@@ -94,3 +96,54 @@ def test_conditional_moments_hold_for_every_sigma(log_sigma):
     even = np.array(pop._even_moments[::2])
     assert np.all((even >= 0.0) & (even <= 1.0))
     assert np.all(np.diff(even) <= 0.0)
+
+
+CONDITIONAL_FORMS = conditional_forms()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(CONDITIONAL_FORMS)),
+       st.lists(st.tuples(st.floats(0.0, 1.0, **bounded),
+                          st.floats(-0.1, 1.1, **bounded),
+                          st.integers(0, 9)), min_size=1, max_size=40))
+@example("custom_h", [(0.9869817002381105, 0.0, 1)])  # a touch at r_hi
+def test_crossing_roots_match_the_bisection(name, rows):
+    # prices from r_lo / 2 to 2 r_hi, offsets across the saturation
+    # bounds and a few NaN offsets: where both finders count the same
+    # roots they agree to 1e-13 relative.  The bisection only sees a root
+    # where its coarse scan changes sign, so it misses the two roots of
+    # one scan cell and a touch (a row on its saturation bound touches
+    # zero at an end); in a cell where the counts differ, the closed form
+    # finds more, and each of its roots there is a zero of the crossing
+    # function to rounding
+    pop = CONDITIONAL_FORMS[name]
+    r_lo, r_hi = pop.ratio.r_lo, pop.ratio.r_hi
+    p = np.array([0.5 * r_lo + a * (2.0 * r_hi - 0.5 * r_lo)
+                  for a, _, _ in rows])
+    xq = []
+    for price, (_, u, k) in zip(p.tolist(), rows):
+        nobody, everybody = pop._saturation_bounds(price)
+        xq.append(np.nan if k == 0 else nobody + u * (everybody - nobody))
+    xq = np.array(xq)
+    grid = np.linspace(r_lo, r_hi, quadrature.COARSE)
+
+    def cell(roots):  # the coarse scan cell of each root
+        return np.clip(np.searchsorted(grid, roots, "right") - 1, 0,
+                       grid.size - 2)
+
+    for sign, new, old in zip((1.0, -1.0), closed_form_roots(pop, p, xq),
+                              bisection_roots(pop, p, xq)):
+        assert np.all(np.isnan(new[np.isnan(xq)]))
+        for price, x, a, b in zip(p, xq, new, old):
+            a, b = a[~np.isnan(a)], b[~np.isnan(b)]
+            if a.size == b.size:
+                assert np.all(np.abs(a - b) <= 1e-13 * np.fmax(1.0,
+                                                                np.abs(b)))
+                continue
+            count_a = np.bincount(cell(a), minlength=grid.size)
+            count_b = np.bincount(cell(b), minlength=grid.size)
+            assert np.all(count_a >= count_b)
+            r = a[(count_a != count_b)[cell(a)]]
+            m, eps = pop._law(r)[1:]
+            edge = (m + sign * eps) * (r - price)
+            assert np.all(np.abs(edge + x) <= 1e-12 * (np.abs(edge) + abs(x)))

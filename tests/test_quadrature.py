@@ -499,3 +499,64 @@ def test_solve_crossings_of_groups_equal_separate_calls():
         assert np.array_equal(block[:, :width], alone)
         assert np.all(block[:, width:] == 4.0)
     assert np.all(found[7:9] == 4.0)
+
+def _coef(roots, lead=1.0):
+    """Coefficients, lowest power first, of lead * prod (t - root)."""
+    return (lead * np.polynomial.polynomial.polyfromroots(roots))
+
+
+def test_poly_roots_of_quadratics_in_closed_form():
+    coef = np.array([_coef([0.25, 0.75]), _coef([0.5, 0.5]), [1.0, 0.0, 1.0],
+                     [-0.5, 2.0, 0.0], [1.0, 0.0, 0.0], _coef([-1.0, 0.3]),
+                     [np.nan, 1.0, 1.0]])
+    found = q.poly_roots(coef, np.ones(coef.shape[0]))
+    assert found.shape == (7, 2)
+    assert np.allclose(found[0], [0.25, 0.75], rtol=0.0, atol=1e-15)
+    assert np.array_equal(found[1], [0.5, 0.5])  # a double root counts twice
+    assert np.all(np.isnan(found[2]))  # no real root
+    assert found[3, 0] == 0.25 and np.isnan(found[3, 1])  # linear
+    assert np.all(np.isnan(found[4]))  # a nonzero constant
+    assert found[5, 0] == pytest.approx(0.3, abs=1e-15)  # -1 lies outside
+    assert np.isnan(found[5, 1]) and np.all(np.isnan(found[6]))
+
+
+def test_poly_roots_of_the_stable_formula_keep_small_roots():
+    # t^2 - 1e8 t + 1 has roots near 1e-8 and 1e8; the textbook formula
+    # loses the small one to cancellation
+    found = q.poly_roots(np.array([[1.0, -1e8, 1.0]]), np.array([1e9]))
+    assert found[0, 0] == pytest.approx(1e-8, rel=1e-15)
+    assert found[0, 1] == pytest.approx(1e8, rel=1e-15)
+
+
+@pytest.mark.parametrize("roots, atol", [
+    ([0.1, 0.4, 0.9], 1e-15), ([0.2, 0.5, 0.6, 0.8, 0.95], 1e-13),
+    # roots 1e-7 apart move by about 1e-16 / 1e-7 with the rounding of
+    # the coefficients themselves
+    ([0.05, 0.3, 0.3000001], 1e-10)])
+def test_poly_roots_of_higher_degrees_bracket_between_turns(roots, atol):
+    # the derivative's roots cut [0, 1] into monotone pieces, each
+    # bisected; a root outside [0, 1] is not reported
+    coef = np.array([_coef(roots, -2.0), _coef([*roots[:-1], 1.5], 3.0)])
+    found = q.poly_roots(coef, np.ones(2))
+    assert found.shape == (2, len(roots))
+    assert np.allclose(found[0], roots, rtol=0.0, atol=atol)
+    assert np.allclose(found[1, :-1], roots[:-1], rtol=0.0, atol=atol)
+    assert np.isnan(found[1, -1])
+
+
+def test_poly_roots_of_a_row_ignore_the_other_rows():
+    rng = np.random.default_rng(4)
+    coef = rng.normal(size=(50, 6))
+    width = rng.uniform(0.5, 3.0, 50)
+    found = q.poly_roots(coef, width)
+    for row in (0, 17, 49):
+        assert same_bits(q.poly_roots(coef[row:row + 1], width[row:row + 1]),
+                         found[row:row + 1])
+    for row, roots in enumerate(found):
+        roots = roots[~np.isnan(roots)]
+        assert np.all((roots >= 0.0) & (roots <= width[row]))
+        assert np.all(np.diff(roots) >= 0.0)
+        want = np.polynomial.polynomial.polyroots(coef[row])
+        want = np.sort(want[np.abs(want.imag) < 1e-9].real)
+        want = want[(want >= 0.0) & (want <= width[row])]
+        assert np.allclose(roots, want, rtol=0.0, atol=1e-9)
