@@ -248,7 +248,7 @@ def recover_from_slice_moments(prices, moment_rows,
     rows = np.asarray(moment_rows, dtype=float)
     if rows.shape != (prices.size, max_order):
         raise ValueError("moment rows must be (n_prices, max_order)")
-    distinct = np.unique(prices).size
+    distinct = pops.sorted_distinct(prices).size
     if distinct < max_order + 1:
         raise InsufficientPrices(
             f"only {distinct} distinct prices for order {max_order}; "

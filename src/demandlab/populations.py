@@ -282,7 +282,10 @@ class Population:
     # _quality_profile(p, xq) takes prices p broadcastable against the
     # quality offsets xq, so one call can hold the rows of many prices,
     # and returns each row's buying mass and the estimate of its absolute
-    # quadrature error (0 for closed forms).
+    # quadrature error (0 for closed forms).  A row integrates only its
+    # live range, where its inner cdf lies strictly inside (0, 1); the
+    # mass where everybody buys outside it is a difference of the outer
+    # law's cdf, and adds nothing to the estimate.
 
     @property
     def support(self) -> Support:
@@ -313,10 +316,11 @@ class Population:
         worst quadrature estimate, from one ``_quality_profile`` call.
 
         In column p nobody buys below and everybody buys above the
-        offsets of ``_saturation_bounds(p)``.  In both classes every
-        break clips to an end and every cdf to 0 or 1, and the kernel's
-        rows are independent, so each row of a class gets the same value
-        and estimate.  The kernel runs, for all columns at once, on the
+        offsets of ``_saturation_bounds(p)``.  In both classes a row's
+        live range is empty, so the kernel returns exactly 0 or 1 from
+        the outer law's cdf with estimate 0, and the kernel's rows are
+        independent, so each row of a class gets the same value and
+        estimate.  The kernel runs, for all columns at once, on the
         (price, offset) rows between the classes and on the innermost and
         outermost row of each class; a class whose two rows agree bit for
         bit takes their value.  A column where they differ is computed on
@@ -435,6 +439,18 @@ def unit_exponent(lo: float, hi: float) -> int:
     return round(float(np.log2(lo) + np.log2(hi)) / 2.0)
 
 
+def sorted_distinct(*arrays) -> np.ndarray:
+    """The distinct values of the arrays, ascending, with one NaN for
+    any number of them: what ``np.union1d``, or ``np.unique`` of one
+    array, returns, bit for bit.  Those two check for masked arrays, so
+    their first call in a process imports ``numpy.ma`` (about 11 ms),
+    which no command needs unless scipy loads it."""
+    x = np.sort(np.concatenate([np.ravel(a) for a in arrays]))
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = (x[1:] != x[:-1]) & ~np.isnan(x[:-1])
+    return x[keep]
+
+
 def _polymul(x, y):
     """Products of the polynomials on each line of ``x`` and ``y``, with
     coefficients lowest power first."""
@@ -527,32 +543,35 @@ class ProductPopulation(Population):
         return mass, mass * self.vm.mean
 
     def _quality_profile(self, p, xq):
+        # P(vm (r - p) + xq >= 0).  vm's cdf at t = -xq / (r - p) lies
+        # inside (0, 1) only for r between p - xq / vm.hi and
+        # p - xq / vm.lo (an end at vm.lo = 0 is infinite), on the side
+        # of p opposite to xq's sign; everybody buys above that live
+        # range and nobody below it, and at xq = 0 it is empty
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                     np.asarray(xq, dtype=float))
-        n = xq.size
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = [p - xq / self.vm.hi, p - xq / self.vm.lo]
+        lo = np.clip(np.fmin(*ends), r_lo, r_hi)
+        hi = np.clip(np.fmax(*ends), r_lo, r_hi)
         knots = self.ratio.law.knots[1:-1]
-        cols = [np.clip(p, r_lo, r_hi)[:, None],
-                np.broadcast_to(knots, (n, knots.size))]
-        for edge in (self.vm.lo, self.vm.hi):
-            if edge > 0.0:
-                cols.append((p - xq / edge)[:, None])
-        breaks = np.concatenate(cols, axis=1)
 
         def integrand(nodes, rows):
             x = xq[rows][:, None]
-            c = nodes - p[rows][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(c != 0.0, -x / np.where(c != 0.0, c, 1.0), 0.0)
+            with np.errstate(divide="ignore"):  # a node rounded onto p
+                t = -x / (nodes - p[rows][:, None])
             f_at_t = np.asarray(self.vm.cdf(t))
-            s = np.where(c > 0.0, 1.0 - f_at_t,
-                         np.where(c < 0.0, f_at_t, (x >= 0.0).astype(float)))
-            return self.ratio.pdf(nodes) * s
+            return self.ratio.pdf(nodes) * np.where(x > 0.0, f_at_t,
+                                                    1.0 - f_at_t)
 
-        # vm's cdf contributes |u - break|^alpha at the breaks
-        return quadrature.segmented_gl(
-            r_lo, r_hi, breaks, integrand, tol=SURFACE_TOL,
-            grade=_grade(self.vm.end_shape + 1.0))
+        # vm's cdf contributes |u - end|^alpha at the live range's ends
+        live, errors = quadrature.segmented_gl(
+            lo, hi, np.broadcast_to(knots, (xq.size, knots.size)), integrand,
+            tol=SURFACE_TOL, grade=_grade(self.vm.end_shape + 1.0))
+        above = np.where(hi == r_hi, 0.0,
+                         1.0 - np.asarray(self.ratio.cdf(hi)))
+        return above + live, errors
 
 @dataclass(frozen=True, eq=False)
 class IndependentPopulation(Population):
@@ -696,20 +715,25 @@ class IndependentPopulation(Population):
             out[priced] = np.asarray(self.vm.cdf((self.vk.value + xq) / p),
                                      dtype=float)
         else:
+            # vk's cdf at p u - xq lies inside (0, 1) only for u in
+            # ((vk.lo + xq) / p, (vk.hi + xq) / p): everybody buys below
+            # that live range and nobody above it
+            lo = np.clip((self.vk.lo + xq) / p, self.vm.lo, self.vm.hi)
+            hi = np.clip((self.vk.hi + xq) / p, self.vm.lo, self.vm.hi)
+
             def integrand(nodes, rows):
                 sk = 1.0 - np.asarray(self.vk.cdf(p[rows][:, None] * nodes
                                                   - xq[rows][:, None]))
                 return self.vm.pdf(nodes) * sk
 
             with _renumbered(np.flatnonzero(priced)):
-                out[priced], errors[priced] = quadrature.segmented_gl(
-                    self.vm.lo, self.vm.hi,
-                    np.column_stack(((self.vk.lo + xq) / p,
-                                     (self.vk.hi + xq) / p)),
-                    integrand, tol=SURFACE_TOL,
+                live, errors[priced] = quadrature.segmented_gl(
+                    lo, hi, np.empty((xq.size, 0)), integrand,
+                    tol=SURFACE_TOL,
                     grade=_grade(self.vm.end_shape,
                                  self.vk.end_shape + 1.0),
                     degree=self._degree(1))
+            out[priced] = np.asarray(self.vm.cdf(lo), dtype=float) + live
         return out, errors
 
     def _demand_profile(self, prices):
@@ -774,14 +798,14 @@ class RatioConditionalPopulation(Population):
         """Interior knots of g and of a custom h: the kinks of the law."""
         knots = self.ratio.law.knots
         if self.cond.family == "custom":
-            knots = np.union1d(knots, self.cond.h_table.x)
+            knots = sorted_distinct(knots, self.cond.h_table.x)
         return knots[(knots > self.ratio.r_lo) & (knots < self.ratio.r_hi)]
 
     @cached_property
     def _scan_grid(self) -> np.ndarray:
         """A dense grid of the ratio range holding every knot."""
         grid = np.linspace(self.ratio.r_lo, self.ratio.r_hi, 1025)
-        return np.union1d(grid, self._knots)
+        return sorted_distinct(grid, self._knots)
 
     @cached_property
     def _scan(self):
@@ -804,7 +828,7 @@ class RatioConditionalPopulation(Population):
         r = self._scan_grid
         if self.cond.family == "high":
             turn = self._turns(r, self._scan[0])
-            r = np.union1d(r, turn[~np.isnan(turn)])
+            r = sorted_distinct(r, turn[~np.isnan(turn)])
         _, m, eps = self._law(r)
         lo, hi = m - eps, m + eps
         return r, np.minimum(lo[:-1], lo[1:]), np.maximum(hi[:-1], hi[1:])
@@ -897,7 +921,7 @@ class RatioConditionalPopulation(Population):
         def integrand(nodes, rows):
             g, m, eps = self._law(nodes)
             out = np.empty_like(nodes)
-            for row in np.unique(rows).tolist():
+            for row in sorted_distinct(rows).tolist():
                 j, n = pairs[row][0], sum(pairs[row])
                 line = rows == row
                 r, m_r, eps_r = nodes[line], m[line], eps[line]
@@ -1019,7 +1043,7 @@ class RatioConditionalPopulation(Population):
                                     H1))
             degree = np.full(rows.size, 2)
         hit_rows, hit_roots = [rows[:0]], [q[:0]]
-        for d in np.unique(degree).tolist():
+        for d in sorted_distinct(degree).tolist():
             pick = np.flatnonzero(degree == d)
             t = quadrature.poly_roots(coef[pick, :d + 1], width[pick])
             # a root on a cell's left end is the previous cell's right end
@@ -1037,6 +1061,54 @@ class RatioConditionalPopulation(Population):
         roots[rows, slot] = found[order]
         return roots
 
+    def _live_hull(self, p, xq, roots):
+        """Each row's live hull [lo, hi] and the buying mass outside it.
+
+        A row is live where one edge's crossing function
+        (m + sign eps)(r - p) + xq is negative and the other's is not;
+        everybody buys where both are nonnegative and nobody where both
+        are negative.  So its state changes only at its crossing roots
+        (at xq = 0 both edges have one at p), and before its first root
+        and after its last it keeps its state at r_lo and r_hi.  Those
+        come from the law at the two ends, shared by every row; an end
+        where either function lies within ``SATURATION_MARGIN`` of zero
+        counts as live, so a root that rounding moved past the end
+        cannot hide a live run.  The hull runs from the first root, or
+        r_lo where that end is live, to the last root, or r_hi.  A
+        rootless row with one saturated state at both ends has an empty
+        hull; one whose ends disagree spans the whole support.  The mass
+        outside is ratio.cdf(lo) where everybody buys at r_lo plus
+        1 - ratio.cdf(hi) where everybody buys at r_hi.
+        """
+        r, g, h = self._cells[:3]
+        r_lo, r_hi = r[0], r[-1]
+        m = h[[0, -1]] / g[[0, -1]]
+        fixed = self.cond.epsilon_kind == "fixed"
+        every, sat = [], []
+        for end, m_end in zip((r_lo, r_hi), m.tolist()):
+            pos = neg = True
+            for sign in (1.0, -1.0):
+                edge = (m_end + sign * self.cond.epsilon_value if fixed
+                        else (1.0 + 0.5 * sign) * m_end)
+                w = edge * (end - p)
+                pad = SATURATION_MARGIN * np.abs(w)
+                pos = pos & (w + xq > pad)
+                neg = neg & (w + xq < -pad)
+            every.append(pos)
+            sat.append(pos | neg)
+        first = np.minimum(*(R.min(axis=1, initial=r_hi) for R in roots))
+        last = np.maximum(*(np.where(R < r_hi, R, r_lo).max(axis=1,
+                                                           initial=r_lo)
+                            for R in roots))
+        has = first < r_hi
+        empty = ~has & sat[0] & sat[1] & (every[0] == every[1])
+        lo = np.where(has & sat[0], first, r_lo)
+        hi = np.where(has & sat[1], last, np.where(empty, r_lo, r_hi))
+        cdf = np.asarray(self.ratio.cdf(np.concatenate((lo, hi))))
+        below = np.where(every[0], cdf[:lo.size], 0.0)
+        above = np.where(every[1] & (hi < r_hi), 1.0 - cdf[lo.size:], 0.0)
+        return lo, hi, below + above
+
     def _quality_profile(self, p, xq):
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                     np.asarray(xq, dtype=float))
@@ -1050,6 +1122,7 @@ class RatioConditionalPopulation(Population):
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
         roots = [self._crossing_roots(sign, p, xq, starts)
                  for sign in (1.0, -1.0)]
+        lo, hi, outer = self._live_hull(p, xq, roots)
         fixed = np.clip(p, r_lo, r_hi)[:, None]
         breaks = np.concatenate(
             (*roots, fixed,
@@ -1090,11 +1163,11 @@ class RatioConditionalPopulation(Population):
             return s
 
         with _renumbered(order):
-            values, errors = quadrature.segmented_gl(r_lo, r_hi, breaks,
+            values, errors = quadrature.segmented_gl(lo, hi, breaks,
                                                      integrand,
                                                      tol=SURFACE_TOL)
         out = np.empty((2, n))
-        out[:, order] = values, errors
+        out[:, order] = outer + values, errors
         return out[0], out[1]
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,10 @@ band edges cross a row's price line at such roots on each cell of its
 law.  ``solve_crossings``, a coarse scan and bisection of any row-indexed
 function, is the tests' reference for those roots and has no caller in
 the package.  For the integrals, whatever their row count,
-``segmented_gl`` is the one driver.  It flattens every row's
-positive-width segments into one list of (row, interval) pairs and hands
+``segmented_gl`` is the one driver.  Its bounds are shared or one pair
+per row, so a kernel row integrates only the range where its integrand
+has no closed form.  It flattens every row's positive-width segments
+into one list of (row, interval) pairs and hands
 them to the integrand in blocks of at most ``INTERVAL_BLOCK`` * 21
 nodes: a surface puts the rows of all its prices into one call, and
 small blocks keep the integrand's node-sized temporaries at a few
@@ -353,12 +355,16 @@ def _graded(t, a, b, m: int):
     return u, (b - a) * scale * (t * (1.0 - t)) ** (m - 1), blind
 
 
-def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
-                 tol: float, grade: int = 1, degree: int | None = None):
+def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
+                 grade: int = 1, degree: int | None = None):
     """Integrate one integrand per row over [lo, hi], split at its breaks.
 
-    ``breaks`` is (n_rows, k); entries outside (lo, hi) are clipped to the
-    nearest endpoint, and zero-width segments are dropped.
+    ``lo`` and ``hi`` are scalars or arrays with one value per row.
+    ``breaks`` is (n_rows, k); entries outside a row's (lo, hi) are
+    clipped to its nearest endpoint, and zero-width segments are dropped,
+    so a row with lo == hi has no segment, makes no integrand call and
+    returns 0 with estimate 0.  A NaN bound, like a NaN break, gives its
+    row a NaN value and estimate.
     ``integrand(nodes, rows)`` gets an (m, 21) node matrix, one interval
     per line, and the row index of each line, and returns the (m, 21)
     integrand values; it may overwrite ``nodes``.  Each pass applies
@@ -395,10 +401,10 @@ def segmented_gl(lo: float, hi: float, breaks: np.ndarray, integrand, *,
     # a block holds at most INTERVAL_BLOCK * 21 nodes whatever the rule
     span = INTERVAL_BLOCK * _XK21.size // x.size
     n_rows = breaks.shape[0]
+    lo, hi = (np.broadcast_to(np.asarray(end, dtype=float)[..., None],
+                              (n_rows, 1)) for end in (lo, hi))
     edges = np.concatenate(
-        (np.full((n_rows, 1), float(lo)),
-         np.sort(np.clip(breaks, lo, hi), axis=1),
-         np.full((n_rows, 1), float(hi))), axis=1)
+        (lo, np.sort(np.clip(breaks, lo, hi), axis=1), hi), axis=1)
     # pairs are kept sorted by row and, within a row, by position, so a
     # row sums its intervals in the same order whatever the other rows do
     rows, seg = np.nonzero(np.diff(edges, axis=1) != 0.0)  # NaN is kept

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: one population per family."""
 
 import random
+from unittest import mock
 
 import numpy as np
 
@@ -257,3 +258,69 @@ def conditional_forms() -> dict:
     """The ratio_conditional populations of ``surface_zoo()``."""
     return {name: pop for name, pop in surface_zoo().items()
             if isinstance(pop, pops.RatioConditionalPopulation)}
+
+
+def full_range_profile(pop, p, xq):
+    """A population's quality kernel with every row integrated over its
+    whole range, ratio support or vm support, split where the row's
+    inner cdf starts or stops moving: the reference for the kernels'
+    live ranges, whose saturated parts take closed-form mass.  Closed
+    forms (point masses, a free price, a point-mass marginal) are the
+    kernel's own."""
+    p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                np.asarray(xq, dtype=float))
+    quad = pops.quadrature.segmented_gl
+    if isinstance(pop, pops.MixturePopulation):
+        values, errors = 0.0, 0.0
+        for w, part in pop.components:
+            v, e = full_range_profile(part, p, xq)
+            values, errors = values + w * v, errors + w * e
+        return values, errors
+    if isinstance(pop, pops.RatioConditionalPopulation):
+        # the kernel itself, with a hull that spans the ratio support
+        def whole(self, p, xq, roots):
+            n = xq.size
+            return (np.full(n, self.ratio.r_lo), np.full(n, self.ratio.r_hi),
+                    np.zeros(n))
+        with mock.patch.object(pops.RatioConditionalPopulation, "_live_hull",
+                               whole):
+            return pop._quality_profile(p, xq)
+    if isinstance(pop, pops.ProductPopulation):
+        r_lo, r_hi = pop.ratio.r_lo, pop.ratio.r_hi
+        knots = pop.ratio.law.knots[1:-1]
+        cols = [np.clip(p, r_lo, r_hi)[:, None],
+                np.broadcast_to(knots, (xq.size, knots.size))]
+        cols += [(p - xq / edge)[:, None] for edge in (pop.vm.lo, pop.vm.hi)
+                 if edge > 0.0]
+
+        def integrand(nodes, rows):
+            x = xq[rows][:, None]
+            c = nodes - p[rows][:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(c != 0.0, -x / np.where(c != 0.0, c, 1.0), 0.0)
+            f_at_t = np.asarray(pop.vm.cdf(t))
+            s = np.where(c > 0.0, 1.0 - f_at_t,
+                         np.where(c < 0.0, f_at_t, (x >= 0.0).astype(float)))
+            return pop.ratio.pdf(nodes) * s
+
+        return quad(r_lo, r_hi, np.concatenate(cols, axis=1), integrand,
+                    tol=pops.SURFACE_TOL,
+                    grade=pops._grade(pop.vm.end_shape + 1.0))
+    values, errors = pop._quality_profile(p, xq)
+    if (isinstance(pop, pops.IndependentPopulation)
+            and not (pop.vk.is_degenerate or pop.vm.is_degenerate)):
+        priced = p != 0.0
+        ps, xs = p[priced], xq[priced]
+
+        def integrand(nodes, rows):
+            sk = 1.0 - np.asarray(pop.vk.cdf(ps[rows][:, None] * nodes
+                                             - xs[rows][:, None]))
+            return pop.vm.pdf(nodes) * sk
+
+        values[priced], errors[priced] = quad(
+            pop.vm.lo, pop.vm.hi,
+            np.column_stack(((pop.vk.lo + xs) / ps, (pop.vk.hi + xs) / ps)),
+            integrand, tol=pops.SURFACE_TOL,
+            grade=pops._grade(pop.vm.end_shape, pop.vk.end_shape + 1.0),
+            degree=pop._degree(1))
+    return values, errors

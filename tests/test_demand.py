@@ -8,7 +8,8 @@ from demandlab.demand import csv_column, csv_text
 from demandlab.errors import MonotonicityViolation
 from demandlab.marginals import MarginalSpec
 from helpers import (benchmark_populations, column_kernel, continuous_zoo,
-                     population_zoo, same_bits, seed_ratio, surface_zoo)
+                     full_range_profile, population_zoo, same_bits,
+                     seed_ratio, sine_table_low, surface_zoo)
 
 
 class TestPurchaseDecision:
@@ -335,6 +336,88 @@ class TestQualityDemandSurface:
             assert same_bits(surf.values,
                              np.clip(np.column_stack(values), 0.0, 1.0)), name
             assert same_bits(surf.quadrature_errors, errors), name
+
+    def test_live_ranges_match_the_full_range_reference(self):
+        # each kernel row integrates only where its inner cdf moves and
+        # takes the outer law's cdf for the rest: every form of the zoos
+        # and the benchmark twins, on the grid of the test above (zero
+        # quality, a free price, prices at and beyond the ratio support),
+        # agree with integrating every row over its whole range to 1e-15.
+        # Where vm or vk has a non-integer shape (the graded forms), rows
+        # are adaptive, and a row without its saturated intervals is
+        # bisected on a different budget: there they agree within both
+        # estimates.
+        # Rows beyond the saturation bounds are exactly 0 or 1, so each
+        # saturated class takes its end rows' value, also over a ratio
+        # table whose cdf reads 1 + 2^-52 at its upper end
+        zoo = {**surface_zoo(), **{f"continuous_{name}": pop for name, pop
+                                   in continuous_zoo().items()}}
+        zoo["product_sine_table"] = pops.ProductPopulation(
+            sine_table_low(12).ratio, MarginalSpec.uniform(0.5, 1.5))
+        for seed in (5, 97, 211):
+            twins = benchmark_populations(seed)
+            zoo[f"low{seed}"], zoo[f"high{seed}"] = twins["low"], twins["high"]
+        for name, pop in zoo.items():
+            sup = pop.support
+            prices = np.unique(np.array([0.0, 0.5 * sup.r_lo, sup.r_lo,
+                                         0.5 * (sup.r_lo + sup.r_hi),
+                                         sup.r_hi, 1.5 * sup.r_hi + 0.1]))
+            half = 1.2 * max(pop.vk_upper, prices[-1] * sup.vm_hi)
+            xq = np.linspace(-half, half, 193)
+            got, est = pop._quality_surface(prices, xq)
+            want, want_est = full_range_profile(
+                pop, np.tile(prices, xq.size), np.repeat(xq, prices.size))
+            bound = 1e-15
+            if name in ("product_table", "graded_beta0.5", "graded_beta1.2",
+                        "graded_beta2.5"):
+                bound = (bound + est
+                         + np.max(want_est.reshape(xq.size, -1), axis=0))
+            assert np.all(np.abs(got - want.reshape(xq.size, -1)) <= bound), \
+                name
+            if isinstance(pop, pops.MixturePopulation):
+                continue
+            for j, p in enumerate(prices.tolist()):
+                nobody, everybody = pop._saturation_bounds(p)
+                margin = pops.SATURATION_MARGIN
+                assert np.all(got[xq < nobody - margin * abs(nobody), j]
+                              == 0.0), name
+                assert np.all(got[xq > everybody + margin * abs(everybody),
+                                  j] == 1.0), name
+
+    def test_live_ranges_of_edge_rows(self):
+        # zero quality, NaN offsets, prices at zero, at and beyond the
+        # ratio support, rows on their saturation bounds, a money value
+        # whose support starts at 0, a point-mass money value and graded
+        # shapes: each row as its full-range reference gives it, and a
+        # NaN offset spoils its own row only
+        zoo = surface_zoo()
+        forms = {name: zoo[name] for name in (
+            "product", "product_table", "independent", "graded_beta0.5",
+            "conditional_low", "conditional_high", "fixed_high_table",
+            "continuous_mixture")}
+        forms["product_point_vm"] = pops.ProductPopulation(
+            seed_ratio(3.0), MarginalSpec.point_mass(1.2))
+        for name, pop in forms.items():
+            sup = pop.support
+            p, xq = [], []
+            for price in (0.0, sup.r_lo, 0.5 * (sup.r_lo + sup.r_hi),
+                          sup.r_hi, 2.0 * sup.r_hi):
+                nobody, everybody = pop._saturation_bounds(price)
+                offsets = [0.0, -0.0, np.nan, nobody, everybody,
+                           np.nextafter(everybody, -np.inf),
+                           np.nextafter(nobody, np.inf),
+                           0.5 * (nobody + everybody), 1e-300, -1e-300]
+                p += [price] * len(offsets)
+                xq += offsets
+            p, xq = np.array(p), np.array(xq)
+            got, est = pop._quality_profile(p, xq)
+            want, want_est = full_range_profile(pop, p, xq)
+            assert np.array_equal(np.isnan(got), np.isnan(xq)), name
+            bound = (est + want_est + 1e-15 if name == "graded_beta0.5"
+                     else 1e-15)
+            assert np.all(np.abs(got - want)[~np.isnan(xq)]
+                          <= np.broadcast_to(bound, xq.shape)[~np.isnan(xq)]
+                          ), name
 
     def test_csv_is_long_form(self):
         pop = population_zoo()["product"]

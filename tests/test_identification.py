@@ -11,9 +11,9 @@ from demandlab import populations as pops
 from demandlab.errors import (IllConditioned, InsufficientPrices,
                               NonFiniteMoment, TailMassExceeded)
 from demandlab.marginals import MarginalSpec
-from helpers import (beta_independent, kinked_h_custom, kinked_ratio_low,
-                     same_bits, seed_ratio, sine_table_low, surface_zoo,
-                     zigzag_ratio_low)
+from helpers import (beta_independent, full_range_profile, kinked_h_custom,
+                     kinked_ratio_low, same_bits, seed_ratio, sine_table_low,
+                     surface_zoo, zigzag_ratio_low)
 
 
 class TestChebyshevPrices:
@@ -402,7 +402,9 @@ class TestEndToEnd:
     def test_narrow_conditional_surface_matches_a_fine_fixed_rule(
             self, monkeypatch):
         # every entry against 16-point Gauss-Legendre on 200 panels per
-        # segment, the same breaks and the same integrand
+        # segment, the same breaks and the same integrand, over each row's
+        # live hull; and the closed-form mass outside the hulls against
+        # that rule over the whole ratio support
         pop = pops.make_low_population(seed_ratio(), 0.5,
                                        sigma_multiplier=0.01)
         xq = np.linspace(-3.0, 3.0, 129)
@@ -412,9 +414,10 @@ class TestEndToEnd:
 
         def fixed(lo, hi, breaks, integrand, *, tol):
             n = breaks.shape[0]
+            lo, hi = (np.broadcast_to(np.asarray(end, dtype=float)[..., None],
+                                      (n, 1)) for end in (lo, hi))
             edges = np.concatenate(
-                (np.full((n, 1), lo), np.sort(np.clip(breaks, lo, hi), axis=1),
-                 np.full((n, 1), hi)), axis=1)
+                (lo, np.sort(np.clip(breaks, lo, hi), axis=1), hi), axis=1)
             panels = (edges[:, :-1, None] + np.diff(edges, axis=1)[..., None]
                       * np.linspace(0.0, 1.0, 201))
             a, b = panels[..., :-1].ravel(), panels[..., 1:].ravel()
@@ -427,6 +430,10 @@ class TestEndToEnd:
         reference = dl.quality_demand_surface(pop, xq, prices)
         assert np.max(np.abs(surface.values - reference.values)) <= 1e-10
         assert np.all(surface.quadrature_errors <= pops.SURFACE_TOL)
+        whole = full_range_profile(pop, np.tile(prices, xq.size),
+                                   np.repeat(xq, prices.size))[0]
+        assert np.max(np.abs(reference.values - whole.reshape(xq.size, -1))
+                      ) <= 1e-15
 
     def test_twin_recovery_makes_two_quadrature_calls(self, monkeypatch):
         # one for the whole surface and one for the whole reference table

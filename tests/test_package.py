@@ -1,6 +1,7 @@
 """The package namespace and what importing it loads."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -77,3 +78,40 @@ def test_worker_threads_do_not_load_scipy():
         "from demandlab import workers\n"
         "workers._usable_cpus = lambda: 2\n"
         "workers.run(lambda i: None, 4)")
+
+
+def test_numpy_ma_loads_only_with_scipy(tmp_path):
+    # np.unique and np.union1d import numpy.ma on their first call, and
+    # so does scipy.special; the package dedupes with its own helper.  In
+    # one interpreter every surface_zoo population is built, then every
+    # CLI call on the demo scenarios runs, those that load scipy last:
+    # numpy.ma is loaded after a call only if scipy is
+    calls = [(command, scenario.stem) for scenario in sorted(
+        SCENARIOS.glob("*.json")) for command in ("demand", "classify",
+                                                  "nonid", "identify")]
+    calls += [("sample", scenario.stem)
+              for scenario in sorted(SCENARIOS.glob("*.json"))]
+    calls.sort(key=lambda call: call == ("identify", "custom_conditional")
+               or call[0] == "sample")
+    script = "\n".join([
+        "import json, sys",
+        "from demandlab.cli import main",
+        "from helpers import surface_zoo",
+        "surface_zoo()",
+        "state = lambda: [m in sys.modules for m in ('numpy.ma', 'scipy')]",
+        "print(json.dumps(['build', *state()]))",
+        f"for command, scenario in {calls!r}:",
+        f"    main([command, '--scenario', f'{SCENARIOS}/{{scenario}}.json',"
+        f" '--out', f'{tmp_path}/{{command}}-{{scenario}}'])",
+        "    print(json.dumps([command + ' ' + scenario, *state()]))"])
+    path = os.pathsep.join((str(PACKAGE_ROOT), str(Path(__file__).parent)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    steps = [json.loads(line) for line in proc.stdout.splitlines()
+             if line.startswith('["')]
+    assert len(steps) == len(calls) + 1
+    assert [step for step, ma, scipy in steps if ma and not scipy] == []
+    # the check is not vacuous: scipy stays out of all but the last calls
+    assert [step for step, _, scipy in steps if scipy] == [
+        f"{command} {scenario}" for command, scenario in calls[-6:]]

@@ -688,9 +688,11 @@ class TestRatioConditionalPopulation:
 
     def test_law_is_evaluated_on_knots_and_nodes(self, monkeypatch):
         # the crossing roots read g and h once, on the cell ends, and the
-        # quadrature once per pass, on its nodes; no row evaluates the law
+        # quadrature once per pass, on its nodes; no row evaluates the law.
+        # The ratio's cdf gives the mass outside the live hulls, in one
+        # call on the hulls' ends
         low = pops.make_low_population(seed_ratio(), delta=0.5)
-        calls = {"passes": 0, "pdf": 0, "h": 0}
+        calls = {"passes": 0, "pdf": 0, "h": 0, "cdf": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -707,13 +709,17 @@ class TestRatioConditionalPopulation:
                             counted("pdf", pops.RatioMarginalSpec.pdf))
         monkeypatch.setattr(pops.ConditionalSpec, "h",
                             counted("h", pops.ConditionalSpec.h))
+        monkeypatch.setattr(pops.RatioMarginalSpec, "cdf",
+                            counted("cdf", pops.RatioMarginalSpec.cdf))
         xq = np.linspace(-3.0, 3.0, 257)
         low._quality_profile(1.3, xq)
         assert calls["passes"] > 0
         assert calls["pdf"] == calls["h"] == calls["passes"] + 1
-        calls.update(passes=0, pdf=0, h=0)
+        assert calls["cdf"] == 1
+        calls.update(passes=0, pdf=0, h=0, cdf=0)
         low._quality_profile(1.3, xq)  # the cell ends are kept
         assert calls["pdf"] == calls["h"] == calls["passes"]
+        assert calls["cdf"] == 1
 
     @pytest.mark.parametrize("name", ["conditional_low", "conditional_high",
                                       "custom_h", "sine_table",

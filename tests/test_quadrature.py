@@ -300,6 +300,47 @@ def test_each_row_keeps_its_bits_whatever_the_other_rows(monkeypatch):
         assert est[row] <= 1e-11
 
 
+@pytest.mark.parametrize("rule", [{}, {"grade": 2}, {"degree": 4}],
+                         ids=["adaptive", "graded", "exact"])
+def test_per_row_bounds_equal_scalar_bounds(rule):
+    # bounds given as one value per row keep every bit of the same
+    # scalar bounds, whichever rule runs
+    c = np.array([0.05, np.pi / 7.0, 2.0, 1.0 / 3.0, -1.0])
+    breaks = np.column_stack((c, c + 0.25))
+    f = _rows_of(lambda x, c: np.abs(x - c) + x ** 4)(c)
+    want = q.segmented_gl(0.25, 1.0, breaks, f, tol=1e-11, **rule)
+    got = q.segmented_gl(np.full(c.size, 0.25), np.full(c.size, 1.0),
+                         breaks, f, tol=1e-11, **rule)
+    assert same_bits(got, want)
+
+
+def test_per_row_bounds_integrate_each_row_over_its_own_range():
+    # an empty row (lo == hi) has no segment, calls no integrand and
+    # returns 0 with estimate 0; NaN bounds make a NaN row, as a NaN
+    # break does; the other rows keep the bits of their own calls
+    lo = np.array([0.0, 0.4, 0.7, np.nan, 0.2, 0.1])
+    hi = np.array([1.0, 0.4, 0.9, 0.8, np.nan, 0.6])
+    breaks = np.full((lo.size, 1), 0.5)
+    seen = []
+
+    def f(nodes, rows):
+        seen.append(rows.copy())
+        return np.cos(nodes) + np.abs(nodes - 0.3)
+
+    got, est = q.segmented_gl(lo, hi, breaks, f, tol=1e-12)
+    assert 1 not in np.concatenate(seen)
+    assert got[1] == 0.0 and est[1] == 0.0
+    nan_break = q.segmented_gl(0.1, 0.8, np.array([[np.nan]]), f, tol=1e-12)
+    assert np.all(np.isnan(nan_break))
+    assert np.all(np.isnan(got[3:5])) and np.all(np.isnan(est[3:5]))
+    for row in (0, 2, 5):
+        alone = q.segmented_gl(lo[row], hi[row], breaks[[row]], f,
+                               tol=1e-12)
+        assert got[row] == alone[0][0] and est[row] == alone[1][0]
+    assert got[2] == pytest.approx(np.sin(0.9) - np.sin(0.7) + 0.1,
+                                   abs=1e-14)
+
+
 @pytest.mark.parametrize("s, grade", [(0.5, 2), (0.7, 3), (1.2, 2)])
 def test_grade_smooths_end_point_terms(s, grade):
     # x^(s - 1) at the end 0 and |x - c|^(s - 1) at a break c: bisection
