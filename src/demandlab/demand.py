@@ -222,10 +222,9 @@ def quality_demand_mc(pop: Population, xq: float, p: float,
 def quality_demand_surface(pop: Population, quality_grid,
                            price_grid) -> QualityDemandSurface:
     """Quality-augmented demand on the grid product, with each column's
-    quadrature error estimate.  Every column's rows go to one kernel call
-    (one per component of a mixture), and rows where nobody or everybody
-    buys are computed once per column (see
-    ``Population._quality_surface``), with the same bits."""
+    quadrature error estimate.  Every row goes to one kernel call (one per
+    component of a mixture); a row where nobody or everybody buys takes
+    no quadrature (see ``Population._quality_surface``)."""
     xq = np.asarray(quality_grid, dtype=float)
     prices = np.asarray(price_grid, dtype=float)
     if np.any(prices < 0.0):

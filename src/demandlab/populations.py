@@ -56,9 +56,10 @@ SURFACE_TOL = 1e-10
 # within one ulp of the end they hold about ulp^s of mass, which no node
 # can resolve.
 MAX_GRADE = 4
-# Population._quality_surface: relative margin by which a quality row
-# must clear its column's nobody-buys or everybody-buys bound to be left
-# to the class.
+# RatioConditionalPopulation's quality kernel: relative margin by which a
+# row's crossing function must clear zero at an end of the ratio range to
+# count as saturated there, and by which a (row, cell) pair widens its
+# range of W = vm (r - p) before it is left out of the root solve.
 SATURATION_MARGIN = 1e-9
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -299,70 +300,29 @@ class Population:
         """E[vm]; forms with an exact closed form override this."""
         return float(self._moments([(0, 1)])[0][0])
 
-    def _saturation_bounds(self, p: float):
-        """Quality offsets below which nobody buys and above which
-        everybody buys at price p >= 0.  With vk >= 0 and
-        0 < vm <= vm_hi, the support box gives
-        max(-vk_upper, -vm_hi max(r_hi - p, 0)) and
-        min(p vm_hi, vm_hi max(p - r_lo, 0)); forms that know their own
-        range of vk - p vm override this."""
-        sup = self.support
-        return (max(-self.vk_upper, -sup.vm_hi * max(sup.r_hi - p, 0.0)),
-                min(p * sup.vm_hi, sup.vm_hi * max(p - sup.r_lo, 0.0)))
-
     def _quality_surface(self, prices: np.ndarray, xq: np.ndarray):
         """Buying mass at every (quality offset, price) pair of the grids,
         as an (xq.size, prices.size) matrix, and each price column's
-        worst quadrature estimate, from one ``_quality_profile`` call.
-
-        In column p nobody buys below and everybody buys above the
-        offsets of ``_saturation_bounds(p)``.  In both classes a row's
-        live range is empty, so the kernel returns exactly 0 or 1 from
-        the outer law's cdf with estimate 0, and the kernel's rows are
-        independent, so each row of a class gets the same value and
-        estimate.  The kernel runs, for all columns at once, on the
-        (price, offset) rows between the classes and on the innermost and
-        outermost row of each class; a class whose two rows agree bit for
-        bit takes their value.  A column where they differ is computed on
-        every row in a second call, so the result is always the kernel's.
+        worst quadrature estimate, from one ``_quality_profile`` call
+        over every (price, offset) row.  A row where nobody or everybody
+        buys has an empty live range, so the kernel returns exactly 0 or
+        1 for it from the outer law's cdf, with estimate 0 and no
+        integrand call.
         """
-        run = np.ones((prices.size, xq.size), dtype=bool)
-        classes = []  # (column, rows of the class, its two end rows)
-        for j, p in enumerate(prices.tolist()):
-            nobody, everybody = self._saturation_bounds(p)
-            for c in (xq < nobody - SATURATION_MARGIN * abs(nobody),
-                      xq > everybody + SATURATION_MARGIN * abs(everybody)):
-                c = np.flatnonzero(c)
-                if c.size > 2:
-                    ends = c[[np.argmin(xq[c]), np.argmax(xq[c])]]
-                    run[j, c] = False
-                    run[j, ends] = True
-                    classes.append((j, c, ends))
-        values = np.empty(run.shape)
-        errors = np.zeros(run.shape)
-
-        def compute(col, row):  # the rows of one price are consecutive
-            try:
-                values[col, row], errors[col, row] = self._quality_profile(
-                    prices[col], xq[row])
-            except QuadratureFailure as exc:
-                if exc.row is None:
-                    raise
-                raise QuadratureFailure(
-                    f"quality surface at price {float(prices[col[exc.row]])!r}"
-                    f", quality offset {float(xq[row[exc.row]])!r}: {exc}",
-                    achieved=exc.achieved, requested=exc.requested) from exc
-
-        compute(*np.nonzero(run))
-        redo = np.zeros(prices.size, dtype=bool)
-        for j, c, ends in classes:
-            pair = values[j, ends].view(np.int64)
-            redo[j] |= pair[0] != pair[1]
-            values[j, c] = values[j, ends[0]]
-        if redo.any():
-            run[:] = redo[:, None]
-            compute(*np.nonzero(run))
-        return values.T, np.max(errors, axis=1, initial=0.0)
+        try:
+            values, errors = self._quality_profile(
+                np.repeat(prices, xq.size), np.tile(xq, prices.size))
+        except QuadratureFailure as exc:
+            if exc.row is None:
+                raise
+            col, row = divmod(exc.row, xq.size)
+            raise QuadratureFailure(
+                f"quality surface at price {float(prices[col])!r}, quality "
+                f"offset {float(xq[row])!r}: {exc}",
+                achieved=exc.achieved, requested=exc.requested) from exc
+        shape = (prices.size, xq.size)
+        return (values.reshape(shape).T,
+                np.max(errors.reshape(shape), axis=1, initial=0.0))
 
     def _demand_profile(self, prices: np.ndarray) -> np.ndarray:
         """Buying mass at each price, the complement of the ratio law.
@@ -690,10 +650,6 @@ class IndependentPopulation(Population):
             degree=self._degree(2))
         return float(mass), float(vm_int)
 
-    def _saturation_bounds(self, p):
-        # vk + xq - p vm runs over [vk.lo - p vm.hi, vk.hi - p vm.lo] + xq
-        return p * self.vm.lo - self.vk.hi, p * self.vm.hi - self.vk.lo
-
     def _quality_profile(self, p, xq):
         # P(vk + xq >= p vm): closed forms at a free price and for a
         # point-mass marginal, else quadrature over vm, one row per entry
@@ -826,10 +782,11 @@ class RatioConditionalPopulation(Population):
         m - eps and m + eps follow m.
         """
         r = self._scan_grid
+        _, m, eps = self._scan
         if self.cond.family == "high":
             turn = self._turns(r, self._scan[0])
             r = sorted_distinct(r, turn[~np.isnan(turn)])
-        _, m, eps = self._law(r)
+            _, m, eps = self._law(r)
         lo, hi = m - eps, m + eps
         return r, np.minimum(lo[:-1], lo[1:]), np.maximum(hi[:-1], hi[1:])
 
@@ -845,16 +802,20 @@ class RatioConditionalPopulation(Population):
                     - d) / (3.0 * c)
         return np.where((turn > r[:-1]) & (turn < r[1:]), turn, np.nan)
 
-    def _saturation_bounds(self, p):
-        # W = vm (r - p) over a cell [a, b] lies between the products of
-        # vm's bounds [lo, hi] there and a - p, b - p.  vm > 0, so W is at
-        # most hi (b - p), or lo (b - p) where b < p, and at least
-        # hi (a - p), or lo (a - p) where a > p
+    def _live_offsets(self, p):
+        """The offsets between which a row at price ``p`` (a scalar or an
+        array) can cross the band: -max and -min of W = vm (r - p) over
+        the law.  Nobody buys below the first and everybody above the
+        second.  W over a cell [a, b] of ``_vm_cells`` lies between the
+        products of vm's bounds [lo, hi] there and a - p, b - p.  vm > 0,
+        so W is at most hi (b - p), or lo (b - p) where b < p, and at
+        least hi (a - p), or lo (a - p) where a > p."""
         r, lo, hi = self._vm_cells
+        p = np.asarray(p, dtype=float)[..., None]
         below, above = r[:-1] - p, r[1:] - p
-        top = np.max(np.where(above >= 0.0, hi, lo) * above)
-        bottom = np.min(np.where(below <= 0.0, hi, lo) * below)
-        return -float(top), -float(bottom)
+        top = np.max(np.where(above >= 0.0, hi, lo) * above, axis=-1)
+        bottom = np.min(np.where(below <= 0.0, hi, lo) * below, axis=-1)
+        return -top, -bottom
 
     @property
     def _a0(self) -> float:
@@ -972,24 +933,31 @@ class RatioConditionalPopulation(Population):
     def _crossing_pairs(self, edge_lo, edge_hi, p, xq, starts):
         """The (row, cell) pairs whose -xq lies in the cell's range of
         edge * (r - p), for an edge between ``edge_lo`` and ``edge_hi`` > 0
-        on each cell, as ``_saturation_bounds`` bounds W, widened by
-        ``SATURATION_MARGIN``.  The rows are sorted by price, then by
-        offset (NaN last, in no pair), and ``starts`` holds the first row
-        of each price."""
+        on each cell, bounded as ``_live_offsets`` bounds W; a row whose
+        offset lies outside its price's ``_live_offsets`` crosses no cell.
+        Both ranges are widened by ``SATURATION_MARGIN``.  The rows are
+        sorted by price, then by offset (NaN last, in no pair), and
+        ``starts`` holds the first row of each price."""
         r = self._cells[0]
-        rows = [np.zeros(0, dtype=np.intp)]
-        cells = [rows[0]]
-        for s, t in zip(starts.tolist(), np.append(starts[1:], xq.size)):
-            below, above = r[:-1] - p[s], r[1:] - p[s]
-            top = np.where(above >= 0.0, edge_hi, edge_lo) * above
-            bottom = np.where(below <= 0.0, edge_hi, edge_lo) * below
-            pad = SATURATION_MARGIN * np.maximum(np.abs(top), np.abs(bottom))
-            first = np.searchsorted(xq[s:t], -top - pad, "left")
-            count = np.searchsorted(xq[s:t], -bottom + pad, "right") - first
-            cells.append(np.repeat(np.arange(r.size - 1), count))
-            rows.append(s + np.arange(cells[-1].size)
-                        + np.repeat(first - np.cumsum(count) + count, count))
-        return np.concatenate(rows), np.concatenate(cells)
+        below, above = r[:-1] - p[starts, None], r[1:] - p[starts, None]
+        top = np.where(above >= 0.0, edge_hi, edge_lo) * above
+        bottom = np.where(below <= 0.0, edge_hi, edge_lo) * below
+        pad = SATURATION_MARGIN * np.maximum(np.abs(top), np.abs(bottom))
+        nobody, everybody = (w[:, None] for w in self._live_offsets(p[starts]))
+        lo = np.maximum(-top - pad, nobody - SATURATION_MARGIN * abs(nobody))
+        hi = np.minimum(-bottom + pad,
+                        everybody + SATURATION_MARGIN * abs(everybody))
+        # one price's rows are consecutive and sorted by offset
+        first, end = np.empty((2,) + lo.shape, dtype=np.intp)
+        for i, (s, t) in enumerate(zip(starts.tolist(),
+                                       np.append(starts[1:], xq.size))):
+            first[i] = s + np.searchsorted(xq[s:t], lo[i], "left")
+            end[i] = s + np.searchsorted(xq[s:t], hi[i], "right")
+        count = np.maximum(end - first, 0).ravel()
+        cells = np.repeat(np.tile(np.arange(r.size - 1), starts.size), count)
+        return (np.arange(cells.size)
+                + np.repeat(first.ravel() - np.cumsum(count) + count, count),
+                cells)
 
     def _crossing_roots(self, sign, p, xq, starts):
         """Where each row's price line meets the band edge m + sign * eps:
@@ -1061,8 +1029,9 @@ class RatioConditionalPopulation(Population):
         roots[rows, slot] = found[order]
         return roots
 
-    def _live_hull(self, p, xq, roots):
-        """Each row's live hull [lo, hi] and the buying mass outside it.
+    def _live_hull(self, p, xq, roots, starts):
+        """Each row's live hull [lo, hi] and the buying mass outside it,
+        for rows sorted as ``_crossing_pairs`` takes them.
 
         A row is live where one edge's crossing function
         (m + sign eps)(r - p) + xq is negative and the other's is not;
@@ -1082,51 +1051,70 @@ class RatioConditionalPopulation(Population):
         """
         r, g, h = self._cells[:3]
         r_lo, r_hi = r[0], r[-1]
-        m = h[[0, -1]] / g[[0, -1]]
-        fixed = self.cond.epsilon_kind == "fixed"
-        every, sat = [], []
-        for end, m_end in zip((r_lo, r_hi), m.tolist()):
-            pos = neg = True
-            for sign in (1.0, -1.0):
-                edge = (m_end + sign * self.cond.epsilon_value if fixed
-                        else (1.0 + 0.5 * sign) * m_end)
-                w = edge * (end - p)
-                pad = SATURATION_MARGIN * np.abs(w)
-                pos = pos & (w + xq > pad)
-                neg = neg & (w + xq < -pad)
-            every.append(pos)
-            sat.append(pos | neg)
-        first = np.minimum(*(R.min(axis=1, initial=r_hi) for R in roots))
-        last = np.maximum(*(np.where(R < r_hi, R, r_lo).max(axis=1,
-                                                           initial=r_lo)
-                            for R in roots))
-        has = first < r_hi
-        empty = ~has & sat[0] & sat[1] & (every[0] == every[1])
-        lo = np.where(has & sat[0], first, r_lo)
-        hi = np.where(has & sat[1], last, np.where(empty, r_lo, r_hi))
-        cdf = np.asarray(self.ratio.cdf(np.concatenate((lo, hi))))
-        below = np.where(every[0], cdf[:lo.size], 0.0)
-        above = np.where(every[1] & (hi < r_hi), 1.0 - cdf[lo.size:], 0.0)
+        eps = self.cond.epsilon_value
+        edges = [(m + eps, m - eps) if self.cond.epsilon_kind == "fixed"
+                 else (1.5 * m, 0.5 * m)
+                 for m in (h[[0, -1]] / g[[0, -1]]).tolist()]
+        # the states at r_lo and r_hi, one price at a time, where each
+        # crossing function's end value is a scalar
+        every, sat = np.empty((2, 2, p.size), dtype=bool)
+        ends = np.append(starts[1:], p.size)
+        for s, t in zip(starts.tolist(), ends.tolist()):
+            for i, end in enumerate((r_lo, r_hi)):
+                pos = neg = True
+                for edge in edges[i]:
+                    w = edge * (end - p[s])
+                    pad = SATURATION_MARGIN * abs(w)
+                    pos = pos & (w + xq[s:t] > pad)
+                    neg = neg & (w + xq[s:t] < -pad)
+                every[i, s:t], sat[i, s:t] = pos, pos | neg
+        # column by column: a reduction along rows of a few entries each
+        # costs more than the elementwise passes
+        first = np.full(p.size, r_hi)
+        for column in (c for R in roots for c in R.T):
+            np.minimum(first, column, out=first)
+        has = np.flatnonzero(first < r_hi)
+        last = np.full(has.size, r_lo)
+        for column in (c for R in roots for c in R[has].T):
+            np.maximum(last, np.where(column < r_hi, column, r_lo), out=last)
+        lo = np.full(p.size, r_lo)
+        hi = np.where(sat[0] & sat[1] & (every[0] == every[1]), r_lo, r_hi)
+        lo[has] = np.where(sat[0, has], first[has], r_lo)
+        hi[has] = np.where(sat[1, has], last, r_hi)
+        # a rootless row has lo = r_lo, and hi = r_lo or r_hi, where no
+        # mass lies above: the law's cdf is read at r_lo and on the rows
+        # with roots only
+        cdf = np.asarray(self.ratio.cdf(np.concatenate(([r_lo], lo[has],
+                                                        hi[has]))))
+        at_lo, at_hi = np.full((2, p.size), cdf[0])
+        at_lo[has], at_hi[has] = cdf[1:].reshape(2, has.size)
+        below = np.where(every[0], at_lo, 0.0)
+        above = np.where(every[1] & (hi < r_hi), 1.0 - at_hi, 0.0)
         return lo, hi, below + above
 
     def _quality_profile(self, p, xq):
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                     np.asarray(xq, dtype=float))
         # the crossing roots are found per price in the rows sorted by
-        # offset (NaN last): sort the rows by price, then by offset, and
-        # scatter them back; rows are independent, so each keeps its bits
-        order = np.lexsort((xq, p))
+        # offset (NaN last): sort the rows by price, then by offset, unless
+        # they are, and scatter them back; rows are independent, so each
+        # keeps its bits
+        order = (slice(None) if np.all((p[1:] > p[:-1]) | (
+            (p[1:] == p[:-1]) & (xq[1:] >= xq[:-1]))) else np.lexsort((xq, p)))
         p, xq = p[order], xq[order]
         n = xq.size
         starts = np.flatnonzero(np.r_[n > 0, p[1:] != p[:-1]])
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
         roots = [self._crossing_roots(sign, p, xq, starts)
                  for sign in (1.0, -1.0)]
-        lo, hi, outer = self._live_hull(p, xq, roots)
-        fixed = np.clip(p, r_lo, r_hi)[:, None]
+        lo, hi, outer = self._live_hull(p, xq, roots, starts)
+        # only rows with a nonempty hull (or a NaN one) need quadrature
+        live = np.flatnonzero(~(lo >= hi))
+        p, xq = p[live], xq[live]
         breaks = np.concatenate(
-            (*roots, fixed,
-             np.broadcast_to(self._knots, (n, self._knots.size))), axis=1)
+            (*(R[live] for R in roots), np.clip(p, r_lo, r_hi)[:, None],
+             np.broadcast_to(self._knots, (live.size, self._knots.size))),
+            axis=1)
         a0 = self._a0
         z_mass = self._z_mass
         # below a0 = 2, Phi(a0) - Phi(z) cancels; erf differences, as in
@@ -1162,12 +1150,14 @@ class RatioConditionalPopulation(Population):
             s *= g
             return s
 
-        with _renumbered(order):
-            values, errors = quadrature.segmented_gl(lo, hi, breaks,
-                                                     integrand,
+        with _renumbered(np.arange(n)[order][live]):
+            values, errors = quadrature.segmented_gl(lo[live], hi[live],
+                                                     breaks, integrand,
                                                      tol=SURFACE_TOL)
-        out = np.empty((2, n))
-        out[:, order] = outer + values, errors
+        out = np.zeros((2, n))
+        out[:, live] = values, errors
+        out[0] += outer
+        out[:, order] = out.copy()
         return out[0], out[1]
 
 @dataclass(frozen=True, eq=False)
@@ -1264,8 +1254,7 @@ class MixturePopulation(Population):
         return self._blend("_quality_profile", p, xq)
 
     def _quality_surface(self, prices, xq):
-        # each component skips the rows its own bounds saturate, and a
-        # column's estimate is the weighted sum of the components' worst
+        # a column's estimate is the weighted sum of the components' worst
         return self._blend("_quality_surface", prices, xq)
 
     def _demand_profile(self, prices):

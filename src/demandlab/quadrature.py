@@ -424,6 +424,12 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
             part = slice(i * span, (i + 1) * span)
             half = 0.5 * (b[part] - a[part])
             nodes = (a[part] + half)[:, None] + half[:, None] * x
+            # a node can round outside an interval a few ulps wide; the
+            # nodes of a line ascend, so its first and last tell
+            off = (nodes[:, 0] < a[part]) | (nodes[:, -1] > b[part])
+            if off.any():
+                nodes[off] = np.clip(nodes[off], a[part][off, None],
+                                     b[part][off, None])
             if grade > 1:
                 nodes, jac, blind = _graded(nodes, seg_a[part], seg_b[part],
                                             grade)

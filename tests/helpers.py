@@ -208,6 +208,16 @@ def column_kernel(pop, p, xq):
     return values, float(np.max(errors, initial=0.0))
 
 
+def box_bounds(pop, p: float):
+    """Quality offsets below which nobody buys and above which everybody
+    buys at price p >= 0, from the support box alone: with vk >= 0 and
+    0 < vm <= vm_hi, max(-vk_upper, -vm_hi max(r_hi - p, 0)) and
+    min(p vm_hi, vm_hi max(p - r_lo, 0))."""
+    sup = pop.support
+    return (max(-pop.vk_upper, -sup.vm_hi * max(sup.r_hi - p, 0.0)),
+            min(p * sup.vm_hi, sup.vm_hi * max(p - sup.r_lo, 0.0)))
+
+
 def same_bits(a, b) -> bool:
     """Equal arrays of floats, bit for bit (NaN equals NaN; 0.0 differs
     from -0.0)."""
@@ -278,7 +288,7 @@ def full_range_profile(pop, p, xq):
         return values, errors
     if isinstance(pop, pops.RatioConditionalPopulation):
         # the kernel itself, with a hull that spans the ratio support
-        def whole(self, p, xq, roots):
+        def whole(self, p, xq, roots, starts):
             n = xq.size
             return (np.full(n, self.ratio.r_lo), np.full(n, self.ratio.r_hi),
                     np.zeros(n))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from demandlab import populations as pops
 from demandlab.demand import csv_column, csv_text
 from demandlab.errors import MonotonicityViolation
 from demandlab.marginals import MarginalSpec
-from helpers import (benchmark_populations, column_kernel, continuous_zoo,
-                     full_range_profile, population_zoo, same_bits,
-                     seed_ratio, sine_table_low, surface_zoo)
+from helpers import (benchmark_populations, box_bounds, closed_form_roots,
+                     column_kernel, continuous_zoo, full_range_profile,
+                     population_zoo, same_bits, seed_ratio, sine_table_low,
+                     surface_zoo)
 
 
 class TestPurchaseDecision:
@@ -347,9 +350,9 @@ class TestQualityDemandSurface:
         # are adaptive, and a row without its saturated intervals is
         # bisected on a different budget: there they agree within both
         # estimates.
-        # Rows beyond the saturation bounds are exactly 0 or 1, so each
-        # saturated class takes its end rows' value, also over a ratio
-        # table whose cdf reads 1 + 2^-52 at its upper end
+        # Rows beyond the support box's saturation bounds have an empty
+        # live range and are exactly 0 or 1, also over a ratio table whose
+        # cdf reads 1 + 2^-52 at its upper end
         zoo = {**surface_zoo(), **{f"continuous_{name}": pop for name, pop
                                    in continuous_zoo().items()}}
         zoo["product_sine_table"] = pops.ProductPopulation(
@@ -377,7 +380,7 @@ class TestQualityDemandSurface:
             if isinstance(pop, pops.MixturePopulation):
                 continue
             for j, p in enumerate(prices.tolist()):
-                nobody, everybody = pop._saturation_bounds(p)
+                nobody, everybody = box_bounds(pop, p)
                 margin = pops.SATURATION_MARGIN
                 assert np.all(got[xq < nobody - margin * abs(nobody), j]
                               == 0.0), name
@@ -386,10 +389,11 @@ class TestQualityDemandSurface:
 
     def test_live_ranges_of_edge_rows(self):
         # zero quality, NaN offsets, prices at zero, at and beyond the
-        # ratio support, rows on their saturation bounds, a money value
-        # whose support starts at 0, a point-mass money value and graded
-        # shapes: each row as its full-range reference gives it, and a
-        # NaN offset spoils its own row only
+        # ratio support, rows on the support box's saturation bounds and on
+        # a conditional form's live offsets, a money value whose support
+        # starts at 0, a point-mass money value and graded shapes: each
+        # row as its full-range reference gives it, and a NaN offset
+        # spoils its own row only
         zoo = surface_zoo()
         forms = {name: zoo[name] for name in (
             "product", "product_table", "independent", "graded_beta0.5",
@@ -402,13 +406,16 @@ class TestQualityDemandSurface:
             p, xq = [], []
             for price in (0.0, sup.r_lo, 0.5 * (sup.r_lo + sup.r_hi),
                           sup.r_hi, 2.0 * sup.r_hi):
-                nobody, everybody = pop._saturation_bounds(price)
-                offsets = [0.0, -0.0, np.nan, nobody, everybody,
-                           np.nextafter(everybody, -np.inf),
-                           np.nextafter(nobody, np.inf),
-                           0.5 * (nobody + everybody), 1e-300, -1e-300]
-                p += [price] * len(offsets)
-                xq += offsets
+                bounds = [box_bounds(pop, price)]
+                if isinstance(pop, pops.RatioConditionalPopulation):
+                    bounds.append(pop._live_offsets(price))
+                for nobody, everybody in bounds:
+                    offsets = [0.0, -0.0, np.nan, nobody, everybody,
+                               np.nextafter(everybody, -np.inf),
+                               np.nextafter(nobody, np.inf),
+                               0.5 * (nobody + everybody), 1e-300, -1e-300]
+                    p += [price] * len(offsets)
+                    xq += offsets
             p, xq = np.array(p), np.array(xq)
             got, est = pop._quality_profile(p, xq)
             want, want_est = full_range_profile(pop, p, xq)
@@ -418,6 +425,21 @@ class TestQualityDemandSurface:
             assert np.all(np.abs(got - want)[~np.isnan(xq)]
                           <= np.broadcast_to(bound, xq.shape)[~np.isnan(xq)]
                           ), name
+
+    def test_row_with_a_root_one_ulp_above_r_lo(self):
+        # this row's first crossing root is r_lo + 1 ulp, so its hull
+        # starts with a segment one ulp wide; its nodes stay inside it,
+        # where the law's density is positive, and the row is finite,
+        # without a warning, as its full-range reference gives it
+        pop = sine_table_low(12)
+        roots = closed_form_roots(pop, np.array([1.0]), np.array([0.84375]))
+        assert roots[0][0, 0] == np.nextafter(pop.ratio.r_lo, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surf = dl.quality_demand_surface(pop, [0.84375], [1.0])
+        want, _ = full_range_profile(pop, np.array([1.0]),
+                                     np.array([0.84375]))
+        assert abs(surf.values[0, 0] - want[0]) <= 1e-15
 
     def test_csv_is_long_form(self):
         pop = population_zoo()["product"]

@@ -249,18 +249,42 @@ class TestMarginProfile:
                 assert same_bits(got[:, j], want), (name, p)
                 assert same_bits(got_err[j], want_err), (name, p)
 
-    def test_kernel_skips_most_rows_of_the_seed_twin(self, monkeypatch):
-        # on the default grid the low twin's 9 columns go to one kernel
-        # call; at p = 1 nobody buys below -2.25 and everybody above 0,
-        # and over all 9 prices 26 % of the rows reach the kernel
-        low = pops.make_low_population(seed_ratio(), delta=0.5)
+    def test_quadrature_sees_only_the_live_rows_of_a_twin(self, monkeypatch):
+        # on the default grid a twin's 9 columns go to one kernel call,
+        # whose rows where nobody or everybody buys have an empty live
+        # range: at most 27 % of the low twin's rows and 10 % of the high
+        # twin's reach segmented_gl, and no quadrature row is empty.  Rows
+        # outside the law's range of W form no crossing pair: the root
+        # solver sees at most two pairs per quadrature row (the high twin
+        # has 37 % of the grid in pairs without that filter, since its
+        # uniform ratio is one knot cell)
+        twins = benchmark_populations(3)
         prices = ident.chebyshev_prices(0.5, 1.5, 9)
-        xq = ident.default_quality_grid(low, prices, 4096)
-        seen = _count_kernel_rows(monkeypatch,
-                                  pops.RatioConditionalPopulation)
-        low._quality_surface(prices, xq)
-        assert len(seen) == 1
-        assert seen[0] <= 0.4 * xq.size * prices.size
+        quad, solve = pops.quadrature.segmented_gl, pops.quadrature.poly_roots
+        bounds, pairs = [], []
+
+        def recorded(lo, hi, breaks, f, **kw):
+            bounds.append((lo, hi))
+            return quad(lo, hi, breaks, f, **kw)
+
+        def counted(coef, width):
+            pairs.append(coef.shape[0])
+            return solve(coef, width)
+
+        monkeypatch.setattr(pops.quadrature, "segmented_gl", recorded)
+        monkeypatch.setattr(pops.quadrature, "poly_roots", counted)
+        seen = _count_kernel_rows(monkeypatch, pops.RatioConditionalPopulation)
+        for name, share in (("low", 0.27), ("high", 0.1)):
+            pop = twins[name]
+            xq = ident.default_quality_grid(pop, prices, 4096)
+            for record in (seen, bounds, pairs):
+                record.clear()
+            pop._quality_surface(prices, xq)
+            assert seen == [xq.size * prices.size], name
+            (lo, hi), = bounds
+            assert np.all(lo < hi), name
+            assert lo.size <= share * xq.size * prices.size, name
+            assert sum(pairs) <= 2 * lo.size, name
 
     def test_kernel_runs_once_per_component_of_a_mixture(self, monkeypatch):
         mix = benchmark_populations(3)["mixture"]
@@ -271,46 +295,6 @@ class TestMarginProfile:
             pops.ProductPopulation)}
         quality_demand_surface(mix, xq, prices)
         assert [len(rows) for rows in seen.values()] == [0, 1, 1]
-
-    def test_independent_bounds_are_its_own(self, monkeypatch):
-        # nobody buys below p vm.lo - vk.hi and everybody above
-        # p vm.hi - vk.lo, tighter than the support box: on the default
-        # grid under 45 % of the rows reach the kernel, against 55 % with
-        # the box
-        pop = benchmark_populations(3)["independent"]
-        assert pop._saturation_bounds(1.2) == (1.2 * 0.5 - 1.0, 1.2 * 1.5)
-        prices = ident.chebyshev_prices(0.5, 1.5, 9)
-        xq = ident.default_quality_grid(pop, prices, 4096)
-        seen = _count_kernel_rows(monkeypatch, pops.IndependentPopulation)
-        own = pop._quality_surface(prices, xq)
-        monkeypatch.setattr(pops.IndependentPopulation, "_saturation_bounds",
-                            pops.Population._saturation_bounds)
-        box = pop._quality_surface(prices, xq)
-        assert seen[0] <= 0.45 * xq.size * prices.size < seen[1]
-        assert same_bits(own[0], box[0]) and same_bits(own[1], box[1])
-
-    def test_twin_bounds_are_their_own(self, monkeypatch):
-        # the range of vm (r - p) over the law, not over the support box,
-        # which takes vm_hi (7.5 for the high twin) at every r: the same
-        # bits, with under 10 % of the high twin's rows in the kernel
-        # against 29 % with the box
-        twins = benchmark_populations(3)
-        prices = ident.chebyshev_prices(0.5, 1.5, 9)
-        cls = pops.RatioConditionalPopulation
-        for name, share in (("low", 0.27), ("high", 0.1)):
-            pop = twins[name]
-            xq = ident.default_quality_grid(pop, prices, 4096)
-            seen = _count_kernel_rows(monkeypatch, cls)
-            own = pop._quality_surface(prices, xq)
-            with monkeypatch.context() as box_bounds:
-                box_bounds.setattr(cls, "_saturation_bounds",
-                                   pops.Population._saturation_bounds)
-                box = pop._quality_surface(prices, xq)
-            assert seen[0] <= share * xq.size * prices.size, name
-            assert 0.29 * xq.size * prices.size < seen[1], name
-            assert same_bits(own[0], box[0]), name
-            assert same_bits(own[1], box[1]), name
-            monkeypatch.undo()
 
     @pytest.mark.parametrize("name", ["low", "high", "custom_h",
                                       "fixed_eps", "tent_ratio",
@@ -345,33 +329,10 @@ class TestMarginProfile:
         for p in (0.5 * r_lo, r_lo, 0.7 * r_lo + 0.3 * r_hi,
                   0.5 * (r_lo + r_hi), r_hi, 1.5 * r_hi):
             w = np.concatenate(((m - eps) * (r - p), (m + eps) * (r - p)))
-            nobody, everybody = pop._saturation_bounds(p)
+            nobody, everybody = pop._live_offsets(p)
             slack = 0.01 * (w.max() - w.min())
             assert -nobody - slack <= w.max() <= -nobody, (name, p)
             assert -everybody <= w.min() <= -everybody + slack, (name, p)
-
-    def test_class_rows_that_differ_fall_back_to_every_row(
-            self, monkeypatch):
-        # a kernel whose saturated rows are not all alike at p = 1: that
-        # column's innermost and outermost class rows disagree, so a second
-        # call computes its every row; the column at p = 3 keeps its classes
-        pop = pops.PointMassPopulation(vk=2.0, vm=1.0)
-        xq = np.linspace(-6.0, 6.0, 49)
-        seen = []
-
-        def tilted(self, p, rows):
-            seen.append(rows.copy())
-            return (0.5 + 1e-3 * np.tanh(rows) * (p == 1.0),
-                    np.full(rows.shape, 1e-12))
-
-        monkeypatch.setattr(pops.PointMassPopulation, "_quality_profile",
-                            tilted)
-        values, errors = pop._quality_surface(np.array([1.0, 3.0]), xq)
-        assert [rows.size for rows in seen] == [18, 49]
-        assert np.array_equal(seen[-1], xq)
-        assert same_bits(values[:, 0], 1e-3 * np.tanh(xq) + 0.5)
-        assert np.all(values[:, 1] == 0.5)
-        assert np.array_equal(errors, [1e-12, 1e-12])
 
     def test_integrand_sees_at_most_a_block_of_lines(self, monkeypatch):
         # a twin's 9 columns hold many blocks of intervals; each integrand
@@ -813,7 +774,7 @@ class TestCrossingRoots:
         p, xq = np.repeat(prices, xq.size), np.tile(xq, prices.size)
         inside = np.zeros(p.size, dtype=bool)
         for price in prices:
-            nobody, everybody = pop._saturation_bounds(price)
+            nobody, everybody = pop._live_offsets(price)
             inside |= (p == price) & (xq >= nobody) & (xq <= everybody)
         p, xq = p[inside], xq[inside]
         pairs = []

@@ -127,7 +127,7 @@ def test_crossing_roots_match_the_bisection(name, rows):
                   for a, _, _ in rows])
     xq = []
     for price, (_, u, k) in zip(p.tolist(), rows):
-        nobody, everybody = pop._saturation_bounds(price)
+        nobody, everybody = pop._live_offsets(price)
         xq.append(np.nan if k == 0 else nobody + u * (everybody - nobody))
     xq = np.array(xq)
     grid = np.linspace(r_lo, r_hi, quadrature.COARSE)

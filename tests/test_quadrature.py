@@ -380,6 +380,26 @@ def test_graded_nodes_stay_inside_their_segment():
     assert got[0] == pytest.approx(hi - lo, rel=1e-12)
 
 
+@pytest.mark.parametrize("lo", [0.5, 1.0, 0.75, 2.0 / 3.0])
+@pytest.mark.parametrize("degree", [None, 3])
+def test_nodes_stay_inside_a_segment_one_ulp_wide(lo, degree):
+    # (a + half) + half x rounds below a = 0.5 or 1.0 on a segment one
+    # ulp wide; the nodes are clipped into [a, b], so an integrand that is
+    # infinite outside its interval is never read there
+    hi = np.nextafter(lo, 2.0)
+    seen = []
+
+    def f(nodes, rows):
+        seen.append(nodes.copy())
+        return np.ones_like(nodes)
+
+    got, _ = q.segmented_gl(lo, hi, np.empty((1, 0)), f, tol=1e-10,
+                            degree=degree)
+    nodes = np.concatenate(seen)
+    assert np.all((nodes >= lo) & (nodes <= hi))
+    assert got[0] == pytest.approx(hi - lo, rel=1e-12)
+
+
 def test_nodes_rounded_onto_an_end_put_their_interval_in_doubt():
     # a break one ulp above the end 0.5 of a term |x - 0.5|^(-1/2) leaves
     # a segment with no float inside, so its nodes sit on the end, where
