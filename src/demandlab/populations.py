@@ -58,8 +58,8 @@ SURFACE_TOL = 1e-10
 MAX_GRADE = 4
 # RatioConditionalPopulation's quality kernel: relative margin by which a
 # row's crossing function must clear zero at an end of the ratio range to
-# count as saturated there, and by which a (row, cell) pair widens its
-# range of W = vm (r - p) before it is left out of the root solve.
+# count as saturated there, and by which a cell between knots widens its
+# range of W = (m +/- eps)(r - p) before it drops a row from its root solve.
 SATURATION_MARGIN = 1e-9
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -720,7 +720,7 @@ class RatioConditionalPopulation(Population):
         _require_seed_ratio(self.ratio)
         # a zero density divides by zero in m = h / g; the check reports it
         with np.errstate(divide="ignore", invalid="ignore"):
-            g, m, _ = self._scan
+            _, g, _, m, _ = self._cells
         if g.min() <= 0.0:
             raise ValueError("ratio density must be positive on the whole "
                              "support for the conditional construction")
@@ -735,8 +735,8 @@ class RatioConditionalPopulation(Population):
         if self.cond.epsilon_kind == "fixed":
             if self.cond.epsilon_value >= m.min():
                 raise ValueError(
-                    f"fixed epsilon {self.cond.epsilon_value:g} must stay "
-                    f"below the minimum conditional mean {m.min():g}")
+                    f"fixed epsilon {self.cond.epsilon_value!r} must stay "
+                    f"below the minimum conditional mean {float(m.min())!r}")
 
     def _law(self, r):
         """Ratio density g, conditional mean m = h / g and truncation
@@ -758,64 +758,33 @@ class RatioConditionalPopulation(Population):
         return knots[(knots > self.ratio.r_lo) & (knots < self.ratio.r_hi)]
 
     @cached_property
-    def _scan_grid(self) -> np.ndarray:
-        """A dense grid of the ratio range holding every knot."""
-        grid = np.linspace(self.ratio.r_lo, self.ratio.r_hi, 1025)
-        return sorted_distinct(grid, self._knots)
+    def _cells(self):
+        """The law on one grid of the ratio range: 1,025 equispaced
+        points, every knot and, for the high family, every turn of m, as
+        the grid with g, h and m = h / g there (one ``cond.h`` call), and
+        the positions in it of r_lo, the knots and r_hi, the ends of the
+        cells on which g and a custom h are linear.
 
-    @cached_property
-    def _scan(self):
-        """The law on the scan grid."""
-        return self._law(self._scan_grid)
-
-    @cached_property
-    def _vm_cells(self):
-        """Cells of the ratio range on which m - eps and m + eps are
-        monotone, as their edges and each cell's least m - eps and most
-        m + eps, which are then found at its ends.
-
-        The scan grid holds every knot, so on each of its cells g and a
-        custom h are linear, and for the low and custom families
-        m = h / g is a ratio of linear functions, monotone where g > 0.
-        For the high family m turns at most once on a cell (``_turns``),
-        and that root becomes an edge.  eps is m / 2 or a constant, so
-        m - eps and m + eps follow m.
+        On each grid cell m is monotone: for the low and custom families
+        it is a ratio of linear functions with g > 0, and for the high
+        family m = 1 / (u g) with u = sqrt(r - r_lo + delta), where
+        g = c r + d, turns only where 2 c u**2 + g = 0, which is a grid
+        point.  eps is m / 2 or a constant, so m - eps and m + eps follow
+        m and are bounded on a grid cell by their values at its ends.
         """
-        r = self._scan_grid
-        _, m, eps = self._scan
+        r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
+        ends = np.concatenate(([r_lo], self._knots, [r_hi]))
+        r = sorted_distinct(np.linspace(r_lo, r_hi, 1025), ends)
+        g = self.ratio.pdf(r)
         if self.cond.family == "high":
-            turn = self._turns(r, self._scan[0])
-            r = sorted_distinct(r, turn[~np.isnan(turn)])
-            _, m, eps = self._law(r)
-        lo, hi = m - eps, m + eps
-        return r, np.minimum(lo[:-1], lo[1:]), np.maximum(hi[:-1], hi[1:])
-
-    def _turns(self, r, g):
-        """Where m turns inside each cell of ``r`` on which g is linear,
-        for the high family, or NaN: m = 1 / (sqrt(s) g) with
-        s = r - r_lo + delta, and where g = c r + d, d/dr (sqrt(s) g) has
-        the sign of 3 c r + d + 2 c (delta - r_lo)."""
-        c = np.diff(g) / np.diff(r)
-        d = g[:-1] - c * r[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            turn = (2.0 * c * (self.ratio.r_lo - self.cond.delta)
-                    - d) / (3.0 * c)
-        return np.where((turn > r[:-1]) & (turn < r[1:]), turn, np.nan)
-
-    def _live_offsets(self, p):
-        """The offsets between which a row at price ``p`` (a scalar or an
-        array) can cross the band: -max and -min of W = vm (r - p) over
-        the law.  Nobody buys below the first and everybody above the
-        second.  W over a cell [a, b] of ``_vm_cells`` lies between the
-        products of vm's bounds [lo, hi] there and a - p, b - p.  vm > 0,
-        so W is at most hi (b - p), or lo (b - p) where b < p, and at
-        least hi (a - p), or lo (a - p) where a > p."""
-        r, lo, hi = self._vm_cells
-        p = np.asarray(p, dtype=float)[..., None]
-        below, above = r[:-1] - p, r[1:] - p
-        top = np.max(np.where(above >= 0.0, hi, lo) * above, axis=-1)
-        bottom = np.min(np.where(below <= 0.0, hi, lo) * below, axis=-1)
-        return -top, -bottom
+            c = np.diff(g) / np.diff(r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                turn = (2.0 * c * (r_lo - self.cond.delta)
+                        - (g[:-1] - c * r[:-1])) / (3.0 * c)
+            r = sorted_distinct(r, turn[(turn > r[:-1]) & (turn < r[1:])])
+            g = self.ratio.pdf(r)
+        h = self.cond.h(r, r_lo)
+        return r, g, h, h / g, np.searchsorted(r, ends)
 
     @property
     def _a0(self) -> float:
@@ -828,7 +797,9 @@ class RatioConditionalPopulation(Population):
 
     @cached_property
     def support(self) -> Support:
-        _, m, eps = self._scan
+        m = self._cells[3]
+        eps = (0.5 * m if self.cond.epsilon_kind == "half_mean"
+               else self.cond.epsilon_value)
         hi = float(np.max(m + eps))
         return Support(self.ratio.r_lo, self.ratio.r_hi, hi * (1.0 + 1e-12))
 
@@ -912,41 +883,28 @@ class RatioConditionalPopulation(Population):
         """Conditional mean of vm exactly at the lower ratio endpoint."""
         return float(self._law(self.ratio.r_lo)[1])
 
-    @cached_property
-    def _cells(self):
-        """The cells between r_lo, the knots and r_hi, as their ends with
-        g and h there (one ``ratio.pdf`` and one ``cond.h`` call), and
-        each cell's least and most m: at its ends, where m is monotone
-        (see ``_vm_cells``), and at the turn of the high family."""
-        r_lo = self.ratio.r_lo
-        r = np.concatenate(([r_lo], self._knots, [self.ratio.r_hi]))
-        g, h = self.ratio.pdf(r), self.cond.h(r, r_lo)
-        m = h / g
-        m_lo, m_hi = np.minimum(m[:-1], m[1:]), np.maximum(m[:-1], m[1:])
-        if self.cond.family == "high":  # NaN where m does not turn
-            turn = self._turns(r, g)
-            m_turn = 1.0 / (np.sqrt(turn - r_lo + self.cond.delta)
-                            * np.interp(turn, r, g))
-            m_lo, m_hi = np.fmin(m_lo, m_turn), np.fmax(m_hi, m_turn)
-        return r, g, h, m_lo, m_hi
-
-    def _crossing_pairs(self, edge_lo, edge_hi, p, xq, starts):
+    def _crossing_pairs(self, k, e, p, xq, starts):
         """The (row, cell) pairs whose -xq lies in the cell's range of
-        edge * (r - p), for an edge between ``edge_lo`` and ``edge_hi`` > 0
-        on each cell, bounded as ``_live_offsets`` bounds W; a row whose
-        offset lies outside its price's ``_live_offsets`` crosses no cell.
-        Both ranges are widened by ``SATURATION_MARGIN``.  The rows are
-        sorted by price, then by offset (NaN last, in no pair), and
-        ``starts`` holds the first row of each price."""
-        r = self._cells[0]
+        W = (k m + e)(r - p), the band edge k m + e > 0 (k > 0) times the
+        price line, widened by ``SATURATION_MARGIN``; the cells run
+        between r_lo, the knots and r_hi.  On a cell [a, b] of the
+        ``_cells`` grid the edge is monotone, so W is at most its larger
+        end value times b - p, or its smaller where b < p, and at least
+        its larger times a - p, or its smaller where a > p; a cell's range
+        is the hull of its grid cells' ranges.  The rows are sorted by
+        price, then by offset (NaN last, in no pair), and ``starts`` holds
+        the first row of each price."""
+        r, _, _, m, at = self._cells
+        edge = k * m + e
+        edge_lo = np.minimum(edge[:-1], edge[1:])
+        edge_hi = np.maximum(edge[:-1], edge[1:])
         below, above = r[:-1] - p[starts, None], r[1:] - p[starts, None]
-        top = np.where(above >= 0.0, edge_hi, edge_lo) * above
-        bottom = np.where(below <= 0.0, edge_hi, edge_lo) * below
+        top = np.maximum.reduceat(
+            np.where(above >= 0.0, edge_hi, edge_lo) * above, at[:-1], 1)
+        bottom = np.minimum.reduceat(
+            np.where(below <= 0.0, edge_hi, edge_lo) * below, at[:-1], 1)
         pad = SATURATION_MARGIN * np.maximum(np.abs(top), np.abs(bottom))
-        nobody, everybody = (w[:, None] for w in self._live_offsets(p[starts]))
-        lo = np.maximum(-top - pad, nobody - SATURATION_MARGIN * abs(nobody))
-        hi = np.minimum(-bottom + pad,
-                        everybody + SATURATION_MARGIN * abs(everybody))
+        lo, hi = -top - pad, -bottom + pad
         # one price's rows are consecutive and sorted by offset
         first, end = np.empty((2,) + lo.shape, dtype=np.intp)
         for i, (s, t) in enumerate(zip(starts.tolist(),
@@ -954,7 +912,7 @@ class RatioConditionalPopulation(Population):
             first[i] = s + np.searchsorted(xq[s:t], lo[i], "left")
             end[i] = s + np.searchsorted(xq[s:t], hi[i], "right")
         count = np.maximum(end - first, 0).ravel()
-        cells = np.repeat(np.tile(np.arange(r.size - 1), starts.size), count)
+        cells = np.repeat(np.tile(np.arange(at.size - 1), starts.size), count)
         return (np.arange(cells.size)
                 + np.repeat(first.ravel() - np.cumsum(count) + count, count),
                 cells)
@@ -978,12 +936,12 @@ class RatioConditionalPopulation(Population):
         pairs of ``_crossing_pairs`` only.  A row's roots depend on its
         own price, offset and cells only.
         """
-        r, g, h, m_lo, m_hi = self._cells
+        r, g, h, _, at = self._cells
+        r, g, h = r[at], g[at], h[at]
         fixed = self.cond.epsilon_kind == "fixed"
         e = sign * self.cond.epsilon_value if fixed else 0.0
         k = 1.0 if fixed else 1.0 + 0.5 * sign
-        rows, c = self._crossing_pairs(k * m_lo + e, k * m_hi + e, p, xq,
-                                       starts)
+        rows, c = self._crossing_pairs(k, e, p, xq, starts)
         x, q = xq[rows], r[c] - p[rows]
         g_a, g_s = g[c], (np.diff(g) / np.diff(r))[c]
         if self.cond.family == "high":
@@ -1039,15 +997,15 @@ class RatioConditionalPopulation(Population):
         are negative.  So its state changes only at its crossing roots
         (at xq = 0 both edges have one at p), and before its first root
         and after its last it keeps its state at r_lo and r_hi.  Those
-        come from the law at the two ends, shared by every row; an end
-        where either function lies within ``SATURATION_MARGIN`` of zero
-        counts as live, so a root that rounding moved past the end
-        cannot hide a live run.  The hull runs from the first root, or
-        r_lo where that end is live, to the last root, or r_hi.  A
-        rootless row with one saturated state at both ends has an empty
-        hull; one whose ends disagree spans the whole support.  The mass
-        outside is ratio.cdf(lo) where everybody buys at r_lo plus
-        1 - ratio.cdf(hi) where everybody buys at r_hi.
+        come from g and h at the two ends of the ``_cells`` grid, shared
+        by every row; an end where either function lies within
+        ``SATURATION_MARGIN`` of zero counts as live, so a root that
+        rounding moved past the end cannot hide a live run.  The hull
+        runs from the first root, or r_lo where that end is live, to the
+        last root, or r_hi.  A rootless row with one saturated state at
+        both ends has an empty hull; one whose ends disagree spans the
+        whole support.  The mass outside is ratio.cdf(lo) where everybody
+        buys at r_lo plus 1 - ratio.cdf(hi) where everybody buys at r_hi.
         """
         r, g, h = self._cells[:3]
         r_lo, r_hi = r[0], r[-1]

@@ -409,13 +409,18 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
     # row sums its intervals in the same order whatever the other rows do
     rows, seg = np.nonzero(np.diff(edges, axis=1) != 0.0)  # NaN is kept
     a, b = edges[rows, seg], edges[rows, seg + 1]
+    # the passes sum over the rows that have segments, renumbered 0, 1,
+    # ... in order (``used`` maps them back); the end scatters their sums
+    first = np.diff(rows, prepend=-1) != 0
+    used, rows = rows[first], np.cumsum(first) - 1
+    tol = np.asarray(tol)[used] if np.ndim(tol) else tol
     if grade > 1:
         # intervals run over [0, 1] in the graded variable of segment seg
         seg_a, seg_b = a, b
         a, b = np.zeros(rows.size), np.ones(rows.size)
-    values = np.zeros(n_rows)
-    errors = np.zeros(n_rows)
-    sizes = np.zeros(n_rows)  # integral of |integrand| over kept intervals
+    values = np.zeros(used.size)
+    errors = np.zeros(used.size)
+    sizes = np.zeros(used.size)  # integral of |integrand| over kept intervals
     for level in range(MAX_LEVELS + 1):
         k, e, size = (np.empty(rows.size), np.empty(rows.size),
                       np.empty(rows.size))
@@ -433,9 +438,9 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
             if grade > 1:
                 nodes, jac, blind = _graded(nodes, seg_a[part], seg_b[part],
                                             grade)
-                f = integrand(nodes, rows[part]) * jac
+                f = integrand(nodes, used[rows[part]]) * jac
             else:
-                f = integrand(nodes, rows[part])
+                f = integrand(nodes, used[rows[part]])
             k[part] = half * np.einsum("ij,j->i", f, w)
             size[part] = half * np.einsum("ij,j->i", np.abs(f), w)
             if degree is not None:
@@ -449,20 +454,21 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
 
         workers.run(block, -(-rows.size // span))
         if degree is not None:  # every row is finished
-            return (np.bincount(rows, k, n_rows),
-                    ROUNDOFF * np.bincount(rows, size, n_rows))
-        total = errors + np.bincount(rows, e, n_rows)
-        row_tol = np.fmax(tol, ROUNDOFF * (sizes
-                                           + np.bincount(rows, size, n_rows)))
+            values = np.bincount(rows, k, used.size)
+            errors = ROUNDOFF * np.bincount(rows, size, used.size)
+            break
+        total = errors + np.bincount(rows, e, used.size)
+        row_tol = np.fmax(tol, ROUNDOFF * (
+            sizes + np.bincount(rows, size, used.size)))
         short = total[rows] > row_tol[rows]
         split = short & (e > (row_tol - errors)[rows]
-                         / np.bincount(rows, minlength=n_rows)[rows])
+                         / np.bincount(rows, minlength=used.size)[rows])
         keep = ~split
-        values += np.bincount(rows[keep], k[keep], n_rows)
-        errors += np.bincount(rows[keep], e[keep], n_rows)
-        sizes += np.bincount(rows[keep], size[keep], n_rows)
+        values += np.bincount(rows[keep], k[keep], used.size)
+        errors += np.bincount(rows[keep], e[keep], used.size)
+        sizes += np.bincount(rows[keep], size[keep], used.size)
         if not split.any():
-            return values, errors
+            break
         pending = 2 * np.bincount(rows[split]).max()
         if level == MAX_LEVELS or pending > MAX_PENDING:
             bad = np.unique(rows[short])
@@ -480,7 +486,7 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
                 f"{row_tol[row]:.3e} and its worst interval "
                 f"[{lo_i!r}, {hi_i!r}]",
                 achieved=float(total[row]), requested=float(row_tol[row]),
-                row=int(row))
+                row=int(used[row]))
         rows, a, b = rows[split], a[split], b[split]
         mid = 0.5 * (a + b)
         rows = np.repeat(rows, 2)
@@ -489,3 +495,4 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
         if grade > 1:
             seg_a = np.repeat(seg_a[split], 2)
             seg_b = np.repeat(seg_b[split], 2)
+    return np.bincount(used, values, n_rows), np.bincount(used, errors, n_rows)

@@ -71,9 +71,10 @@ def tent_ratio() -> pops.RatioMarginalSpec:
 
 def fixed_eps_high(ratio, delta) -> pops.RatioConditionalPopulation:
     """High family with a fixed truncation half-width, half the least
-    conditional mean."""
+    conditional mean on 1,025 equispaced points of the ratio range."""
     pop = pops.make_high_population(ratio, delta)
-    eps = 0.5 * float(np.min(pop._scan[1]))
+    grid = np.linspace(ratio.r_lo, ratio.r_hi, 1025)
+    eps = 0.5 * float(np.min(pop._law(grid)[1]))
     return pops.make_high_population(ratio, delta, epsilon_kind="fixed",
                                      epsilon_value=eps)
 
@@ -216,6 +217,27 @@ def box_bounds(pop, p: float):
     sup = pop.support
     return (max(-pop.vk_upper, -sup.vm_hi * max(sup.r_hi - p, 0.0)),
             min(p * sup.vm_hi, sup.vm_hi * max(p - sup.r_lo, 0.0)))
+
+
+def live_offsets(pop, p):
+    """The offsets between which a row at price ``p`` (a scalar or an
+    array) can cross the band of a ratio_conditional population: -max
+    and -min of W = vm (r - p) over the law.  Nobody buys below the
+    first and everybody above the second.  On a cell [a, b] of the
+    ``_cells`` grid m - eps and m + eps are monotone, so vm lies between
+    their least and most end values lo and hi there, and W is at most
+    hi (b - p), or lo (b - p) where b < p, and at least hi (a - p), or
+    lo (a - p) where a > p."""
+    r, m = pop._cells[0], pop._cells[3]
+    eps = (0.5 * m if pop.cond.epsilon_kind == "half_mean"
+           else pop.cond.epsilon_value)
+    lo = np.minimum((m - eps)[:-1], (m - eps)[1:])
+    hi = np.maximum((m + eps)[:-1], (m + eps)[1:])
+    p = np.asarray(p, dtype=float)[..., None]
+    below, above = r[:-1] - p, r[1:] - p
+    top = np.max(np.where(above >= 0.0, hi, lo) * above, axis=-1)
+    bottom = np.min(np.where(below <= 0.0, hi, lo) * below, axis=-1)
+    return -top, -bottom
 
 
 def same_bits(a, b) -> bool:

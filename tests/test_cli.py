@@ -404,35 +404,75 @@ DEMO_EXIT_CODES = {"custom_conditional": [0, 0, 0, 2, 0],
                    "twin_markets": [2, 2, 2, 0, 2]}
 
 
-# sha256 of samples.csv for each population demo scenario at --seed 7,
-# taken with NumPy 2.4.6 and SciPy 1.17.1.  Sample bytes are part of the
-# artifact contract and hold across versions of demandlab.
-SAMPLE_DIGESTS = {
-    "custom_conditional":
+# sha256 of every artifact of the demo runs above that exit 0, at
+# --seed 7, as scenario/command/file, taken with NumPy 2.4.6 and SciPy
+# 1.17.1.  Artifact bytes are part of the artifact contract and hold
+# across versions of demandlab: a change that moves one updates this
+# table and says so.
+ARTIFACT_DIGESTS = {
+    "custom_conditional/classify/inequality.json":
+        "27fcd7ac47a6d04088aa706c7d89e375b874740109d7c25d331546a26f2c174d",
+    "custom_conditional/demand/demand.csv":
+        "2c0dfe98a935aff3a7a503f0752a46fc9edf49a46732cd2e6e3a8e82d43ec114",
+    "custom_conditional/demand/ratio_cdf.csv":
+        "e31098f2a230c6739098789e3dae514aecb11aab2b8d1c6f1f0b1ecf6c093d15",
+    "custom_conditional/identify/moments.json":
+        "a3d08ccb3cb2600ee569a1737f9f953e41b84fd10b9012e93fd133c941c83d53",
+    "custom_conditional/identify/recovery_report.json":
+        "8821be1d7ea50fe4e6d017f5559740b31d01bdc606a79924765be161fe653047",
+    "custom_conditional/identify/surface.csv":
+        "53bdbf2fbf90c20948d150485ed9382776e5a760d2d92f3cfd00f18e5823da0f",
+    "custom_conditional/sample/samples.csv":
         "ed53fc0bcc85754c93d1d8e15c00f018f7198c19ad387aaad387d044da25a200",
-    "high_regime":
+    "high_regime/classify/inequality.json":
+        "8dbceb484b7cac781b18979b7cbc8312ec8f2fbd07cac5aec114615540d7f002",
+    "high_regime/demand/demand.csv":
+        "e2a1227c14a8fc1699ba58e12b22d36ab030ff3b8800255ab8fa6f730a63de5c",
+    "high_regime/demand/ratio_cdf.csv":
+        "a3044b5a1e0bab3a216476410a60d41373b3af20d4518fc9ce0132c207a56ad4",
+    "high_regime/sample/samples.csv":
         "3a691b5a3e9c863fdd02001973f29f0c4c3a86ac934e3e20d0d6a9c5f39090e2",
-    "independent_betas":
+    "independent_betas/classify/inequality.json":
+        "79496c2fc580c0e2e61547d8204b151a68f124ae56a030b2c7c54eff68cf4cda",
+    "independent_betas/demand/demand.csv":
+        "e10ea834847b74c8e51f61b496ee50828b46cb69711e378de0db7ec007d80ce7",
+    "independent_betas/demand/ratio_cdf.csv":
+        "cb69675dd53c48581c0c1d95aa335c3c45af110fa924f3701ce726a2258713d6",
+    "independent_betas/identify/moments.json":
+        "46f4a25fdd84aa6bab9fc2aad6b640e15d66fd09941edbfbf5e1ae8dae3be3e6",
+    "independent_betas/identify/recovery_report.json":
+        "4abe5f06b3a8033e3a68535eb7cd9a4db839eeabb2cb6db1e9bcf812f9bfb3fa",
+    "independent_betas/identify/surface.csv":
+        "4f47e047ee62f4dd6143fa97774ed1d585ce94ecba2f62257dc4f641e324f9bc",
+    "independent_betas/sample/samples.csv":
         "cec7a2c9f445da43ff2c2d8d7b4f6cfa7f6614ac745b7b796427e64b1b532123",
-    "product_uniform":
-        "cb97e28645af8c648201a58a36aa76e8113f4ee47bca57d10cb96c8f2aba37f2"}
-
-
-@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
-def test_demo_samples_keep_their_bytes(tmp_path, name):
-    out = tmp_path / "out"
-    assert run("sample", DEMO_SCENARIOS / f"{name}.json", "--out", str(out),
-               "--seed", "7") == 0
-    assert digest_of(out / "samples.csv") == SAMPLE_DIGESTS[name]
+    "product_uniform/classify/inequality.json":
+        "8ee36d20758042517099ad5b7650c3b2d5337ab5c8f94a0896af1f135a46be7a",
+    "product_uniform/demand/demand.csv":
+        "e2a1227c14a8fc1699ba58e12b22d36ab030ff3b8800255ab8fa6f730a63de5c",
+    "product_uniform/demand/ratio_cdf.csv":
+        "a3044b5a1e0bab3a216476410a60d41373b3af20d4518fc9ce0132c207a56ad4",
+    "product_uniform/sample/samples.csv":
+        "cb97e28645af8c648201a58a36aa76e8113f4ee47bca57d10cb96c8f2aba37f2",
+    "twin_markets/nonid/nonid_curves.csv":
+        "91dda259e3d422646f94908a252f363d9db7336767c21d49c134c63e0a45fedb",
+    "twin_markets/nonid/nonid_demo.json":
+        "2de600f0aa2dcd87e384b08dc8627655fbe10e38759697b6337bb52b87c5bf92"}
 
 
 def test_demo_scenario_exit_codes(tmp_path, capsys):
-    got = {scn.stem: [run(command, scn, "--out",
-                          str(tmp_path / scn.stem / command))
-                      for command in ("demand", "classify", "sample",
-                                      "nonid", "identify")]
-           for scn in sorted(DEMO_SCENARIOS.glob("*.json"))}
+    got, digests = {}, {}
+    for scn in sorted(DEMO_SCENARIOS.glob("*.json")):
+        got[scn.stem] = []
+        for command in ("demand", "classify", "sample", "nonid", "identify"):
+            out = tmp_path / scn.stem / command
+            code = run(command, scn, "--out", str(out), "--seed", "7")
+            got[scn.stem].append(code)
+            if code == 0:
+                digests.update({f"{scn.stem}/{command}/{f.name}":
+                                digest_of(f) for f in out.iterdir()})
     assert got == DEMO_EXIT_CODES, capsys.readouterr().err
+    assert digests == ARTIFACT_DIGESTS
 
 
 @pytest.mark.usefixtures("declared_scripts_on_path")

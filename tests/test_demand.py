@@ -11,8 +11,8 @@ from demandlab.errors import MonotonicityViolation
 from demandlab.marginals import MarginalSpec
 from helpers import (benchmark_populations, box_bounds, closed_form_roots,
                      column_kernel, continuous_zoo, full_range_profile,
-                     population_zoo, same_bits, seed_ratio, sine_table_low,
-                     surface_zoo)
+                     live_offsets, population_zoo, same_bits, seed_ratio,
+                     sine_table_low, surface_zoo)
 
 
 class TestPurchaseDecision:
@@ -408,7 +408,7 @@ class TestQualityDemandSurface:
                           sup.r_hi, 2.0 * sup.r_hi):
                 bounds = [box_bounds(pop, price)]
                 if isinstance(pop, pops.RatioConditionalPopulation):
-                    bounds.append(pop._live_offsets(price))
+                    bounds.append(live_offsets(pop, price))
                 for nobody, everybody in bounds:
                     offsets = [0.0, -0.0, np.nan, nobody, everybody,
                                np.nextafter(everybody, -np.inf),

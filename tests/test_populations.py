@@ -16,8 +16,9 @@ from demandlab.marginals import MarginalSpec, PwLinearTable
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, benchmark_populations, beta_independent,
                      bisection_roots, closed_form_roots, column_kernel,
-                     conditional_forms, kinked_h_custom, population_zoo,
-                     same_bits, seed_ratio, sine_table_low, surface_zoo)
+                     conditional_forms, kinked_h_custom, live_offsets,
+                     population_zoo, same_bits, seed_ratio, sine_table_low,
+                     surface_zoo)
 
 
 class TestSupport:
@@ -300,9 +301,10 @@ class TestMarginProfile:
                                       "fixed_eps", "tent_ratio",
                                       "falling_ratio"])
     def test_conditional_bounds_hold_the_range_of_the_law(self, name):
-        # W = vm (r - p) with vm in [m - eps, m + eps] given r: on a
-        # dense scan W never reaches above -nobody or below -everybody,
-        # and the bounds stay within 1 % of W's range.  The tabulated
+        # on a dense scan each cell of the ``_cells`` grid holds m - eps
+        # and m + eps between its end values, and each cell between the
+        # knots pairs a row with exactly the offsets -xq in its range of
+        # W = (m +/- eps)(r - p), to 1 % of that range.  The tabulated
         # tent takes the place of a triangular ratio, whose zero ends the
         # form rejects; on the falling ramp the high family's m turns
         # inside a cell, at r = 1.5 - 2 delta / 3
@@ -321,18 +323,40 @@ class TestMarginProfile:
         r_lo, r_hi = pop.ratio.r_lo, pop.ratio.r_hi
         r = np.union1d(np.linspace(r_lo, r_hi, 400_001), pop._knots)
         _, m, eps = pop._law(r)
-        # each cell's vm bounds hold the law at every point of the cell
-        edges, lo, hi = pop._vm_cells
-        cell = np.clip(np.searchsorted(edges, r, side="right") - 1, 0,
-                       lo.size - 1)
-        assert np.all(lo[cell] <= m - eps) and np.all(m + eps <= hi[cell])
+        grid, _, _, m_grid, ends = pop._cells
+        fixed = pop.cond.epsilon_kind == "fixed"
+        eps_grid = pop.cond.epsilon_value if fixed else 0.5 * m_grid
+        low, high = m_grid - eps_grid, m_grid + eps_grid
+        cell = np.clip(np.searchsorted(grid, r, side="right") - 1, 0,
+                       grid.size - 2)
+        assert np.all(np.minimum(low[:-1], low[1:])[cell] <= m - eps)
+        assert np.all(m + eps <= np.maximum(high[:-1], high[1:])[cell])
+        knots = grid[ends]
         for p in (0.5 * r_lo, r_lo, 0.7 * r_lo + 0.3 * r_hi,
                   0.5 * (r_lo + r_hi), r_hi, 1.5 * r_hi):
-            w = np.concatenate(((m - eps) * (r - p), (m + eps) * (r - p)))
-            nobody, everybody = pop._live_offsets(p)
-            slack = 0.01 * (w.max() - w.min())
-            assert -nobody - slack <= w.max() <= -nobody, (name, p)
-            assert -everybody <= w.min() <= -everybody + slack, (name, p)
+            for sign in (1.0, -1.0):
+                k = 1.0 if fixed else 1.0 + 0.5 * sign
+                e = sign * pop.cond.epsilon_value if fixed else 0.0
+                w = (m + sign * eps) * (r - p)
+                # per cell, two offsets at the ends of its range of -W
+                # and two 1 % of that range outside it
+                probes = []
+                for a, b in zip(knots[:-1], knots[1:]):
+                    on = w[(r >= a) & (r <= b)]
+                    slack = 0.01 * (on.max() - on.min())
+                    probes.append([-on.max(), -on.min(),
+                                   -on.max() - slack, -on.min() + slack])
+                probes = np.array(probes)
+                xq = np.sort(probes.ravel())
+                rows, cells = pop._crossing_pairs(
+                    k, e, np.full(xq.size, p), xq, np.array([0]))
+                for c, (inner_lo, inner_hi, outer_lo, outer_hi) in \
+                        enumerate(probes.tolist()):
+                    paired = xq[rows[cells == c]]
+                    assert inner_lo in paired and inner_hi in paired, \
+                        (name, p, sign, c)
+                    assert outer_lo not in paired and outer_hi not in \
+                        paired, (name, p, sign, c)
 
     def test_integrand_sees_at_most_a_block_of_lines(self, monkeypatch):
         # a twin's 9 columns hold many blocks of intervals; each integrand
@@ -648,10 +672,10 @@ class TestRatioConditionalPopulation:
             assert np.array_equal(np.delete(got, 100), np.delete(want, 100))
 
     def test_law_is_evaluated_on_knots_and_nodes(self, monkeypatch):
-        # the crossing roots read g and h once, on the cell ends, and the
-        # quadrature once per pass, on its nodes; no row evaluates the law.
-        # The ratio's cdf gives the mass outside the live hulls, in one
-        # call on the hulls' ends
+        # the crossing roots read g and h from the table the population
+        # was checked on, and the quadrature reads them once per pass, on
+        # its nodes; no row evaluates the law.  The ratio's cdf gives the
+        # mass outside the live hulls, in one call on the hulls' ends
         low = pops.make_low_population(seed_ratio(), delta=0.5)
         calls = {"passes": 0, "pdf": 0, "h": 0, "cdf": 0}
 
@@ -675,10 +699,10 @@ class TestRatioConditionalPopulation:
         xq = np.linspace(-3.0, 3.0, 257)
         low._quality_profile(1.3, xq)
         assert calls["passes"] > 0
-        assert calls["pdf"] == calls["h"] == calls["passes"] + 1
+        assert calls["pdf"] == calls["h"] == calls["passes"]
         assert calls["cdf"] == 1
         calls.update(passes=0, pdf=0, h=0, cdf=0)
-        low._quality_profile(1.3, xq)  # the cell ends are kept
+        low._quality_profile(1.3, xq)
         assert calls["pdf"] == calls["h"] == calls["passes"]
         assert calls["cdf"] == 1
 
@@ -720,6 +744,23 @@ class TestRatioConditionalPopulation:
             lambda r: r * float(pop.cond.h(r, 0.5)), 0.5, 2.0, points=[1.0],
             epsabs=1e-13)
         assert table[(1, 0)] == pytest.approx(want, abs=1e-11)
+
+    def test_fixed_eps_must_stay_below_m_at_its_turn(self):
+        # on a falling ramp the high family's m is least at
+        # r = 1.5 - 2 delta / 3, between the points of a 1,025-point grid
+        # of the range: an eps between m there and the grid's least m
+        # lets vm go negative, and the message prints both in full
+        ramp = pops.RatioMarginalSpec.tabulated([1.0, 2.0], [1.5, 0.5])
+        pop = pops.make_high_population(ramp, 0.02)
+        on_grid = float(np.min(pop._law(np.linspace(1.0, 2.0, 1025))[1]))
+        at_turn = float(pop._law(1.5 - 2.0 * 0.02 / 3.0)[1])
+        assert at_turn < on_grid
+        eps = 0.5 * (at_turn + on_grid)
+        with pytest.raises(ValueError, match=re.escape(
+                f"fixed epsilon {eps!r} must stay below the minimum "
+                f"conditional mean {at_turn!r}")):
+            pops.make_high_population(ramp, 0.02, epsilon_kind="fixed",
+                                      epsilon_value=eps)
 
     def test_zero_ratio_density_is_rejected(self):
         # a triangular density vanishes at both ends, where m = h / g
@@ -774,7 +815,7 @@ class TestCrossingRoots:
         p, xq = np.repeat(prices, xq.size), np.tile(xq, prices.size)
         inside = np.zeros(p.size, dtype=bool)
         for price in prices:
-            nobody, everybody = pop._live_offsets(price)
+            nobody, everybody = live_offsets(pop, price)
             inside |= (p == price) & (xq >= nobody) & (xq <= everybody)
         p, xq = p[inside], xq[inside]
         pairs = []

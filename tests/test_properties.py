@@ -9,7 +9,8 @@ from demandlab import populations as pops
 from demandlab.marginals import MarginalSpec
 from demandlab import quadrature
 from helpers import (bisection_roots, closed_form_roots, column_kernel,
-                     conditional_forms, same_bits, seed_ratio)
+                     conditional_forms, live_offsets, same_bits,
+                     seed_ratio)
 
 bounded = {"allow_nan": False, "allow_infinity": False}
 
@@ -127,7 +128,7 @@ def test_crossing_roots_match_the_bisection(name, rows):
                   for a, _, _ in rows])
     xq = []
     for price, (_, u, k) in zip(p.tolist(), rows):
-        nobody, everybody = pop._live_offsets(price)
+        nobody, everybody = live_offsets(pop, price)
         xq.append(np.nan if k == 0 else nobody + u * (everybody - nobody))
     xq = np.array(xq)
     grid = np.linspace(r_lo, r_hi, quadrature.COARSE)

@@ -220,6 +220,30 @@ def test_segmented_gl_raises_at_the_cap_with_achieved_error():
     assert "2 rows" in str(exc.value)
 
 
+def test_rows_without_segments_keep_the_callers_numbering():
+    # rows 0 and 2 have lo == hi and take no part in the passes; the
+    # others keep their own row number in the integrand, in a per-row
+    # tolerance and in a QuadratureFailure.  Row 1 has a break at its
+    # step, row 3 does not, so only a loose tolerance lets row 3 finish
+    c = np.array([0.2, 0.5, 0.7, 1.0 / 3.0])
+    lo, hi = np.zeros(4), np.array([0.0, 1.0, 0.0, 1.0])
+    breaks = np.array([[0.2], [0.5], [0.7], [0.5]])
+    seen = []
+
+    def step(nodes, rows):
+        seen.extend(rows.tolist())
+        return (nodes >= c[rows][:, None]).astype(float)
+
+    got, est = q.segmented_gl(lo, hi, breaks, step,
+                              tol=np.array([1e-12, 1e-12, 1e-12, 1.0]))
+    assert set(seen) == {1, 3}
+    assert got[[0, 1, 2]].tolist() == [0.0, 0.5, 0.0]
+    assert est[0] == est[2] == 0.0 and est[3] > 1e-12
+    with pytest.raises(QuadratureFailure) as exc:
+        q.segmented_gl(lo, hi, breaks, step, tol=1e-12)
+    assert exc.value.row == 3
+
+
 def test_segmented_gl_caps_the_pending_intervals_of_a_row(monkeypatch):
     # a seeded noisy integrand never converges, so every interval splits
     # each pass; the row count doubles until the cap stops it, well
