@@ -460,6 +460,17 @@ ARTIFACT_DIGESTS = {
         "2de600f0aa2dcd87e384b08dc8627655fbe10e38759697b6337bb52b87c5bf92"}
 
 
+@pytest.mark.parametrize("name", sorted(
+    key.split("/")[0] for key in ARTIFACT_DIGESTS
+    if key.endswith("/sample/samples.csv")))
+def test_demo_samples_keep_their_bytes(tmp_path, name):
+    out = tmp_path / "out"
+    assert run("sample", DEMO_SCENARIOS / f"{name}.json", "--out", str(out),
+               "--seed", "7") == 0
+    assert (digest_of(out / "samples.csv")
+            == ARTIFACT_DIGESTS[f"{name}/sample/samples.csv"])
+
+
 def test_demo_scenario_exit_codes(tmp_path, capsys):
     got, digests = {}, {}
     for scn in sorted(DEMO_SCENARIOS.glob("*.json")):
