@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 input/scenario error, 3 numeric failure,
 4 demonstration-assertion failure.  Every JSON report embeds the
 scenario file's sha256 and the library version; files are written
-atomically (temp file + rename) and reruns of the same scenario and
-seed are byte-identical.
+atomically (temp file + rename), with the mode ``open`` would give a new
+file, and reruns of the same scenario and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ def _atomic_write(path: str, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -20,8 +20,9 @@ no special function never loads scipy.  Arrays of at least ``SPLIT_MIN``
 elements are cut into chunks of ``CHUNK`` that ``workers.run`` spreads
 over the CPUs of the process's affinity mask (restrict it with
 ``taskset``; there is no other setting), as it spreads the blocks of
-each quadrature pass.  A call inside such a block runs its chunks on
-the block's thread.  Each element's value does not depend on the split,
+each quadrature pass, on the threads of one pool that lives for the
+process.  A call inside such a block runs its chunks on the block's
+thread.  Each element's value does not depend on the split,
 so seeded samples, curves and surfaces are bit-identical whatever the
 CPU count.
 """

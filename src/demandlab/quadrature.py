@@ -19,8 +19,9 @@ small blocks keep the integrand's node-sized temporaries at a few
 hundred kB however many rows the call holds.  The blocks of a pass are
 independent, so ``workers.run`` spreads them over the CPUs of the
 process's affinity mask (restrict it with ``taskset``; there is no
-other setting); a pass of one block runs on the calling
-thread, and so does every pass on one CPU.  Each interval gets the
+other setting): the caller and the idle threads of one pool per
+process take its blocks, and a pass of one block runs on the calling
+thread, as does every pass on one CPU.  Each interval gets the
 nested Gauss-Kronrod pair G10/K21 of QUADPACK (Piessens et al. 1983):
 21 integrand values give its integral and, from |K21 - G10|, its error
 estimate.  A row is finished once its summed estimate meets the absolute

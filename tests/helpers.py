@@ -240,6 +240,12 @@ def live_offsets(pop, p):
     return -top, -bottom
 
 
+def worker_names(run) -> list:
+    """The pool's threads among the drainers of one run (see the
+    ``drainers`` fixture)."""
+    return [name for name in run if name.startswith("demandlab-worker")]
+
+
 def same_bits(a, b) -> bool:
     """Equal arrays of floats, bit for bit (NaN equals NaN; 0.0 differs
     from -0.0)."""

@@ -486,6 +486,21 @@ def test_demo_scenario_exit_codes(tmp_path, capsys):
     assert digests == ARTIFACT_DIGESTS
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_artifacts_get_the_mode_open_gives(tmp_path, umask, mode):
+    # a new file open() creates is 0o666 less the umask
+    old = os.umask(umask)
+    try:
+        for command in ("demand", "identify"):
+            assert run(command, DEMO_SCENARIOS / "independent_betas.json",
+                       "--out", str(tmp_path / command)) == 0
+    finally:
+        os.umask(old)
+    modes = {f.name: f.stat().st_mode & 0o777 for f in tmp_path.glob("*/*")}
+    assert len(modes) == 5 and set(modes.values()) == {mode}, modes
+
+
 @pytest.mark.usefixtures("declared_scripts_on_path")
 def test_installed_entry_point(tmp_path):
     scn = write_scenario(tmp_path, {

@@ -10,10 +10,10 @@ import pytest
 import scipy.special
 from scipy import stats
 
-from demandlab import MomentTable, marginals, workers
+from demandlab import MomentTable, marginals
 from demandlab.errors import NoDensity, SpecialFunctionFailure
 from demandlab.marginals import MarginalSpec, PwLinearTable, _special
-from helpers import same_bits
+from helpers import same_bits, worker_names
 
 
 class TestPwLinearTable:
@@ -299,27 +299,9 @@ SPLIT_SIZES = (marginals.SPLIT_MIN - 1, marginals.SPLIT_MIN,
 
 
 @pytest.fixture
-def three_cpus(monkeypatch):
+def three_cpus(usable_cpus):
     """Three CPUs whatever the machine has."""
-    monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
-
-
-@pytest.fixture
-def drainers(monkeypatch):
-    """Names of the threads that drained chunks, one per drain."""
-    names = []
-    drain = workers._drain
-
-    def record(*args):
-        names.append(threading.current_thread().name)
-        drain(*args)
-
-    monkeypatch.setattr(workers, "_drain", record)
-    return names
-
-
-def _workers(names):
-    return [n for n in names if n.startswith("demandlab-worker")]
+    usable_cpus(3)
 
 
 class TestSpecialHelper:
@@ -332,8 +314,9 @@ class TestSpecialHelper:
             want = getattr(scipy.special, name)(*args)
         # the caller and two workers drain a split call
         split = n >= marginals.SPLIT_MIN
-        assert len(_workers(drainers)) == (2 if split else 0)
-        assert len(drainers) == (3 if split else 0)
+        assert [len(worker_names(run)) for run in drainers] == \
+            ([2] if split else [])
+        assert [len(run) for run in drainers] == ([3] if split else [])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -342,7 +325,7 @@ class TestSpecialHelper:
         flat = SPECIAL_ARGS[name](300 * 257, np.random.default_rng(3))
         args = [a.reshape(300, 257) if np.ndim(a) else a for a in flat]
         got = _special(name, *args)
-        assert len(_workers(drainers)) == 2
+        assert [len(worker_names(run)) for run in drainers] == [2]
         want = getattr(scipy.special, name)(*args)
         assert got.shape == (300, 257)
         assert np.array_equal(got, want, equal_nan=True)
@@ -396,26 +379,25 @@ class TestSpecialHelper:
         assert np.isnan(MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0)
                         .ppf(np.nan))
 
-    def test_one_cpu_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
-
-        monkeypatch.setattr(workers, "ThreadPoolExecutor", no_pool)
+    def test_one_cpu_starts_no_pool(self, monkeypatch, drainers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        threads = threading.enumerate()
         q = np.random.default_rng(2).random(2 * marginals.SPLIT_MIN)
         assert np.array_equal(_special("ndtri", q), scipy.special.ndtri(q))
+        assert not drainers and threading.enumerate() == threads
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
-    def test_forked_child_gets_a_working_pool(self, monkeypatch, drainers):
-        # a child forked after a split call starts workers of its own
-        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    def test_forked_child_gets_a_working_pool(self, usable_cpus, drainers):
+        # a child forked after the pool has started builds a pool of its
+        # own: its parent's threads do not exist in it
+        usable_cpus(2)
         spec = MarginalSpec.scaled_beta(2.0, 3.0, 0.0, 1.0)
         q = np.random.default_rng(4).random(10 ** 6)
         want = hashlib.sha256(spec.ppf(q).tobytes()).hexdigest()
-        assert _workers(drainers)
+        assert any(worker_names(run) for run in drainers)
         ctx = multiprocessing.get_context("fork")
         results = ctx.SimpleQueue()
         child = ctx.Process(target=_hash_ppf, args=(spec, q, results))

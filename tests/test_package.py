@@ -35,13 +35,20 @@ def test_every_exported_name_resolves():
             if not hasattr(demandlab, name)] == []
 
 
-def _loads_scipy(code: str) -> bool:
-    """Whether ``code``, run in a fresh interpreter, leaves scipy loaded."""
-    script = code + "\nimport sys\nprint('scipy' in sys.modules)\n"
+def _loaded(code: str, modules: list) -> list:
+    """Those of ``modules`` that ``code``, run in a fresh interpreter,
+    leaves loaded."""
+    script = (code + "\nimport json, sys\nprint(json.dumps("
+              f"[m for m in {modules!r} if m in sys.modules]))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
                           capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()[-1] == "True"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loads_scipy(code: str) -> bool:
+    """Whether ``code``, run in a fresh interpreter, leaves scipy loaded."""
+    return _loaded(code, ["scipy"]) == ["scipy"]
 
 
 def test_import_does_not_load_scipy():
@@ -78,6 +85,17 @@ def test_worker_threads_do_not_load_scipy():
         "from demandlab import workers\n"
         "workers._usable_cpus = lambda: 2\n"
         "workers.run(lambda i: None, 4)")
+
+
+def test_worker_threads_load_no_executor_or_logging():
+    # the pool is plain threads and a queue: concurrent.futures would
+    # bring logging, about 2.5 ms per process
+    assert _loaded("import demandlab\n"
+                   "from demandlab import workers\n"
+                   "workers._usable_cpus = lambda: 2\n"
+                   "workers.run(lambda i: None, 4)\n"
+                   "assert workers._threads == 1",
+                   ["concurrent.futures", "logging"]) == []
 
 
 def test_numpy_ma_loads_only_with_scipy(tmp_path):

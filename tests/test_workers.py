@@ -1,8 +1,12 @@
 """The worker helper and the quadrature passes it spreads over CPUs."""
 
 import os
+import subprocess
+import sys
 import threading
 import time
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,25 +18,7 @@ from demandlab.demand import (demand_curve, invert_demand,
 from demandlab.marginals import SPLIT_MIN, MarginalSpec, _special
 from demandlab.populations import (IndependentPopulation, ProductPopulation,
                                    RatioMarginalSpec)
-from helpers import beta_independent, population_zoo, same_bits
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The thread count of each pool that ``workers.run`` builds."""
-    built = []
-    real = workers.ThreadPoolExecutor
-
-    def counting(threads, **kwargs):
-        built.append(threads)
-        return real(threads, **kwargs)
-
-    monkeypatch.setattr(workers, "ThreadPoolExecutor", counting)
-    return built
-
-
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(workers, "_usable_cpus", lambda: n)
+from helpers import beta_independent, population_zoo, same_bits, worker_names
 
 
 def _many_blocks(monkeypatch):
@@ -60,14 +46,21 @@ def _results():
     return out
 
 
-def test_results_keep_their_bits_whatever_the_cpu_count(monkeypatch, pools):
+def _helper_counts(drainers):
+    # one caller drains each run, with the helpers the pool lent it
+    assert all(len(run) - len(worker_names(run)) == 1 for run in drainers)
+    return [len(worker_names(run)) for run in drainers]
+
+
+def test_results_keep_their_bits_whatever_the_cpu_count(
+        monkeypatch, usable_cpus, drainers):
     _many_blocks(monkeypatch)
-    _cpus(monkeypatch, 1)
+    usable_cpus(1)
     serial = _results()
-    assert pools == []
-    _cpus(monkeypatch, 3)
+    assert not drainers
+    usable_cpus(3)
     threaded = _results()
-    assert pools and set(pools) <= {1, 2}
+    assert drainers and set(_helper_counts(drainers)) <= {1, 2}
     assert len(serial) == len(threaded)
     for a, b in zip(serial, threaded):
         assert same_bits(a, b)
@@ -75,7 +68,7 @@ def test_results_keep_their_bits_whatever_the_cpu_count(monkeypatch, pools):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_integer_shape_surfaces_take_no_scipy_and_keep_their_bits(
-        monkeypatch, pools, cpus):
+        monkeypatch, usable_cpus, drainers, cpus):
     # the closed-form beta cdf and pdf run in the quadrature blocks
     def no_scipy(name, *args):
         raise AssertionError(f"scipy.special.{name}")
@@ -91,12 +84,12 @@ def test_integer_shape_surfaces_take_no_scipy_and_keep_their_bits(
                               vm))]
 
     _many_blocks(monkeypatch)
-    _cpus(monkeypatch, 1)
+    usable_cpus(1)
     serial = surfaces()
     monkeypatch.setattr(marginals, "_special", no_scipy)
-    _cpus(monkeypatch, cpus)
+    usable_cpus(cpus)
     again = surfaces()
-    assert (set(pools) == {1}) if cpus == 2 else pools == []
+    assert set(_helper_counts(drainers)) == ({1} if cpus == 2 else set())
     assert all(same_bits(a, b) for a, b in zip(serial, again))
 
 
@@ -112,19 +105,20 @@ def _late_failure(nodes, rows):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_the_lowest_failing_block_raises(monkeypatch, pools, cpus):
-    _cpus(monkeypatch, cpus)
+def test_the_lowest_failing_block_raises(monkeypatch, usable_cpus, drainers,
+                                        cpus):
+    usable_cpus(cpus)
     monkeypatch.setattr(quadrature, "INTERVAL_BLOCK", 4)
     with pytest.raises(FloatingPointError, match=r"^block from row 20$"):
         quadrature.segmented_gl(0.0, 1.0, np.empty((40, 0)), _late_failure,
                                 tol=1e-10)
-    assert pools == ([] if cpus == 1 else [2])
+    assert _helper_counts(drainers) == ([] if cpus == 1 else [2])
 
 
-def test_a_nested_call_starts_no_pool(monkeypatch, pools):
+def test_a_nested_call_starts_no_pool(usable_cpus, drainers):
     # a special function large enough to split, inside an item, runs on
     # the item's thread
-    _cpus(monkeypatch, 3)
+    usable_cpus(3)
     q = np.random.default_rng(5).random(SPLIT_MIN + 3)
     got = [None] * 4
 
@@ -132,20 +126,17 @@ def test_a_nested_call_starts_no_pool(monkeypatch, pools):
         got[i] = _special("ndtri", q)
 
     workers.run(item, 4)
-    assert pools == [2]
+    assert _helper_counts(drainers) == [2]
     want = scipy.special.ndtri(q)
     assert all(same_bits(g, want) for g in got)
 
 
-def test_one_cpu_starts_no_thread_in_segmented_gl(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was built")
-
-    monkeypatch.setattr(workers, "ThreadPoolExecutor", no_pool)
+def test_one_cpu_starts_no_thread_in_segmented_gl(monkeypatch, drainers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(quadrature, "INTERVAL_BLOCK", 4)
+    threads = threading.enumerate()
     seen = set()
 
     def integrand(nodes, rows):
@@ -155,10 +146,11 @@ def test_one_cpu_starts_no_thread_in_segmented_gl(monkeypatch):
     quadrature.segmented_gl(0.0, 1.0, np.empty((40, 0)), integrand,
                             tol=1e-10)
     assert seen == {threading.get_ident()}
+    assert not drainers and threading.enumerate() == threads
 
 
-def test_a_single_block_pass_runs_inline(monkeypatch, pools):
-    _cpus(monkeypatch, 3)
+def test_a_single_block_pass_runs_inline(usable_cpus, drainers):
+    usable_cpus(3)
     seen = set()
 
     def integrand(nodes, rows):
@@ -167,4 +159,119 @@ def test_a_single_block_pass_runs_inline(monkeypatch, pools):
 
     quadrature.segmented_gl(0.0, 1.0, np.empty((40, 0)), integrand,
                             tol=1e-10)
-    assert pools == [] and seen == {threading.get_ident()}
+    assert not drainers and seen == {threading.get_ident()}
+
+
+def test_an_idle_pool_keeps_nothing_of_a_run(usable_cpus):
+    # a helper lets go of the run's item before the run returns
+    usable_cpus(3)
+
+    class Payload:
+        pass
+
+    payload = Payload()
+    alive = weakref.ref(payload)
+    workers.run(lambda i, payload=payload: None, 4)
+    del payload
+    assert alive() is None
+
+
+def test_concurrent_callers_share_the_pool(usable_cpus):
+    # four callers at once on four CPUs, switching threads as often as
+    # the interpreter allows: every run takes each of its items once, and
+    # the pool grows to three threads, no more (conftest checks its size)
+    usable_cpus(4)
+    runs = []
+
+    def caller():
+        for _ in range(50):
+            taken = [0] * 16
+
+            def item(i):
+                taken[i] += 1
+
+            workers.run(item, 16)
+            runs.append(taken)
+
+    callers = [threading.Thread(target=caller) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert runs == [[1] * 16] * 200
+
+
+# A child interpreter on two CPUs whatever the machine has, with a few
+# intervals per block.
+CHILD = """
+import os, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+from demandlab import quadrature, workers
+from demandlab.demand import quality_demand_surface
+from demandlab.marginals import MarginalSpec
+from demandlab.populations import ProductPopulation, RatioMarginalSpec
+quadrature.INTERVAL_BLOCK = 16
+
+def surface():
+    pop = ProductPopulation(RatioMarginalSpec.uniform(1.0, 2.0, vm_hi=3.0),
+                            MarginalSpec.scaled_beta(3.0, 2.0, 0.5, 1.5))
+    return quality_demand_surface(pop, np.linspace(-1.5, 1.5, 64),
+                                  np.array([0.5, 0.9, 1.3])).values.tobytes()
+
+def pool():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("demandlab-worker")]
+"""
+
+
+def _child(script: str) -> list:
+    """The lines ``script`` prints in a child interpreter, which must exit
+    with code 0 within 30 s."""
+    path = str(Path(workers.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", CHILD + script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_the_pool_does_not_hold_up_exit():
+    # its threads wait for jobs forever, so they must not be joined at exit
+    assert _child("surface()\nprint(pool())") == ["['demandlab-worker-1']"]
+
+
+def test_a_failure_on_a_helper_leaves_the_pool_working():
+    # the caller's first block waits until a helper's block has failed
+    assert _child("""
+failed = threading.Event()
+
+def integrand(nodes, rows):
+    if threading.current_thread().name.startswith("demandlab-worker"):
+        failed.set()
+        raise FloatingPointError("on a helper")
+    assert failed.wait(20)
+    return nodes
+
+try:
+    quadrature.segmented_gl(0.0, 1.0, np.empty((40, 0)), integrand, tol=1e-10)
+except FloatingPointError as exc:
+    print(exc)
+drainers, drain = set(), workers._drain
+
+def record(*args):
+    drainers.add(threading.current_thread().name)
+    drain(*args)
+
+workers._drain = record
+two = surface()
+os.sched_getaffinity = lambda pid: {0}
+print(two == surface(), sorted(drainers), pool())
+""") == ["on a helper",
+         "True ['MainThread', 'demandlab-worker-1'] ['demandlab-worker-1']"]
