@@ -796,12 +796,18 @@ class RatioConditionalPopulation(Population):
         return _trunc_mass(self._a0)
 
     @cached_property
-    def support(self) -> Support:
+    def _vm_band(self) -> tuple:
+        """Bounds on every money value, min(m - eps) and max(m + eps)
+        over the ``_cells`` grid, widened by 1e-12 relative."""
         m = self._cells[3]
         eps = (0.5 * m if self.cond.epsilon_kind == "half_mean"
                else self.cond.epsilon_value)
-        hi = float(np.max(m + eps))
-        return Support(self.ratio.r_lo, self.ratio.r_hi, hi * (1.0 + 1e-12))
+        return (float(np.min(m - eps)) * (1.0 - 1e-12),
+                float(np.max(m + eps)) * (1.0 + 1e-12))
+
+    @cached_property
+    def support(self) -> Support:
+        return Support(self.ratio.r_lo, self.ratio.r_hi, self._vm_band[1])
 
     @property
     def vk_upper(self) -> float:
@@ -1004,8 +1010,15 @@ class RatioConditionalPopulation(Population):
         runs from the first root, or r_lo where that end is live, to the
         last root, or r_hi.  A rootless row with one saturated state at
         both ends has an empty hull; one whose ends disagree spans the
-        whole support.  The mass outside is ratio.cdf(lo) where everybody
-        buys at r_lo plus 1 - ratio.cdf(hi) where everybody buys at r_hi.
+        whole support.  Every vm lies in ``_vm_band``, [vm_lo, vm_hi], so
+        a row buys where r >= p - xq / vm_lo and r >= p - xq / vm_hi, and
+        not where both fail: nobody buys below the window between those
+        two ratios and everybody above it.  The hull is cut to that
+        window, which also empties it at xq = 0, where the row buys
+        exactly where r >= p, since vm > 0 and the law has no atoms.  The
+        mass outside is ratio.cdf(lo) where everybody buys at r_lo plus
+        1 - ratio.cdf(hi) where everybody buys at r_hi or above the
+        window.
         """
         r, g, h = self._cells[:3]
         r_lo, r_hi = r[0], r[-1]
@@ -1031,17 +1044,25 @@ class RatioConditionalPopulation(Population):
         first = np.full(p.size, r_hi)
         for column in (c for R in roots for c in R.T):
             np.minimum(first, column, out=first)
-        has = np.flatnonzero(first < r_hi)
-        last = np.full(has.size, r_lo)
+        has = first < r_hi
+        last = np.full(has.sum(), r_lo)
         for column in (c for R in roots for c in R[has].T):
             np.maximum(last, np.where(column < r_hi, column, r_lo), out=last)
         lo = np.full(p.size, r_lo)
         hi = np.where(sat[0] & sat[1] & (every[0] == every[1]), r_lo, r_hi)
         lo[has] = np.where(sat[0, has], first[has], r_lo)
         hi[has] = np.where(sat[1, has], last, r_hi)
-        # a rootless row has lo = r_lo, and hi = r_lo or r_hi, where no
-        # mass lies above: the law's cdf is read at r_lo and on the rows
-        # with roots only
+        cut = np.flatnonzero(lo < hi)  # the rows with a hull to cut
+        with np.errstate(over="ignore"):
+            near, far = (p[cut] - xq[cut] / vm for vm in self._vm_band)
+        start = np.fmax(lo[cut], np.fmin(near, far))
+        stop = np.fmin(hi[cut], np.fmax(near, far))
+        every[1, cut[stop < hi[cut]]] = True
+        lo[cut], hi[cut] = start, stop
+        # a row with neither roots nor a hull has lo = hi = r_lo: the
+        # law's cdf is read at r_lo and on the other rows only
+        has[cut] = True
+        has = np.flatnonzero(has)
         cdf = np.asarray(self.ratio.cdf(np.concatenate(([r_lo], lo[has],
                                                         hi[has]))))
         at_lo, at_hi = np.full((2, p.size), cdf[0])
@@ -1066,52 +1087,69 @@ class RatioConditionalPopulation(Population):
         roots = [self._crossing_roots(sign, p, xq, starts)
                  for sign in (1.0, -1.0)]
         lo, hi, outer = self._live_hull(p, xq, roots, starts)
-        # only rows with a nonempty hull (or a NaN one) need quadrature
+        # only rows with a nonempty hull (or a NaN one) need quadrature;
+        # a row at xq = 0 has none and takes 1 - G(p) (see _live_hull)
         live = np.flatnonzero(~(lo >= hi))
         p, xq = p[live], xq[live]
-        breaks = np.concatenate(
-            (*(R[live] for R in roots), np.clip(p, r_lo, r_hi)[:, None],
-             np.broadcast_to(self._knots, (live.size, self._knots.size))),
-            axis=1)
+        # A live row is integrated over the money-value threshold
+        # t = -xq / (r - p), where its price line meets vm, not over the
+        # ratio r: it buys when vm >= t if xq < 0 (then r > p) and when
+        # vm <= t if xq > 0 (then r < p).  With r = p - xq / t and the
+        # Jacobian |dr / dt| = |xq| / t**2 the row is the integral of
+        # g(r) P(buy | r) |xq| / t**2 over t.  The hull, cut to the window
+        # of ``_vm_band``, maps into that band, [min(m - eps), max(m + eps)]:
+        # O(1) wide whatever xq is, and away from the pole of r at t = 0,
+        # which the pole of t at r = p becomes.  The hull ends, the roots
+        # and the knots map to t; p has no image, and a hull end that
+        # rounding puts on p maps to the band's top.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -xq[:, None] / (np.concatenate(
+                (lo[live, None], hi[live, None], *(R[live] for R in roots),
+                 np.broadcast_to(self._knots, (live.size, self._knots.size))),
+                axis=1) - p[:, None])
+        ends = np.clip(np.abs(t[:, :2]), *self._vm_band)
         a0 = self._a0
         z_mass = self._z_mass
         # below a0 = 2, Phi(a0) - Phi(z) cancels; erf differences, as in
-        # _trunc_mass, keep the conditional probabilities accurate
+        # _trunc_mass, keep the conditional probabilities accurate.  The
+        # truncated normal is symmetric about m, so P(vm >= t) is the
+        # P(vm <= 2 m - t) that z = sign(xq) (t - m) / sigma gives
         wide = a0 < 2.0
         cap = (_special("erf", a0 * _SQRT_HALF) if wide
                else _special("ndtr", a0))
 
         def integrand(nodes, rows):
-            g, m, sig = self._law(nodes)
-            sig *= self.cond.sigma_multiplier
-            # c reuses the nodes, and m, sig, z go before s is formed,
-            # which bounds the node-sized arrays alive at once
-            c = np.subtract(nodes, p[rows][:, None], out=nodes)
             x = xq[rows][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = -x / np.where(c != 0.0, c, 1.0)
-                z -= m
-                z /= sig
-                np.clip(z, -a0, a0, out=z)
+            q = x / nodes  # p - r
+            jac = np.abs(q)
+            jac /= nodes
+            r = np.subtract(p[rows][:, None], q, out=q)
+            g, m, sig = self._law(np.clip(r, r_lo, r_hi, out=r))
+            sig *= self.cond.sigma_multiplier * np.sign(x)
+            # z reuses the nodes, and m, sig go before s is formed, which
+            # bounds the node-sized arrays alive at once
+            z = np.subtract(nodes, m, out=nodes)
+            del m
+            z /= sig
+            del sig
+            np.clip(z, -a0, a0, out=z)
             if wide:
                 z *= _SQRT_HALF
-                phi = _special("erf", z)
-                above, below = 0.5 * (cap - phi), 0.5 * (phi + cap)
+                s = _special("erf", z)
+                s += cap
+                s *= 0.5 / z_mass
             else:
-                phi = _special("ndtr", z)
-                above, below = cap - phi, phi - (1.0 - cap)
-            del m, sig, z, phi
-            above /= z_mass
-            below /= z_mass
-            s = np.where(c > 0.0, above,
-                         np.where(c < 0.0, below, (x >= 0.0).astype(float)))
+                s = _special("ndtr", z)
+                s -= 1.0 - cap
+                s /= z_mass
             s *= g
+            s *= jac
             return s
 
         with _renumbered(np.arange(n)[order][live]):
-            values, errors = quadrature.segmented_gl(lo[live], hi[live],
-                                                     breaks, integrand,
-                                                     tol=SURFACE_TOL)
+            values, errors = quadrature.segmented_gl(
+                np.min(ends, axis=1), np.max(ends, axis=1), t[:, 2:],
+                integrand, tol=SURFACE_TOL)
         out = np.zeros((2, n))
         out[:, live] = values, errors
         out[0] += outer

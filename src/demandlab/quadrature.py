@@ -93,7 +93,7 @@ _WKG = _WK21 - np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
 MAX_LEVELS = 20
 MAX_PENDING = 1024
 # solve_crossings: coarse scan points and bisection steps per bracketed
-# cell; poly_roots bisects a monotone piece at most BISECTIONS times.
+# cell; poly_roots takes at most BISECTIONS steps on a monotone piece.
 COARSE = 513
 BISECTIONS = 64
 # segmented_gl: G10/K21 intervals per integrand call, which bounds the
@@ -269,19 +269,25 @@ def poly_roots(coef: np.ndarray, width: np.ndarray) -> np.ndarray:
     ascending order, padded with NaN.  At d = 2 they come in closed form
     from the stable quadratic formula: with
     q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2 the roots are q / a and c / q,
-    or -c / b when a = 0, and a double root counts twice.  Above degree 2
-    the real roots of the derivative, found by this same routine, cut
-    [0, width] into pieces on which the polynomial is monotone.  Each
-    piece whose ends differ in sign (zero counting as nonnegative) holds
-    one root, which is bisected with Horner's rule until a pass moves no
-    end, at most ``BISECTIONS`` times.  A row's roots depend on its own
-    coefficients only.
+    or -c / b when a = 0, and a double root counts twice; a root too
+    large for a float lies outside [0, width].  Above degree 2 the real
+    roots of the derivative, found by this same routine, cut [0, width]
+    into pieces on which the polynomial is monotone.  Each piece whose
+    ends differ in sign (zero counting as nonnegative) holds one root.
+    Its bracket starts as the piece and takes safeguarded Newton steps,
+    with Horner's rule for the polynomial and its derivative: each step
+    is pushed 2^-50 relative past the point it aims at, so that near the
+    root it lands on the far side and both ends of the bracket close in,
+    and a step that leaves the bracket bisects it instead.  It stops on
+    a bracket of adjacent floats or an exact zero, after at most
+    ``BISECTIONS`` steps, and the root is the bracket's midpoint.  A
+    row's roots depend on its own coefficients only.
     """
     n, d = coef.shape[0], coef.shape[1] - 1
     width = np.asarray(width, dtype=float)
     if d == 2:
         c0, c1, c2 = coef.T
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0),
                                          c1))
             one = np.where(c2 != 0.0, q / c2, -c0 / c1)
@@ -290,24 +296,46 @@ def poly_roots(coef: np.ndarray, width: np.ndarray) -> np.ndarray:
         roots = np.column_stack((one, two))
         roots[~((roots >= 0.0) & (roots <= width[:, None]))] = np.nan
         return np.sort(roots, axis=1)
-    crit = poly_roots(coef[:, 1:] * np.arange(1, d + 1), width)
+    slope = coef[:, 1:] * np.arange(1, d + 1)
+    crit = poly_roots(slope, width)
     ends = np.column_stack((np.zeros(n),
                             np.where(np.isnan(crit), width[:, None], crit),
                             width))
     neg = _horner(coef.T[:, :, None], ends) < 0.0
     row, piece = np.nonzero(neg[:, :-1] != neg[:, 1:])
     a, b = ends[row, piece], ends[row, piece + 1]
-    sign_a, line = neg[row, piece], coef[row].T.copy()
+    sign_a, line, slope = neg[row, piece], coef[row].T, slope[row].T
+    x, moved = 0.5 * (a + b), b - a
+    found, pending = np.empty(row.size), np.arange(row.size)
     for _ in range(BISECTIONS):
-        m = 0.5 * (a + b)
-        left = (_horner(line, m) < 0.0) != sign_a
-        new_a, new_b = np.where(left, a, m), np.where(left, m, b)
-        if np.array_equal(new_a, a) and np.array_equal(new_b, b):
-            break
-        a, b = new_a, new_b
+        f = _horner(line, x)
+        left = (f < 0.0) != sign_a  # the root lies in (a, x]
+        zero = f == 0.0
+        a, b = np.where(left & ~zero, a, x), np.where(left | zero, x, b)
+        mid = 0.5 * (a + b)
+        open_ = (mid > a) & (mid < b)
+        # a closed bracket keeps its ends; once half the brackets are
+        # closed, later steps take the open ones only
+        if 2 * np.count_nonzero(open_) <= open_.size:
+            found[pending[~open_]] = mid[~open_]
+            pending, a, b, mid, x, f, moved, sign_a, line, slope = (
+                v[..., open_] for v in (pending, a, b, mid, x, f, moved,
+                                        sign_a, line, slope))
+            if not pending.size:
+                break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f / _horner(slope, x)
+            newton = x - step
+            newton -= np.copysign(2.0 ** -50 * np.abs(newton), step)
+        # a step that leaves the bracket, or that does not halve the last
+        # move, as near a double root, bisects
+        take = (newton > a) & (newton < b) & (np.abs(step) <= 0.5 * moved)
+        moved = np.abs(np.where(take, newton, mid) - x)
+        x = np.where(take, newton, mid)
+    found[pending] = 0.5 * (a + b)
     roots = np.full((n, d), np.nan)
     # pieces come sorted by row, then by position
-    roots[row, np.arange(row.size) - np.searchsorted(row, row)] = 0.5 * (a + b)
+    roots[row, np.arange(row.size) - np.searchsorted(row, row)] = found
     return roots
 
 

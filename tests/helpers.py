@@ -1,7 +1,6 @@
 """Shared builders for the test suite: one population per family."""
 
 import random
-from unittest import mock
 
 import numpy as np
 
@@ -298,6 +297,49 @@ def conditional_forms() -> dict:
             if isinstance(pop, pops.RatioConditionalPopulation)}
 
 
+def conditional_reference(pop, p, xq):
+    """A ratio_conditional row integrated over the ratio r on the whole
+    support, split at p, at its crossing roots and at the knots: the
+    integrand g(r) P(buy | r), where the row buys when vm (r - p) + xq
+    >= 0, so when vm >= -xq / (r - p) above p and vm <= -xq / (r - p)
+    below it.  The kernel integrates over the threshold -xq / (r - p)
+    instead, and takes the saturated mass outside its hulls in closed
+    form."""
+    p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                np.asarray(xq, dtype=float))
+    r_lo, r_hi = pop.ratio.r_lo, pop.ratio.r_hi
+    roots = [np.where(np.isnan(R), r_hi, R)
+             for R in closed_form_roots(pop, p, xq)]
+    breaks = np.concatenate(
+        (*roots, np.clip(p, r_lo, r_hi)[:, None],
+         np.broadcast_to(pop._knots, (xq.size, pop._knots.size))), axis=1)
+    a0 = pop._a0
+    wide = a0 < 2.0
+    cap = (pops._special("erf", a0 * pops._SQRT_HALF) if wide
+           else pops._special("ndtr", a0))
+
+    def integrand(nodes, rows):
+        g, m, sig = pop._law(nodes)
+        sig *= pop.cond.sigma_multiplier
+        c = nodes - p[rows][:, None]
+        x = xq[rows][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (-x / np.where(c != 0.0, c, 1.0) - m) / sig
+        z = np.clip(z, -a0, a0)
+        if wide:
+            phi = pops._special("erf", z * pops._SQRT_HALF)
+            above, below = 0.5 * (cap - phi), 0.5 * (phi + cap)
+        else:
+            phi = pops._special("ndtr", z)
+            above, below = cap - phi, phi - (1.0 - cap)
+        s = np.where(c > 0.0, above,
+                     np.where(c < 0.0, below, (x >= 0.0).astype(float)))
+        return g * s / pop._z_mass
+
+    return pops.quadrature.segmented_gl(r_lo, r_hi, breaks, integrand,
+                                        tol=pops.SURFACE_TOL)
+
+
 def full_range_profile(pop, p, xq):
     """A population's quality kernel with every row integrated over its
     whole range, ratio support or vm support, split where the row's
@@ -315,14 +357,7 @@ def full_range_profile(pop, p, xq):
             values, errors = values + w * v, errors + w * e
         return values, errors
     if isinstance(pop, pops.RatioConditionalPopulation):
-        # the kernel itself, with a hull that spans the ratio support
-        def whole(self, p, xq, roots, starts):
-            n = xq.size
-            return (np.full(n, self.ratio.r_lo), np.full(n, self.ratio.r_hi),
-                    np.zeros(n))
-        with mock.patch.object(pops.RatioConditionalPopulation, "_live_hull",
-                               whole):
-            return pop._quality_profile(p, xq)
+        return conditional_reference(pop, p, xq)
     if isinstance(pop, pops.ProductPopulation):
         r_lo, r_hi = pop.ratio.r_lo, pop.ratio.r_hi
         knots = pop.ratio.law.knots[1:-1]

@@ -419,9 +419,9 @@ ARTIFACT_DIGESTS = {
     "custom_conditional/identify/moments.json":
         "a3d08ccb3cb2600ee569a1737f9f953e41b84fd10b9012e93fd133c941c83d53",
     "custom_conditional/identify/recovery_report.json":
-        "8821be1d7ea50fe4e6d017f5559740b31d01bdc606a79924765be161fe653047",
+        "4e47ed4cc53c8bfe3b8110a798ff9ae3af5e86463ba427beff4dff26f13ef43f",
     "custom_conditional/identify/surface.csv":
-        "53bdbf2fbf90c20948d150485ed9382776e5a760d2d92f3cfd00f18e5823da0f",
+        "b0a76b53a2a7241da9e09278f83101dea600798ddd0127171b36efe96a7bf307",
     "custom_conditional/sample/samples.csv":
         "ed53fc0bcc85754c93d1d8e15c00f018f7198c19ad387aaad387d044da25a200",
     "high_regime/classify/inequality.json":

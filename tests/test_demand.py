@@ -349,7 +349,9 @@ class TestQualityDemandSurface:
         # Where vm or vk has a non-integer shape (the graded forms), rows
         # are adaptive, and a row without its saturated intervals is
         # bisected on a different budget: there they agree within both
-        # estimates.
+        # estimates.  So do ratio_conditional rows, which the kernel
+        # integrates over the money-value threshold and the reference over
+        # the ratio: a benchmark twin's rows differ by up to 1.2e-14.
         # Rows beyond the support box's saturation bounds have an empty
         # live range and are exactly 0 or 1, also over a ratio table whose
         # cdf reads 1 + 2^-52 at its upper end
@@ -372,7 +374,8 @@ class TestQualityDemandSurface:
                 pop, np.tile(prices, xq.size), np.repeat(xq, prices.size))
             bound = 1e-15
             if name in ("product_table", "graded_beta0.5", "graded_beta1.2",
-                        "graded_beta2.5"):
+                        "graded_beta2.5") or isinstance(
+                            pop, pops.RatioConditionalPopulation):
                 bound = (bound + est
                          + np.max(want_est.reshape(xq.size, -1), axis=0))
             assert np.all(np.abs(got - want.reshape(xq.size, -1)) <= bound), \

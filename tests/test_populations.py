@@ -16,7 +16,8 @@ from demandlab.marginals import MarginalSpec, PwLinearTable
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, benchmark_populations, beta_independent,
                      bisection_roots, closed_form_roots, column_kernel,
-                     conditional_forms, kinked_h_custom, live_offsets,
+                     conditional_forms, conditional_reference,
+                     kinked_h_custom, live_offsets,
                      population_zoo, same_bits, seed_ratio, sine_table_low,
                      surface_zoo)
 
@@ -842,6 +843,58 @@ class TestCrossingRoots:
             assert same_bits(edge[pick, :width], part)
             assert np.all(np.isnan(edge[pick, width:]))
             assert np.all(np.isnan(part[::5]))
+
+
+class TestThresholdKernel:
+    """The ratio_conditional kernel over the money-value threshold,
+    against the ratio-variable reference over the whole support."""
+
+    @pytest.mark.parametrize("name, seed", [
+        *[(name, None) for name in [*conditional_forms(), "sine_table129"]],
+        *[(twin, seed) for seed in (5, 97, 211) for twin in ("low", "high")]])
+    def test_surface_matches_the_ratio_reference(self, name, seed):
+        # every entry of a 9-price identification surface to 1e-12; the
+        # two variables put their nodes in different places, and the
+        # largest gap, 2.5e-13, is conditional_low's
+        if seed is not None:
+            pop, window = benchmark_populations(seed)[name], (0.5, 1.5)
+        else:
+            pop = (sine_table_low(129) if name == "sine_table129"
+                   else conditional_forms()[name])
+            window = (pop.ratio.r_lo, pop.ratio.r_hi)
+        prices = ident.chebyshev_prices(*window, 9)
+        xq = ident.default_quality_grid(pop, prices, 4096)
+        got, est = pop._quality_surface(prices, xq)
+        assert np.all(est <= pops.SURFACE_TOL)
+        for j, p in enumerate(prices):  # a column at a time bounds memory
+            want, _ = conditional_reference(pop, p, xq)
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-12, p
+
+    def test_twins_take_fewer_integrand_nodes(self, monkeypatch):
+        # a twin's verify_recovery surface: over the ratio, with the pole
+        # of its threshold at r = p inside a hull's reach, the kernel
+        # evaluated 352,149 integrand nodes on the low twin and 157,248 on
+        # the high one at seed 3; over the threshold it takes 206,535 and
+        # 115,626
+        twins = benchmark_populations(3)
+        prices = ident.chebyshev_prices(0.5, 1.5, 9)
+        quad = pops.quadrature.segmented_gl
+        nodes = []
+
+        def counted(lo, hi, breaks, f, **kw):
+            def integrand(x, rows):
+                nodes.append(x.size)
+                return f(x, rows)
+            return quad(lo, hi, breaks, integrand, **kw)
+
+        monkeypatch.setattr(pops.quadrature, "segmented_gl", counted)
+        for name, before, share in (("low", 352_149, 0.65),
+                                    ("high", 157_248, 0.8)):
+            pop = twins[name]
+            nodes.clear()
+            pop._quality_surface(prices,
+                                 ident.default_quality_grid(pop, prices, 4096))
+            assert sum(nodes) <= share * before, name
 
 
 class TestMixturePopulation:
