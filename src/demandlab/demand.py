@@ -201,8 +201,10 @@ def invert_demand(curve: DemandCurve) -> RatioCdfTable:
 
 def quality_demand(pop: Population, xq: float, p: float) -> float:
     """Buying mass at quality xq and price p: P(vk + xq - vm p >= 0)."""
-    if p < 0.0:
+    if not p >= 0.0:
         raise ValueError("price must be >= 0")
+    if xq != xq:
+        raise ValueError("quality offset must not be NaN")
     values, _ = pop._quality_profile(float(p), np.array([float(xq)]))
     out = float(values[0])
     return min(max(out, 0.0), 1.0)

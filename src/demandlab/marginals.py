@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import workers
+from . import quadrature, workers
 from .errors import NoDensity, SpecialFunctionFailure
 
 # Below this many elements a special function runs as one call; above
@@ -181,9 +181,9 @@ class PwLinearTable:
         return float(self.cdf(b) - self.cdf(a))
 
     def moment(self, n: int) -> float:
-        """Exact integral of v**n against the table."""
-        order = max(1, (n + 2 + 1) // 2)
-        x, w = np.polynomial.legendre.leggauss(order)
+        """Exact integral of v**n against the table: the Gauss-Legendre
+        rule exact for degree n + 1 on every segment."""
+        x, w = quadrature._gauss_legendre((n + 3) // 2)
         half = 0.5 * np.diff(self.x)
         mid = 0.5 * (self.x[:-1] + self.x[1:])
         nodes = mid[:, None] + half[:, None] * x[None, :]
@@ -255,11 +255,11 @@ class MarginalSpec:
     """Descriptor for a one-dimensional law.
 
     Kinds: ``point_mass`` (single atom), ``uniform``, ``beta`` (shape
-    ``alpha, beta`` rescaled to [lo, hi]), ``tabulated`` (piecewise-linear
-    density, whose mass is its table's ``total``) and ``triangular``
-    (symmetric, its density also held as a table; scenario files offer
-    it for ratio laws only).  Build instances through the classmethods;
-    the raw constructor performs only consistency checks.
+    ``alpha, beta`` rescaled to [lo, hi]) and ``tabulated`` (piecewise-
+    linear density, whose mass is its table's ``total``; ``triangular``
+    builds the symmetric triangular law as one, which scenario files
+    offer for ratio laws only).  Build instances through the
+    classmethods; the raw constructor performs only consistency checks.
     """
 
     kind: str
@@ -271,8 +271,7 @@ class MarginalSpec:
     table: PwLinearTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("point_mass", "uniform", "beta", "tabulated",
-                             "triangular"):
+        if self.kind not in ("point_mass", "uniform", "beta", "tabulated"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi):
             raise ValueError("marginal support must be finite")
@@ -288,10 +287,6 @@ class MarginalSpec:
                 "beta marginal needs positive, finite shape parameters")
         if self.kind == "tabulated" and self.table is None:
             raise ValueError("tabulated marginal needs a table")
-        if self.kind == "triangular":  # its density, as a table
-            object.__setattr__(self, "table", PwLinearTable(
-                np.array([self.lo, 0.5 * (self.lo + self.hi), self.hi]),
-                np.array([0.0, 2.0 / (self.hi - self.lo), 0.0])))
 
     @classmethod
     def point_mass(cls, value: float):
@@ -303,7 +298,10 @@ class MarginalSpec:
 
     @classmethod
     def triangular(cls, lo: float, hi: float):
-        return cls("triangular", float(lo), float(hi))
+        lo, hi = float(lo), float(hi)  # symmetric, as a 3-knot table
+        return cls("tabulated", lo, hi, table=PwLinearTable(
+            np.array([lo, 0.5 * (lo + hi), hi]),
+            np.array([0.0, 2.0 / (hi - lo), 0.0])))
 
     @classmethod
     def scaled_beta(cls, alpha: float, beta: float, lo: float, hi: float):
@@ -388,10 +386,6 @@ class MarginalSpec:
         if self.kind == "uniform":
             inside = (v >= self.lo) & (v <= self.hi)
             out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        elif self.kind == "triangular":
-            sq = (self.hi - self.lo) ** 2
-            out = np.clip(np.minimum(4.0 * (v - self.lo) / sq,
-                                     4.0 * (self.hi - v) / sq), 0.0, None)
         elif self.kind == "beta":
             scale = self.hi - self.lo
             t = (v - self.lo) / scale
@@ -418,12 +412,6 @@ class MarginalSpec:
             out = np.where(v >= self.value, 1.0, 0.0)
         elif self.kind == "uniform":
             out = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        elif self.kind == "triangular":
-            length = self.hi - self.lo
-            vc = np.clip(v, self.lo, self.hi)
-            lower = 2.0 * ((vc - self.lo) / length) ** 2
-            upper = 1.0 - 2.0 * ((self.hi - vc) / length) ** 2
-            out = np.where(vc <= 0.5 * (self.lo + self.hi), lower, upper)
         elif self.kind == "beta":
             t = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
             out = (_int_beta_cdf(*self._int_shapes, t) if self._int_shapes
@@ -438,11 +426,6 @@ class MarginalSpec:
             out = np.full_like(q, self.value)
         elif self.kind == "uniform":
             out = self.lo + (self.hi - self.lo) * q
-        elif self.kind == "triangular":
-            length = self.hi - self.lo
-            lower = self.lo + length * np.sqrt(np.clip(q, 0.0, 1.0) / 2.0)
-            upper = self.hi - length * np.sqrt(np.clip(1 - q, 0.0, 1.0) / 2.0)
-            out = np.where(q <= 0.5, lower, upper)
         elif self.kind == "beta":
             out = self.lo + (self.hi - self.lo) * _special(
                 "betaincinv", self.alpha, self.beta, np.clip(q, 0.0, 1.0))

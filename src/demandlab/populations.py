@@ -84,8 +84,8 @@ class Support:
 class RatioMarginalSpec:
     """Marginal law of the reservation-price ratio r = vk / vm.
 
-    ``law`` is the continuous part, a uniform, symmetric triangular or
-    tabulated :class:`MarginalSpec` that carries the mass the atoms
+    ``law`` is the continuous part, a uniform or tabulated (triangular
+    included) :class:`MarginalSpec` that carries the mass the atoms
     leave, or None.  ``atoms`` carries (position, mass) pairs and is
     nonempty only for degenerate specs (one atom, no law) and for the
     ratio laws reported for mixtures that contain point masses; such
@@ -184,9 +184,9 @@ class ConditionalSpec:
 
     The conditional itself is a normal with pre-truncation mean
     m(r) = h(r) / g(r), standard deviation ``sigma_multiplier * eps(r)``
-    and symmetric truncation at m(r) +/- eps(r).  ``epsilon_kind``
-    chooses eps(r): ``half_mean`` takes m(r) / 2; ``fixed`` takes a
-    constant, which must stay inside (0, min m).
+    and symmetric truncation at m(r) +/- eps(r), eps = a m + b.
+    ``epsilon_kind`` chooses (a, b): (1/2, 0) for ``half_mean`` and
+    (0, ``epsilon_value``) for ``fixed``, a value inside (0, min m).
     """
 
     family: str
@@ -386,9 +386,9 @@ class PointMassPopulation(Population):
         return (1.0 if inside else 0.0), (self.vm if inside else 0.0)
 
     def _quality_profile(self, p, xq):
-        buys = (self.vk + np.asarray(xq, dtype=float)
-                - self.vm * np.asarray(p, dtype=float) >= 0.0)
-        return buys.astype(float), np.zeros(buys.shape)
+        surplus = (self.vk + np.asarray(xq, dtype=float)  # tie buys; NaN stays
+                   - self.vm * np.asarray(p, dtype=float))
+        return np.heaviside(surplus, 1.0), np.zeros(np.shape(surplus))
 
 
 def unit_exponent(lo: float, hi: float) -> int:
@@ -431,6 +431,16 @@ def _grade(*shapes) -> int:
         if all(m * s >= 2.0 or float(m * s).is_integer() for s in shapes):
             return m
     return MAX_GRADE
+
+
+def _money_window(p, xq, vm_lo: float, vm_hi: float):
+    """Where a row that buys iff vm (r - p) + xq >= 0 can change state,
+    every vm in [vm_lo, vm_hi]: nobody buys below the lesser of
+    p - xq / vm_lo and p - xq / vm_hi (infinite at vm_lo = 0) and
+    everybody above the greater; at xq = 0 both are p."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = p - xq / vm_hi, p - xq / vm_lo
+    return np.fmin(*ends), np.fmax(*ends)
 
 
 @contextmanager
@@ -503,18 +513,13 @@ class ProductPopulation(Population):
         return mass, mass * self.vm.mean
 
     def _quality_profile(self, p, xq):
-        # P(vm (r - p) + xq >= 0).  vm's cdf at t = -xq / (r - p) lies
-        # inside (0, 1) only for r between p - xq / vm.hi and
-        # p - xq / vm.lo (an end at vm.lo = 0 is infinite), on the side
-        # of p opposite to xq's sign; everybody buys above that live
-        # range and nobody below it, and at xq = 0 it is empty
+        # P(vm (r - p) + xq >= 0): vm's cdf at t = -xq / (r - p) lies in
+        # (0, 1) only on the live range: the money-value window of vm's support
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                     np.asarray(xq, dtype=float))
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ends = [p - xq / self.vm.hi, p - xq / self.vm.lo]
-        lo = np.clip(np.fmin(*ends), r_lo, r_hi)
-        hi = np.clip(np.fmax(*ends), r_lo, r_hi)
+        lo, hi = (np.clip(end, r_lo, r_hi)
+                  for end in _money_window(p, xq, self.vm.lo, self.vm.hi))
         knots = self.ratio.law.knots[1:-1]
 
         def integrand(nodes, rows):
@@ -652,7 +657,7 @@ class IndependentPopulation(Population):
 
     def _quality_profile(self, p, xq):
         # P(vk + xq >= p vm): closed forms at a free price and for a
-        # point-mass marginal, else quadrature over vm, one row per entry
+        # point-mass vm, else quadrature over vm, one row per entry
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                     np.asarray(xq, dtype=float))
         out = np.empty(xq.shape)
@@ -660,20 +665,17 @@ class IndependentPopulation(Population):
         free = p == 0.0
         priced = ~free
         if self.vk.is_degenerate:  # a tie buys
-            out[free] = self.vk.value + xq[free] >= 0.0
+            out[free] = np.heaviside(self.vk.value + xq[free], 1.0)
         else:
             out[free] = 1.0 - np.asarray(self.vk.cdf(-xq[free]), dtype=float)
         p, xq = p[priced], xq[priced]
         if self.vm.is_degenerate:
             out[priced] = 1.0 - np.asarray(
                 self.vk.cdf(p * self.vm.value - xq), dtype=float)
-        elif self.vk.is_degenerate:
-            out[priced] = np.asarray(self.vm.cdf((self.vk.value + xq) / p),
-                                     dtype=float)
         else:
             # vk's cdf at p u - xq lies inside (0, 1) only for u in
-            # ((vk.lo + xq) / p, (vk.hi + xq) / p): everybody buys below
-            # that live range and nobody above it
+            # ((vk.lo + xq) / p, (vk.hi + xq) / p), empty for a point-mass
+            # vk: everybody buys below that live range and nobody above it
             lo = np.clip((self.vk.lo + xq) / p, self.vm.lo, self.vm.hi)
             hi = np.clip((self.vk.hi + xq) / p, self.vm.lo, self.vm.hi)
 
@@ -738,16 +740,20 @@ class RatioConditionalPopulation(Population):
                     f"fixed epsilon {self.cond.epsilon_value!r} must stay "
                     f"below the minimum conditional mean {float(m.min())!r}")
 
+    @cached_property
+    def _half_width(self) -> tuple:
+        """(a, b) of the half-width eps = a m + b; the band edges
+        m +/- eps are (1 +/- a) m +/- b."""
+        return ((0.5, 0.0) if self.cond.epsilon_kind == "half_mean"
+                else (0.0, self.cond.epsilon_value))
+
     def _law(self, r):
         """Ratio density g, conditional mean m = h / g and truncation
         half-width eps at ``r``, from one ``ratio.pdf`` and one ``cond.h``."""
         g = self.ratio.pdf(r)
         m = self.cond.h(r, self.ratio.r_lo) / g
-        if self.cond.epsilon_kind == "half_mean":
-            eps = 0.5 * m
-        else:
-            eps = np.full_like(m, self.cond.epsilon_value)
-        return g, m, eps
+        a, b = self._half_width
+        return g, m, a * m + b
 
     @cached_property
     def _knots(self) -> np.ndarray:
@@ -800,10 +806,9 @@ class RatioConditionalPopulation(Population):
         """Bounds on every money value, min(m - eps) and max(m + eps)
         over the ``_cells`` grid, widened by 1e-12 relative."""
         m = self._cells[3]
-        eps = (0.5 * m if self.cond.epsilon_kind == "half_mean"
-               else self.cond.epsilon_value)
-        return (float(np.min(m - eps)) * (1.0 - 1e-12),
-                float(np.max(m + eps)) * (1.0 + 1e-12))
+        a, b = self._half_width
+        return (float(np.min((1.0 - a) * m - b)) * (1.0 - 1e-12),
+                float(np.max((1.0 + a) * m + b)) * (1.0 + 1e-12))
 
     @cached_property
     def support(self) -> Support:
@@ -929,24 +934,23 @@ class RatioConditionalPopulation(Population):
         an (n, k) matrix padded with r_hi, for rows sorted as
         ``_crossing_pairs`` takes them.
 
-        On a cell [a, b] g and a custom h are linear, and the roots are
-        those of H(r) (r - p) + xq g(r), the crossing function times
-        g > 0, with H = (1 + sign / 2) h for half_mean and H = h + sign
-        eps g for a fixed eps: a quadratic in t = r - a for the low and
-        custom families.  For the high family h = 1 / u with
-        u = sqrt(r - r_lo + delta), so the function times u g is a
-        polynomial in v = u - u(a), since r - a = v (2 u(a) + v): of
-        degree 2 for half_mean on a constant g, 3 for half_mean on a
-        sloping g or a fixed eps on a constant one, and 5 for a fixed eps
-        on a sloping g.  ``quadrature.poly_roots`` solves them, on the
-        pairs of ``_crossing_pairs`` only.  A row's roots depend on its
-        own price, offset and cells only.
+        The edge is k m + e, k = 1 + sign a and e = sign b for the
+        ``_half_width`` (a, b).  On a cell [r0, r1] g and a custom h are
+        linear, and the roots are those of H(r) (r - p) + xq g(r), the
+        crossing function times g > 0, with H = k h + e g: a quadratic in
+        t = r - r0 for the low and custom families.  For the high family
+        h = 1 / u with u = sqrt(r - r_lo + delta), so the function times
+        u g, (k + e u g)(r - p) + xq u g, is a polynomial in v = u - u(r0),
+        since r - r0 = v (2 u(r0) + v), of degree 2 + 3 or 2 + 1 (u g on
+        a sloping or constant g) where e != 0, else 3 or 2.
+        ``quadrature.poly_roots`` solves them, on the pairs of
+        ``_crossing_pairs`` only.  A row's roots depend on its own price,
+        offset and cells only.
         """
         r, g, h, _, at = self._cells
         r, g, h = r[at], g[at], h[at]
-        fixed = self.cond.epsilon_kind == "fixed"
-        e = sign * self.cond.epsilon_value if fixed else 0.0
-        k = 1.0 if fixed else 1.0 + 0.5 * sign
+        a, b = self._half_width
+        k, e = 1.0 + sign * a, sign * b
         rows, c = self._crossing_pairs(k, e, p, xq, starts)
         x, q = xq[rows], r[c] - p[rows]
         g_a, g_s = g[c], (np.diff(g) / np.diff(r))[c]
@@ -957,16 +961,13 @@ class RatioConditionalPopulation(Population):
             rp = np.column_stack((q, 2.0 * ua, np.ones(q.size)))  # r - p
             ug = np.column_stack((ua * g_a, g_a + 2.0 * ua * ua * g_s,
                                   3.0 * ua * g_s, g_s))  # u g
-            if fixed:  # (1 + e u g)(r - p) + x u g
-                one = e * ug
-                one[:, 0] += 1.0
-                coef = _polymul(one, rp)
-                coef[:, :4] += x[:, None] * ug
-                degree = np.where(g_s != 0.0, 5, 3)
-            else:  # k (r - p) + x u g
-                coef = x[:, None] * ug
-                coef[:, :3] += k * rp
-                degree = np.where(g_s != 0.0, 3, 2)
+            one = e * ug[:, :4 if e != 0.0 else 1]  # k + e u g, k at e = 0
+            one[:, 0] += k
+            coef = np.zeros((q.size, 6))  # (k + e u g)(r - p) + x u g
+            coef[:, :4] = x[:, None] * ug
+            coef[:, :one.shape[1] + 2] += _polymul(one, rp)
+            degree = np.maximum(np.where(g_s != 0.0, 3, 1) + 2 * (e != 0.0),
+                                2)
         else:  # (H0 + H1 t)(q + t) + x g
             width = np.diff(r)[c]
             H0 = k * h[c] + e * g_a
@@ -1010,21 +1011,17 @@ class RatioConditionalPopulation(Population):
         runs from the first root, or r_lo where that end is live, to the
         last root, or r_hi.  A rootless row with one saturated state at
         both ends has an empty hull; one whose ends disagree spans the
-        whole support.  Every vm lies in ``_vm_band``, [vm_lo, vm_hi], so
-        a row buys where r >= p - xq / vm_lo and r >= p - xq / vm_hi, and
-        not where both fail: nobody buys below the window between those
-        two ratios and everybody above it.  The hull is cut to that
-        window, which also empties it at xq = 0, where the row buys
-        exactly where r >= p, since vm > 0 and the law has no atoms.  The
-        mass outside is ratio.cdf(lo) where everybody buys at r_lo plus
+        whole support.  The hull is cut to the ``_money_window`` of
+        ``_vm_band``, which empties it at xq = 0, where the row buys
+        exactly where r >= p (vm > 0 and the law has no atoms).  The mass
+        outside is ratio.cdf(lo) where everybody buys at r_lo plus
         1 - ratio.cdf(hi) where everybody buys at r_hi or above the
         window.
         """
         r, g, h = self._cells[:3]
         r_lo, r_hi = r[0], r[-1]
-        eps = self.cond.epsilon_value
-        edges = [(m + eps, m - eps) if self.cond.epsilon_kind == "fixed"
-                 else (1.5 * m, 0.5 * m)
+        a, b = self._half_width
+        edges = [((1.0 + a) * m + b, (1.0 - a) * m - b)
                  for m in (h[[0, -1]] / g[[0, -1]]).tolist()]
         # the states at r_lo and r_hi, one price at a time, where each
         # crossing function's end value is a scalar
@@ -1053,10 +1050,8 @@ class RatioConditionalPopulation(Population):
         lo[has] = np.where(sat[0, has], first[has], r_lo)
         hi[has] = np.where(sat[1, has], last, r_hi)
         cut = np.flatnonzero(lo < hi)  # the rows with a hull to cut
-        with np.errstate(over="ignore"):
-            near, far = (p[cut] - xq[cut] / vm for vm in self._vm_band)
-        start = np.fmax(lo[cut], np.fmin(near, far))
-        stop = np.fmin(hi[cut], np.fmax(near, far))
+        start, stop = _money_window(p[cut], xq[cut], *self._vm_band)
+        start, stop = np.fmax(lo[cut], start), np.fmin(hi[cut], stop)
         every[1, cut[stop < hi[cut]]] = True
         lo[cut], hi[cut] = start, stop
         # a row with neither roots nor a hull has lo = hi = r_lo: the

@@ -222,16 +222,17 @@ def live_offsets(pop, p):
     """The offsets between which a row at price ``p`` (a scalar or an
     array) can cross the band of a ratio_conditional population: -max
     and -min of W = vm (r - p) over the law.  Nobody buys below the
-    first and everybody above the second.  On a cell [a, b] of the
-    ``_cells`` grid m - eps and m + eps are monotone, so vm lies between
-    their least and most end values lo and hi there, and W is at most
-    hi (b - p), or lo (b - p) where b < p, and at least hi (a - p), or
-    lo (a - p) where a > p."""
+    first and everybody above the second.  On a cell [r0, r1] of the
+    ``_cells`` grid the band edges (1 -/+ a) m -/+ b, for the half-width
+    rule eps = a m + b, are monotone, so vm lies between their least and
+    most end values lo and hi there, and W is at most hi (r1 - p), or
+    lo (r1 - p) where r1 < p, and at least hi (r0 - p), or lo (r0 - p)
+    where r0 > p."""
     r, m = pop._cells[0], pop._cells[3]
-    eps = (0.5 * m if pop.cond.epsilon_kind == "half_mean"
-           else pop.cond.epsilon_value)
-    lo = np.minimum((m - eps)[:-1], (m - eps)[1:])
-    hi = np.maximum((m + eps)[:-1], (m + eps)[1:])
+    a, b = pop._half_width
+    low_edge, high_edge = (1.0 - a) * m - b, (1.0 + a) * m + b
+    lo = np.minimum(low_edge[:-1], low_edge[1:])
+    hi = np.maximum(high_edge[:-1], high_edge[1:])
     p = np.asarray(p, dtype=float)[..., None]
     below, above = r[:-1] - p, r[1:] - p
     top = np.max(np.where(above >= 0.0, hi, lo) * above, axis=-1)
@@ -344,9 +345,10 @@ def full_range_profile(pop, p, xq):
     """A population's quality kernel with every row integrated over its
     whole range, ratio support or vm support, split where the row's
     inner cdf starts or stops moving: the reference for the kernels'
-    live ranges, whose saturated parts take closed-form mass.  Closed
-    forms (point masses, a free price, a point-mass marginal) are the
-    kernel's own."""
+    live ranges, whose saturated parts take closed-form mass.  A priced
+    row of a point-mass vk is vm's cdf at (vk + xq) / p; other closed
+    forms (point masses, a free price, a point-mass vm) are the kernel's
+    own."""
     p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                 np.asarray(xq, dtype=float))
     quad = pops.quadrature.segmented_gl
@@ -380,8 +382,12 @@ def full_range_profile(pop, p, xq):
                     tol=pops.SURFACE_TOL,
                     grade=pops._grade(pop.vm.end_shape + 1.0))
     values, errors = pop._quality_profile(p, xq)
-    if (isinstance(pop, pops.IndependentPopulation)
-            and not (pop.vk.is_degenerate or pop.vm.is_degenerate)):
+    if isinstance(pop, pops.IndependentPopulation) and pop.vk.is_degenerate:
+        priced = p != 0.0
+        values[priced] = pop.vm.cdf((pop.vk.value + xq[priced]) / p[priced])
+        errors[priced] = 0.0
+    elif (isinstance(pop, pops.IndependentPopulation)
+            and not pop.vm.is_degenerate):
         priced = p != 0.0
         ps, xs = p[priced], xq[priced]
 

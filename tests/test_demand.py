@@ -212,6 +212,13 @@ class TestQualityDemand:
                 point, xq, 0.0), xq
         assert dl.quality_demand(pop, -0.7, 0.0) == 1.0
 
+    def test_nan_offset_or_price_is_refused(self):
+        pop = pops.PointMassPopulation(2.0, 1.0)
+        with pytest.raises(ValueError, match="offset"):
+            dl.quality_demand(pop, np.nan, 1.0)
+        with pytest.raises(ValueError, match="price"):
+            dl.quality_demand(pop, 0.5, np.nan)
+
     def test_monotone_in_quality_and_price(self):
         pop = population_zoo()["conditional_low"]
         xqs = np.linspace(-1.5, 1.5, 7)
@@ -394,14 +401,14 @@ class TestQualityDemandSurface:
         # zero quality, NaN offsets, prices at zero, at and beyond the
         # ratio support, rows on the support box's saturation bounds and on
         # a conditional form's live offsets, a money value whose support
-        # starts at 0, a point-mass money value and graded shapes: each
-        # row as its full-range reference gives it, and a NaN offset
-        # spoils its own row only
+        # starts at 0, point masses, point-mass marginals and graded
+        # shapes: each row as its full-range reference gives it, and a NaN
+        # offset spoils its own row only
         zoo = surface_zoo()
         forms = {name: zoo[name] for name in (
             "product", "product_table", "independent", "graded_beta0.5",
             "conditional_low", "conditional_high", "fixed_high_table",
-            "continuous_mixture")}
+            "continuous_mixture", "point_mass", "point_mass_vk")}
         forms["product_point_vm"] = pops.ProductPopulation(
             seed_ratio(3.0), MarginalSpec.point_mass(1.2))
         for name, pop in forms.items():

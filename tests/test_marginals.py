@@ -83,7 +83,9 @@ class TestMarginalSpec:
             assert spec.degree is None
 
     def test_triangular_closed_forms(self):
+        # the closed-form values, read off the law's 3-knot table
         spec = MarginalSpec.triangular(1.0, 3.0)
+        assert spec.kind == "tabulated"
         assert spec.pdf(2.0) == 1.0 and spec.pdf(0.5) == 0.0
         assert spec.cdf(2.0) == 0.5 and spec.cdf(1.5) == 0.125
         x = np.linspace(1.0, 3.0, 41)

@@ -98,6 +98,13 @@ def test_worker_threads_load_no_executor_or_logging():
                    ["concurrent.futures", "logging"]) == []
 
 
+def test_table_moments_load_no_numpy_polynomial():
+    # a table's moments take the package's own Gauss-Legendre rule
+    assert _loaded("import demandlab\n"
+                   "demandlab.MarginalSpec.triangular(1.0, 3.0).moment(4)",
+                   ["numpy.polynomial", "scipy"]) == []
+
+
 def test_numpy_ma_loads_only_with_scipy(tmp_path):
     # np.unique and np.union1d import numpy.ma on their first call, and
     # so does scipy.special; the package dedupes with its own helper.  In

@@ -16,16 +16,22 @@ bounded = {"allow_nan": False, "allow_infinity": False}
 
 
 @st.composite
-def product_populations(draw):
+def named_product_populations(draw):
+    """A product population and the name of its ratio law's
+    ``RatioMarginalSpec`` constructor."""
     r_lo = draw(st.floats(0.1, 3.0, **bounded))
     r_hi = r_lo + draw(st.floats(0.2, 3.0, **bounded))
     vm_lo = draw(st.floats(0.2, 2.0, **bounded))
     vm_hi = vm_lo + draw(st.floats(0.2, 2.0, **bounded))
-    tri = draw(st.booleans())
-    maker = (pops.RatioMarginalSpec.triangular if tri
-             else pops.RatioMarginalSpec.uniform)
-    return pops.ProductPopulation(maker(r_lo, r_hi, vm_hi=vm_hi * 1.01),
-                                  MarginalSpec.uniform(vm_lo, vm_hi))
+    name = "triangular" if draw(st.booleans()) else "uniform"
+    maker = getattr(pops.RatioMarginalSpec, name)
+    return name, pops.ProductPopulation(maker(r_lo, r_hi,
+                                              vm_hi=vm_hi * 1.01),
+                                        MarginalSpec.uniform(vm_lo, vm_hi))
+
+
+def product_populations():
+    return named_product_populations().map(lambda named: named[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -36,13 +42,14 @@ def test_demand_never_increases_in_price(pop, p, step):
 
 
 @settings(max_examples=25, deadline=None)
-@given(product_populations(), st.floats(0.05, 6.0, **bounded),
+@given(named_product_populations(), st.floats(0.05, 6.0, **bounded),
        st.floats(0.1, 10.0, **bounded))
-def test_demand_is_invariant_to_money_units(pop, p, c):
+def test_demand_is_invariant_to_money_units(named, p, c):
     # rescaling the currency divides ratios and prices by c and
     # multiplies money values by c; buying behavior cannot change
+    name, pop = named
     sup = pop.ratio.support
-    maker = getattr(pops.RatioMarginalSpec, pop.ratio.law.kind)
+    maker = getattr(pops.RatioMarginalSpec, name)
     scaled = pops.ProductPopulation(
         maker(sup.r_lo / c, sup.r_hi / c, vm_hi=c * sup.vm_hi),
         MarginalSpec.uniform(c * pop.vm.lo, c * pop.vm.hi))
