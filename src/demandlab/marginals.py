@@ -19,12 +19,12 @@ It imports ``scipy.special`` on its first call, so a command that needs
 no special function never loads scipy.  Arrays of at least ``SPLIT_MIN``
 elements are cut into chunks of ``CHUNK`` that ``workers.run`` spreads
 over the CPUs of the process's affinity mask (restrict it with
-``taskset``; there is no other setting), as it spreads the blocks of
-each quadrature pass, on the threads of one pool that lives for the
-process.  A call inside such a block runs its chunks on the block's
-thread.  Each element's value does not depend on the split,
-so seeded samples, curves and surfaces are bit-identical whatever the
-CPU count.
+``taskset``; there is no other setting), on the threads of one pool
+that lives for the process.  Quadrature passes run on the calling
+thread in blocks of fewer than ``SPLIT_MIN`` nodes, so a call inside
+an integrand is never split.  Each element's value does not depend on
+the split, so seeded samples, curves and surfaces are bit-identical
+whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -409,7 +409,7 @@ class MarginalSpec:
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
         if self.kind == "point_mass":
-            out = np.where(v >= self.value, 1.0, 0.0)
+            out = np.where(np.isnan(v), np.nan, v >= self.value)
         elif self.kind == "uniform":
             out = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         elif self.kind == "beta":

@@ -148,8 +148,8 @@ class RatioMarginalSpec:
     def cdf(self, r):
         r = np.asarray(r, dtype=float)
         out = 0.0 if self.law is None else self.law.cdf(r)
-        for pos, mass in self.atoms:
-            out = out + mass * (r >= pos)
+        for pos, mass in self.atoms:  # a NaN ratio stays NaN
+            out = out + mass * MarginalSpec.point_mass(pos).cdf(r)
         return out if np.ndim(out) else float(out)
 
     def ppf(self, q):

@@ -16,12 +16,11 @@ into one list of (row, interval) pairs and hands
 them to the integrand in blocks of at most ``INTERVAL_BLOCK`` * 21
 nodes: a surface puts the rows of all its prices into one call, and
 small blocks keep the integrand's node-sized temporaries at a few
-hundred kB however many rows the call holds.  The blocks of a pass are
-independent, so ``workers.run`` spreads them over the CPUs of the
-process's affinity mask (restrict it with ``taskset``; there is no
-other setting): the caller and the idle threads of one pool per
-process take its blocks, and a pass of one block runs on the calling
-thread, as does every pass on one CPU.  Each interval gets the
+hundred kB however many rows the call holds.  The blocks of a pass run
+in order on the calling thread, whatever the CPU count: between its
+special-function calls an integrand is short NumPy operations that
+hold Python's global interpreter lock, and on 2 CPUs a worker pool
+made the benchmark's passes no faster.  Each interval gets the
 nested Gauss-Kronrod pair G10/K21 of QUADPACK (Piessens et al. 1983):
 21 integrand values give its integral and, from |K21 - G10|, its error
 estimate.  A row is finished once its summed estimate meets the absolute
@@ -33,15 +32,14 @@ that the caller knows to be a polynomial of degree d between its breaks
 (densities and cdfs of uniform and integer-shape beta laws) takes an
 exact rule instead: one pass of the (d // 2 + 1)-node Gauss-Legendre
 rule on every segment, with each row's round-off floor as its estimate.
-It uses the same segments, blocks, threads and row-order sums, and its
+It uses the same segments, blocks and row-order sums, and its
 nodes are computed on first use for each node count.  With
 ``grade`` m > 1 each segment is first mapped onto [0, 1] by
 u = a + (b - a) I_t(m, m), whose Jacobian vanishes to order m - 1 at
 both ends: an end-point term |u - a|^(s - 1) becomes t^(m s - 1), which
 the rule resolves when m s is an integer or at least 2.  Each row's
 value and estimate depend on its own breaks and integrand values only,
-never on the other rows of the call or on which thread ran its blocks,
-so results are bit-identical whatever the CPU count.  ``integrate`` is
+never on the other rows of the call.  ``integrate`` is
 the one-row case for a single vectorized integrand f(x).
 """
 
@@ -52,7 +50,6 @@ import math
 
 import numpy as np
 
-from . import workers
 from .errors import QuadratureFailure
 
 
@@ -99,10 +96,6 @@ BISECTIONS = 64
 # segmented_gl: G10/K21 intervals per integrand call, which bounds the
 # size of the node arrays whatever the number of rows (see the module
 # docstring); a block of the exact rule holds as many nodes.
-# Each thread of a pass holds one block's temporaries: on 2 CPUs
-# (Python 3.11, NumPy 2.4, SciPy 1.17) the identify_smooth benchmark's
-# peak RSS read 77 MB at 2^10 and 81 MB at 2^11 (75 MB on one thread),
-# for rounds 2-5 % slower.
 INTERVAL_BLOCK = 2 ** 10
 # segmented_gl: a row's tolerance is at least this many ulps of its
 # absolute integral (QUADPACK qk21's round-off level).
@@ -454,8 +447,8 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
         k, e, size = (np.empty(rows.size), np.empty(rows.size),
                       np.empty(rows.size))
 
-        def block(i):  # each block writes only its own part of k, e, size
-            part = slice(i * span, (i + 1) * span)
+        for start in range(0, rows.size, span):
+            part = slice(start, start + span)
             half = 0.5 * (b[part] - a[part])
             nodes = (a[part] + half)[:, None] + half[:, None] * x
             # a node can round outside an interval a few ulps wide; the
@@ -473,15 +466,13 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
             k[part] = half * np.einsum("ij,j->i", f, w)
             size[part] = half * np.einsum("ij,j->i", np.abs(f), w)
             if degree is not None:
-                return
+                continue
             e[part] = _estimate(f, half, k[part])
             if grade > 1:
                 # a node rounded onto an end saw the integrand at the
                 # wrong place, so all of the interval's mass is in doubt
                 e[part] = np.where(blind, np.fmax(e[part], size[part]),
                                    e[part])
-
-        workers.run(block, -(-rows.size // span))
         if degree is not None:  # every row is finished
             values = np.bincount(rows, k, used.size)
             errors = ROUNDOFF * np.bincount(rows, size, used.size)

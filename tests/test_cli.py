@@ -486,6 +486,23 @@ def test_demo_scenario_exit_codes(tmp_path, capsys):
     assert digests == ARTIFACT_DIGESTS
 
 
+@pytest.mark.parametrize("scenario", ["independent_betas",
+                                      "custom_conditional"])
+def test_identify_starts_no_thread(tmp_path, usable_cpus, drainers,
+                                   scenario):
+    # on 2 CPUs the closed-form kernels of independent_betas and the
+    # many-block conditional passes of custom_conditional all run on the
+    # calling thread, with their artifacts' bits
+    usable_cpus(2)
+    out = tmp_path / "out"
+    assert run("identify", DEMO_SCENARIOS / f"{scenario}.json",
+               "--out", str(out), "--seed", "7") == 0
+    assert not drainers
+    for f in out.iterdir():
+        assert (digest_of(f)
+                == ARTIFACT_DIGESTS[f"{scenario}/identify/{f.name}"])
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
 def test_artifacts_get_the_mode_open_gives(tmp_path, umask, mode):

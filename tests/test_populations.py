@@ -107,6 +107,19 @@ class TestRatioMarginalSpec:
         with pytest.raises(DegenerateRatio):
             spec.ppf(0.5)
 
+    def test_a_nan_ratio_reads_nan_at_an_atom(self):
+        # as the continuous laws do: NaN is not below an atom
+        assert np.isnan(MarginalSpec.point_mass(2.0).cdf(np.nan))
+        assert same_bits(MarginalSpec.point_mass(2.0).cdf([1.0, 2.0, np.nan]),
+                         [0.0, 1.0, np.nan])
+        r = np.linspace(1.0, 2.0, 11)
+        spec = pops.RatioMarginalSpec.tabulated(
+            r, np.full(11, 0.75), atoms=((1.5, 0.25),))
+        assert same_bits(spec.cdf([np.nan, 1.5]), [np.nan, 0.375 + 0.25])
+        assert np.isnan(pops.RatioMarginalSpec.degenerate(2.0).cdf(np.nan))
+        assert same_bits(pops.PointMassPopulation(2.0, 1.0)._demand_profile(
+            np.array([np.nan, 1.0, 2.0, 3.0])), [np.nan, 1.0, 1.0, 0.0])
+
     def test_needs_a_law_or_atoms(self):
         with pytest.raises(ValueError, match="law or atoms"):
             pops.RatioMarginalSpec(None, pops.Support(1.0, 2.0, 1.0))

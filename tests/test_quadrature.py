@@ -113,23 +113,23 @@ def test_kronrod_pair_exact_to_degrees_31_and_19():
 def test_exact_rule_takes_one_pass_of_half_the_degree_plus_one_nodes(
         monkeypatch, degree):
     # every segment of every row gets degree // 2 + 1 nodes in a single
-    # workers.run pass, exact for x^d up to the degree; the estimate is
-    # the round-off floor
-    passes = []
-    monkeypatch.setattr(q.workers, "run", lambda fn, n: (passes.append(n),
-                                                         [fn(i) for i in
-                                                          range(n)]))
-    widths = []
+    # pass, exact for x^d up to the degree; the estimate is the round-off
+    # floor.  Blocks of a few intervals spread the pass over several calls
+    monkeypatch.setattr(q, "INTERVAL_BLOCK", 2)
+    widths, seen = [], []
     powers = np.arange(degree + 1)
 
     def f(nodes, rows):
         widths.append(nodes.shape[1])
+        seen.append(rows)
         return nodes ** powers[rows][:, None]
 
     breaks = np.tile([-0.5, 0.25, 0.6], (powers.size, 1))
     got, est = q.segmented_gl(-1.0, 1.0, breaks, f, tol=0.0, degree=degree)
     exact = np.where(powers % 2 == 0, 2.0 / (powers + 1.0), 0.0)
-    assert len(passes) == 1
+    # one pass: each row's four segments reach the integrand once
+    assert np.array_equal(np.sort(np.concatenate(seen)),
+                          np.repeat(powers, 4))
     assert set(widths) == {degree // 2 + 1}
     assert np.all(np.abs(got - exact) <= 1e-15)
     size = np.array([q.segmented_gl(-1.0, 1.0, breaks[:1],

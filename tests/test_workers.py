@@ -1,4 +1,5 @@
-"""The worker helper and the quadrature passes it spreads over CPUs."""
+"""The worker helper, the special-function calls it spreads over CPUs,
+and the quadrature passes that stay on the calling thread."""
 
 import os
 import subprocess
@@ -16,8 +17,9 @@ from demandlab import marginals, quadrature, workers
 from demandlab.demand import (demand_curve, invert_demand,
                               quality_demand_surface)
 from demandlab.marginals import SPLIT_MIN, MarginalSpec, _special
-from demandlab.populations import (IndependentPopulation, ProductPopulation,
-                                   RatioMarginalSpec)
+from demandlab.populations import (IndependentPopulation, MixturePopulation,
+                                   ProductPopulation, RatioMarginalSpec,
+                                   sample)
 from helpers import beta_independent, population_zoo, same_bits, worker_names
 
 
@@ -28,9 +30,10 @@ def _many_blocks(monkeypatch):
 
 def _results():
     """Every zoo surface with its estimates, an independent demand curve,
-    its ratio table and the table behind its ratio marginal, and one
-    integral; the populations are built here, so no cached table comes
-    from another CPU count."""
+    its ratio table and the table behind its ratio marginal, one
+    integral, and a seeded sample large enough for the pool to share; the
+    populations are built here, so no cached table comes from another CPU
+    count."""
     xq = np.linspace(-2.0, 2.0, 48)
     prices = np.array([0.0, 0.6, 1.3, 2.2])
     out = []
@@ -43,6 +46,7 @@ def _results():
             pop._ratio_marginal().law.table.y]
     out.append(quadrature.integrate(lambda x: np.cos(200.0 * x), 0.0, 1.0,
                                     tol=1e-12))
+    out.append(sample(pop, SPLIT_MIN + 3, seed=5))
     return out
 
 
@@ -69,7 +73,8 @@ def test_results_keep_their_bits_whatever_the_cpu_count(
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_integer_shape_surfaces_take_no_scipy_and_keep_their_bits(
         monkeypatch, usable_cpus, drainers, cpus):
-    # the closed-form beta cdf and pdf run in the quadrature blocks
+    # the closed-form beta cdf and pdf run in the quadrature blocks, on
+    # the calling thread whatever the CPU count
     def no_scipy(name, *args):
         raise AssertionError(f"scipy.special.{name}")
 
@@ -89,29 +94,66 @@ def test_integer_shape_surfaces_take_no_scipy_and_keep_their_bits(
     monkeypatch.setattr(marginals, "_special", no_scipy)
     usable_cpus(cpus)
     again = surfaces()
-    assert set(_helper_counts(drainers)) == ({1} if cpus == 2 else set())
+    assert not drainers
     assert all(same_bits(a, b) for a, b in zip(serial, again))
 
 
-def _late_failure(nodes, rows):
-    # blocks from row 20 on fail, each with its own message; the lowest
-    # of them sleeps first, so on several CPUs it fails last
-    first = int(rows[0])
-    if first >= 20:
-        if first < 24:
+def _surface(pop):
+    xq = np.linspace(-1.5, 1.5, 64)
+    surface = quality_demand_surface(pop, xq, np.array([0.5, 0.9, 1.3]))
+    return [surface.values, surface.quadrature_errors]
+
+
+def test_quadrature_passes_start_no_thread(monkeypatch, usable_cpus,
+                                           drainers):
+    # conditional (ndtr or erf on every node), betainc and closed-form
+    # kernels alike run every block on the calling thread, with their
+    # 1-CPU bits
+    vm = MarginalSpec.scaled_beta(3.0, 2.0, lo=0.5, hi=1.5)
+    vk = MarginalSpec.scaled_beta(2.0, 3.0, lo=0.0, hi=1.0)
+    pops = {
+        "product": ProductPopulation(RatioMarginalSpec.uniform(1.0, 2.0), vm),
+        "independent": IndependentPopulation(vk, vm),
+        "vm_beta_2.5_2": IndependentPopulation(
+            vk, MarginalSpec.scaled_beta(2.5, 2.0, lo=0.5, hi=1.5)),
+        "vk_beta_2.5_3": IndependentPopulation(
+            MarginalSpec.scaled_beta(2.5, 3.0, lo=0.0, hi=1.0), vm),
+        "conditional": population_zoo()["conditional_low"]}
+    pops["mixture"] = MixturePopulation(
+        ((0.5, pops["independent"]), (0.5, pops["product"])))
+    _many_blocks(monkeypatch)
+    usable_cpus(1)
+    serial = {name: _surface(pop) for name, pop in pops.items()}
+    usable_cpus(3)
+    seen = set()
+
+    def integrand(nodes, rows):
+        seen.add(threading.get_ident())
+        return nodes
+
+    quadrature.segmented_gl(0.0, 1.0, np.empty((40, 0)), integrand,
+                            tol=1e-10)
+    assert seen == {threading.get_ident()}
+    for name, pop in pops.items():
+        assert all(same_bits(a, b)
+                   for a, b in zip(serial[name], _surface(pop))), name
+    assert not drainers
+
+
+def _late_failure(i):
+    # items from 5 on fail, each with its own message; the lowest of them
+    # sleeps first, so on several CPUs it fails last
+    if i >= 5:
+        if i == 5:
             time.sleep(0.05)
-        raise FloatingPointError(f"block from row {first}")
-    return nodes
+        raise FloatingPointError(f"item {i}")
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_the_lowest_failing_block_raises(monkeypatch, usable_cpus, drainers,
-                                        cpus):
+def test_the_lowest_failing_block_raises(usable_cpus, drainers, cpus):
     usable_cpus(cpus)
-    monkeypatch.setattr(quadrature, "INTERVAL_BLOCK", 4)
-    with pytest.raises(FloatingPointError, match=r"^block from row 20$"):
-        quadrature.segmented_gl(0.0, 1.0, np.empty((40, 0)), _late_failure,
-                                tol=1e-10)
+    with pytest.raises(FloatingPointError, match=r"^item 5$"):
+        workers.run(_late_failure, 10)
     assert _helper_counts(drainers) == ([] if cpus == 1 else [2])
 
 
@@ -207,23 +249,18 @@ def test_concurrent_callers_share_the_pool(usable_cpus):
     assert runs == [[1] * 16] * 200
 
 
-# A child interpreter on two CPUs whatever the machine has, with a few
-# intervals per block.
+# A child interpreter on two CPUs whatever the machine has; ``split``
+# takes a special function on enough elements for the pool to share.
 CHILD = """
 import os, threading
 os.sched_getaffinity = lambda pid: {0, 1}
 import numpy as np
-from demandlab import quadrature, workers
-from demandlab.demand import quality_demand_surface
-from demandlab.marginals import MarginalSpec
-from demandlab.populations import ProductPopulation, RatioMarginalSpec
-quadrature.INTERVAL_BLOCK = 16
+from demandlab import workers
+from demandlab.marginals import SPLIT_MIN, _special
 
-def surface():
-    pop = ProductPopulation(RatioMarginalSpec.uniform(1.0, 2.0, vm_hi=3.0),
-                            MarginalSpec.scaled_beta(3.0, 2.0, 0.5, 1.5))
-    return quality_demand_surface(pop, np.linspace(-1.5, 1.5, 64),
-                                  np.array([0.5, 0.9, 1.3])).values.tobytes()
+def split():
+    q = np.linspace(0.01, 0.99, SPLIT_MIN + 3)
+    return _special("ndtri", q).tobytes()
 
 def pool():
     return [t.name for t in threading.enumerate()
@@ -244,23 +281,22 @@ def _child(script: str) -> list:
 
 def test_the_pool_does_not_hold_up_exit():
     # its threads wait for jobs forever, so they must not be joined at exit
-    assert _child("surface()\nprint(pool())") == ["['demandlab-worker-1']"]
+    assert _child("split()\nprint(pool())") == ["['demandlab-worker-1']"]
 
 
 def test_a_failure_on_a_helper_leaves_the_pool_working():
-    # the caller's first block waits until a helper's block has failed
+    # the caller's first item waits until a helper's item has failed
     assert _child("""
 failed = threading.Event()
 
-def integrand(nodes, rows):
+def item(i):
     if threading.current_thread().name.startswith("demandlab-worker"):
         failed.set()
         raise FloatingPointError("on a helper")
     assert failed.wait(20)
-    return nodes
 
 try:
-    quadrature.segmented_gl(0.0, 1.0, np.empty((40, 0)), integrand, tol=1e-10)
+    workers.run(item, 10)
 except FloatingPointError as exc:
     print(exc)
 drainers, drain = set(), workers._drain
@@ -270,8 +306,8 @@ def record(*args):
     drain(*args)
 
 workers._drain = record
-two = surface()
+two = split()
 os.sched_getaffinity = lambda pid: {0}
-print(two == surface(), sorted(drainers), pool())
+print(two == split(), sorted(drainers), pool())
 """) == ["on a helper",
          "True ['MainThread', 'demandlab-worker-1'] ['demandlab-worker-1']"]
