@@ -114,7 +114,7 @@ class QualityDemandSurface:
             raise ValueError("need one quadrature error per price")
         if np.any(np.diff(xq) <= 0.0) or np.any(np.diff(p) <= 0.0):
             raise ValueError("grids must be strictly increasing")
-        if np.any(p < 0.0):
+        if not np.all(p >= 0.0):
             raise ValueError("prices must be >= 0")
         bad = np.argwhere(~np.isfinite(v))
         if bad.size:
@@ -229,7 +229,7 @@ def quality_demand_surface(pop: Population, quality_grid,
     no quadrature (see ``Population._quality_surface``)."""
     xq = np.asarray(quality_grid, dtype=float)
     prices = np.asarray(price_grid, dtype=float)
-    if np.any(prices < 0.0):
+    if not np.all(prices >= 0.0):  # NaN too, as in quality_demand
         raise ValueError("price must be >= 0")
     values, errors = pop._quality_surface(prices, xq)
     return QualityDemandSurface(xq, prices, values, errors)

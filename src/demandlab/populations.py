@@ -283,7 +283,8 @@ class Population:
     # _quality_profile(p, xq) takes prices p broadcastable against the
     # quality offsets xq, so one call can hold the rows of many prices,
     # and returns each row's buying mass and the estimate of its absolute
-    # quadrature error (0 for closed forms).  A row integrates only its
+    # quadrature error (0 for closed forms, or their round-off floor
+    # where their terms cancel).  A row integrates only its
     # live range, where its inner cdf lies strictly inside (0, 1); the
     # mass where everybody buys outside it is a difference of the outer
     # law's cdf, and adds nothing to the estimate.
@@ -514,12 +515,41 @@ class ProductPopulation(Population):
 
     def _quality_profile(self, p, xq):
         # P(vm (r - p) + xq >= 0): vm's cdf at t = -xq / (r - p) lies in
-        # (0, 1) only on the live range: the money-value window of vm's support
+        # (0, 1) only on the live range [lo, hi]: the money-value window
+        # of vm's support.  Everybody buys above it
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
                                     np.asarray(xq, dtype=float))
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
-        lo, hi = (np.clip(end, r_lo, r_hi)
-                  for end in _money_window(p, xq, self.vm.lo, self.vm.hi))
+        window = _money_window(p, xq, self.vm.lo, self.vm.hi)
+        lo, hi = (np.clip(end, r_lo, r_hi) for end in window)
+        cdf_hi = np.asarray(self.ratio.cdf(hi))
+        out = np.where(hi == r_hi, 0.0, 1.0 - cdf_hi)
+        errors = np.zeros(xq.shape)
+        slow = np.flatnonzero(~(lo >= hi))  # NaN rows too
+        if self._vm_poly is not None:
+            # the closed form over vm, unless a row's round-off floor
+            # exceeds the tolerance; NaN rows keep the adaptive route
+            fast = slow[lo[slow] < hi[slow]]
+            live, floor = self._closed_live(
+                p[fast], xq[fast], lo[fast], hi[fast], cdf_hi[fast],
+                *(end[fast] for end in window))
+            keep = floor <= SURFACE_TOL
+            fast = fast[keep]
+            out[fast] += live[keep]
+            errors[fast] = floor[keep]
+            closed = np.zeros(xq.shape, dtype=bool)
+            closed[fast] = True
+            slow = slow[~closed[slow]]
+        if slow.size:
+            with _renumbered(slow):
+                live, errors[slow] = self._adaptive_live(
+                    p[slow], xq[slow], lo[slow], hi[slow])
+            out[slow] += live
+        return out, errors
+
+    def _adaptive_live(self, p, xq, lo, hi):
+        """Each row's buying mass on its live range, integrated over the
+        ratio r by segmented_gl, split at the ratio law's knots."""
         knots = self.ratio.law.knots[1:-1]
 
         def integrand(nodes, rows):
@@ -531,12 +561,148 @@ class ProductPopulation(Population):
                                                     1.0 - f_at_t)
 
         # vm's cdf contributes |u - end|^alpha at the live range's ends
-        live, errors = quadrature.segmented_gl(
+        return quadrature.segmented_gl(
             lo, hi, np.broadcast_to(knots, (xq.size, knots.size)), integrand,
             tol=SURFACE_TOL, grade=_grade(self.vm.end_shape + 1.0))
-        above = np.where(hi == r_hi, 0.0,
-                         1.0 - np.asarray(self.ratio.cdf(hi)))
-        return above + live, errors
+
+    @cached_property
+    def _vm_poly(self):
+        """vm's density f on its support as a polynomial in u, lowest power
+        first, where ``degree`` is not None: K / w ((u - lo) / w)^(a-1)
+        ((hi - u) / w)^(b-1), w = hi - lo, K the constant of the standard
+        density (a = b = 1 for a uniform law).  None for every other law,
+        or where a coefficient overflows."""
+        vm = self.vm
+        if vm.degree is None:
+            return None
+        a, b = ((1, 1) if vm.kind == "uniform"
+                else (int(vm.alpha), int(vm.beta)))
+        width = np.float64(vm.hi - vm.lo)
+        coef = np.array([(a + b - 1) * math.comb(a + b - 2, a - 1) / width])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(a - 1):
+                coef = np.convolve(coef, [-vm.lo / width, 1.0 / width])
+            for _ in range(b - 1):
+                coef = np.convolve(coef, [vm.hi / width, -1.0 / width])
+        return coef if np.all(np.isfinite(coef)) else None
+
+    def _closed_live(self, p, xq, lo, hi, cdf_hi, w_lo, w_hi):
+        """Each row's buying mass on its live range [lo, hi] and its
+        round-off floor, in closed form over the money value u, for rows
+        with xq != 0 and lo < hi; ``cdf_hi`` is G(hi) and [w_lo, w_hi] the
+        row's money-value window.
+
+        By Fubini the mass is the integral over u of f(u) (G(hi) -
+        G(max(s, lo))) where s = p - xq / u <= hi, f is vm's density and
+        G the ratio law's cdf.  Where s < lo, which needs lo = r_lo and
+        G(lo) = 0, that is G(hi) times a difference of vm's cdf F.  The
+        rest splits at the images u = xq / (p - kappa) of the knots kappa
+        of G inside (lo, hi), taken per row by searchsorted; an end of
+        [lo, hi] that is a window end maps to vm's own end.  On a piece
+        [a, b] whose ratios start at s0 in a cell of slope c, with
+        e = p - s0 and y = xq / u, G(hi) - G(s) = A + B y + C y^2 with
+        A = G(hi) - G(s0) - g(s0) e - c e^2 / 2, B = g(s0) + c e and
+        C = -c / 2.  With f = sum_k c_k u^k (``_vm_poly``) the piece is
+        A (F(b) - F(a)) plus B and C times
+          int f y   = xq (c_0 ln(b / a) + sum_{k>=1} c_k D_k / k),
+          int f y^2 = xq^2 (c_0 (1 / a - 1 / b) + c_1 ln(b / a)
+                            + sum_{k>=2} c_k D_{k-1} / (k - 1)),
+        D_k = b^k - a^k = b D_{k-1} + (b - a) a^(k-1), a sum of positive
+        terms.  ln(b / a) is log1p((b - a) / a) and xq^2 (1 / a - 1 / b)
+        is xq (xq / a) (b - a) / b, which keep their relative accuracy on
+        a short piece and never square xq alone.
+
+        The floor is ``ROUNDOFF`` times the summed size of every term,
+        the cancelling ones included: G(hi), |A|'s parts times F(a) + F(b),
+        and |B xq| (|c_0| ln(b / a) + sum |c_k| D_k / k) and its y^2
+        analogue.  The c_k grow like (lo / w)^n, n vm's degree, so a
+        support far from 0 raises the floor; a row whose floor exceeds
+        ``SURFACE_TOL`` takes the adaptive route instead.  Every term is a
+        product or quotient of a row's own quantities, so a row's value
+        depends on its own p and xq, and a power-of-two money unit scales
+        every term exactly.
+        """
+        vm, law = self.vm, self.ratio.law
+        coef = self._vm_poly
+        up = xq > 0.0  # s rises with u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_lo = np.where(lo == w_lo, np.where(up, vm.lo, vm.hi),
+                            xq / (p - lo))
+            u_hi = np.where(hi == w_hi, np.where(up, vm.hi, vm.lo),
+                            xq / (p - hi))
+        # the pieces: each row's cells of G between lo and hi, in order;
+        # a law of one cell gives one piece per row
+        knots = law.knots
+        slopes = np.diff(law.pdf(knots)) / np.diff(knots)
+        if knots.size == 2:
+            row = start = slice(None)
+            x, q, s0, u0, u1, c = xq, p, lo, u_lo, u_hi, slopes[0]
+        else:
+            first = np.searchsorted(knots, lo, "right") - 1
+            count = np.searchsorted(knots, hi, "left") - first
+            start = np.cumsum(count) - count
+            row = np.repeat(np.arange(xq.size), count)
+            cell = np.arange(row.size) - np.repeat(start - first, count)
+            x, q = xq[row], p[row]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u0 = np.where(cell == first[row], u_lo[row],
+                              x / (q - knots[cell]))
+                u1 = np.where(cell == first[row] + count[row] - 1,
+                              u_hi[row], x / (q - knots[cell + 1]))
+            s0, c = np.maximum(knots[cell], lo[row]), slopes[cell]
+        # a rounded image stays on vm's support, and an underflowed one
+        # above 0
+        floor = max(vm.lo, np.finfo(float).smallest_subnormal)
+        a, b = (np.minimum(np.maximum(end, floor), vm.hi)
+                for end in (np.minimum(u0, u1), np.maximum(u0, u1)))
+        ends = np.asarray(vm.cdf(np.concatenate((a, b))))
+        F_a, F_b = ends[:a.size], ends[a.size:]
+        width = b - a
+        with np.errstate(over="ignore"):  # b / a overflows past 1e308
+            ln = np.log1p(width / a)
+        huge = np.isinf(ln)
+        if huge.any():
+            ln[huge] = np.log(b[huge]) - np.log(a[huge])
+        # int f / u = c_0 ln + sum_k c_k D_k / k (one) and int f / u^2 =
+        # c_0 (1 / a - 1 / b) + sum_k c_k int u^(k-2) (two), with the sums
+        # of their terms' sizes; int u^(k-2) is ln at k = 1, then D_{k-1}
+        # / (k - 1)
+        curved = np.any(slopes)
+        one, one_size = coef[0] * ln, abs(coef[0]) * ln
+        two = two_size = 0.0
+        below_k, power, step = ln, width, a  # and D_1, a^1
+        for k in range(1, coef.size):
+            one += coef[k] / k * power
+            one_size += abs(coef[k]) / k * power
+            if curved:
+                two = two + coef[k] * below_k
+                two_size = two_size + abs(coef[k]) * below_k
+                below_k = power / k
+            power = b * power + width * step
+            step = step * a
+        g_hi, g_s0, g0 = cdf_hi[row], np.asarray(law.cdf(s0)), law.pdf(s0)
+        e = q - s0
+        A = g_hi - g_s0 - g0 * e
+        size = (g_hi + g_s0 + np.abs(g0 * e)) * (F_a + F_b)
+        if curved:
+            A -= 0.5 * c * e * e
+            size += 0.5 * np.abs(c) * e * e * (F_a + F_b)
+            g0 = g0 + c * e  # B
+        piece = A * (F_b - F_a) + g0 * x * one
+        size += np.abs(g0 * x) * one_size
+        if curved:
+            x2 = x * (x / a) * width / b  # xq^2 (1 / a - 1 / b)
+            piece -= 0.5 * c * (coef[0] * x2 + x * x * two)
+            size += 0.5 * np.abs(c) * (abs(coef[0] * x2) + x * x * two_size)
+        # where s < lo, everybody buys: u below u_lo if s rises, else above
+        # (no mass unless lo = r_lo)
+        below = cdf_hi * np.where(up, F_a[start], 1.0 - F_b[start])
+        if knots.size > 2:
+            piece = np.bincount(row, piece, xq.size)
+            size = np.bincount(row, size, xq.size)
+        live = below + piece
+        size = cdf_hi + size
+        return live, quadrature.ROUNDOFF * size
 
 @dataclass(frozen=True, eq=False)
 class IndependentPopulation(Population):

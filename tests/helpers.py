@@ -193,6 +193,16 @@ def benchmark_populations(seed: int) -> dict:
     return out
 
 
+def takes_closed_product(pop) -> bool:
+    """Whether a product population, or a product component of a
+    mixture, has a polynomial money-value density, so that its kernel
+    integrates live rows in closed form over the money value."""
+    parts = (pop.components if isinstance(pop, pops.MixturePopulation)
+             else ((1.0, pop),))
+    return any(isinstance(part, pops.ProductPopulation)
+               and part.vm.degree is not None for _, part in parts)
+
+
 def column_kernel(pop, p, xq):
     """One scalar-price kernel call on every row of the column at ``p``:
     its values and worst estimate.  A mixture's are the weighted sums of
@@ -365,8 +375,9 @@ def full_range_profile(pop, p, xq):
         knots = pop.ratio.law.knots[1:-1]
         cols = [np.clip(p, r_lo, r_hi)[:, None],
                 np.broadcast_to(knots, (xq.size, knots.size))]
-        cols += [(p - xq / edge)[:, None] for edge in (pop.vm.lo, pop.vm.hi)
-                 if edge > 0.0]
+        with np.errstate(over="ignore"):  # a tiny vm.lo: the break clips
+            cols += [(p - xq / edge)[:, None]
+                     for edge in (pop.vm.lo, pop.vm.hi) if edge > 0.0]
 
         def integrand(nodes, rows):
             x = xq[rows][:, None]

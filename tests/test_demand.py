@@ -12,7 +12,7 @@ from demandlab.marginals import MarginalSpec
 from helpers import (benchmark_populations, box_bounds, closed_form_roots,
                      column_kernel, continuous_zoo, full_range_profile,
                      live_offsets, population_zoo, same_bits, seed_ratio,
-                     sine_table_low, surface_zoo)
+                     sine_table_low, surface_zoo, takes_closed_product)
 
 
 class TestPurchaseDecision:
@@ -219,6 +219,18 @@ class TestQualityDemand:
         with pytest.raises(ValueError, match="price"):
             dl.quality_demand(pop, 0.5, np.nan)
 
+    def test_nan_price_is_refused_before_the_surface(self, monkeypatch):
+        # a NaN price fails the price check up front, as in quality_demand,
+        # instead of building the surface and failing its finiteness check
+        xq = np.linspace(-1.0, 1.0, 5)
+        zoo = benchmark_populations(3)
+        for name in ("product", "independent", "low"):
+            monkeypatch.setattr(type(zoo[name]), "_quality_surface", None)
+            with pytest.raises(ValueError, match="price"):
+                dl.quality_demand_surface(zoo[name], xq, [1.0, np.nan])
+        with pytest.raises(ValueError, match="price"):
+            dl.QualityDemandSurface(xq, [np.nan], np.zeros((5, 1)))
+
     def test_monotone_in_quality_and_price(self):
         pop = population_zoo()["conditional_low"]
         xqs = np.linspace(-1.5, 1.5, 7)
@@ -356,9 +368,12 @@ class TestQualityDemandSurface:
         # Where vm or vk has a non-integer shape (the graded forms), rows
         # are adaptive, and a row without its saturated intervals is
         # bisected on a different budget: there they agree within both
-        # estimates.  So do ratio_conditional rows, which the kernel
-        # integrates over the money-value threshold and the reference over
-        # the ratio: a benchmark twin's rows differ by up to 1.2e-14.
+        # estimates.  So do product rows over a polynomial vm density,
+        # which the kernel takes in closed form over the money value (the
+        # benchmark product's rows differ by up to 4.5e-14), and
+        # ratio_conditional rows, which the kernel integrates over the
+        # money-value threshold and the reference over the ratio: a
+        # benchmark twin's rows differ by up to 1.2e-14.
         # Rows beyond the support box's saturation bounds have an empty
         # live range and are exactly 0 or 1, also over a ratio table whose
         # cdf reads 1 + 2^-52 at its upper end
@@ -380,9 +395,9 @@ class TestQualityDemandSurface:
             want, want_est = full_range_profile(
                 pop, np.tile(prices, xq.size), np.repeat(xq, prices.size))
             bound = 1e-15
-            if name in ("product_table", "graded_beta0.5", "graded_beta1.2",
-                        "graded_beta2.5") or isinstance(
-                            pop, pops.RatioConditionalPopulation):
+            if (name in ("product_table", "graded_beta0.5", "graded_beta1.2",
+                         "graded_beta2.5") or takes_closed_product(pop)
+                    or isinstance(pop, pops.RatioConditionalPopulation)):
                 bound = (bound + est
                          + np.max(want_est.reshape(xq.size, -1), axis=0))
             assert np.all(np.abs(got - want.reshape(xq.size, -1)) <= bound), \

@@ -17,7 +17,7 @@ from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, benchmark_populations, beta_independent,
                      bisection_roots, closed_form_roots, column_kernel,
                      conditional_forms, conditional_reference,
-                     kinked_h_custom, live_offsets,
+                     full_range_profile, kinked_h_custom, live_offsets,
                      population_zoo, same_bits, seed_ratio, sine_table_low,
                      surface_zoo)
 
@@ -418,6 +418,57 @@ class TestProductPopulation:
     def test_ratio_marginal_returns_seed(self):
         pop = self.make()
         assert pops.ratio_marginal(pop) is pop.ratio
+
+    @pytest.mark.parametrize("vm", [
+        MarginalSpec.scaled_beta(1.5, 2.5, 0.0, 2.0),
+        MarginalSpec.scaled_beta(1.0, 3.0, 0.0, 2.0),
+        MarginalSpec.scaled_beta(2.0, 2.0, 0.0, 2.0),
+        MarginalSpec.uniform(0.0, 2.0)], ids=str)
+    def test_tiny_offsets_over_a_money_value_from_zero(self, vm):
+        # product_table's law, whose vm starts at 0 (adaptive), and
+        # polynomial vm laws from 0 (closed form): offsets of +-1e-300
+        # and +-5e-324, where the Jacobian of the threshold overflowed,
+        # give finite rows as the full-range reference does; a NaN offset
+        # spoils its own row only
+        pop = pops.ProductPopulation(surface_zoo()["product_table"].ratio,
+                                     vm)
+        offsets = [1e-300, -1e-300, 5e-324, -5e-324, np.nan, 0.25, -0.25]
+        prices = [0.0, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
+        p = np.repeat(prices, len(offsets))
+        xq = np.tile(offsets, len(prices))
+        got, est = pop._quality_profile(p, xq)
+        want, want_est = full_range_profile(pop, p, xq)
+        assert np.array_equal(np.isnan(got), np.isnan(xq))
+        assert np.array_equal(np.isnan(est), np.isnan(xq))
+        ok = ~np.isnan(xq)
+        assert np.all(np.abs(got - want)[ok]
+                      <= (1e-15 + est + want_est)[ok])
+
+    @pytest.mark.parametrize("unit", [2.0 ** -60, 2.0 ** 60])
+    def test_surface_keeps_its_bits_in_any_money_unit(self, unit):
+        # money values times a power of two, ratios and prices over it:
+        # every closed-form term scales exactly, so the surface and its
+        # estimates keep their bits, over a uniform, a triangular and a
+        # tabulated ratio law
+        def surface(c, ratio):
+            pop = pops.ProductPopulation(
+                ratio(c), MarginalSpec.scaled_beta(2.0, 3.0, 0.5 * c,
+                                                   1.5 * c))
+            surf = quality_demand_surface(pop, np.linspace(-2.0, 2.0, 65),
+                                          np.array([0.6, 1.2, 1.7]) / c)
+            return surf.values, surf.quadrature_errors
+
+        g = np.array([0.5, 1.0, 0.4]) / 1.075
+        for ratio in (
+                lambda c: pops.RatioMarginalSpec.uniform(1.0 / c, 2.0 / c,
+                                                         vm_hi=3.0 * c),
+                lambda c: pops.RatioMarginalSpec.triangular(0.8 / c, 2.2 / c,
+                                                            vm_hi=3.0 * c),
+                lambda c: pops.RatioMarginalSpec.tabulated(
+                    np.array([0.5, 1.0, 2.0]) / c, g * c, 3.0 * c)):
+            base, scaled = surface(1.0, ratio), surface(unit, ratio)
+            assert np.max(base[1]) > 0.0
+            assert all(same_bits(a, b) for a, b in zip(base, scaled))
 
 
 class TestIndependentPopulation:
