@@ -653,7 +653,7 @@ class ProductPopulation(Population):
         # a rounded image stays on vm's support, and an underflowed one
         # above 0
         floor = max(vm.lo, np.finfo(float).smallest_subnormal)
-        a, b = (np.minimum(np.maximum(end, floor), vm.hi)
+        a, b = (np.clip(end, floor, vm.hi)
                 for end in (np.minimum(u0, u1), np.maximum(u0, u1)))
         ends = np.asarray(vm.cdf(np.concatenate((a, b))))
         F_a, F_b = ends[:a.size], ends[a.size:]

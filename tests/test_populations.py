@@ -423,13 +423,14 @@ class TestProductPopulation:
         MarginalSpec.scaled_beta(1.5, 2.5, 0.0, 2.0),
         MarginalSpec.scaled_beta(1.0, 3.0, 0.0, 2.0),
         MarginalSpec.scaled_beta(2.0, 2.0, 0.0, 2.0),
-        MarginalSpec.uniform(0.0, 2.0)], ids=str)
+        MarginalSpec.uniform(0.0, 2.0)],
+        ids=["beta1.5_2.5", "beta1_3", "beta2_2", "uniform"])
     def test_tiny_offsets_over_a_money_value_from_zero(self, vm):
         # product_table's law, whose vm starts at 0 (adaptive), and
         # polynomial vm laws from 0 (closed form): offsets of +-1e-300
-        # and +-5e-324, where the Jacobian of the threshold overflowed,
-        # give finite rows as the full-range reference does; a NaN offset
-        # spoils its own row only
+        # and +-5e-324, whose money values x / (p - r) reach the
+        # subnormals, give finite rows as the full-range reference does;
+        # a NaN offset spoils its own row only
         pop = pops.ProductPopulation(surface_zoo()["product_table"].ratio,
                                      vm)
         offsets = [1e-300, -1e-300, 5e-324, -5e-324, np.nan, 0.25, -0.25]
@@ -443,6 +444,19 @@ class TestProductPopulation:
         ok = ~np.isnan(xq)
         assert np.all(np.abs(got - want)[ok]
                       <= (1e-15 + est + want_est)[ok])
+
+    def test_the_law_chooses_the_route(self, monkeypatch):
+        # a uniform or closed-form beta vm takes the closed form over vm
+        # and calls no quadrature; a non-integer shape integrates over r
+        zoo = surface_zoo()
+        calls = _record_degrees(monkeypatch)
+        xq = np.linspace(-2.0, 2.0, 17)
+        prices = np.array([0.7, 1.4])
+        for name in ("product", "continuous_mixture"):
+            quality_demand_surface(zoo[name], xq, prices)
+        assert not calls
+        quality_demand_surface(zoo["product_table"], xq, prices)
+        assert calls == [None]
 
     @pytest.mark.parametrize("unit", [2.0 ** -60, 2.0 ** 60])
     def test_surface_keeps_its_bits_in_any_money_unit(self, unit):
