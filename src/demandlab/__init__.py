@@ -22,7 +22,8 @@ from .identification import (IdentificationConfig, RecoveryReport,
                              chebyshev_prices, default_quality_grid, pava,
                              recover_cross_moments,
                              recover_from_slice_moments, slice_from_surface,
-                             slice_moments, verify_recovery)
+                             slice_moment_rows, slice_moments,
+                             surface_slices, verify_recovery)
 from .inequality import (BoundaryMean, DeltaBoundCheck, InequalityReport,
                          NonIdDemo, boundary_conditional_mean,
                          build_nonid_demo, check_delta_bounds, classify,
@@ -60,5 +61,6 @@ __all__ = [
     "pava", "population_from_dict", "purchase_decision", "quality_demand",
     "quality_demand_mc", "quality_demand_surface", "ratio_marginal",
     "recover_cross_moments", "recover_from_slice_moments", "sample",
-    "slice_from_surface", "slice_moments", "verify_recovery",
+    "slice_from_surface", "slice_moment_rows", "slice_moments",
+    "surface_slices", "verify_recovery",
 ]

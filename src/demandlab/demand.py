@@ -116,14 +116,13 @@ class QualityDemandSurface:
             raise ValueError("grids must be strictly increasing")
         if not np.all(p >= 0.0):
             raise ValueError("prices must be >= 0")
-        bad = np.argwhere(~np.isfinite(v))
-        if bad.size:
-            i, j = bad[0]
+        if not np.isfinite(v).all():
+            i, j = np.argwhere(~np.isfinite(v))[0]
             raise MonotonicityViolation(
                 f"surface value {v[i, j]} at quality {float(xq[i])!r}, "
                 f"price {float(p[j])!r} is not finite")
         if v.shape[0] > 1:
-            drop = np.max(-np.diff(v, axis=0), initial=0.0)
+            drop = np.max(v[:-1] - v[1:], initial=0.0)
             if drop > 1e-9:
                 raise MonotonicityViolation(
                     f"surface decreases by {drop:.3g} along quality")
@@ -231,5 +230,7 @@ def quality_demand_surface(pop: Population, quality_grid,
     prices = np.asarray(price_grid, dtype=float)
     if not np.all(prices >= 0.0):  # NaN too, as in quality_demand
         raise ValueError("price must be >= 0")
+    if np.isnan(xq).any():
+        raise ValueError("quality offset must not be NaN")
     values, errors = pop._quality_surface(prices, xq)
     return QualityDemandSurface(xq, prices, values, errors)

@@ -11,6 +11,12 @@ a Vandermonde-structured linear system across prices, solved per total
 order with a recorded condition estimate.  Bounded support keeps the
 moment problem determinate, so the recovered table characterizes the
 joint law.
+
+Each stage after the surface runs over all price columns at once:
+``surface_slices`` reads every slice in one set of array passes, and
+``slice_moment_rows`` takes each moment order in one pass over the
+slices that share a grid.  ``slice_from_surface`` and ``slice_moments``
+are their one-column case.
 """
 
 from __future__ import annotations
@@ -134,51 +140,136 @@ def default_quality_grid(pop: Population, prices, n: int) -> np.ndarray:
     return np.linspace(-half, half, n)
 
 
+def surface_slices(surface: QualityDemandSurface,
+                   tail_bound: float = TAIL_BOUND) -> list:
+    """Slice CDFs of every surface column, in price order, read in one
+    set of array passes over the surface; they share one ``w_grid``.
+
+    Only a column with a strict drop goes to ``pava``.  TailMassExceeded
+    names the first price whose slice misses more than ``tail_bound``.
+    """
+    w = -surface.quality_grid[::-1]
+    # row j is 1 - column j reversed, one C-contiguous slice
+    raw = np.subtract(1.0, surface.values.T[:, ::-1], order="C")
+    cdf = np.clip(raw, 0.0, 1.0)
+    for j in np.flatnonzero((raw[:, :-1] > raw[:, 1:]).any(axis=1)):
+        cdf[j] = np.clip(pava(raw[j]), 0.0, 1.0)
+    # |cdf - raw| in raw's buffer: a third matrix would cost page faults
+    np.subtract(cdf, raw, out=raw)
+    repair = np.max(np.abs(raw, out=raw), axis=1)
+    tail = cdf[:, 0] + (1.0 - cdf[:, -1])
+    over = np.flatnonzero(tail > tail_bound)
+    if over.size:
+        j = over[0]
+        raise TailMassExceeded(
+            f"slice at p={surface.price_grid[j]:g} misses {tail[j]:.3g} of "
+            f"mass beyond the quality span (bound {tail_bound:g})")
+    return [SliceDistribution(float(p), w, row, float(t), float(r))
+            for p, row, t, r in zip(surface.price_grid, cdf, tail, repair)]
+
+
 def slice_from_surface(surface: QualityDemandSurface, p: float,
                        tail_bound: float = TAIL_BOUND) -> SliceDistribution:
     """Slice CDF at price p: F(w) = 1 - D_Q(-w, p) on w = -xQ reversed.
 
     Quadrature wiggle is projected away isotonic-ly (magnitude recorded);
     if the span misses more than ``tail_bound`` of probability at either
-    end, the slice is unusable and TailMassExceeded is raised.
+    end, the slice is unusable and TailMassExceeded is raised.  This is
+    ``surface_slices`` of the one-column surface at p.
     """
-    column = surface.column(p)
-    w = -surface.quality_grid[::-1]
-    raw = 1.0 - column[::-1]
-    cdf = np.clip(pava(raw), 0.0, 1.0)
-    repair = float(np.max(np.abs(cdf - raw)))
-    tail = float(cdf[0] + (1.0 - cdf[-1]))
-    if tail > tail_bound:
-        raise TailMassExceeded(
-            f"slice at p={p:g} misses {tail:.3g} of mass beyond the "
-            f"quality span (bound {tail_bound:g})")
-    return SliceDistribution(float(p), w, cdf, tail, repair)
+    column = QualityDemandSurface(surface.quality_grid, [p],
+                                  surface.column(p)[:, None])
+    return surface_slices(column, tail_bound)[0]
 
 
-def _integrate_uniform(y: np.ndarray, h: float) -> float:
-    """Composite Newton-Cotes on a uniform grid (Boole + 3/8 remainder)."""
-    k = y.size - 1
+def _integrate_uniform(y: np.ndarray, h: float):
+    """Composite Newton-Cotes on a uniform grid (Boole + 3/8 remainder),
+    along the last axis."""
+    k = y.shape[-1] - 1
     tail = (4 - k % 4) * 3 % 12
     if k < tail or k < 4:
-        return float(np.trapezoid(y, dx=h))
+        return np.trapezoid(y, dx=h, axis=-1)
     out = 0.0
-    body = y[:k - tail + 1]
-    if body.size > 1:
-        out += (2.0 * h / 45.0) * (7.0 * (body[0] + body[-1])
-                                   + 14.0 * body[4:-1:4].sum()
-                                   + 32.0 * body[1::4].sum()
-                                   + 32.0 * body[3::4].sum()
-                                   + 12.0 * body[2::4].sum())
+    body = y[..., :k - tail + 1]
+    if body.shape[-1] > 1:
+        out += (2.0 * h / 45.0) * (7.0 * (body[..., 0] + body[..., -1])
+                                   + 14.0 * body[..., 4:-1:4].sum(axis=-1)
+                                   + 32.0 * body[..., 1::4].sum(axis=-1)
+                                   + 32.0 * body[..., 3::4].sum(axis=-1)
+                                   + 12.0 * body[..., 2::4].sum(axis=-1))
     for start in range(k - tail, k, 3):
-        seg = y[start:start + 4]
-        out += (3.0 * h / 8.0) * (seg[0] + 3.0 * seg[1] + 3.0 * seg[2]
-                                  + seg[3])
-    return float(out)
+        seg = y[..., start:start + 4]
+        out += (3.0 * h / 8.0) * (seg[..., 0] + 3.0 * seg[..., 1]
+                                  + 3.0 * seg[..., 2] + seg[..., 3])
+    return out
+
+
+def _grid_moments(w: np.ndarray, cdfs: np.ndarray, n: int) -> np.ndarray:
+    """Unchecked E[W**m], m = 1..n, of the slices in the rows of ``cdfs``,
+    all tabulated on the grid ``w``: one pass per order over the stack."""
+    steps = np.diff(w)
+    h = steps[0]
+    uniform = np.max(np.abs(steps - h)) <= 1e-9 * abs(h)
+    out = np.empty((cdfs.shape[0], n))
+    a, b = w[0], w[-1]
+    df = None if uniform else np.diff(cdfs, axis=1)
+    buf = np.empty_like(cdfs if uniform else df)  # one matrix, reused
+    for m in range(1, n + 1):
+        if uniform:
+            y = np.multiply(w ** (m - 1), cdfs, out=buf)
+            out[:, m - 1] = b ** m - m * _integrate_uniform(y, h)
+        else:
+            wp = w ** (m + 1)
+            cell = (wp[1:] - wp[:-1]) / ((m + 1) * steps)
+            out[:, m - 1] = (a ** m * cdfs[:, 0]
+                             + np.sum(np.multiply(df, cell, out=buf), axis=1)
+                             + b ** m * (1.0 - cdfs[:, -1]))
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def slice_moments(sdist: SliceDistribution, n: int, *,
-                  powers: dict | None = None) -> np.ndarray:
+def slice_moment_rows(slices, n: int) -> np.ndarray:
+    """Raw moments E[W_p**m], m = 1..n, one row per slice.
+
+    Slices on one grid take each order in one pass over the stack of
+    their cdfs, so each power of the grid is computed once; each row is ``slice_moments`` of its
+    slice, bit for bit, and NonFiniteMoment names the first slice, and
+    in it the first order, that ``slice_moments`` would refuse.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    slices = list(slices)
+    rows = np.empty((len(slices), n))
+    under = np.empty(rows.shape, dtype=bool)
+    reach = np.empty(len(slices))  # of |W| on each slice's grid
+    grids, groups = [], []  # each distinct grid, and its slices
+    for i, s in enumerate(slices):
+        for w, idx in zip(grids, groups):
+            if s.w_grid is w or (s.w_grid.dtype == w.dtype
+                                 and s.w_grid.shape == w.shape
+                                 and s.w_grid.tobytes() == w.tobytes()):
+                idx.append(i)
+                break
+        else:
+            grids.append(s.w_grid)
+            groups.append([i])
+    for w, idx in zip(grids, groups):
+        rows[idx] = _grid_moments(w, np.array([slices[i].cdf for i in idx]),
+                                  n)
+        reach[idx] = r = max(abs(w[0]), abs(w[-1]))
+        under[idx] = [r ** m < np.finfo(float).tiny for m in range(1, n + 1)]
+    bad = np.argwhere(~np.isfinite(rows) | under)
+    if bad.size:
+        i, j = bad[0]
+        where = f"slice moment E[W**{j + 1}] at price {float(slices[i].p)!r}"
+        if not np.isfinite(rows[i, j]):
+            raise NonFiniteMoment(f"{where} is not finite")
+        raise NonFiniteMoment(f"{where} underflows: |W| reaches only "
+                              f"{reach[i]:.3g}")
+    return rows
+
+
+def slice_moments(sdist: SliceDistribution, n: int) -> np.ndarray:
     """Raw moments E[W_p**m] for m = 1..n from the tabulated CDF.
 
     Integration by parts turns the Stieltjes integral into
@@ -186,46 +277,12 @@ def slice_moments(sdist: SliceDistribution, n: int, *,
     (mass escaping the ends is assigned to the end points, a tail-bound
     size effect).  Uniform grids get a high-order Newton-Cotes rule;
     irregular grids fall back to the exact integral of the
-    piecewise-linear interpolant.  ``powers`` caches ``w_grid ** e`` by
-    exponent e; slices on one grid may share it, so that each power is
-    computed once.  A moment that is not finite raises NonFiniteMoment,
-    and so does one whose every term lies below the smallest normal
-    float, since it keeps no reliable digit.
+    piecewise-linear interpolant.  A moment that is not finite raises
+    NonFiniteMoment, and so does one whose every term lies below the
+    smallest normal float, since it keeps no reliable digit.  This is
+    the one-slice case of ``slice_moment_rows``.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    w = sdist.w_grid
-    powers = {} if powers is None else powers
-
-    def power(e):
-        if e not in powers:
-            powers[e] = w ** e
-        return powers[e]
-
-    f = sdist.cdf
-    steps = np.diff(w)
-    h = steps[0]
-    uniform = np.max(np.abs(steps - h)) <= 1e-9 * abs(h)
-    out = np.empty(n)
-    a, b = w[0], w[-1]
-    reach = max(abs(a), abs(b))  # of |W| on the grid
-    for m in range(1, n + 1):
-        if uniform:
-            integral = _integrate_uniform(power(m - 1) * f, h)
-            out[m - 1] = b ** m - m * integral
-        else:
-            df = np.diff(f)
-            cell = (power(m + 1)[1:] - power(m + 1)[:-1]) / ((m + 1) * steps)
-            out[m - 1] = (a ** m * f[0] + float(np.sum(df * cell))
-                          + b ** m * (1.0 - f[-1]))
-        if not np.isfinite(out[m - 1]):
-            raise NonFiniteMoment(f"slice moment E[W**{m}] at price "
-                                  f"{float(sdist.p)!r} is not finite")
-        if reach ** m < np.finfo(float).tiny:
-            raise NonFiniteMoment(
-                f"slice moment E[W**{m}] at price {float(sdist.p)!r} "
-                f"underflows: |W| reaches only {float(reach):.3g}")
-    return out
+    return slice_moment_rows([sdist], n)[0]
 
 
 @np.errstate(over="ignore")  # an overflowing price power makes cond inf
@@ -280,17 +337,14 @@ def recover_from_slice_moments(prices, moment_rows,
 
 
 def recover_cross_moments(slices, max_order: int) -> MomentTable:
-    """Cross-moment table from ready-made slice distributions."""
+    """Cross-moment table from ready-made slice distributions: their
+    ``slice_moment_rows``, then the price systems."""
     slices = list(slices)
     if not slices:
         raise InsufficientPrices("no slices supplied")
     prices = np.array([s.p for s in slices])
-    grids = {}  # the powers of each distinct grid, computed once
-    rows = np.vstack([
-        slice_moments(s, max_order, powers=grids.setdefault(
-            (s.w_grid.dtype.str, s.w_grid.shape, s.w_grid.tobytes()), {}))
-        for s in slices])
-    return recover_from_slice_moments(prices, rows, max_order)
+    return recover_from_slice_moments(
+        prices, slice_moment_rows(slices, max_order), max_order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,8 +407,7 @@ def verify_recovery(pop: Population,
     consume exactly that number.
     """
     surface = build_surface(pop, config)
-    slices = [slice_from_surface(surface, p, config.tail_bound)
-              for p in surface.price_grid]
+    slices = surface_slices(surface, config.tail_bound)
     recovered = recover_cross_moments(slices, config.max_order)
     reference = pops.moments(pop, config.max_order)
     rel = {}

@@ -150,7 +150,10 @@ class PwLinearTable:
         y0, y1 = self.y[idx], self.y[idx + 1]
         t = np.clip(v - x0, 0.0, x1 - x0)
         slope = (y1 - y0) / (x1 - x0)
-        out = self._cum[idx] + y0 * t + 0.5 * slope * t * t
+        # the top segment's formula can round past the trapezoid total
+        # that the top knot returns, so it is clamped to that total
+        out = np.minimum(self._cum[idx] + y0 * t + 0.5 * slope * t * t,
+                         self._cum[-1])
         out = np.where(v <= self.x[0], 0.0, out)
         out = np.where(v >= self.x[-1], self._cum[-1], out)
         return out if out.ndim else float(out)

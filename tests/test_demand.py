@@ -302,11 +302,13 @@ class TestQualityDemandSurface:
         with pytest.raises(MonotonicityViolation,
                            match=r"nan at quality 0\.0, price 2\.0"):
             dl.QualityDemandSurface(grid, prices, values)
-        # a NaN quality offset spoils its own row of the surface
+        # a NaN quality offset is refused before the surface is built,
+        # as quality_demand refuses it
         xq = np.linspace(-3.0, 3.0, 9)
         xq[4] = np.nan
         pop = pops.make_low_population(seed_ratio(), delta=0.5)
-        with pytest.raises(MonotonicityViolation, match="not finite"):
+        with pytest.raises(ValueError, match="quality offset must not be "
+                                             "NaN"):
             dl.quality_demand_surface(pop, xq, prices)
 
     def test_carries_the_quadrature_error_of_each_column(self):

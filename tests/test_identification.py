@@ -146,25 +146,33 @@ class TestSliceExtraction:
         assert m[0] == pytest.approx(0.5, abs=1e-9)
         assert m[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
-    def test_slices_of_one_grid_share_its_powers(self):
-        # each power of the grid is computed once for all the slices of a
-        # surface, with the bits each slice gets on its own
+    def test_slices_of_one_grid_share_its_powers(self, monkeypatch):
+        # the slices of a surface share one grid, so each power of it is
+        # computed once for all of them, with the bits each slice gets on
+        # its own; slices read one at a time share it too
         pop = beta_independent()
         grid = np.linspace(-2.5, 2.5, 513)
-        prices = np.array([0.6, 1.0, 1.4])
+        prices = np.array([0.6, 0.8, 1.0, 1.2, 1.4])
         surface = dl.quality_demand_surface(pop, grid, prices)
-        slices = [ident.slice_from_surface(surface, p) for p in prices]
-        shared = {}
-        for sdist in slices:
-            alone = ident.slice_moments(sdist, 4)
-            assert same_bits(ident.slice_moments(sdist, 4, powers=shared),
-                             alone)
-        assert sorted(shared) == [0, 1, 2, 3]
-        assert same_bits(shared[3], slices[0].w_grid ** 3)
-        table = ident.recover_cross_moments(slices, 2)
-        rows = np.vstack([ident.slice_moments(s, 2) for s in slices])
-        want = ident.recover_from_slice_moments(prices, rows, 2)
+        slices = ident.surface_slices(surface)
+        assert all(s.w_grid is slices[0].w_grid for s in slices)
+        rows = np.vstack([ident.slice_moments(s, 4) for s in slices])
+        assert same_bits(ident.slice_moment_rows(slices, 4), rows)
+        table = ident.recover_cross_moments(slices, 4)
+        want = ident.recover_from_slice_moments(prices, rows, 4)
         assert table.entries == want.entries
+        assert table.errors == want.errors
+        stacks = []
+        grid_moments = ident._grid_moments
+
+        def record(w, cdfs, n):
+            stacks.append(cdfs.shape[0])
+            return grid_moments(w, cdfs, n)
+
+        monkeypatch.setattr(ident, "_grid_moments", record)
+        alone = [ident.slice_from_surface(surface, p) for p in prices]
+        assert same_bits(ident.slice_moment_rows(alone, 4), rows)
+        assert stacks == [5]
 
     def test_tail_mass_guard(self):
         pop = beta_independent()

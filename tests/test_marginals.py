@@ -40,6 +40,26 @@ class TestPwLinearTable:
         assert tab.cdf(0.5) == 0.0
         assert tab.cdf(3.0) == 1.0
 
+    def test_cdf_is_monotone_at_its_top_knot(self):
+        # the top segment's formula can round past the trapezoid total
+        # that the top knot returns: at (0.1, 0.3), cdf(0.3 - 1e-9) read
+        # 1.0 over cdf(0.3) = 1 - 2^-53
+        for lo, hi in ((0.1, 0.3), (0.5, 0.7), (0.8, 2.2), (1.0, 2.0),
+                       (0.1, 0.7), (0.3, 1.1)):
+            law = MarginalSpec.triangular(lo, hi)
+            below = np.nextafter(hi, -np.inf) - np.geomspace(1e-15, 1e-6,
+                                                             40)
+            top = law.cdf(hi)
+            assert np.all(law.cdf(below) <= top), (lo, hi)
+            assert law.cdf(np.nextafter(hi, -np.inf)) <= top, (lo, hi)
+            assert top == law.cdf(2.0 * hi), (lo, hi)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            x = np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 9)))
+            tab = PwLinearTable.raw(x, rng.uniform(0.0, 2.0, x.size))
+            v = np.linspace(x[-2], x[-1], 2001)
+            assert np.all(tab.cdf(v) <= tab.cdf(x[-1]))
+
     def test_moment_matches_uniform_closed_form(self):
         a, b = 0.5, 2.5
         tab = PwLinearTable.density(np.array([a, b]),

@@ -5,7 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import demandlab as dl
+from demandlab import identification as ident
 from demandlab import populations as pops
+from demandlab.errors import DemandLabError
 from demandlab.marginals import MarginalSpec
 from demandlab import quadrature
 from helpers import (bisection_roots, box_bounds, closed_form_roots,
@@ -147,6 +149,154 @@ def test_isotonic_projection_properties(ys):
     assert abs(z.mean() - y.mean()) <= 1e-9 * max(1.0, abs(y.mean()))
     # projecting a second time changes nothing
     np.testing.assert_array_equal(dl.identification.pava(z), z)
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message it raises."""
+    try:
+        return run()
+    except DemandLabError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def dented_surfaces(draw):
+    """A surface of 1 to 6 prices on 16 to 16,385 quality points, and the
+    columns dented by up to 5e-10 where they are flat at the top.
+
+    Column j rises linearly from t0[j] to 1 - t1[j] around its centre,
+    where t0 falls and t1 and the centre rise with the price, so demand
+    falls with the price; a dent is a strict drop whose slice PAVA must
+    pool, and the undented columns mostly need no pooling.
+    """
+    n = draw(st.integers(16, 16385))
+    k = draw(st.integers(1, 6))
+    levels = st.sampled_from([0.0, 1e-12, 1e-7, 1e-4, 1e-2])
+    t0 = sorted(draw(st.lists(levels, min_size=k, max_size=k)),
+                reverse=True)
+    t1 = sorted(draw(st.lists(levels, min_size=k, max_size=k)))
+    centre = np.sort(draw(st.lists(st.floats(-0.5, 0.5, **bounded),
+                                   min_size=k, max_size=k)))
+    width = draw(st.floats(0.01, 0.5, **bounded))
+    xq = np.linspace(-1.0, 1.0, n)
+    rise = np.clip((xq[:, None] - centre) / width + 0.5, 0.0, 1.0)
+    values = (1.0 - rise) * np.array(t0) + rise * (1.0 - np.array(t1))
+    dented = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    for j in np.flatnonzero(dented):
+        flat = np.flatnonzero(xq >= centre[j] + 0.5 * width)[:-1]
+        i = flat[draw(st.integers(0, flat.size - 1))]
+        values[i + 1, j] = values[i, j] - draw(st.floats(1e-13, 5e-10))
+    prices = np.cumsum(draw(st.lists(st.floats(0.1, 1.0, **bounded),
+                                     min_size=k, max_size=k)))
+    return dl.QualityDemandSurface(xq, prices, values), dented
+
+
+@settings(max_examples=60, deadline=None)
+@given(dented_surfaces(), st.sampled_from([1e-12, 1e-6, 1e-3, 0.5]))
+def test_surface_slices_are_the_one_column_slices(surface_dents, bound):
+    # the batched stage gives each column the bits of its one-column
+    # read, and raises the first price's TailMassExceeded as a loop over
+    # the prices does
+    surface, dented = surface_dents
+    got = outcome(lambda: ident.surface_slices(surface, bound))
+    want = outcome(lambda: [ident.slice_from_surface(surface, p, bound)
+                            for p in surface.price_grid])
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for j, (a, b, dent) in enumerate(zip(got, want, dented)):
+        assert a.p == b.p
+        assert same_bits(a.w_grid, b.w_grid)
+        assert same_bits(a.cdf, b.cdf)
+        assert same_bits([a.tail_mass, a.repair], [b.tail_mass, b.repair])
+        # and the rule written out on the 1-d column
+        raw = 1.0 - surface.values[::-1, j]
+        cdf = np.clip(ident.pava(raw), 0.0, 1.0)
+        assert same_bits(a.w_grid, -surface.quality_grid[::-1])
+        assert same_bits(a.cdf, cdf)
+        assert same_bits([a.tail_mass, a.repair],
+                         [cdf[0] + (1.0 - cdf[-1]),
+                          np.max(np.abs(cdf - raw))])
+        if dent:
+            assert a.repair > 0.0
+
+
+def loop_slice_moments(sdist, n):
+    """E[W**m], m = 1..n, of one slice, by the rule written out on its
+    1-d arrays, order by order."""
+    w, f = sdist.w_grid, sdist.cdf
+    steps = np.diff(w)
+    h = steps[0]
+    out = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            if np.max(np.abs(steps - h)) <= 1e-9 * abs(h):
+                integral = float(ident._integrate_uniform(w ** (m - 1) * f,
+                                                          h))
+                out[m - 1] = w[-1] ** m - m * integral
+            else:
+                cell = (w[1:] ** (m + 1) - w[:-1] ** (m + 1)) / (
+                    (m + 1) * steps)
+                out[m - 1] = (w[0] ** m * f[0]
+                              + float(np.sum(np.diff(f) * cell))
+                              + w[-1] ** m * (1.0 - f[-1]))
+    return out
+
+
+@st.composite
+def slices_on_two_grids(draw):
+    """1 to 6 slices on two grids of 16 to 16,385 points, uniform or not,
+    at scales where E[W**m] overflows or underflows from some order m;
+    a slice may carry a NaN.  The second grid may equal the first in a
+    distinct array."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e-30, 1e30, 1e-80, 1e80,
+                                  1e-160, 1e160]))
+
+    def grid():
+        n = draw(st.integers(16, 16385))
+        lo = draw(st.floats(-2.0, 1.0, **bounded))
+        hi = lo + draw(st.floats(0.5, 3.0, **bounded))
+        if draw(st.booleans()):
+            return scale * np.linspace(lo, hi, n)
+        inner = np.sort(rng.uniform(lo, hi, n - 2))
+        return scale * np.unique(np.concatenate(([lo], inner, [hi])))
+
+    first = grid()
+    second = first.copy() if draw(st.booleans()) else grid()
+    slices = []
+    for i in range(draw(st.integers(1, 6))):
+        w = second if draw(st.booleans()) else first
+        cdf = np.sort(rng.uniform(0.0, 1.0, w.size))
+        if rng.random() < 0.1:
+            cdf[rng.integers(w.size)] = np.nan
+        slices.append(ident.SliceDistribution(0.5 + i, w, cdf, 0.0, 0.0))
+    return slices
+
+
+def one_slice(scale):
+    """A linear cdf on a uniform grid of |W| up to 2 * scale."""
+    return [ident.SliceDistribution(0.5, scale * np.linspace(-1.0, 2.0, 4097),
+                                    np.linspace(0.0, 1.0, 4097), 0.0, 0.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(slices_on_two_grids(), st.integers(1, 6))
+@example(one_slice(1e-80), 4)  # E[W**4] underflows
+@example(one_slice(1e80), 4)  # E[W**4] overflows
+def test_slice_moment_rows_are_the_one_slice_moments(slices, n):
+    # each row has the bits of its slice on its own and of the rule
+    # written out on 1-d arrays, and the batched stage refuses the first
+    # slice, and in it the first order, that a loop over the slices does
+    got = outcome(lambda: ident.slice_moment_rows(slices, n))
+    want = outcome(lambda: np.vstack([ident.slice_moments(s, n)
+                                      for s in slices]))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert same_bits(got, want)
+    assert same_bits(got, np.vstack([loop_slice_moments(s, n)
+                                     for s in slices]))
 
 
 @settings(max_examples=30, deadline=None)
