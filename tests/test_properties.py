@@ -235,8 +235,8 @@ def loop_slice_moments(sdist, n):
                                                           h))
                 out[m - 1] = w[-1] ** m - m * integral
             else:
-                cell = (w[1:] ** (m + 1) - w[:-1] ** (m + 1)) / (
-                    (m + 1) * steps)
+                wp = w ** (m + 1)
+                cell = (wp[1:] - wp[:-1]) / ((m + 1) * steps)
                 out[m - 1] = (w[0] ** m * f[0]
                               + float(np.sum(np.diff(f) * cell))
                               + w[-1] ** m * (1.0 - f[-1]))
