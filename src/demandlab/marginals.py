@@ -1,5 +1,7 @@
 """One-dimensional laws, ``MarginalSpec``: the vk and vm marginals of a
-population and the continuous part of its ratio law r = vk / vm.
+population, the continuous part of its ratio law r = vk / vm, and the
+truncated normal U of a ratio-conditional vm = m(r) + eps(r) U, which
+takes Phi differences when cut at a0 >= 2 deviations, else erf ones.
 
 A beta law whose shapes a and b are integers with a + b at most
 ``INT_SHAPE_MAX`` takes its cdf and pdf in closed form on the calling
@@ -29,6 +31,7 @@ whatever the CPU count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,6 +49,8 @@ CHUNK = 2 ** 14
 # cdf and pdf; every other shape takes betainc and betaln.  The cap bounds
 # the passes over each array: a + b - 1 Horner steps for the cdf.
 INT_SHAPE_MAX = 32
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _special(name: str, *args):
@@ -244,6 +249,31 @@ def _int_beta_pdf(a: int, b: int, t: np.ndarray, scale: float) -> np.ndarray:
     return out if np.ndim(out) else np.full_like(t, out)
 
 
+@functools.lru_cache
+def _trunc_moments(a0: float, mass: float, n_max: int) -> tuple:
+    """E[U^n] in [0, 1], n <= n_max, for U = Z / a0, Z a standard normal
+    truncated to [-a0, a0] of ``mass``.  Odd ones vanish.  For a0 >= 2
+    u_n = (n - 1) u_{n-2} / a0^2 - 2 phi(a0) / (a0 mass); below, where
+    its terms cancel, Kummer's transformation gives the positive series
+    E[U^n] = S_n / ((n + 1) S_0), S_n = sum_k (a0^2 / 2)^k / ((n + 3) / 2)_k.
+    """
+    u = [1.0] + [0.0] * n_max
+    if a0 < 2.0:
+        b = 0.5 * a0 * a0
+        for n in range(0, n_max + 1, 2):
+            term, total, c = 1.0, 1.0, 0.5 * (n + 3)
+            while term > 1e-17 * total:
+                term *= b / c
+                total += term
+                c += 1.0
+            u[n] = total / (n + 1)
+        return tuple(x / u[0] for x in u)
+    phi = math.exp(-0.5 * a0 * a0) / _SQRT2PI
+    for n in range(2, n_max + 1, 2):
+        u[n] = (n - 1) * u[n - 2] / (a0 * a0) - 2.0 * phi / (a0 * mass)
+    return tuple(u)
+
+
 # Product of (alpha + i) / (alpha + beta + i), i.e. the raw moments of a
 # standard Beta(alpha, beta) variate.
 def _beta_raw_moment(alpha: float, beta: float, n: int) -> float:
@@ -258,10 +288,12 @@ class MarginalSpec:
     """Descriptor for a one-dimensional law.
 
     Kinds: ``point_mass`` (single atom), ``uniform``, ``beta`` (shape
-    ``alpha, beta`` rescaled to [lo, hi]) and ``tabulated`` (piecewise-
+    ``alpha, beta`` rescaled to [lo, hi]), ``tabulated`` (piecewise-
     linear density, whose mass is its table's ``total``; ``triangular``
     builds the symmetric triangular law as one, which scenario files
-    offer for ratio laws only).  Build instances through the
+    offer for ratio laws only) and ``truncated_normal`` (U = Z / a0 on
+    [-1, 1] for Z a standard normal truncated to [-a0, a0], a0 = 1 /
+    ``sigma``).  Build instances through the
     classmethods; the raw constructor performs only consistency checks.
     """
 
@@ -272,9 +304,11 @@ class MarginalSpec:
     alpha: float | None = None
     beta: float | None = None
     table: PwLinearTable | None = field(default=None, repr=False)
+    sigma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("point_mass", "uniform", "beta", "tabulated"):
+        if self.kind not in ("point_mass", "uniform", "beta", "tabulated",
+                             "truncated_normal"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi):
             raise ValueError("marginal support must be finite")
@@ -290,6 +324,11 @@ class MarginalSpec:
                 "beta marginal needs positive, finite shape parameters")
         if self.kind == "tabulated" and self.table is None:
             raise ValueError("tabulated marginal needs a table")
+        if self.kind == "truncated_normal" and not (
+                (self.lo, self.hi) == (-1.0, 1.0)
+                and 0.0 < (self.sigma or 0.0) < math.inf):
+            raise ValueError("truncated normal lies on [-1, 1] and needs a "
+                             "positive, finite sigma")
 
     @classmethod
     def point_mass(cls, value: float):
@@ -316,6 +355,10 @@ class MarginalSpec:
         table = PwLinearTable.density(x, y)
         return cls("tabulated", float(table.x[0]), float(table.x[-1]),
                    table=table)
+
+    @classmethod
+    def truncated_normal(cls, sigma: float):
+        return cls("truncated_normal", -1.0, 1.0, sigma=float(sigma))
 
     @property
     def is_degenerate(self) -> bool:
@@ -363,9 +406,28 @@ class MarginalSpec:
             return int(self.alpha), int(self.beta)
         return None
 
+    @property
+    def _a0(self) -> float:  # a truncated normal's cut, in deviations
+        return 1.0 / self.sigma
+
+    @cached_property
+    def _cap(self) -> float:  # Phi(a0), or erf(a0 / sqrt 2) below a0 = 2
+        a0 = self._a0
+        return (_special("erf", a0 * _SQRT_HALF) if a0 < 2.0
+                else _special("ndtr", a0))
+
+    @cached_property
+    def _mass(self) -> float:  # 2 Phi(a0) - 1, which cancels below a0 = 2
+        a0 = self._a0
+        return (math.erf(a0 / math.sqrt(2.0)) if a0 < 2.0
+                else float(2.0 * self._cap - 1.0))
+
     def moment(self, n: int) -> float:
         if n == 0:
             return 1.0
+        if self.kind == "truncated_normal":
+            # one cached table holds every order a moment table reads
+            return _trunc_moments(self._a0, self._mass, max(n, 16))[n]
         if self.kind == "point_mass":
             return float(self.value) ** n
         if self.kind == "uniform":
@@ -405,6 +467,10 @@ class MarginalSpec:
                              - _special("betaln", self.alpha,
                                         self.beta)) / scale
             out = np.where(inside, out, 0.0)
+        elif self.kind == "truncated_normal":
+            z = np.clip(v, -1.0, 1.0) * self._a0
+            out = np.where(np.abs(v) <= 1.0, np.exp(-0.5 * z * z) / (
+                self.sigma * _SQRT2PI * self._mass), 0.0)
         else:
             out = self.table.value_at(v)
         return out if out.ndim else float(out)
@@ -419,6 +485,18 @@ class MarginalSpec:
             t = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
             out = (_int_beta_cdf(*self._int_shapes, t) if self._int_shapes
                    else _special("betainc", self.alpha, self.beta, t))
+        elif self.kind == "truncated_normal":
+            z = np.clip(v, -1.0, 1.0)
+            z *= self._a0
+            if self._a0 < 2.0:  # Phi(z) - Phi(-a0) cancels
+                z *= _SQRT_HALF
+                out = _special("erf", z)
+                out += self._cap
+                out *= 0.5 / self._mass
+            else:
+                out = _special("ndtr", z)
+                out -= 1.0 - self._cap
+                out /= self._mass
         else:
             out = np.asarray(self.table.cdf(v))
         return out if out.ndim else float(out)
@@ -432,6 +510,17 @@ class MarginalSpec:
         elif self.kind == "beta":
             out = self.lo + (self.hi - self.lo) * _special(
                 "betaincinv", self.alpha, self.beta, np.clip(q, 0.0, 1.0))
+        elif self.kind == "truncated_normal":
+            a0 = self._a0
+            if a0 < 2.0:  # Phi(-a0) + q mass cancels
+                out = _special("erfinv", (2.0 * q - 1.0) * self._mass)
+                out *= math.sqrt(2.0)
+            else:
+                out = _special("ndtri",
+                               _special("ndtr", -a0) + q * self._mass)
+            out = np.asarray(out)
+            out /= a0
+            np.clip(out, -1.0, 1.0, out=out)  # a rounded end stays on [-1, 1]
         else:
             out = np.asarray(self.table.ppf(q))
         return out if out.ndim else float(out)

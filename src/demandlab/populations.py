@@ -11,8 +11,8 @@ supported:
 * ``IndependentPopulation`` -- vk and vm independent with given
   marginals.
 * ``RatioConditionalPopulation`` -- an explicit ratio marginal g(r)
-  together with a conditional law for vm given r: a normal with mean
-  m(r) = h(r) / g(r), truncated symmetrically at m(r) +/- eps(r).  The
+  together with a conditional law for vm given r: m(r) + eps(r) U, m =
+  h / g, for U a ``MarginalSpec.truncated_normal`` on [-1, 1].  The
   symmetric truncation keeps the conditional mean exactly equal to
   m(r), which is what makes the low/high constructions work.
 * ``MixturePopulation`` -- a finite convex combination of the above.
@@ -37,7 +37,7 @@ import numpy as np
 from . import quadrature
 from .errors import (BoundViolation, DegenerateRatio, NoDensity,
                      NonFiniteMoment, QuadratureFailure)
-from .marginals import MarginalSpec, PwLinearTable, _special
+from .marginals import MarginalSpec, PwLinearTable
 
 TABLE_GRID_DEFAULT = 2048
 # Prices per quadrature call in IndependentPopulation._demand_profile.
@@ -61,8 +61,6 @@ MAX_GRADE = 4
 # count as saturated there, and by which a cell between knots widens its
 # range of W = (m +/- eps)(r - p) before it drops a row from its root solve.
 SATURATION_MARGIN = 1e-9
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,8 @@ class ConditionalSpec:
 
     The conditional itself is a normal with pre-truncation mean
     m(r) = h(r) / g(r), standard deviation ``sigma_multiplier * eps(r)``
-    and symmetric truncation at m(r) +/- eps(r), eps = a m + b.
+    and symmetric truncation at m(r) +/- eps(r), eps = a m + b: vm is
+    m + eps U for U = ``MarginalSpec.truncated_normal(sigma_multiplier)``.
     ``epsilon_kind`` chooses (a, b): (1/2, 0) for ``half_mean`` and
     (0, ``epsilon_value``) for ``fixed``, a value inside (0, min m).
     """
@@ -231,45 +230,6 @@ class ConditionalSpec:
             prim = lambda r: 2.0 * math.sqrt(r - r_lo + self.delta)
             return prim(b) - prim(a)
         return self.h_table.integral_between(a, b)
-
-
-def _trunc_mass(a0: float) -> float:
-    """2 Phi(a0) - 1, the mass a standard normal keeps on [-a0, a0].
-    Below a0 = 2 the subtraction cancels, so erf(a0 / sqrt 2) gives it.
-    A finite sigma multiplier gives a0 >= 5.6e-309, where erf is > 0."""
-    if a0 < 2.0:
-        return math.erf(a0 / math.sqrt(2.0))
-    return float(2.0 * _special("ndtr", a0) - 1.0)
-
-
-def _trunc_std_even_moments(a0: float, n_max: int) -> tuple:
-    """E[U^n] for n <= n_max, where U = Z / a0 lies in [-1, 1] and Z is a
-    standard normal truncated to [-a0, a0]; so each lies in [0, 1].
-
-    Odd moments vanish.  For a0 >= 2 even ones follow the two-sided
-    recursion u_n = (n - 1) u_{n-2} / a0^2 - 2 phi(a0) / (a0 z), where
-    z = 2 Phi(a0) - 1.  Below that its two terms nearly cancel.  U's
-    density is proportional to exp(-b u^2), b = a0^2 / 2, and by Kummer's
-    transformation int_0^1 u^n exp(-b u^2) du = exp(-b) S_n / (n + 1) with
-    the positive series S_n = sum_k b^k / ((n + 3) / 2)_k, so
-    E[U^n] = S_n / ((n + 1) S_0) without cancellation.
-    """
-    u = [1.0] + [0.0] * n_max
-    if a0 < 2.0:
-        b = 0.5 * a0 * a0
-        for n in range(0, n_max + 1, 2):
-            term, total, c = 1.0, 1.0, 0.5 * (n + 3)
-            while term > 1e-17 * total:
-                term *= b / c
-                total += term
-                c += 1.0
-            u[n] = total / (n + 1)
-        return tuple(x / u[0] for x in u)
-    z = _trunc_mass(a0)  # near 1 here, since a0 >= 2
-    phi = math.exp(-0.5 * a0 * a0) / _SQRT2PI
-    for n in range(2, n_max + 1, 2):
-        u[n] = (n - 1) * u[n - 2] / (a0 * a0) - 2.0 * phi / (a0 * z)
-    return tuple(u)
 
 
 class Population:
@@ -958,14 +918,10 @@ class RatioConditionalPopulation(Population):
         h = self.cond.h(r, r_lo)
         return r, g, h, h / g, np.searchsorted(r, ends)
 
-    @property
-    def _a0(self) -> float:
-        # Truncation half-width in pre-truncation standard deviations.
-        return 1.0 / self.cond.sigma_multiplier
-
     @cached_property
-    def _z_mass(self) -> float:
-        return _trunc_mass(self._a0)
+    def _noise(self) -> MarginalSpec:
+        """The law of U = (vm - m) / eps given the ratio."""
+        return MarginalSpec.truncated_normal(self.cond.sigma_multiplier)
 
     @cached_property
     def _vm_band(self) -> tuple:
@@ -993,31 +949,21 @@ class RatioConditionalPopulation(Population):
         inside = pos & (r >= self.ratio.r_lo) & (r <= self.ratio.r_hi)
         rs = np.where(inside, r, 0.5 * (self.ratio.r_lo + self.ratio.r_hi))
         g, m, eps = self._law(rs)
-        sig = self.cond.sigma_multiplier * eps
-        z = (vm - m) / sig
-        in_band = np.abs(vm - m) <= eps
-        q = np.exp(-0.5 * z * z) / (sig * _SQRT2PI * self._z_mass)
-        out = np.where(inside & in_band, g * q / vms, 0.0)
+        q = self._noise.pdf((vm - m) / eps) / eps
+        out = np.where(inside, g * q / vms, 0.0)
         return out if out.ndim else float(out)
 
     def _sample(self, n, rng):
         r = np.asarray(self.ratio.ppf(rng.random(n)))
-        a0 = self._a0
-        u = rng.random(n)
-        t = _special("ndtri", _special("ndtr", -a0) + u * self._z_mass)
-        # vm = m + sigma_multiplier * eps * t, in place to bound peak memory
-        m, sig = self._law(r)[1:]
-        sig *= self.cond.sigma_multiplier
-        sig *= t
-        vm = np.add(m, sig, out=m)
+        u = self._noise.sample(n, rng)
+        # vm = m + eps u, in place to bound peak memory
+        m, eps = self._law(r)[1:]
+        eps *= u
+        vm = np.add(m, eps, out=m)
         return np.column_stack((r * vm, vm))
 
     def _ratio_marginal(self) -> RatioMarginalSpec:
         return self.ratio
-
-    @cached_property
-    def _even_moments(self):
-        return _trunc_std_even_moments(self._a0, 16)
 
     def _moments(self, pairs):
         # one segmented_gl row per pair, split at the knots.  The law is
@@ -1037,7 +983,7 @@ class RatioConditionalPopulation(Population):
                 cond = np.zeros_like(r)  # E[vm**n | r], vm = m + eps U
                 for i in range(0, n + 1, 2):
                     cond = cond + (math.comb(n, i) * m_r ** (n - i)
-                                   * eps_r ** i * self._even_moments[i])
+                                   * eps_r ** i * self._noise.moment(i))
                 out[line] = g[line] * r ** j * cond
             return out
 
@@ -1269,15 +1215,6 @@ class RatioConditionalPopulation(Population):
                  np.broadcast_to(self._knots, (live.size, self._knots.size))),
                 axis=1) - p[:, None])
         ends = np.clip(np.abs(t[:, :2]), *self._vm_band)
-        a0 = self._a0
-        z_mass = self._z_mass
-        # below a0 = 2, Phi(a0) - Phi(z) cancels; erf differences, as in
-        # _trunc_mass, keep the conditional probabilities accurate.  The
-        # truncated normal is symmetric about m, so P(vm >= t) is the
-        # P(vm <= 2 m - t) that z = sign(xq) (t - m) / sigma gives
-        wide = a0 < 2.0
-        cap = (_special("erf", a0 * _SQRT_HALF) if wide
-               else _special("ndtr", a0))
 
         def integrand(nodes, rows):
             x = xq[rows][:, None]
@@ -1285,24 +1222,17 @@ class RatioConditionalPopulation(Population):
             jac = np.abs(q)
             jac /= nodes
             r = np.subtract(p[rows][:, None], q, out=q)
-            g, m, sig = self._law(np.clip(r, r_lo, r_hi, out=r))
-            sig *= self.cond.sigma_multiplier * np.sign(x)
-            # z reuses the nodes, and m, sig go before s is formed, which
+            g, m, eps = self._law(np.clip(r, r_lo, r_hi, out=r))
+            # the row buys with P(vm >= t) if xq < 0, P(vm <= t) if xq > 0:
+            # U.cdf(u) at u = sign(xq) (t - m) / eps, as U is symmetric.
+            # u reuses the nodes, and m, eps go before s is formed, which
             # bounds the node-sized arrays alive at once
-            z = np.subtract(nodes, m, out=nodes)
+            eps *= np.sign(x)
+            u = np.subtract(nodes, m, out=nodes)
             del m
-            z /= sig
-            del sig
-            np.clip(z, -a0, a0, out=z)
-            if wide:
-                z *= _SQRT_HALF
-                s = _special("erf", z)
-                s += cap
-                s *= 0.5 / z_mass
-            else:
-                s = _special("ndtr", z)
-                s -= 1.0 - cap
-                s /= z_mass
+            u /= eps
+            del eps
+            s = self._noise.cdf(u)
             s *= g
             s *= jac
             return s

@@ -324,28 +324,18 @@ def conditional_reference(pop, p, xq):
     breaks = np.concatenate(
         (*roots, np.clip(p, r_lo, r_hi)[:, None],
          np.broadcast_to(pop._knots, (xq.size, pop._knots.size))), axis=1)
-    a0 = pop._a0
-    wide = a0 < 2.0
-    cap = (pops._special("erf", a0 * pops._SQRT_HALF) if wide
-           else pops._special("ndtr", a0))
+    noise = pop._noise  # vm = m + eps U given r, U symmetric
 
     def integrand(nodes, rows):
-        g, m, sig = pop._law(nodes)
-        sig *= pop.cond.sigma_multiplier
+        g, m, eps = pop._law(nodes)
         c = nodes - p[rows][:, None]
         x = xq[rows][:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = (-x / np.where(c != 0.0, c, 1.0) - m) / sig
-        z = np.clip(z, -a0, a0)
-        if wide:
-            phi = pops._special("erf", z * pops._SQRT_HALF)
-            above, below = 0.5 * (cap - phi), 0.5 * (phi + cap)
-        else:
-            phi = pops._special("ndtr", z)
-            above, below = cap - phi, phi - (1.0 - cap)
+            u = (-x / np.where(c != 0.0, c, 1.0) - m) / eps
+        above, below = noise.cdf(-u), noise.cdf(u)
         s = np.where(c > 0.0, above,
                      np.where(c < 0.0, below, (x >= 0.0).astype(float)))
-        return g * s / pop._z_mass
+        return g * s
 
     return pops.quadrature.segmented_gl(r_lo, r_hi, breaks, integrand,
                                         tol=pops.SURFACE_TOL)

@@ -471,6 +471,22 @@ def test_demo_samples_keep_their_bytes(tmp_path, name):
             == ARTIFACT_DIGESTS[f"{name}/sample/samples.csv"])
 
 
+# sha256 of 10,000 draws of the low twin (ratio U[1, 2], delta 0.5) at
+# seed 7 off the demos' sigma multiplier of 0.5: at 0.3 the truncated
+# normal's ppf takes Phi differences, at 1e4 erf ones.
+LOW_TWIN_SAMPLE_DIGESTS = {
+    0.3: "53fa466e755485be9334d6f4994598396cf6d14b7cb793c2b196e70d63936858",
+    1e4: "855d81dc236c0d6a242493dbec1c721efab16a2bbcb93a689ee616ddab6ca142"}
+
+
+@pytest.mark.parametrize("sigma", sorted(LOW_TWIN_SAMPLE_DIGESTS))
+def test_low_twin_samples_keep_their_bytes(sigma):
+    pop = pops.make_low_population(pops.RatioMarginalSpec.uniform(1.0, 2.0),
+                                   0.5, sigma_multiplier=sigma)
+    assert (hashlib.sha256(pops.sample(pop, 10_000, 7).tobytes()).hexdigest()
+            == LOW_TWIN_SAMPLE_DIGESTS[sigma])
+
+
 def test_demo_scenario_exit_codes(tmp_path, capsys):
     got, digests = {}, {}
     for scn in sorted(DEMO_SCENARIOS.glob("*.json")):

@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 from scipy import stats
 
-from demandlab import MomentTable, marginals
+from demandlab import MomentTable, marginals, quadrature
 from demandlab.errors import NoDensity, SpecialFunctionFailure
 from demandlab.marginals import MarginalSpec, PwLinearTable, _special
 from helpers import same_bits, worker_names
@@ -163,6 +163,69 @@ class TestMarginalSpec:
     def test_beta_shapes_must_be_finite(self, alpha, beta):
         with pytest.raises(ValueError, match="finite shape"):
             MarginalSpec.scaled_beta(alpha, beta, 0.5, 1.5)
+
+
+class TestTruncatedNormal:
+    # U = Z / a0 on [-1, 1], Z a standard normal truncated to [-a0, a0]:
+    # a0 = 1e-3 and 0.5 take the erf forms, 2, 8 and 37 the Phi ones
+    A0 = [1e-3, 0.5, 2.0, 8.0, 37.0]
+
+    @pytest.mark.parametrize("a0", A0)
+    def test_matches_scipy_truncnorm(self, a0):
+        law = MarginalSpec.truncated_normal(1.0 / a0)
+        ref = stats.truncnorm(-a0, a0)
+        u = np.linspace(-1.0, 1.0, 2001)
+        # the density to 1e-13 relative; where it is below 1e-300 (at
+        # a0 = 37 near the ends) to 1e-300 absolute
+        want = a0 * ref.pdf(a0 * u)
+        assert np.all(np.abs(law.pdf(u) - want)
+                      <= 1e-13 * want + 1e-300)
+        assert law.pdf(np.array([-1.5, 1.0 + 1e-15, 2.0])).tolist() == [0.0] * 3
+        # the cdf to 1e-15 absolute; scipy's truncnorm takes Phi
+        # differences, which cancel to about 1e-13 at a0 = 1e-3
+        tol = 5e-13 if a0 < 0.5 else 1e-15
+        assert np.max(np.abs(law.cdf(u) - ref.cdf(a0 * u))) <= tol
+        # past the support it holds its end values, within 1e-15 of 0 and 1
+        ends = law.cdf(np.array([-3.0, -1.0, 1.0, 3.0]))
+        assert ends[0] == ends[1] and ends[2] == ends[3]
+        assert np.allclose(ends[1:3], [0.0, 1.0], rtol=0.0, atol=1e-15)
+        q = np.linspace(0.0, 1.0, 2001)
+        assert np.max(np.abs(law.cdf(law.ppf(q)) - q)) <= 1e-15
+        assert np.all(np.abs(law.ppf(q)) <= 1.0)
+
+    @pytest.mark.parametrize("a0", A0)
+    def test_moments_match_quadrature(self, a0):
+        # E[U^n] against segmented_gl of u^n pdf(u) over [-1, 1], split
+        # where the density turns (k / a0) and at 0, to its round-off floor
+        law = MarginalSpec.truncated_normal(1.0 / a0)
+        stops = sorted({min(k / a0, 1.0) for k in (1.0, 2.0, 4.0, 8.0)}
+                       - {1.0})
+        breaks = np.array([-s for s in stops[::-1]] + [0.0] + stops)
+        n = np.arange(17)
+        got, est = quadrature.segmented_gl(
+            -1.0, 1.0, np.broadcast_to(breaks, (n.size, breaks.size)),
+            lambda nodes, rows: nodes ** n[rows][:, None] * law.pdf(nodes),
+            tol=0.0)
+        for k in range(0, 17, 2):
+            assert law.moment(k) == pytest.approx(got[k], rel=1e-12), k
+        for k in range(1, 17, 2):
+            assert law.moment(k) == 0.0
+            assert abs(got[k]) <= est[k] + 1e-16, k
+        # a higher order takes its own pass, on the same rule
+        assert 0.0 < law.moment(18) <= law.moment(16)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="positive, finite sigma"):
+            MarginalSpec.truncated_normal(sigma)
+
+    def test_support_is_minus_one_to_one(self):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            MarginalSpec("truncated_normal", 0.0, 1.0, sigma=0.5)
+        law = MarginalSpec.truncated_normal(0.5)
+        assert law.knots.tolist() == [-1.0, 1.0]
+        assert law.mean == 0.0 and law.degree is None
+        assert law.end_shape == math.inf
 
 
 def _powers(x: int, n: int) -> list:

@@ -1,5 +1,6 @@
 """The package namespace and what importing it loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -33,6 +34,29 @@ def test_submodule_import_gives_the_module(name):
 def test_every_exported_name_resolves():
     assert [name for name in demandlab.__all__
             if not hasattr(demandlab, name)] == []
+
+
+def test_only_marginals_reaches_scipy():
+    # every scipy.special call in the package goes through
+    # marginals._special, so that a command needing no special function
+    # loads no scipy: no other module imports scipy or names _special
+    found = []
+    for path in sorted(Path(demandlab.__file__).parent.glob("*.py")):
+        if path.stem == "marginals":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [getattr(node, "id", getattr(node, "attr", ""))]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] == "scipy"
+                      or name == "_special"]
+    assert found == []
 
 
 def _loaded(code: str, modules: list) -> list:

@@ -154,9 +154,10 @@ class TestConditionalSpec:
 def test_truncated_normal_even_moments_match_scipy():
     a0 = 2.0
     ref = stats.truncnorm(-a0, a0)
-    ours = pops._trunc_std_even_moments(a0, 8)
+    ours = MarginalSpec.truncated_normal(1.0 / a0)
     for n in (2, 4, 6, 8):
-        assert ours[n] == pytest.approx(ref.moment(n) / a0 ** n, rel=1e-12)
+        assert ours.moment(n) == pytest.approx(ref.moment(n) / a0 ** n,
+                                               rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma", np.geomspace(1e-2, 1e6, 17).tolist()
@@ -166,7 +167,8 @@ def test_truncated_normal_moments_of_z_over_a0_match_quadrature(sigma):
     # [-1, 1] up to a constant; that integrand is positive, so the
     # reference has no cancellation.  sigma = 0.5 takes the recursion
     a0 = 1.0 / sigma
-    t = pops._trunc_std_even_moments(a0, 16)
+    law = MarginalSpec.truncated_normal(sigma)
+    t = [law.moment(n) for n in range(17)]
     stops = sorted({min(k / a0, 1.0) for k in (1.0, 2.0, 4.0, 8.0)} - {1.0})
 
     def integral(n):
@@ -178,10 +180,40 @@ def test_truncated_normal_moments_of_z_over_a0_match_quadrature(sigma):
     mass = integral(0)
     for n in range(2, 17, 2):
         assert t[n] == pytest.approx(integral(n) / mass, rel=1e-12), n
-    assert t[1::2] == (0.0,) * 8
+    assert t[1::2] == [0.0] * 8
     # abs=0 keeps approx's default 1e-12 from hiding a relative error
-    assert pops._trunc_mass(a0) == pytest.approx(
+    assert law._mass == pytest.approx(
         math.erf(a0 / math.sqrt(2.0)), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("sigma", [2.0, 1e4, 1e12, 1e16, 1e300])
+def test_conditional_draws_spread_at_large_sigma(sigma):
+    # U = (vm - m) / eps read back off 100,000 draws of the low twin: its
+    # values stay distinct, and by the Dvoretzky-Kiefer-Wolfowitz bound at
+    # failure probability 1e-9 its cdf stays within
+    # sqrt(ln(2 / 1e-9) / (2 n)) = 0.0103 of uniform.  ndtri(Phi(-a0) +
+    # q mass) cancels once a0 = 1 / sigma is small: it gave about 10,800
+    # distinct values at sigma = 1e12 and vm = m exactly at 1e300
+    pop = pops.make_low_population(seed_ratio(), 0.5, sigma_multiplier=sigma)
+    n = 100_000
+    vk, vm = pops.sample(pop, n, 3).T
+    _, m, eps = pop._law(vk / vm)
+    u = (vm - m) / eps
+    assert np.unique(u).size >= 99_000
+    f = np.sort(pop._noise.cdf(u))
+    i = np.arange(1, n + 1)
+    band = math.sqrt(math.log(2.0 / 1e-9) / (2.0 * n))
+    assert max(np.max(i / n - f), np.max(f - (i - 1) / n)) <= band
+
+
+def test_conditional_moments_past_order_16():
+    # E[U^n] past the 16 orders the kind tabulates takes its own pass:
+    # a table to order 18 indexed past them and raised IndexError
+    pop = pops.make_low_population(seed_ratio(), 0.5)
+    table, lower = pops.moments(pop, 18), pops.moments(pop, 16)
+    assert all(same_bits(table[key], lower[key]) for key in lower.keys())
+    # Lyapunov: E[vm^k]^(1/k) grows with k
+    assert table[(0, 18)] ** (1 / 18) > lower[(0, 16)] ** (1 / 16)
 
 
 def test_grade_follows_the_roughest_end_point_term():
@@ -806,7 +838,7 @@ class TestRatioConditionalPopulation:
                 cond = np.zeros_like(r)  # E[vm**n | r]
                 for i in range(0, n + 1, 2):
                     cond = cond + (math.comb(n, i) * m ** (n - i) * eps ** i
-                                   * pop._even_moments[i])
+                                   * pop._noise.moment(i))
                 return g * r ** j * cond
 
             want = pops.quadrature.integrate(f, pop.ratio.r_lo,

@@ -309,7 +309,7 @@ def test_conditional_moments_hold_for_every_sigma(log_sigma):
     table = pops.moments(pop, 4)
     assert all(np.isfinite(v) for v in table.entries.values())
     assert abs(table[(0, 1)] - pop._mean_vm()) <= 1e-11
-    even = np.array(pop._even_moments[::2])
+    even = np.array([pop._noise.moment(i) for i in range(0, 17, 2)])
     assert np.all((even >= 0.0) & (even <= 1.0))
     assert np.all(np.diff(even) <= 0.0)
 
