@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -450,6 +451,40 @@ class TestProductPopulation:
     def test_ratio_marginal_returns_seed(self):
         pop = self.make()
         assert pops.ratio_marginal(pop) is pop.ratio
+
+    # sha256 of 10,000 draws at seed 7 and of the density on a 50 x 80
+    # grid of (r, vm), vk = r vm, over a uniform ratio on [1, 2], per vm
+    # law; a point-mass vm has no density
+    PINS = {
+        "beta2.5_3": (
+            MarginalSpec.scaled_beta(2.5, 3.0, 0.5, 1.5),
+            "c20c65f12c2e5d4cd457cf667444591f851ee1deeaea8a98dec69e44f681f50e",
+            "d82e18d731c2160ec257863583b45758de20d55100834175a5961276dfb6ce16"),
+        "point_mass": (
+            MarginalSpec.point_mass(1.2),
+            "688dcc7e47da1e48eee9027a22bac65059720cfae3d023b7da1d8339d68e9d42",
+            None),
+        "uniform": (
+            MarginalSpec.uniform(0.5, 1.5),
+            "50ea2ca4eea013643eefecc28906a00f4bd17a393e4a5031d762413cc2857d76",
+            "191e18d2d34ffe67325670ffbf522b7d8c6af9bb6251226dc8400eec33255690"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_draws_and_density_keep_their_bytes(self, name):
+        vm_law, draws, density = self.PINS[name]
+        pop = pops.ProductPopulation(pops.RatioMarginalSpec.uniform(1.0, 2.0),
+                                     vm_law)
+        assert (hashlib.sha256(pops.sample(pop, 10_000, 7).tobytes())
+                .hexdigest() == draws)
+        vm, r = np.meshgrid(np.linspace(0.01, 1.6, 80),
+                            np.linspace(0.9, 2.1, 50))
+        if density is None:
+            with pytest.raises(NoDensity):
+                pops.density(pop, r * vm, vm)
+        else:
+            got = np.asarray(pops.density(pop, r * vm, vm))
+            assert hashlib.sha256(got.tobytes()).hexdigest() == density
 
     @pytest.mark.parametrize("vm", [
         MarginalSpec.scaled_beta(1.5, 2.5, 0.0, 2.0),
