@@ -17,6 +17,12 @@ supported:
   m(r), which is what makes the low/high constructions work.
 * ``MixturePopulation`` -- a finite convex combination of the above.
 
+The product and ratio-conditional forms are location-scale: given r,
+vm = alpha(r) + beta(r) U for a law U free of r (alpha = 0, beta = 1,
+U = vm for a product; alpha = m, beta = eps), on which they share one
+support, ratio law, density and sampler.  Moments and quality kernels
+stay per form (README "Numerical conventions" says why).
+
 A ratio law, ``RatioMarginalSpec``, is a one-dimensional law of
 ``marginals`` (its continuous part) plus atoms.  ``moments`` tabulates
 a population's cross moments as a ``MomentTable``.
@@ -237,6 +243,8 @@ class Population:
 
     # Subclasses implement: support, vk_upper, _density, _sample,
     # _ratio_marginal, _moments, _band_vm_moments, _quality_profile.
+    # The location-scale forms (``_LocationScalePopulation``) supply
+    # _law, _noise and _vm_band in place of the first five.
     # _moments(pairs) takes a list of (j, k) pairs and returns two arrays
     # in their order: E[vk**j vm**k] and each entry's diagnostic (0 for
     # closed forms, the quadrature tolerance for integrated entries).
@@ -423,8 +431,48 @@ def _require_seed_ratio(ratio: RatioMarginalSpec):
                               "and cannot seed a population")
 
 
+class _LocationScalePopulation(Population):
+    """A location-scale form (see module docstring): a seed ``ratio``,
+    ``_law(r)``, the ratio density g, alpha and beta > 0 at r, ``_noise``,
+    the law of U, and ``_vm_band``, bounds (lo, hi) on every money value.
+    """
+
+    @cached_property
+    def support(self) -> Support:
+        return Support(self.ratio.r_lo, self.ratio.r_hi, self._vm_band[1])
+
+    @property
+    def vk_upper(self) -> float:
+        return self.ratio.r_hi * self.support.vm_hi
+
+    def _density(self, vk, vm):
+        vk = np.asarray(vk, dtype=float)
+        vm = np.asarray(vm, dtype=float)
+        pos = vm > 0.0
+        vms = np.where(pos, vm, 1.0)
+        r = vk / vms
+        inside = pos & (r >= self.ratio.r_lo) & (r <= self.ratio.r_hi)
+        rs = np.where(inside, r, 0.5 * (self.ratio.r_lo + self.ratio.r_hi))
+        g, alpha, beta = self._law(rs)
+        q = self._noise.pdf((vm - alpha) / beta) / beta
+        out = np.where(inside, g * q / vms, 0.0)
+        return out if out.ndim else float(out)
+
+    def _sample(self, n, rng):
+        r = np.asarray(self.ratio.ppf(rng.random(n)))
+        vm = self._noise.sample(n, rng)
+        # vm = alpha + beta U, in place to bound peak memory
+        alpha, beta = self._law(r)[1:]
+        vm *= beta
+        vm += alpha
+        return np.column_stack((r * vm, vm))
+
+    def _ratio_marginal(self) -> RatioMarginalSpec:
+        return self.ratio
+
+
 @dataclass(frozen=True, eq=False)
-class ProductPopulation(Population):
+class ProductPopulation(_LocationScalePopulation):
     """Ratio and money value independent: vk = r * vm with r ~ ratio."""
 
     ratio: RatioMarginalSpec
@@ -438,32 +486,16 @@ class ProductPopulation(Population):
         if self.vm.lo < 0.0:
             raise ValueError("money value support must be >= 0")
 
-    @cached_property
-    def support(self) -> Support:
-        return Support(self.ratio.r_lo, self.ratio.r_hi, self.vm.hi)
+    def _law(self, r):
+        return self.ratio.pdf(r), 0.0, 1.0
 
     @property
-    def vk_upper(self) -> float:
-        return self.ratio.r_hi * self.vm.hi
+    def _noise(self) -> MarginalSpec:
+        return self.vm
 
-    def _density(self, vk, vm):
-        if self.vm.is_degenerate:
-            raise NoDensity("degenerate money-value marginal")
-        vk = np.asarray(vk, dtype=float)
-        vm = np.asarray(vm, dtype=float)
-        pos = vm > 0.0
-        vms = np.where(pos, vm, 1.0)
-        out = np.where(
-            pos, self.ratio.pdf(vk / vms) * self.vm.pdf(vm) / vms, 0.0)
-        return out if out.ndim else float(out)
-
-    def _sample(self, n, rng):
-        r = np.asarray(self.ratio.ppf(rng.random(n)))
-        vm = self.vm.sample(n, rng)
-        return np.column_stack((r * vm, vm))
-
-    def _ratio_marginal(self) -> RatioMarginalSpec:
-        return self.ratio
+    @property
+    def _vm_band(self) -> tuple:
+        return self.vm.lo, self.vm.hi
 
     def _moments(self, pairs):
         return (np.array([self.ratio.moment(j) * self.vm.moment(j + k)
@@ -834,7 +866,7 @@ class IndependentPopulation(Population):
         return np.clip(vals.reshape(prices.shape), 0.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
-class RatioConditionalPopulation(Population):
+class RatioConditionalPopulation(_LocationScalePopulation):
     """Explicit ratio marginal with a truncated-normal conditional for vm.
 
     The conditional mean of vm given r equals h(r) / g(r) exactly, by
@@ -931,39 +963,6 @@ class RatioConditionalPopulation(Population):
         a, b = self._half_width
         return (float(np.min((1.0 - a) * m - b)) * (1.0 - 1e-12),
                 float(np.max((1.0 + a) * m + b)) * (1.0 + 1e-12))
-
-    @cached_property
-    def support(self) -> Support:
-        return Support(self.ratio.r_lo, self.ratio.r_hi, self._vm_band[1])
-
-    @property
-    def vk_upper(self) -> float:
-        return self.ratio.r_hi * self.support.vm_hi
-
-    def _density(self, vk, vm):
-        vk = np.asarray(vk, dtype=float)
-        vm = np.asarray(vm, dtype=float)
-        pos = vm > 0.0
-        vms = np.where(pos, vm, 1.0)
-        r = vk / vms
-        inside = pos & (r >= self.ratio.r_lo) & (r <= self.ratio.r_hi)
-        rs = np.where(inside, r, 0.5 * (self.ratio.r_lo + self.ratio.r_hi))
-        g, m, eps = self._law(rs)
-        q = self._noise.pdf((vm - m) / eps) / eps
-        out = np.where(inside, g * q / vms, 0.0)
-        return out if out.ndim else float(out)
-
-    def _sample(self, n, rng):
-        r = np.asarray(self.ratio.ppf(rng.random(n)))
-        u = self._noise.sample(n, rng)
-        # vm = m + eps u, in place to bound peak memory
-        m, eps = self._law(r)[1:]
-        eps *= u
-        vm = np.add(m, eps, out=m)
-        return np.column_stack((r * vm, vm))
-
-    def _ratio_marginal(self) -> RatioMarginalSpec:
-        return self.ratio
 
     def _moments(self, pairs):
         # one segmented_gl row per pair, split at the knots.  The law is
