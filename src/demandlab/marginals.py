@@ -417,6 +417,10 @@ class MarginalSpec:
                 else _special("ndtr", a0))
 
     @cached_property
+    def _tail(self) -> float:  # Phi(-a0), the normal's mass below the cut
+        return _special("ndtr", -self._a0)
+
+    @cached_property
     def _mass(self) -> float:  # 2 Phi(a0) - 1, which cancels below a0 = 2
         a0 = self._a0
         return (math.erf(a0 / math.sqrt(2.0)) if a0 < 2.0
@@ -495,7 +499,7 @@ class MarginalSpec:
                 out *= 0.5 / self._mass
             else:
                 out = _special("ndtr", z)
-                out -= 1.0 - self._cap
+                out -= self._tail
                 out /= self._mass
         else:
             out = np.asarray(self.table.cdf(v))
@@ -516,8 +520,7 @@ class MarginalSpec:
                 out = _special("erfinv", (2.0 * q - 1.0) * self._mass)
                 out *= math.sqrt(2.0)
             else:
-                out = _special("ndtri",
-                               _special("ndtr", -a0) + q * self._mass)
+                out = _special("ndtri", self._tail + q * self._mass)
             out = np.asarray(out)
             out /= a0
             np.clip(out, -1.0, 1.0, out=out)  # a rounded end stays on [-1, 1]

@@ -421,7 +421,7 @@ ARTIFACT_DIGESTS = {
     "custom_conditional/identify/recovery_report.json":
         "4e47ed4cc53c8bfe3b8110a798ff9ae3af5e86463ba427beff4dff26f13ef43f",
     "custom_conditional/identify/surface.csv":
-        "b0a76b53a2a7241da9e09278f83101dea600798ddd0127171b36efe96a7bf307",
+        "bae414963a8e35d997de842d412126a0b7ed05cf161075f48325e8556b8d348c",
     "custom_conditional/sample/samples.csv":
         "ed53fc0bcc85754c93d1d8e15c00f018f7198c19ad387aaad387d044da25a200",
     "high_regime/classify/inequality.json":

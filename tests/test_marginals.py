@@ -193,6 +193,19 @@ class TestTruncatedNormal:
         assert np.max(np.abs(law.cdf(law.ppf(q)) - q)) <= 1e-15
         assert np.all(np.abs(law.ppf(q)) <= 1.0)
 
+    @pytest.mark.parametrize("a0", [2.0, 1.0 / 0.3, 8.0, 20.0])
+    def test_cdf_stays_on_zero_one_in_the_lower_tail(self, a0):
+        # the Phi forms subtract Phi(-a0) itself, not 1 - Phi(a0), which
+        # rounds: the cdf is exactly 0 at -1, never leaves [0, 1], and
+        # keeps its relative accuracy where it is tiny
+        law = MarginalSpec.truncated_normal(1.0 / a0)
+        assert law.cdf(-1.0) == 0.0
+        dense = law.cdf(np.linspace(-1.0, 1.0, 200_001))
+        assert np.all((dense >= 0.0) & (dense <= 1.0))
+        u = np.linspace(-1.0, -0.99, 11)[1:]
+        want = stats.truncnorm(-a0, a0).cdf(a0 * u)
+        assert np.max(np.abs(law.cdf(u) - want) / want) <= 1e-12
+
     @pytest.mark.parametrize("a0", A0)
     def test_moments_match_quadrature(self, a0):
         # E[U^n] against segmented_gl of u^n pdf(u) over [-1, 1], split
