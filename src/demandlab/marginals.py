@@ -174,15 +174,16 @@ class PwLinearTable:
         x0, x1 = self.x[idx], self.x[idx + 1]
         y0, y1 = self.y[idx], self.y[idx + 1]
         dx = x1 - x0
-        d = qc - self._cum[idx]
         slope = (y1 - y0) / dx
-        disc = np.maximum(y0 * y0 + 2.0 * slope * d, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_lin = d / np.where(y0 > 0.0, y0, 1.0)
-            t_quad = (np.sqrt(disc) - y0) / np.where(slope != 0.0, slope, 1.0)
-        t = np.where(np.abs(slope) * dx < 1e-14 * (y0 + 1e-300), t_lin, t_quad)
-        t = np.where(y0 + np.abs(slope) * dx <= 0.0, 0.0, t)
-        out = x0 + np.clip(t, 0.0, dx)
+        # solved from the left end if the segment rises, else from the
+        # right with the mass d above q: the step s with y s + |slope| s^2
+        # / 2 = d is 2 d / (y + sqrt(y^2 + 2 |slope| d)), cancelling nowhere
+        fall = slope < 0.0
+        y = np.where(fall, y1, y0)
+        d = np.where(fall, self._cum[idx + 1] - qc, qc - self._cum[idx])
+        root = y + np.sqrt(y * y + 2.0 * np.abs(slope) * d)  # 0 only at d = 0
+        step = np.clip(2.0 * d / np.where(root > 0.0, root, 1.0), 0.0, dx)
+        out = np.where(fall, x1 - step, x0 + step)
         return out if out.ndim else float(out)
 
     def integral_between(self, a: float, b: float) -> float:
