@@ -164,3 +164,77 @@ def test_numpy_ma_loads_only_with_scipy(tmp_path):
     # the check is not vacuous: scipy stays out of all but the last calls
     assert [step for step, _, scipy in steps if scipy] == [
         f"{command} {scenario}" for command, scenario in calls[-6:]]
+
+
+
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in
+            sorted(Path(demandlab.__file__).parent.glob("*.py"))}
+
+
+def _reads(tree) -> set:
+    """Every name that ``tree`` reads: loaded names and attributes, and
+    string constants that are identifiers, since a hook may be called by
+    its name (``MixturePopulation._blend``) and ``__all__`` lists names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and not isinstance(node.ctx, ast.Store)):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def _imports(tree):
+    """(line, module, name bound) of every import in ``tree`` but
+    ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None)
+            if module != "__future__":
+                for alias in node.names:
+                    yield (node.lineno, module, alias.name,
+                           alias.asname or alias.name.split(".")[0])
+
+
+def _private_definitions(tree):
+    """(line, name) of the underscore-prefixed, non-dunder names that
+    ``tree`` defines at module level or as class members."""
+    bodies = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            yield from ((node.lineno, name) for name in names
+                        if name.startswith("_") and not name.endswith("__"))
+
+
+def test_no_dead_code():
+    # every import is read in its module, and every private name of a
+    # module or class is read, or imported by name, in the package
+    trees = _trees()
+    named = set()
+    for tree in trees.values():
+        named |= _reads(tree)
+        named.update(name for _, module, name, _ in _imports(tree) if module)
+    dead = []
+    for file, tree in trees.items():
+        reads = _reads(tree)
+        dead += [(file, line, f"import {bound}")
+                 for line, _, _, bound in _imports(tree) if bound not in reads]
+        dead += [(file, line, name)
+                 for line, name in _private_definitions(tree)
+                 if name not in named]
+    assert dead == []
