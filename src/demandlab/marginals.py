@@ -412,20 +412,16 @@ class MarginalSpec:
         return 1.0 / self.sigma
 
     @cached_property
-    def _cap(self) -> float:  # Phi(a0), or erf(a0 / sqrt 2) below a0 = 2
+    def _shift(self) -> float:  # erf(a0 / sqrt 2), or Phi(-a0) from a0 = 2
         a0 = self._a0
         return (_special("erf", a0 * _SQRT_HALF) if a0 < 2.0
-                else _special("ndtr", a0))
-
-    @cached_property
-    def _tail(self) -> float:  # Phi(-a0), the normal's mass below the cut
-        return _special("ndtr", -self._a0)
+                else _special("ndtr", -a0))
 
     @cached_property
     def _mass(self) -> float:  # 2 Phi(a0) - 1, which cancels below a0 = 2
         a0 = self._a0
         return (math.erf(a0 / math.sqrt(2.0)) if a0 < 2.0
-                else float(2.0 * self._cap - 1.0))
+                else float(2.0 * _special("ndtr", a0) - 1.0))
 
     def moment(self, n: int) -> float:
         if n == 0:
@@ -496,11 +492,11 @@ class MarginalSpec:
             if self._a0 < 2.0:  # Phi(z) - Phi(-a0) cancels
                 z *= _SQRT_HALF
                 out = _special("erf", z)
-                out += self._cap
+                out += self._shift
                 out *= 0.5 / self._mass
             else:
                 out = _special("ndtr", z)
-                out -= self._tail
+                out -= self._shift
                 out /= self._mass
         else:
             out = np.asarray(self.table.cdf(v))
@@ -521,7 +517,7 @@ class MarginalSpec:
                 out = _special("erfinv", (2.0 * q - 1.0) * self._mass)
                 out *= math.sqrt(2.0)
             else:
-                out = _special("ndtri", self._tail + q * self._mass)
+                out = _special("ndtri", self._shift + q * self._mass)
             out = np.asarray(out)
             out /= a0
             np.clip(out, -1.0, 1.0, out=out)  # a rounded end stays on [-1, 1]
