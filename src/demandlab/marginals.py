@@ -18,15 +18,21 @@ fixed rule.
 
 Every ``scipy.special`` call in the package goes through ``_special``.
 It imports ``scipy.special`` on its first call, so a command that needs
-no special function never loads scipy.  Arrays of at least ``SPLIT_MIN``
-elements are cut into chunks of ``CHUNK`` that ``workers.run`` spreads
-over the CPUs of the process's affinity mask (restrict it with
-``taskset``; there is no other setting), on the threads of one pool
-that lives for the process.  Quadrature passes run on the calling
-thread in blocks of fewer than ``SPLIT_MIN`` nodes, so a call inside
-an integrand is never split.  Each element's value does not depend on
-the split, so seeded samples, curves and surfaces are bit-identical
-whatever the CPU count.
+no special function never loads scipy.
+
+One rule, ``blocks``, splits work across CPUs: a job on fewer than
+``SPLIT_MIN`` elements is one call on the calling thread, and a larger
+one is cut into blocks of ``CHUNK`` that ``workers.run`` spreads over
+the CPUs of the process's affinity mask (restrict it with ``taskset``;
+there is no other setting), on the threads of one pool that lives for
+the process.  Two kinds of work take it: a special function on an array
+(``_special``), and ``MarginalSpec.ppf`` on an array, which maps each
+block into its output, so a draw of n values holds the n results and
+one block's temporaries per CPU.  A special function inside a block
+runs inline.  Quadrature passes run on the calling thread in blocks of
+fewer than ``SPLIT_MIN`` nodes, so a call inside an integrand is never
+split.  Each element's value does not depend on the split, so seeded
+samples, curves and surfaces are bit-identical whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ import numpy as np
 from . import quadrature, workers
 from .errors import NoDensity, SpecialFunctionFailure
 
-# Below this many elements a special function runs as one call; above
-# it, workers.run takes CHUNK elements per item.
+# Below this many elements a job runs as one call; above it, workers.run
+# takes CHUNK elements per item (see ``blocks``).
 SPLIT_MIN = 2 ** 16
 CHUNK = 2 ** 14
 # Integer beta shapes with alpha + beta at most this take the closed-form
@@ -51,6 +57,19 @@ CHUNK = 2 ** 14
 INT_SHAPE_MAX = 32
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
+
+
+def blocks(fn, size: int) -> None:
+    """Call ``fn(part)`` for slices ``part`` that tile range(size): one
+    slice on the calling thread below ``SPLIT_MIN``, else ``CHUNK``
+    elements per ``workers.run`` item.  The blocks must write disjoint
+    outputs, each element's from its own inputs alone, so the result
+    does not depend on the split."""
+    if size < SPLIT_MIN:
+        fn(slice(0, size))
+        return
+    workers.run(lambda i: fn(slice(i * CHUNK, (i + 1) * CHUNK)),
+                -(-size // CHUNK))
 
 
 def _special(name: str, *args):
@@ -63,21 +82,19 @@ def _special(name: str, *args):
     fn = getattr(scipy.special, name)
     arrays = [np.asarray(a) for a in args]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    size = math.prod(shape)
     # Only float64 scalars and full-shape arrays are sliced, so the
     # output dtype and every element's arguments match the direct call.
-    if size >= SPLIT_MIN and all(a.dtype == np.float64
-                                 and a.shape in ((), shape) for a in arrays):
+    if shape and all(a.dtype == np.float64 and a.shape in ((), shape)
+                     for a in arrays):
         out = np.empty(shape)
         flat = [a.reshape(-1) if a.ndim else a for a in arrays]
         flat_out = out.reshape(-1)
 
-        def chunk(i):
-            part = slice(i * CHUNK, (i + 1) * CHUNK)
+        def block(part):
             fn(*(a if a.ndim == 0 else a[part] for a in flat),
                out=flat_out[part])
 
-        workers.run(chunk, -(-size // CHUNK))
+        blocks(block, out.size)
     else:
         out = fn(*args)
     bad = np.isnan(out)
@@ -502,8 +519,24 @@ class MarginalSpec:
             out = np.asarray(self.table.cdf(v))
         return out if out.ndim else float(out)
 
-    def ppf(self, q):
+    def ppf(self, q, out=None):
+        """The quantiles at q.  An array is mapped by ``blocks`` into
+        ``out``, a new array unless given: a C-contiguous float array of
+        q's shape, which may be q itself."""
         q = np.asarray(q, dtype=float)
+        if not q.ndim:
+            return float(self._quantiles(q))
+        if out is None:
+            out = np.empty(q.shape)
+        flat_q, flat_out = q.reshape(-1), out.reshape(-1)
+
+        def block(part):
+            flat_out[part] = self._quantiles(flat_q[part])
+
+        blocks(block, q.size)
+        return out
+
+    def _quantiles(self, q: np.ndarray) -> np.ndarray:
         if self.kind == "point_mass":
             out = np.full_like(q, self.value)
         elif self.kind == "uniform":
@@ -522,10 +555,17 @@ class MarginalSpec:
             out /= a0
             np.clip(out, -1.0, 1.0, out=out)  # a rounded end stays on [-1, 1]
         else:
-            out = np.asarray(self.table.ppf(q))
-        return out if out.ndim else float(out)
+            out = self.table.ppf(q)
+        return out
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, n: int, rng: np.random.Generator,
+               out=None) -> np.ndarray:
+        """n draws, the ppf of n uniforms that ``rng`` draws in one call
+        (none for a point mass) and ``ppf`` maps in place, into ``out``
+        (a C-contiguous float array of n elements) when given."""
+        out = np.empty(n) if out is None else out
         if self.kind == "point_mass":
-            return np.full(n, float(self.value))
-        return np.asarray(self.ppf(rng.random(n)), dtype=float)
+            out.fill(self.value)
+        else:
+            self.ppf(rng.random(out=out), out=out)
+        return out

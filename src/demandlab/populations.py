@@ -43,7 +43,7 @@ import numpy as np
 from . import quadrature
 from .errors import (BoundViolation, DegenerateRatio, NoDensity,
                      NonFiniteMoment, QuadratureFailure)
-from .marginals import MarginalSpec, PwLinearTable
+from .marginals import CHUNK, MarginalSpec, PwLinearTable
 
 TABLE_GRID_DEFAULT = 2048
 # Prices per quadrature call in IndependentPopulation._demand_profile.
@@ -156,11 +156,11 @@ class RatioMarginalSpec:
             out = out + mass * MarginalSpec.point_mass(pos).cdf(r)
         return out if np.ndim(out) else float(out)
 
-    def ppf(self, q):
+    def ppf(self, q, out=None):
         if not self.has_density:
             raise DegenerateRatio(
                 "quantile function needs a purely continuous ratio marginal")
-        return self.law.ppf(q)
+        return self.law.ppf(q, out)
 
     def moment(self, j: int) -> float:
         if j == 0:
@@ -341,7 +341,9 @@ class PointMassPopulation(Population):
         raise NoDensity("point-mass population has no density")
 
     def _sample(self, n, rng):
-        return np.column_stack((np.full(n, self.vk), np.full(n, self.vm)))
+        out = np.empty((2, n))
+        out[0], out[1] = self.vk, self.vm
+        return out.T
 
     def _ratio_marginal(self) -> RatioMarginalSpec:
         return RatioMarginalSpec.degenerate(self.vk / self.vm, self.vm)
@@ -459,13 +461,19 @@ class _LocationScalePopulation(Population):
         return out if out.ndim else float(out)
 
     def _sample(self, n, rng):
-        r = np.asarray(self.ratio.ppf(rng.random(n)))
-        vm = self._noise.sample(n, rng)
-        # vm = alpha + beta U, in place to bound peak memory
-        alpha, beta = self._law(r)[1:]
-        vm *= beta
-        vm += alpha
-        return np.column_stack((r * vm, vm))
+        # r, then U, each drawn and mapped in place; then, block by
+        # block on the calling thread, vm = alpha + beta U and vk = r vm.
+        # The draw holds its result and one block's temporaries per CPU
+        out = np.empty((2, n))
+        self.ratio.ppf(rng.random(out=out[0]), out=out[0])
+        self._noise.sample(n, rng, out=out[1])
+        for start in range(0, n, CHUNK):
+            r, vm = out[:, start:start + CHUNK]
+            alpha, beta = self._law(r)[1:]
+            vm *= beta
+            vm += alpha
+            r *= vm
+        return out.T
 
     def _ratio_marginal(self) -> RatioMarginalSpec:
         return self.ratio
@@ -733,9 +741,10 @@ class IndependentPopulation(Population):
         return out if np.ndim(out) else float(out)
 
     def _sample(self, n, rng):
-        good = self.vk.sample(n, rng)
-        money = self.vm.sample(n, rng)
-        return np.column_stack((good, money))
+        out = np.empty((2, n))
+        self.vk.sample(n, rng, out=out[0])
+        self.vm.sample(n, rng, out=out[1])
+        return out.T
 
     def _degree(self, extra: int) -> int | None:
         """Polynomial degree between its breaks of a kernel made of one
@@ -965,26 +974,35 @@ class RatioConditionalPopulation(_LocationScalePopulation):
                 float(np.max((1.0 + a) * m + b)) * (1.0 + 1e-12))
 
     def _moments(self, pairs):
-        # one segmented_gl row per pair, split at the knots.  The law is
-        # evaluated once per block; each row's integrand is then formed
-        # on that row's nodes alone, elementwise, so every row keeps the
-        # bits of its own one-row quadrature.integrate call
+        # one segmented_gl row per pair, split at the knots.  The law,
+        # E[vm**n | r] for each order n and r**j for each power j in a
+        # block are formed once over all its nodes, elementwise, and each
+        # line gathers its pair's, so every row keeps the bits of its own
+        # one-row quadrature.integrate call
         tol = 1e-11
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
+        powers = np.array([j for j, _ in pairs])
+        orders = np.array([j + k for j, k in pairs])
+
+        def gather(keys, fn):
+            # line i of fn(keys[i]), with fn called once per distinct key
+            distinct = sorted_distinct(keys)
+            table = np.stack([fn(key) for key in distinct.tolist()])
+            return table[np.searchsorted(distinct, keys),
+                         np.arange(keys.size)]
 
         def integrand(nodes, rows):
             g, m, eps = self._law(nodes)
-            out = np.empty_like(nodes)
-            for row in sorted_distinct(rows).tolist():
-                j, n = pairs[row][0], sum(pairs[row])
-                line = rows == row
-                r, m_r, eps_r = nodes[line], m[line], eps[line]
-                cond = np.zeros_like(r)  # E[vm**n | r], vm = m + eps U
+
+            def cond(n):  # E[vm**n | r], vm = m + eps U
+                out = np.zeros_like(nodes)
                 for i in range(0, n + 1, 2):
-                    cond = cond + (math.comb(n, i) * m_r ** (n - i)
-                                   * eps_r ** i * self._noise.moment(i))
-                out[line] = g[line] * r ** j * cond
-            return out
+                    out = out + (math.comb(n, i) * m ** (n - i)
+                                 * eps ** i * self._noise.moment(i))
+                return out
+
+            return (g * gather(powers[rows], lambda j: nodes ** j)
+                    * gather(orders[rows], cond))
 
         values, _ = quadrature.segmented_gl(
             r_lo, r_hi,
@@ -1286,13 +1304,13 @@ class MixturePopulation(Population):
     def _sample(self, n, rng):
         weights = np.array([w for w, _ in self.components])
         idx = rng.choice(len(self.components), size=n, p=weights)
-        out = np.empty((n, 2))
+        out = np.empty((2, n))
         for i, (_, pop) in enumerate(self.components):
             mask = idx == i
             cnt = int(mask.sum())
             if cnt:
-                out[mask] = pop._sample(cnt, rng)
-        return out
+                out[:, mask] = pop._sample(cnt, rng).T
+        return out.T
 
     @cached_property
     def _mixture_ratio_spec(self) -> RatioMarginalSpec:
@@ -1472,7 +1490,10 @@ def density(pop: Population, vk, vm):
 
 
 def sample(pop: Population, n: int, seed: int) -> np.ndarray:
-    """Draw n consumers as an (n, 2) array of (vk, vm) rows."""
+    """Draw n consumers as an (n, 2) array of (vk, vm) rows: the
+    transpose of a (2, n) buffer that holds each column's draws, so the
+    columns are contiguous and a draw holds little more than its result
+    (README "Reproducibility and threads")."""
     if n < 0:
         raise ValueError("sample size must be >= 0")
     rng = np.random.default_rng(seed)

@@ -471,6 +471,21 @@ def test_demo_samples_keep_their_bytes(tmp_path, name):
             == ARTIFACT_DIGESTS[f"{name}/sample/samples.csv"])
 
 
+@pytest.mark.parametrize("name", sorted(
+    key.split("/")[0] for key in ARTIFACT_DIGESTS
+    if key.endswith("/sample/samples.csv")))
+def test_demo_samples_start_no_thread(tmp_path, usable_cpus, drainers, name):
+    # 10,000 and 1,000 draws, below SPLIT_MIN, are drawn on the calling
+    # thread even on 2 CPUs, with their pinned bytes
+    usable_cpus(2)
+    out = tmp_path / "out"
+    assert run("sample", DEMO_SCENARIOS / f"{name}.json", "--out", str(out),
+               "--seed", "7") == 0
+    assert not drainers
+    assert (digest_of(out / "samples.csv")
+            == ARTIFACT_DIGESTS[f"{name}/sample/samples.csv"])
+
+
 # sha256 of 10,000 draws of the low twin (ratio U[1, 2], delta 0.5) at
 # seed 7 off the demos' sigma multiplier of 0.5: at 0.3 the truncated
 # normal's ppf takes Phi differences, at 1e4 erf ones.

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from demandlab import inequality
 from demandlab import populations as pops
 from demandlab.demand import default_price_grid, quality_demand_surface
 from demandlab.errors import (BoundViolation, DegenerateRatio, NoDensity,
-                              NonFiniteMoment, QuadratureFailure)
-from demandlab.marginals import MarginalSpec, PwLinearTable
+                              NonFiniteMoment, QuadratureFailure,
+                              SpecialFunctionFailure)
+from demandlab.marginals import SPLIT_MIN, MarginalSpec, PwLinearTable
 from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, benchmark_populations, beta_independent,
                      bisection_roots, closed_form_roots, column_kernel,
@@ -1160,8 +1162,46 @@ class TestModuleOps:
             a = pops.sample(pop, 500, seed=1)
             b = pops.sample(pop, 500, seed=1)
             assert a.shape == (500, 2)
+            assert a.T.flags.c_contiguous, name  # a (2, n) buffer
             assert np.array_equal(a, b), name
             assert np.all(a[:, 1] > 0), name
+
+    @pytest.mark.parametrize("name", ["point_mass", "product", "independent",
+                                      "conditional_low", "conditional_high"])
+    def test_a_draw_holds_little_more_than_its_result(self, usable_cpus,
+                                                      name):
+        # each column is drawn into the result and mapped there block by
+        # block, so on two CPUs a draw holds its result and two blocks
+        usable_cpus(2)
+        pop = population_zoo()[name]
+        pops.sample(pop, 1000, seed=1)  # cached laws are built untraced
+        tracemalloc.start()
+        try:
+            draws = pops.sample(pop, 2 ** 20, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * draws.nbytes
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_failing_draw_raises_at_its_first_bad_element(self, usable_cpus,
+                                                           cpus):
+        # every block fails; the lowest one raises, as one call would
+        usable_cpus(cpus)
+        n = SPLIT_MIN + 3
+        first = np.random.default_rng(4).random()
+        vm = MarginalSpec.uniform(0.5, 1.5)
+        bad = pops.IndependentPopulation(
+            MarginalSpec.scaled_beta(1e308, 3.0, 0.0, 1.0), vm)
+        with pytest.raises(SpecialFunctionFailure,
+                           match=re.escape(f"(1e+308, 3, {first:.6g})")):
+            pops.sample(bad, n, seed=4)
+        # a table of mass 1/2 has no quantile above 1/2
+        half = pops.IndependentPopulation(
+            MarginalSpec("tabulated", 0.0, 1.0, table=PwLinearTable.raw(
+                [0.0, 1.0], [0.5, 0.5])), vm)
+        with pytest.raises(ValueError, match="ppf target outside"):
+            pops.sample(half, n, seed=4)
 
     def test_density_requires_a_density(self):
         atom = pops.PointMassPopulation(2.0, 1.0)

@@ -29,9 +29,9 @@ def _many_blocks(monkeypatch):
 
 
 def _results():
-    """Every zoo surface with its estimates, an independent demand curve,
-    its ratio table and the table behind its ratio marginal, one
-    integral, and a seeded sample large enough for the pool to share; the
+    """Every zoo surface with its estimates and a seeded sample large
+    enough for the pool to share, an independent demand curve, its ratio
+    table and the table behind its ratio marginal, and one integral; the
     populations are built here, so no cached table comes from another CPU
     count."""
     xq = np.linspace(-2.0, 2.0, 48)
@@ -39,14 +39,14 @@ def _results():
     out = []
     for pop in population_zoo().values():
         surface = quality_demand_surface(pop, xq, prices)
-        out += [surface.values, surface.quadrature_errors]
+        out += [surface.values, surface.quadrature_errors,
+                sample(pop, SPLIT_MIN + 3, seed=5)]
     pop = beta_independent()
     curve = demand_curve(pop, np.linspace(0.05, 3.0, 40))
     out += [curve.values, invert_demand(curve).G,
             pop._ratio_marginal().law.table.y]
     out.append(quadrature.integrate(lambda x: np.cos(200.0 * x), 0.0, 1.0,
                                     tol=1e-12))
-    out.append(sample(pop, SPLIT_MIN + 3, seed=5))
     return out
 
 
