@@ -18,12 +18,13 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .demand import (csv_column, csv_text, default_price_grid, demand_curve,
+from .demand import (csv_column, default_price_grid, demand_curve,
                      invert_demand)
 from . import identification as ident_mod
 from . import inequality as ineq_mod
 from . import populations as pops
 from .errors import DemandLabError, ScenarioError
+from .marginals import CHUNK
 from .scenario import load_scenario
 
 EXIT_OK = 0
@@ -32,13 +33,15 @@ EXIT_INPUT = 2
 _PREFIX = {EXIT_INPUT: "error", 3: "numeric failure", 4: "demo failure"}
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, text):
+    """Write ``text``, a string or an iterable of strings written in
+    turn, to ``path`` through a temp file and a rename."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         # mkstemp makes the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -123,12 +126,21 @@ def cmd_identify(scenario, digest: str, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _sample_rows(draws: np.ndarray):
+    """The text of samples.csv in blocks of CHUNK rows, byte for byte what
+    ``csv_text`` gives for the whole draw: one block's text is held at a
+    time."""
+    yield "vk,vm\n"
+    for start in range(0, draws.shape[0], CHUNK):
+        block = draws[start:start + CHUNK]
+        yield "".join(map("{},{}\n".format, csv_column(block[:, 0]),
+                          csv_column(block[:, 1])))
+
+
 def cmd_sample(scenario, digest: str, out_dir: str) -> int:
     pop = _require(scenario.population, "population")
     draws = pops.sample(pop, scenario.sample_n, scenario.seed)
-    _atomic_write(os.path.join(out_dir, "samples.csv"),
-                  csv_text("vk,vm", csv_column(draws[:, 0]),
-                           csv_column(draws[:, 1])))
+    _atomic_write(os.path.join(out_dir, "samples.csv"), _sample_rows(draws))
     return EXIT_OK
 
 

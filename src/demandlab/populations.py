@@ -829,12 +829,17 @@ class IndependentPopulation(Population):
                                     np.asarray(xq, dtype=float))
         out = np.empty(xq.shape)
         errors = np.zeros(xq.shape)
-        free = p == 0.0
-        priced = ~free
-        if self.vk.is_degenerate:  # a tie buys
-            out[free] = np.heaviside(self.vk.value + xq[free], 1.0)
-        else:
-            out[free] = 1.0 - np.asarray(self.vk.cdf(-xq[free]), dtype=float)
+        # the priced rows are every row unless some price is free: then an
+        # index gathers and scatters them
+        free = np.flatnonzero(p == 0.0)
+        priced = slice(None)
+        if free.size:
+            priced = np.flatnonzero(p != 0.0)
+            if self.vk.is_degenerate:  # a tie buys
+                out[free] = np.heaviside(self.vk.value + xq[free], 1.0)
+            else:
+                out[free] = 1.0 - np.asarray(self.vk.cdf(-xq[free]),
+                                             dtype=float)
         p, xq = p[priced], xq[priced]
         if self.vm.is_degenerate:
             out[priced] = 1.0 - np.asarray(
@@ -851,7 +856,7 @@ class IndependentPopulation(Population):
                                                   - xq[rows][:, None]))
                 return self.vm.pdf(nodes) * sk
 
-            with _renumbered(np.flatnonzero(priced)):
+            with _renumbered(np.arange(out.size)[priced]):
                 live, errors[priced] = quadrature.segmented_gl(
                     lo, hi, np.empty((xq.size, 0)), integrand,
                     tol=SURFACE_TOL,
@@ -1302,14 +1307,22 @@ class MixturePopulation(Population):
         return out if np.ndim(out) else float(out)
 
     def _sample(self, n, rng):
+        # each draw's component, in the smallest unsigned type, before the
+        # result is allocated; np.place scatters a component's draws
+        # without an index array.  A draw holds its result, two bytes per
+        # draw and one component's draws at a time
         weights = np.array([w for w, _ in self.components])
-        idx = rng.choice(len(self.components), size=n, p=weights)
+        idx = rng.choice(len(self.components), size=n, p=weights).astype(
+            np.min_scalar_type(len(self.components) - 1))
         out = np.empty((2, n))
         for i, (_, pop) in enumerate(self.components):
             mask = idx == i
-            cnt = int(mask.sum())
+            cnt = int(np.count_nonzero(mask))
             if cnt:
-                out[:, mask] = pop._sample(cnt, rng).T
+                vk, vm = pop._sample(cnt, rng).T
+                np.place(out[0], mask, vk)
+                np.place(out[1], mask, vm)
+                del vk, vm  # before the next component draws
         return out.T
 
     @cached_property

@@ -16,7 +16,10 @@ into one list of (row, interval) pairs and hands
 them to the integrand in blocks of at most ``INTERVAL_BLOCK`` * 21
 nodes: a surface puts the rows of all its prices into one call, and
 small blocks keep the integrand's node-sized temporaries at a few
-hundred kB however many rows the call holds.  The blocks of a pass run
+hundred kB however many rows the call holds.  An integrand may
+overwrite its node matrix, or return it, but must not keep it: once the
+integrand has returned, the pass reuses the matrix for |integrand|
+unless the values share its memory.  The blocks of a pass run
 in order on the calling thread, whatever the CPU count: between its
 special-function calls an integrand is short NumPy operations that
 hold Python's global interpreter lock, and on 2 CPUs a worker pool
@@ -389,7 +392,9 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
     row a NaN value and estimate.
     ``integrand(nodes, rows)`` gets an (m, 21) node matrix, one interval
     per line, and the row index of each line, and returns the (m, 21)
-    integrand values; it may overwrite ``nodes``.  Each pass applies
+    integrand values.  It may overwrite ``nodes`` or return it, but must
+    not keep it: after the call the node matrix holds |integrand| for the
+    round-off size, unless the values share its memory.  Each pass applies
     G10/K21 to every pending interval.  A row whose summed estimate is at
     most its tolerance, the larger of ``tol`` (absolute; a scalar, or an
     array with one value per row) and ``ROUNDOFF`` times the integral of
@@ -428,16 +433,26 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
     edges = np.concatenate(
         (lo, np.sort(np.clip(breaks, lo, hi), axis=1), hi), axis=1)
     # pairs are kept sorted by row and, within a row, by position, so a
-    # row sums its intervals in the same order whatever the other rows do
-    rows, seg = np.nonzero(np.diff(edges, axis=1) != 0.0)  # NaN is kept
-    a, b = edges[rows, seg], edges[rows, seg + 1]
-    # the passes sum over the rows that have segments, renumbered 0, 1,
+    # row sums its intervals in the same order whatever the other rows do.
+    # The passes sum over the rows that have segments, renumbered 0, 1,
     # ... in order (``used`` maps them back); the end scatters their sums
-    first = np.diff(rows, prepend=-1) != 0
-    used, rows = rows[first], np.cumsum(first) - 1
+    ncol = edges.shape[1] - 1
+    flat = np.flatnonzero(np.diff(edges, axis=1) != 0.0)  # NaN is kept
+    if ncol > 1:
+        row = flat // ncol
+        first = np.ones(row.size, dtype=bool)
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        used, rows = row[first], np.cumsum(first) - 1
+    else:  # a row has at most one segment
+        row = used = flat
+        rows = np.arange(flat.size)
+    # a segment's left end sits one place per earlier row further on in
+    # the flat edges
+    left = flat + row
+    a, b = edges.ravel()[left], edges.ravel()[left + 1]
     tol = np.asarray(tol)[used] if np.ndim(tol) else tol
     if grade > 1:
-        # intervals run over [0, 1] in the graded variable of segment seg
+        # intervals run over [0, 1] in the graded variable of their segment
         seg_a, seg_b = a, b
         a, b = np.zeros(rows.size), np.ones(rows.size)
     values = np.zeros(used.size)
@@ -450,7 +465,13 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
         for start in range(0, rows.size, span):
             part = slice(start, start + span)
             half = 0.5 * (b[part] - a[part])
-            nodes = (a[part] + half)[:, None] + half[:, None] * x
+            # formed a node column at a time, each a pass over the block's
+            # lines, then copied to one interval per line: at the 4 or 5
+            # columns of an exact rule, half the time of forming it line by
+            # line
+            nodes = np.multiply.outer(x, half)
+            nodes += a[part] + half
+            nodes = nodes.T.copy()
             # a node can round outside an interval a few ulps wide; the
             # nodes of a line ascend, so its first and last tell
             off = (nodes[:, 0] < a[part]) | (nodes[:, -1] > b[part])
@@ -464,7 +485,9 @@ def segmented_gl(lo, hi, breaks: np.ndarray, integrand, *, tol: float,
             else:
                 f = integrand(nodes, used[rows[part]])
             k[part] = half * np.einsum("ij,j->i", f, w)
-            size[part] = half * np.einsum("ij,j->i", np.abs(f), w)
+            # |f| goes into the node matrix unless f is (in) that matrix
+            size[part] = half * np.einsum("ij,j->i", np.abs(
+                f, out=None if np.may_share_memory(f, nodes) else nodes), w)
             if degree is not None:
                 continue
             e[part] = _estimate(f, half, k[part])

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -360,6 +361,36 @@ class TestQualityDemandSurface:
             assert same_bits(surf.values,
                              np.clip(np.column_stack(values), 0.0, 1.0)), name
             assert same_bits(surf.quadrature_errors, errors), name
+
+    # sha256 of the values and of the column estimates of each benchmark
+    # population's surface at seed 5: a free price, then 9 Chebyshev
+    # prices on [0.5, 1.5], on 1,024 rows of the default quality span
+    SURFACE_PINS = {
+        "high": (
+            "d08cc613edb18c8f60aff4525ffccda03c030b71a798f04856996ffbae8c730b",
+            "02b3bb5902d11667503b2ceb441590ab42af0c98728e284d656ed259d9aa94ed"),
+        "independent": (
+            "923be45b71c3950fd43c0b5d2117f01ab03345a966fc0c2e818d5f2c638d0f16",
+            "4c2fbd5bf36349c4e009cc565931e2dbb3dcc4c82ed04a90456e64935717c4ad"),
+        "low": (
+            "809ed5a96f619bcb659a382b1b5d2a0ac226249ac3aaf1f6829496c3f75d2762",
+            "e778b5162f36d4fd97c362fe197db7aa6725da9fb1d3d34c7ab08ba05fcde94d"),
+        "mixture": (
+            "e8a9a730103ad8e68065d214fe7ffd1e8a109210fcb6bc5afa6945d2c8555549",
+            "8d6a747d8368d7ec71695ed23ae3ed38a6692345cfb928635973289e23f10f31"),
+        "product": (
+            "0a821d115fdcfa35e4e26bf671fe284fe5b253519da95ca2b72932ce59ede0e5",
+            "1a1a460266cd054e6a637e522ca17943bd38432e64acdacc26e684c82de69fea"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SURFACE_PINS))
+    def test_benchmark_surfaces_keep_their_bits(self, name):
+        pop = benchmark_populations(5)[name]
+        prices = np.concatenate(([0.0], ident.chebyshev_prices(0.5, 1.5, 9)))
+        surf = dl.quality_demand_surface(
+            pop, ident.default_quality_grid(pop, prices, 1024), prices)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (
+            surf.values, surf.quadrature_errors)) == self.SURFACE_PINS[name]
 
     def test_live_ranges_match_the_full_range_reference(self):
         # each kernel row integrates only where its inner cdf moves and

@@ -1167,11 +1167,15 @@ class TestModuleOps:
             assert np.all(a[:, 1] > 0), name
 
     @pytest.mark.parametrize("name", ["point_mass", "product", "independent",
-                                      "conditional_low", "conditional_high"])
+                                      "conditional_low", "conditional_high",
+                                      "mixture"])
     def test_a_draw_holds_little_more_than_its_result(self, usable_cpus,
                                                       name):
         # each column is drawn into the result and mapped there block by
-        # block, so on two CPUs a draw holds its result and two blocks
+        # block, so on two CPUs a draw holds its result and two blocks.  A
+        # mixture also holds a byte and a mask entry per draw and one
+        # component's draws: 1.73 times its result for this one, whose
+        # point mass takes 60 % of the draws
         usable_cpus(2)
         pop = population_zoo()[name]
         pops.sample(pop, 1000, seed=1)  # cached laws are built untraced
@@ -1181,7 +1185,7 @@ class TestModuleOps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * draws.nbytes
+        assert peak <= (1.8 if name == "mixture" else 1.15) * draws.nbytes
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_a_failing_draw_raises_at_its_first_bad_element(self, usable_cpus,

@@ -338,6 +338,35 @@ def test_per_row_bounds_equal_scalar_bounds(rule):
     assert same_bits(got, want)
 
 
+@pytest.mark.parametrize("rule", [{}, {"grade": 2}, {"degree": 1}],
+                         ids=["adaptive", "graded", "exact"])
+def test_an_integrand_may_return_or_overwrite_its_nodes(rule):
+    # segmented_gl takes |f| into the node matrix once the integrand has
+    # returned, so an integrand that returns that matrix, or writes its
+    # values into it and returns a view, gives the integral of x, and the
+    # values and estimates of one that returns a copy.  The rows cross 0,
+    # where |x| is not x
+    lo = np.array([-1.5, -2.0, 0.25, -0.125])
+    hi = np.array([0.5, -0.5, 0.75, 3.0])
+    breaks = np.array([[-0.25], [-1.0], [0.5], [0.0]])
+
+    def itself(nodes, rows):
+        return nodes
+
+    def into(nodes, rows):
+        np.multiply(nodes, 1.0, out=nodes)
+        return nodes[:, ::-1][:, ::-1]
+
+    want = q.segmented_gl(lo, hi, breaks, lambda nodes, rows: nodes.copy(),
+                          tol=1e-13, **rule)
+    np.testing.assert_allclose(want[0], 0.5 * (hi * hi - lo * lo),
+                               rtol=1e-15, atol=1e-16)
+    for integrand in (itself, into):
+        assert same_bits(
+            q.segmented_gl(lo, hi, breaks, integrand, tol=1e-13, **rule),
+            want)
+
+
 def test_per_row_bounds_integrate_each_row_over_its_own_range():
     # an empty row (lo == hi) has no segment, calls no integrand and
     # returns 0 with estimate 0; NaN bounds make a NaN row, as a NaN
