@@ -161,6 +161,8 @@ def default_price_grid(pop: Population, n: int = 257) -> np.ndarray:
     and exactly 0); when the support starts at 0 the lower end is floored
     at a tiny positive price since demand is defined for p > 0 only.
     """
+    if n < 2:
+        raise ValueError(f"a price grid needs n >= 2 points, got {n}")
     sup = pop.support
     lo = sup.r_lo * (1.0 - 1e-3)
     hi = sup.r_hi * (1.0 + 1e-3)

@@ -36,14 +36,25 @@ CONDITION_LIMIT = 1e10
 TAIL_BOUND = 1e-6
 
 
+def _require_window(lo: float, hi: float) -> None:
+    if not 0.0 < lo < hi < np.inf:
+        raise ValueError(f"price window needs 0 < lo < hi < inf, got "
+                         f"({lo:g}, {hi:g})")
+
+
+def _require_tail_bound(tail_bound: float) -> None:
+    # no tail mass exceeds NaN, so it would turn the tail gate off
+    if not tail_bound > 0.0:
+        raise ValueError(f"tail bound must be positive, got {tail_bound:g}")
+
+
 def chebyshev_prices(lo: float, hi: float, n: int) -> np.ndarray:
     """First-kind Chebyshev nodes on [lo, hi], ascending.
 
     Clustered toward the interval ends, which keeps the per-order price
     systems well conditioned compared with equispaced nodes.
     """
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
+    _require_window(lo, hi)
     if n < 1:
         raise ValueError("need at least one node")
     k = np.arange(n)
@@ -109,8 +120,7 @@ class IdentificationConfig:
     tail_bound: float = TAIL_BOUND
 
     def __post_init__(self):
-        if not 0.0 < self.price_lo < self.price_hi:
-            raise ValueError("price window needs 0 < lo < hi")
+        _require_window(self.price_lo, self.price_hi)
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
         if self.n_prices < self.max_order + 1:
@@ -119,8 +129,7 @@ class IdentificationConfig:
                 f"{self.max_order}; need at least {self.max_order + 1}")
         if self.n_quality < 16:
             raise ValueError("quality grid too small")
-        if not self.tail_bound > 0.0:
-            raise ValueError("tail bound must be positive")
+        _require_tail_bound(self.tail_bound)
         if self.quality_span is not None:
             lo, hi = self.quality_span
             if not lo < hi:
@@ -146,8 +155,10 @@ def surface_slices(surface: QualityDemandSurface,
     set of array passes over the surface; they share one ``w_grid``.
 
     Only a column with a strict drop goes to ``pava``.  TailMassExceeded
-    names the first price whose slice misses more than ``tail_bound``.
+    names the first price whose slice misses more than ``tail_bound``,
+    which must be positive.
     """
+    _require_tail_bound(tail_bound)
     w = -surface.quality_grid[::-1]
     # row j is 1 - column j reversed, one C-contiguous slice
     raw = np.subtract(1.0, surface.values.T[:, ::-1], order="C")

@@ -194,6 +194,8 @@ def build_nonid_demo(ratio: RatioMarginalSpec, delta_low: float,
     compares seeded empirical demand curves under the same tolerance,
     so a zero tolerance fails once Monte Carlo noise enters.
     """
+    if not 0.0 <= tol < np.inf:  # NaN would pass both gap checks
+        raise ValueError(f"tol must be finite and >= 0, got {tol:g}")
     checks = {"low": check_delta_bounds(ratio, delta_low, "low"),
               "high": check_delta_bounds(ratio, delta_high, "high")}
     for fam, chk in checks.items():

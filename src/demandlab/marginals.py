@@ -24,8 +24,8 @@ One rule, ``blocks``, splits work across CPUs: a job on fewer than
 ``SPLIT_MIN`` elements is one call on the calling thread, and a larger
 one is cut into blocks of ``CHUNK`` that ``workers.run`` spreads over
 the CPUs of the process's affinity mask (restrict it with ``taskset``;
-there is no other setting), on the threads of one pool that lives for
-the process.  Two kinds of work take it: a special function on an array
+there is no other setting), on helper threads that each run starts and
+joins.  Two kinds of work take it: a special function on an array
 (``_special``), and ``MarginalSpec.ppf`` on an array, which maps each
 block into its output, so a draw of n values holds the n results and
 one block's temporaries per CPU.  A special function inside a block

@@ -22,7 +22,7 @@ integrand has returned, the pass reuses the matrix for |integrand|
 unless the values share its memory.  The blocks of a pass run
 in order on the calling thread, whatever the CPU count: between its
 special-function calls an integrand is short NumPy operations that
-hold Python's global interpreter lock, and on 2 CPUs a worker pool
+hold Python's global interpreter lock, and on 2 CPUs worker threads
 made the benchmark's passes no faster.  Each interval gets the
 nested Gauss-Kronrod pair G10/K21 of QUADPACK (Piessens et al. 1983):
 21 integrand values give its integral and, from |K21 - G10|, its error

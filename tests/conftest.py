@@ -3,7 +3,6 @@
 import os
 import sys
 import threading
-import traceback
 from pathlib import Path
 
 import pytest
@@ -14,48 +13,14 @@ from demandlab import workers
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-# The most helpers a run of any test so far could ask for: the pool of
-# ``workers`` lives for the process, so it outlives each test.
-_most_helpers = 0
-
-
-def _idle(thread) -> bool:
-    # an idle helper waits for a job in ``workers._serve`` itself, or is
-    # still starting and has not reached it; items run in deeper frames
-    codes = [frame.f_code for frame, _ in traceback.walk_stack(
-        sys._current_frames().get(thread.ident))]
-    serve = workers._serve.__code__
-    return serve not in codes or codes[0] is serve
-
-
 @pytest.fixture(autouse=True)
-def workers_idle_and_bounded(monkeypatch):
-    """Fail a test after which a worker thread is busy or the pool holds
-    more threads than any run could use.
-
-    Every ``workers.run`` waits for its helpers, so after a test no job
-    is queued and every worker thread is idle, with no item in flight.
-    The CPU counts ``workers._usable_cpus`` returns are recorded (tests
-    set them through the affinity mask, see ``usable_cpus``), and the
-    pool holds at most the largest of them, less one, seen so far.
-    """
-    read = workers._usable_cpus
-
-    def recorded():
-        global _most_helpers
-        cpus = read()
-        _most_helpers = max(_most_helpers, cpus - 1)
-        return cpus
-
-    monkeypatch.setattr(workers, "_usable_cpus", recorded)
+def no_worker_outlives_its_run():
+    """Fail a test after which a ``workers.run`` helper is still alive:
+    every run joins its helpers before it returns."""
     yield
-    threads = [t for t in threading.enumerate()
-               if t.name.startswith("demandlab-worker")]
-    assert len(threads) <= _most_helpers, \
-        f"{len(threads)} workers for at most {_most_helpers} helpers"
-    assert workers._jobs.empty(), "a job outlived its run"
-    busy = [t.name for t in threads if not _idle(t)]
-    assert not busy, f"workers busy after their run: {busy}"
+    alive = [t.name for t in threading.enumerate()
+             if t.name.startswith("demandlab-worker")]
+    assert not alive, f"workers alive after their run: {alive}"
 
 
 @pytest.fixture

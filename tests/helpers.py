@@ -251,7 +251,7 @@ def live_offsets(pop, p):
 
 
 def worker_names(run) -> list:
-    """The pool's threads among the drainers of one run (see the
+    """The helper threads among the drainers of one run (see the
     ``drainers`` fixture)."""
     return [name for name in run if name.startswith("demandlab-worker")]
 

@@ -559,3 +559,9 @@ class TestDefaultPriceGrid:
         pop = population_zoo()["independent"]  # r_lo = 0
         grid = dl.default_price_grid(pop)
         assert grid[0] > 0
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_fewer_than_two_points_are_refused(self, n):
+        # n = 1 would divide 0 by 0, and n = 0 give an empty grid
+        with pytest.raises(ValueError, match="n >= 2"):
+            dl.default_price_grid(population_zoo()["product"], n)

@@ -29,6 +29,9 @@ class TestChebyshevPrices:
             ident.chebyshev_prices(1.5, 0.5, 9)
         with pytest.raises(ValueError):
             ident.chebyshev_prices(0.5, 1.5, 0)
+        # an infinite end would give inf and NaN nodes
+        with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+            ident.chebyshev_prices(0.5, np.inf, 3)
 
 
 def pooled(y):
@@ -182,6 +185,19 @@ class TestSliceExtraction:
         with pytest.raises(TailMassExceeded):
             ident.slice_from_surface(surface, 1.5)
 
+    @pytest.mark.parametrize("bound", [float("nan"), 0.0, -1.0])
+    def test_an_unusable_tail_bound_is_refused(self, bound):
+        # the same too-narrow span: no tail mass exceeds NaN, so a NaN
+        # bound would pass a slice that misses most of its mass
+        pop = beta_independent()
+        grid = np.linspace(-0.5, 0.5, 257)
+        surface = dl.quality_demand_surface(pop, grid,
+                                            np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="tail bound"):
+            ident.surface_slices(surface, bound)
+        with pytest.raises(ValueError, match="tail bound"):
+            ident.slice_from_surface(surface, 1.5, bound)
+
 
 class TestUniformGridQuadrature:
     def test_exact_on_cubics_for_every_length_residue(self):
@@ -314,6 +330,8 @@ class TestConfig:
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             ident.IdentificationConfig(1.5, 0.5)
+        with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+            ident.IdentificationConfig(0.5, np.inf)
         with pytest.raises(ValueError):
             ident.IdentificationConfig(0.5, 1.5, n_quality=1)
         with pytest.raises(ValueError):

@@ -184,6 +184,13 @@ class TestNonIdDemo:
                                 mc_draws=20_000)
         assert exc.value.check == "mc_curve_gap"
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_an_unusable_tolerance_is_refused(self, tol):
+        # NaN compares false, so it would pass both gap checks
+        with pytest.raises(ValueError, match="tol"):
+            dl.build_nonid_demo(seed_ratio(), 0.5, 0.04, tol=tol,
+                                mc_draws=20_000)
+
     def test_monte_carlo_within_binomial_bands(self):
         demo = dl.build_nonid_demo(seed_ratio(), 0.5, 0.04,
                                    mc_draws=200_000, tol=0.02)

@@ -112,14 +112,16 @@ def test_worker_threads_do_not_load_scipy():
 
 
 def test_worker_threads_load_no_executor_or_logging():
-    # the pool is plain threads and a queue: concurrent.futures would
-    # bring logging, about 2.5 ms per process
-    assert _loaded("import demandlab\n"
+    # the helpers are plain threads, started and joined inside the run:
+    # concurrent.futures would bring logging, about 2.5 ms per process,
+    # and a queue of jobs is not needed
+    assert _loaded("import demandlab, threading\n"
                    "from demandlab import workers\n"
                    "workers._usable_cpus = lambda: 2\n"
                    "workers.run(lambda i: None, 4)\n"
-                   "assert workers._threads == 1",
-                   ["concurrent.futures", "logging"]) == []
+                   "assert not [t for t in threading.enumerate()\n"
+                   "            if t.name.startswith('demandlab-worker')]",
+                   ["concurrent.futures", "logging", "queue"]) == []
 
 
 def test_table_moments_load_no_numpy_polynomial():

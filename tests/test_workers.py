@@ -30,7 +30,7 @@ def _many_blocks(monkeypatch):
 
 def _results():
     """Every zoo surface with its estimates and a seeded sample large
-    enough for the pool to share, an independent demand curve, its ratio
+    enough to split across CPUs, an independent demand curve, its ratio
     table and the table behind its ratio marginal, and one integral; the
     populations are built here, so no cached table comes from another CPU
     count."""
@@ -51,7 +51,7 @@ def _results():
 
 
 def _helper_counts(drainers):
-    # one caller drains each run, with the helpers the pool lent it
+    # one caller drains each run, with the helpers it started
     assert all(len(run) - len(worker_names(run)) == 1 for run in drainers)
     return [len(worker_names(run)) for run in drainers]
 
@@ -205,7 +205,7 @@ def test_a_single_block_pass_runs_inline(usable_cpus, drainers):
 
 
 def test_an_idle_pool_keeps_nothing_of_a_run(usable_cpus):
-    # a helper lets go of the run's item before the run returns
+    # no helper keeps the run's item once the run has returned
     usable_cpus(3)
 
     class Payload:
@@ -220,8 +220,8 @@ def test_an_idle_pool_keeps_nothing_of_a_run(usable_cpus):
 
 def test_concurrent_callers_share_the_pool(usable_cpus):
     # four callers at once on four CPUs, switching threads as often as
-    # the interpreter allows: every run takes each of its items once, and
-    # the pool grows to three threads, no more (conftest checks its size)
+    # the interpreter allows: every run takes each of its items once, on
+    # its own three helpers (conftest checks that none outlives its run)
     usable_cpus(4)
     runs = []
 
@@ -250,7 +250,8 @@ def test_concurrent_callers_share_the_pool(usable_cpus):
 
 
 # A child interpreter on two CPUs whatever the machine has; ``split``
-# takes a special function on enough elements for the pool to share.
+# takes a special function on enough elements to split across CPUs, and
+# ``pool`` lists the helper threads alive.
 CHILD = """
 import os, threading
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -280,8 +281,8 @@ def _child(script: str) -> list:
 
 
 def test_the_pool_does_not_hold_up_exit():
-    # its threads wait for jobs forever, so they must not be joined at exit
-    assert _child("split()\nprint(pool())") == ["['demandlab-worker-1']"]
+    # a run joins its helper before it returns, so none is left at exit
+    assert _child("split()\nprint(pool())") == ["[]"]
 
 
 def test_a_failure_on_a_helper_leaves_the_pool_working():
@@ -310,4 +311,4 @@ two = split()
 os.sched_getaffinity = lambda pid: {0}
 print(two == split(), sorted(drainers), pool())
 """) == ["on a helper",
-         "True ['MainThread', 'demandlab-worker-1'] ['demandlab-worker-1']"]
+         "True ['MainThread', 'demandlab-worker-1'] []"]
