@@ -1,15 +1,20 @@
 """Command-line front end: scenario file in, CSV/JSON artifacts out.
 
-Exit codes: 0 success, 2 input/scenario error, 3 numeric failure,
-4 demonstration-assertion failure.  Every JSON report embeds the
-scenario file's sha256 and the library version; files are written
-atomically (temp file + rename), with the mode ``open`` would give a new
-file, and reruns of the same scenario and seed are byte-identical.
+Each subcommand is one row of ``COMMANDS``: its help text, the scenario
+sections it needs, and a function that returns its artifacts by file
+name.  One writer checks the sections, makes each dict body a JSON
+report that embeds the command, the scenario file's sha256 and the
+library version, and writes every file atomically (temp file + rename)
+with the mode ``open`` would give a new file.  Reruns of the same
+scenario and seed are byte-identical.  Exit codes: 0 success, 2
+input/scenario error, 3 numeric failure, 4 demonstration-assertion
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -53,77 +58,36 @@ def _atomic_write(path: str, text):
         raise
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _envelope(command: str, digest: str, body: dict) -> dict:
-    out = {"command": command, "scenario_sha256": digest,
-           "version": __version__}
-    out.update(body)
-    return out
-
-
-def _require(value, name: str):
-    if value is None:
-        raise ScenarioError(f"scenario is missing the {name!r} section "
-                            f"required by this command")
-    return value
-
-
 def _price_grid(scenario, pop) -> np.ndarray:
     if scenario.price_grid is not None:
         return scenario.price_grid.resolve_prices(pop)
     return default_price_grid(pop)
 
 
-def cmd_demand(scenario, digest: str, out_dir: str) -> int:
-    pop = _require(scenario.population, "population")
+def _demand(scenario) -> dict:
+    pop = scenario.population
     curve = demand_curve(pop, _price_grid(scenario, pop))
-    table = invert_demand(curve)
-    _atomic_write(os.path.join(out_dir, "demand.csv"), curve.to_csv())
-    _atomic_write(os.path.join(out_dir, "ratio_cdf.csv"), table.to_csv())
-    return EXIT_OK
+    return {"demand.csv": curve.to_csv(),
+            "ratio_cdf.csv": invert_demand(curve).to_csv()}
 
 
-def cmd_classify(scenario, digest: str, out_dir: str) -> int:
-    pop = _require(scenario.population, "population")
-    report = ineq_mod.classify(pop)
-    payload = _envelope("classify", digest, report.to_json_dict())
-    _atomic_write(os.path.join(out_dir, "inequality.json"),
-                  _json_text(payload))
-    return EXIT_OK
-
-
-def cmd_nonid(scenario, digest: str, out_dir: str) -> int:
-    cfg = _require(scenario.nonid, "nonid")
+def _nonid(scenario) -> dict:
+    cfg = scenario.nonid
     # Both twins share cfg.ratio, so its support fixes the price grid.
     demo = ineq_mod.build_nonid_demo(cfg.ratio, cfg.delta_low,
                                      cfg.delta_high,
                                      _price_grid(scenario, cfg.ratio),
                                      cfg.tol, cfg.mc_draws, scenario.seed)
-    payload = _envelope("nonid", digest, demo.to_json_dict())
-    _atomic_write(os.path.join(out_dir, "nonid_demo.json"),
-                  _json_text(payload))
-    _atomic_write(os.path.join(out_dir, "nonid_curves.csv"),
-                  demo.curves_csv())
-    return EXIT_OK
+    return {"nonid_demo.json": demo.to_json_dict(),
+            "nonid_curves.csv": demo.curves_csv()}
 
 
-def cmd_identify(scenario, digest: str, out_dir: str) -> int:
-    pop = _require(scenario.population, "population")
-    config = _require(scenario.identification, "identification")
-    report = ident_mod.verify_recovery(pop, config)
-    _atomic_write(os.path.join(out_dir, "surface.csv"),
-                  report.surface.to_csv())
-    moments_payload = _envelope("identify", digest,
-                                report.recovered.to_json_dict())
-    _atomic_write(os.path.join(out_dir, "moments.json"),
-                  _json_text(moments_payload))
-    report_payload = _envelope("identify", digest, report.to_json_dict())
-    _atomic_write(os.path.join(out_dir, "recovery_report.json"),
-                  _json_text(report_payload))
-    return EXIT_OK
+def _identify(scenario) -> dict:
+    report = ident_mod.verify_recovery(scenario.population,
+                                       scenario.identification)
+    return {"surface.csv": report.surface.to_csv(),
+            "moments.json": report.recovered.to_json_dict(),
+            "recovery_report.json": report.to_json_dict()}
 
 
 def _sample_rows(draws: np.ndarray):
@@ -137,16 +101,38 @@ def _sample_rows(draws: np.ndarray):
                           csv_column(block[:, 1])))
 
 
-def cmd_sample(scenario, digest: str, out_dir: str) -> int:
-    pop = _require(scenario.population, "population")
-    draws = pops.sample(pop, scenario.sample_n, scenario.seed)
-    _atomic_write(os.path.join(out_dir, "samples.csv"), _sample_rows(draws))
-    return EXIT_OK
+# name -> (help text, scenario sections it needs, artifacts by file name
+# in write order).  A dict is a JSON report; any other body is the file's
+# text or an iterable of text.
+COMMANDS = {
+    "demand": ("tabulate the demand curve and implied ratio CDF",
+               ("population",), _demand),
+    "nonid": ("build the identical-demand twin-population demo",
+              ("nonid",), _nonid),
+    "identify": ("recover cross-moments from the quality surface",
+                 ("population", "identification"), _identify),
+    "classify": ("compute the same-side inequality report", ("population",),
+                 lambda scn: {"inequality.json": ineq_mod.classify(
+                     scn.population).to_json_dict()}),
+    "sample": ("draw seeded consumers from the population", ("population",),
+               lambda scn: {"samples.csv": _sample_rows(
+                   pops.sample(scn.population, scn.sample_n, scn.seed))}),
+}
 
 
-COMMANDS = {"demand": cmd_demand, "nonid": cmd_nonid,
-            "identify": cmd_identify, "classify": cmd_classify,
-            "sample": cmd_sample}
+def _write_artifacts(command: str, scenario, digest: str, out_dir: str):
+    """Check the sections ``command`` needs, then write its artifacts."""
+    _, sections, artifacts = COMMANDS[command]
+    for section in sections:
+        if getattr(scenario, section) is None:
+            raise ScenarioError(f"scenario is missing the {section!r} "
+                                f"section required by this command")
+    for name, body in artifacts(scenario).items():
+        if isinstance(body, dict):
+            body = json.dumps({"command": command, "scenario_sha256": digest,
+                               "version": __version__, **body},
+                              indent=2, sort_keys=True) + "\n"
+        _atomic_write(os.path.join(out_dir, name), body)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,12 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Demand curves, inequality classification, and "
                     "moment recovery from scenario files.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("demand", "tabulate the demand curve and implied ratio CDF"),
-            ("nonid", "build the identical-demand twin-population demo"),
-            ("identify", "recover cross-moments from the quality surface"),
-            ("classify", "compute the same-side inequality report"),
-            ("sample", "draw seeded consumers from the population")):
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True,
                        help="path to the scenario JSON file")
@@ -179,9 +160,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ScenarioError("--seed must be >= 0")
-            scenario = _replace_seed(scenario, args.seed)
-        out_dir = args.out or scenario.out_dir or "."
-        return COMMANDS[args.command](scenario, digest, out_dir)
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+        _write_artifacts(args.command, scenario, digest,
+                         args.out or scenario.out_dir or ".")
+        return EXIT_OK
     except DemandLabError as exc:
         print(f"{_PREFIX[exc.exit_code]} ({args.command}): {exc}",
               file=sys.stderr)
@@ -189,11 +171,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-def _replace_seed(scenario, seed: int):
-    from dataclasses import replace
-    return replace(scenario, seed=seed)
 
 
 if __name__ == "__main__":

@@ -108,6 +108,9 @@ class QualityDemandSurface:
         v = np.asarray(self.values, dtype=float)
         if xq.ndim != 1 or p.ndim != 1 or v.shape != (xq.size, p.size):
             raise ValueError("surface values must be (n_quality, n_price)")
+        for name, grid in (("quality", xq), ("price", p)):
+            if grid.size == 0:
+                raise ValueError(f"the {name} grid is empty")
         errors = (np.zeros(p.size) if self.quadrature_errors is None
                   else np.asarray(self.quadrature_errors, dtype=float))
         if errors.shape != p.shape:
@@ -202,8 +205,8 @@ def invert_demand(curve: DemandCurve) -> RatioCdfTable:
 
 def quality_demand(pop: Population, xq: float, p: float) -> float:
     """Buying mass at quality xq and price p: P(vk + xq - vm p >= 0)."""
-    if not p >= 0.0:
-        raise ValueError("price must be >= 0")
+    if not 0.0 <= p < np.inf:
+        raise ValueError("price must be finite and >= 0")
     if xq != xq:
         raise ValueError("quality offset must not be NaN")
     values, _ = pop._quality_profile(float(p), np.array([float(xq)]))
@@ -214,6 +217,8 @@ def quality_demand(pop: Population, xq: float, p: float) -> float:
 def quality_demand_mc(pop: Population, xq: float, p: float,
                       n: int = 10 ** 6, seed: int = 0):
     """Monte Carlo estimate of quality_demand with its standard error."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 draws, got {n}")
     from .populations import sample
     draws = sample(pop, n, seed)
     buy = draws[:, 0] + xq - draws[:, 1] * p >= 0.0
@@ -230,8 +235,8 @@ def quality_demand_surface(pop: Population, quality_grid,
     no quadrature (see ``Population._quality_surface``)."""
     xq = np.asarray(quality_grid, dtype=float)
     prices = np.asarray(price_grid, dtype=float)
-    if not np.all(prices >= 0.0):  # NaN too, as in quality_demand
-        raise ValueError("price must be >= 0")
+    if not np.all((prices >= 0.0) & (prices < np.inf)):  # NaN too
+        raise ValueError("price must be finite and >= 0")
     if np.isnan(xq).any():
         raise ValueError("quality offset must not be NaN")
     values, errors = pop._quality_surface(prices, xq)

@@ -196,6 +196,8 @@ def build_nonid_demo(ratio: RatioMarginalSpec, delta_low: float,
     """
     if not 0.0 <= tol < np.inf:  # NaN would pass both gap checks
         raise ValueError(f"tol must be finite and >= 0, got {tol:g}")
+    if mc_draws is not None and mc_draws < 1:  # no draws: a 0/0 gap
+        raise ValueError(f"mc_draws must be >= 1, got {mc_draws}")
     checks = {"low": check_delta_bounds(ratio, delta_low, "low"),
               "high": check_delta_bounds(ratio, delta_high, "high")}
     for fam, chk in checks.items():

@@ -93,6 +93,21 @@ class TestClassifyCommand:
         assert doc["regime"] == "high"
         assert doc["boundary_mean_vm"] == pytest.approx(5.0, abs=1e-9)
         assert doc["method"] == "analytic"
+        # every other JSON report carries the same envelope
+        scn = write_scenario(tmp_path, {
+            "population": BETA_POP, "nonid": NONID,
+            "identification": {"price_lo": 0.5, "price_hi": 1.5}},
+            "every_section.json")
+        envelope = {"scenario_sha256": digest_of(scn),
+                    "version": demandlab.__version__}
+        for command, names in (("nonid", ["nonid_demo.json"]),
+                               ("identify", ["moments.json",
+                                             "recovery_report.json"])):
+            assert run(command, scn, "--out", str(out)) == 0
+            for name in names:
+                doc = json.loads((out / name).read_text())
+                assert doc["command"] == command, name
+                assert {key: doc[key] for key in envelope} == envelope, name
 
     def test_huge_money_values(self, tmp_path):
         # E[vm] = 1.5e160 fits in a double, though hi**2 does not
@@ -302,6 +317,20 @@ class TestInputErrors:
         assert run("demand", scn) == 2
         err = capsys.readouterr().err
         assert "mystery" in err and "allowed" in err
+
+    def test_help_lists_the_subcommands(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^    (\w+) +(.+)$", capsys.readouterr().out,
+                            re.MULTILINE)
+        assert listed == [
+            ("demand", "tabulate the demand curve and implied ratio CDF"),
+            ("nonid", "build the identical-demand twin-population demo"),
+            ("identify", "recover cross-moments from the quality surface"),
+            ("classify", "compute the same-side inequality report"),
+            ("sample", "draw seeded consumers from the population")]
 
     def test_missing_section_for_command(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, {"population": PRODUCT_POP})

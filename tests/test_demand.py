@@ -220,6 +220,22 @@ class TestQualityDemand:
         with pytest.raises(ValueError, match="price"):
             dl.quality_demand(pop, 0.5, np.nan)
 
+    @pytest.mark.parametrize("pop", [
+        pytest.param(pop, id=name)
+        for name, pop in sorted(surface_zoo().items())])
+    def test_an_infinite_price_is_refused(self, pop):
+        # at an infinite price the conditional kernels subtract inf from
+        # inf; an infinite quality offset is fine on every form
+        with pytest.raises(ValueError, match="price must be finite"):
+            dl.quality_demand(pop, 0.1, np.inf)
+        with pytest.raises(ValueError, match="price must be finite"):
+            dl.quality_demand_surface(pop, [0.0, 1.0], [1.0, np.inf])
+        assert dl.quality_demand(pop, np.inf, 1.0) == 1.0
+        assert dl.quality_demand(pop, -np.inf, 1.0) == 0.0
+        surf = dl.quality_demand_surface(pop, [-np.inf, 0.0, np.inf],
+                                         [0.5, 1.0])
+        assert surf.values[[0, -1]].tolist() == [[0.0, 0.0], [1.0, 1.0]]
+
     def test_nan_price_is_refused_before_the_surface(self, monkeypatch):
         # a NaN price fails the price check up front, as in quality_demand,
         # instead of building the surface and failing its finiteness check
@@ -240,6 +256,11 @@ class TestQualityDemand:
         ps = np.linspace(1.1, 1.9, 7)
         ds = [dl.quality_demand(pop, 0.3, p) for p in ps]
         assert np.all(np.diff(ds) <= 1e-12)
+
+    def test_monte_carlo_needs_a_draw(self):
+        # no draws would take the mean of an empty array, then divide by 0
+        with pytest.raises(ValueError, match="n >= 1"):
+            dl.quality_demand_mc(population_zoo()["product"], 0.4, 1.5, n=0)
 
     def test_monte_carlo_agrees(self):
         for name, pop in population_zoo().items():
@@ -311,6 +332,19 @@ class TestQualityDemandSurface:
         with pytest.raises(ValueError, match="quality offset must not be "
                                              "NaN"):
             dl.quality_demand_surface(pop, xq, prices)
+
+    @pytest.mark.parametrize("grid, quality, prices", [
+        ("quality", [], [1.0]), ("price", [0.0, 1.0], [])],
+        ids=["quality", "price"])
+    def test_an_empty_grid_is_named(self, grid, quality, prices):
+        # the tail mass reads the first and last row of every column, so
+        # neither grid may be empty
+        shape = (len(quality), len(prices))
+        with pytest.raises(ValueError, match=f"the {grid} grid is empty"):
+            dl.QualityDemandSurface(quality, prices, np.zeros(shape))
+        for name, pop in population_zoo().items():
+            with pytest.raises(ValueError, match=f"the {grid} grid is empty"):
+                dl.quality_demand_surface(pop, quality, prices)
 
     def test_carries_the_quadrature_error_of_each_column(self):
         xq = np.linspace(-3.0, 3.0, 33)

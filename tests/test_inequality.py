@@ -191,6 +191,13 @@ class TestNonIdDemo:
             dl.build_nonid_demo(seed_ratio(), 0.5, 0.04, tol=tol,
                                 mc_draws=20_000)
 
+    def test_monte_carlo_needs_a_draw(self):
+        # no draws would divide by zero in the empirical curve, and its
+        # NaN gap would pass even a zero tolerance
+        with pytest.raises(ValueError, match="mc_draws must be >= 1"):
+            dl.build_nonid_demo(seed_ratio(), 0.5, 0.04, tol=0.0,
+                                mc_draws=0)
+
     def test_monte_carlo_within_binomial_bands(self):
         demo = dl.build_nonid_demo(seed_ratio(), 0.5, 0.04,
                                    mc_draws=200_000, tol=0.02)

@@ -102,6 +102,20 @@ def test_scipy_loads_only_for_special_functions(tmp_path, command, scenario,
     assert _loads_scipy(code) is loads
 
 
+def test_every_error_class_has_a_stderr_prefix():
+    # the CLI prints each DemandLabError under its exit code's prefix, so
+    # a code without one would crash main with a KeyError
+    from demandlab import cli, errors
+    classes = [errors.DemandLabError]
+    for cls in classes:
+        classes += cls.__subclasses__()
+    assert set(classes) == {
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.DemandLabError)}
+    assert [cls.__name__ for cls in classes
+            if cls.exit_code not in cli._PREFIX] == []
+
+
 def test_worker_threads_do_not_load_scipy():
     # the workers take the caller's scipy.special error state only when
     # scipy is already loaded
