@@ -7,8 +7,8 @@ report that embeds the command, the scenario file's sha256 and the
 library version, and writes every file atomically (temp file + rename)
 with the mode ``open`` would give a new file.  Reruns of the same
 scenario and seed are byte-identical.  Exit codes: 0 success, 2
-input/scenario error, 3 numeric failure, 4 demonstration-assertion
-failure.
+input/scenario error or a size that cannot be allocated, 3 numeric
+failure, 4 demonstration-assertion failure.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ def _atomic_write(path: str, text):
 
 
 def _price_grid(scenario, pop) -> np.ndarray:
-    if scenario.price_grid is not None:
-        return scenario.price_grid.resolve_prices(pop)
-    return default_price_grid(pop)
+    return (scenario.price_grid or default_price_grid)(pop)
 
 
 def _demand(scenario) -> dict:
@@ -168,7 +166,7 @@ def main(argv=None) -> int:
         print(f"{_PREFIX[exc.exit_code]} ({args.command}): {exc}",
               file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # also a size too large to hold
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -20,8 +20,7 @@ from . import populations as pops
 from .demand import (DemandCurve, csv_column, csv_text, default_price_grid,
                      demand_curve)
 from .errors import BoundaryMassZero, DemoFailure
-from .populations import (Population, PointMassPopulation,
-                          RatioConditionalPopulation, RatioMarginalSpec)
+from .populations import Population, RatioMarginalSpec
 
 LIMIT_BANDS = 7
 GAP_TOL = 1e-10
@@ -46,15 +45,16 @@ class BoundaryMean:
 class InequalityReport:
     mean_vm: float
     boundary_mean_vm: float
-    threshold: float
-    regime: str
     method: str
     residual: float
 
-    def __post_init__(self):
-        want = "low" if self.boundary_mean_vm <= self.threshold else "high"
-        if self.regime != want:
-            raise ValueError("regime label inconsistent with statistics")
+    @property
+    def threshold(self) -> float:
+        return 2.0 * self.mean_vm
+
+    @property
+    def regime(self) -> str:
+        return "low" if self.boundary_mean_vm <= self.threshold else "high"
 
     def to_json_dict(self) -> dict:
         return {"mean_vm": self.mean_vm,
@@ -125,15 +125,14 @@ def boundary_conditional_mean(pop: Population) -> BoundaryMean:
     """Mean money value of the ratio-boundary consumers, E[vm | r = r_lo].
 
     Conditioning on a single ratio value means the band limit
-    lim E[vm | r in [r_lo, r_lo + b]] as b drops to 0.  Populations built
-    from an explicit conditional family evaluate the limit in closed form;
-    anything else gets a geometric ladder of band means with a
-    linear-in-b extrapolation from the two finest bands.
+    lim E[vm | r in [r_lo, r_lo + b]] as b drops to 0.  A form with the
+    limit in closed form returns it from ``boundary_mean_analytic``; any
+    other gets a geometric ladder of band means with a linear-in-b
+    extrapolation from the two finest bands.
     """
-    if isinstance(pop, RatioConditionalPopulation):
-        return BoundaryMean(pop.boundary_mean_analytic(), "analytic", 0.0)
-    if isinstance(pop, PointMassPopulation):
-        return BoundaryMean(pop.vm, "analytic", 0.0)
+    exact = pop.boundary_mean_analytic()
+    if exact is not None:
+        return BoundaryMean(exact, "analytic", 0.0)
 
     sup = pop.support
     b0 = (sup.r_hi - sup.r_lo) / 16.0
@@ -156,10 +155,7 @@ def classify(pop: Population) -> InequalityReport:
     """Low/high label from the boundary mean versus twice the mean."""
     mv = mean_vm(pop)
     bm = boundary_conditional_mean(pop)
-    threshold = 2.0 * mv
-    regime = "low" if bm.value <= threshold else "high"
-    return InequalityReport(mv, bm.value, threshold, regime,
-                            bm.method, bm.residual)
+    return InequalityReport(mv, bm.value, bm.method, bm.residual)
 
 
 def check_delta_bounds(ratio: RatioMarginalSpec, delta: float,

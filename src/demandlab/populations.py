@@ -244,7 +244,8 @@ class Population:
     # Subclasses implement: support, vk_upper, _density, _sample,
     # _ratio_marginal, _moments, _band_vm_moments, _quality_profile.
     # The location-scale forms (``_LocationScalePopulation``) supply
-    # _law, _noise and _vm_band in place of the first five.
+    # _law, _noise and _vm_band in place of the first five.  Forms with an
+    # exact E[vm | r = r_lo] override boundary_mean_analytic.
     # _moments(pairs) takes a list of (j, k) pairs and returns two arrays
     # in their order: E[vk**j vm**k] and each entry's diagnostic (0 for
     # closed forms, the quadrature tolerance for integrated entries).
@@ -268,6 +269,10 @@ class Population:
     def _mean_vm(self) -> float:
         """E[vm]; forms with an exact closed form override this."""
         return float(self._moments([(0, 1)])[0][0])
+
+    def boundary_mean_analytic(self) -> float | None:
+        """E[vm | r = r_lo] in closed form, or None: estimate from bands."""
+        return None
 
     def _quality_surface(self, prices: np.ndarray, xq: np.ndarray):
         """Buying mass at every (quality offset, price) pair of the grids,
@@ -355,6 +360,9 @@ class PointMassPopulation(Population):
     def _band_vm_moments(self, ra, rb):
         inside = ra <= self.vk / self.vm <= rb
         return (1.0 if inside else 0.0), (self.vm if inside else 0.0)
+
+    def boundary_mean_analytic(self) -> float:
+        return self.vm
 
     def _quality_profile(self, p, xq):
         surplus = (self.vk + np.asarray(xq, dtype=float)  # tie buys; NaN stays
@@ -1025,7 +1033,6 @@ class RatioConditionalPopulation(_LocationScalePopulation):
         return mass, vm_int
 
     def boundary_mean_analytic(self) -> float:
-        """Conditional mean of vm exactly at the lower ratio endpoint."""
         return float(self._law(self.ratio.r_lo)[1])
 
     def _crossing_pairs(self, k, e, p, xq, starts):

@@ -14,19 +14,21 @@ supplies its default, and each default is written once, on that class.
 An object with several shapes names its shape in a ``kind`` or ``form``
 tag (a ``ratio_conditional`` population a second one, ``family``), and
 ``_tagged`` hands it to the reader of that shape.  A new scenario key is
-one table row.
+one table row.  Each price-grid kind reads to its function pop -> prices.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .demand import default_price_grid
 from .errors import BoundViolation, DegenerateRatio, ScenarioError
-from .identification import IdentificationConfig
+from .identification import IdentificationConfig, chebyshev_prices
 from .inequality import GAP_TOL
 from .marginals import MarginalSpec, PwLinearTable
 from .populations import (ConditionalSpec, IndependentPopulation,
@@ -59,7 +61,10 @@ def _number(obj: dict, key: str, path: str, *, positive=False,
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{path}.{key}: expected a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer literal past float range
+        v = np.inf
     if not np.isfinite(v):
         raise ScenarioError(f"{path}.{key}: must be finite")
     if positive and v <= 0.0:
@@ -69,13 +74,20 @@ def _number(obj: dict, key: str, path: str, *, positive=False,
     return v
 
 
-def _integer(obj: dict, key: str, path: str, *, minimum=None):
+def _integer(obj: dict, key: str, path: str, *, minimum: int, maximum=np.inf):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"{path}.{key}: expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
+    if v < minimum:
         raise ScenarioError(f"{path}.{key}: must be >= {minimum}")
+    if v > maximum:
+        raise ScenarioError(f"{path}.{key}: must be <= {maximum}")
     return v
+
+
+def _count(minimum: int):
+    """Parser of a size or count: at most what NumPy can index."""
+    return partial(_integer, minimum=minimum, maximum=np.iinfo(np.intp).max)
 
 
 def _string(obj: dict, key: str, path: str, *, choices=None):
@@ -95,7 +107,10 @@ def _is_number(x) -> bool:
 
 
 def _finite(values, key: str, path: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer literal past float range
+        arr = np.array(np.inf)
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(f"{path}.{key}: entries must be finite")
     return arr
@@ -183,36 +198,6 @@ def _kind(shapes: dict):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Deferred grid recipe, resolved at use time.
-
-    ``resolve_prices`` needs only a ``support``, so it takes a population
-    or a ratio marginal alike.
-    """
-
-    kind: str
-    n: int = 257
-    lo: float | None = None
-    hi: float | None = None
-    values: tuple | None = None
-
-    def __post_init__(self):
-        if self.lo is not None and not self.lo < self.hi:
-            raise ValueError("need lo < hi")
-
-    def resolve_prices(self, pop: Population) -> np.ndarray:
-        from .demand import default_price_grid
-        from .identification import chebyshev_prices
-        if self.kind == "default":
-            return default_price_grid(pop, self.n)
-        if self.kind == "linspace":
-            return np.linspace(self.lo, self.hi, self.n)
-        if self.kind == "chebyshev":
-            return chebyshev_prices(self.lo, self.hi, self.n)
-        return np.asarray(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
 class NonIdConfig:
     ratio: RatioMarginalSpec
     delta_low: float
@@ -224,7 +209,7 @@ class NonIdConfig:
 @dataclass(frozen=True)
 class Scenario:
     population: Population | None = None
-    price_grid: GridSpec | None = None
+    price_grid: Callable[[Population], np.ndarray] | None = None
     identification: IdentificationConfig | None = None
     nonid: NonIdConfig | None = None
     sample_n: int = 10000
@@ -240,6 +225,7 @@ _MARGINALS = {
                      "lo": _number, "hi": _number}),
     "tabulated": _reader(lambda table: MarginalSpec.tabulated(*table.T),
                          {"table": _pairs})}
+marginal_from_dict = _kind(_MARGINALS)
 
 _RATIO_BOUNDS = {"r_lo": _NONNEGATIVE, "r_hi": _POSITIVE}
 _RATIOS = {
@@ -247,14 +233,7 @@ _RATIOS = {
     "triangular": _reader(RatioMarginalSpec.triangular, _RATIO_BOUNDS),
     "tabulated": _reader(lambda table: RatioMarginalSpec.tabulated(*table.T),
                          {"table": _pairs})}
-
-
-def marginal_from_dict(obj, path: str) -> MarginalSpec:
-    return _tagged(obj, path, "kind", _MARGINALS)
-
-
-def ratio_from_dict(obj, path: str) -> RatioMarginalSpec:
-    return _tagged(obj, path, "kind", _RATIOS)
+ratio_from_dict = _kind(_RATIOS)
 
 
 def population_from_dict(obj, path: str = "population") -> Population:
@@ -298,13 +277,10 @@ _EPSILON_RULES = {
 _CONDITIONAL = {"ratio": _sub(ratio_from_dict),
                 "epsilon_rule": _sub(_kind(_EPSILON_RULES)),
                 "sigma_multiplier": _POSITIVE}
+_TWIN = ({**_CONDITIONAL, "delta": _POSITIVE}, {"ratio", "delta"})
 _FAMILIES = {
-    "low": _population(_conditional(make_low_population),
-                       {**_CONDITIONAL, "delta": _POSITIVE},
-                       {"ratio", "delta"}),
-    "high": _population(_conditional(make_high_population),
-                        {**_CONDITIONAL, "delta": _POSITIVE},
-                        {"ratio", "delta"}),
+    "low": _population(_conditional(make_low_population), *_TWIN),
+    "high": _population(_conditional(make_high_population), *_TWIN),
     "custom": _population(_conditional(_custom_population),
                           {**_CONDITIONAL, "h_table": _pairs},
                           {"ratio", "h_table"})}
@@ -320,17 +296,25 @@ _POPULATIONS = {
     "ratio_conditional": lambda obj, path, tags: _tagged(
         obj, path, "family", _FAMILIES, tags),
     "mixture": _population(MixturePopulation, {"components": _components})}
+_GRID_N = _count(2)
 
-_GRID_N = partial(_integer, minimum=2)
-_GRID_BOUNDS = {"lo": _POSITIVE, "hi": _POSITIVE, "n": _GRID_N}
+
+def _spaced(grid):
+    """Reader of a grid of ``n`` prices ``grid(lo, hi, n)``."""
+    def make(lo, hi, n=257):
+        if not lo < hi:
+            raise ValueError("need lo < hi")
+        return lambda pop: grid(lo, hi, n)
+    return _reader(make, {"lo": _POSITIVE, "hi": _POSITIVE, "n": _GRID_N},
+                   {"lo", "hi"})
+
+
 _GRIDS = {
-    "default": _reader(partial(GridSpec, "default"), {"n": _GRID_N}, ()),
-    "linspace": _reader(partial(GridSpec, "linspace"), _GRID_BOUNDS,
-                        {"lo", "hi"}),
-    "chebyshev": _reader(partial(GridSpec, "chebyshev"), _GRID_BOUNDS,
-                         {"lo", "hi"}),
-    "explicit": _reader(lambda values: GridSpec("explicit", len(values),
-                                                values=values),
+    "default": _reader(lambda **n: partial(default_price_grid, **n),
+                       {"n": _GRID_N}, ()),
+    "linspace": _spaced(np.linspace),
+    "chebyshev": _spaced(chebyshev_prices),
+    "explicit": _reader(lambda values: lambda pop: np.array(values),
                         {"values": _grid_values})}
 
 
@@ -352,18 +336,17 @@ _SCENARIO = {
     "identification": _section(_reader(
         IdentificationConfig,
         {"quality_span": _span, "price_lo": _POSITIVE,
-         "price_hi": _POSITIVE, "n_prices": partial(_integer, minimum=1),
-         "max_order": partial(_integer, minimum=1),
-         "n_quality": partial(_integer, minimum=16),
+         "price_hi": _POSITIVE, "n_prices": _count(1),
+         "max_order": _count(1), "n_quality": _count(16),
          "tail_bound": _POSITIVE},
         {"price_lo", "price_hi"})),
     "nonid": _section(_reader(
         NonIdConfig,
         {"ratio": _sub(ratio_from_dict), "delta_low": _POSITIVE,
          "delta_high": _POSITIVE, "tol": _NONNEGATIVE,
-         "mc_draws": partial(_integer, minimum=1)},
+         "mc_draws": _count(1)},
         {"ratio", "delta_low", "delta_high"})),
-    "sample": _section(_single("n", partial(_integer, minimum=1))),
+    "sample": _section(_single("n", _count(1))),
     "outputs": _section(_single("dir", _string)),
     "seed": partial(_integer, minimum=0)}
 _FIELD_NAMES = {"grids": "price_grid", "sample": "sample_n",
@@ -386,8 +369,12 @@ def load_scenario(path: str):
         raise ScenarioError(f"cannot read scenario file {path!r}: {exc}")
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"scenario file {path!r} is not valid JSON: "
-                            f"{exc}")
-    return scenario_from_dict(doc), digest
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON, an over-long integer
+            raise ScenarioError(f"scenario file {path!r} is not valid "
+                                f"JSON: {exc}")
+        return scenario_from_dict(doc), digest
+    except RecursionError:  # in the JSON decoder or the reader
+        raise ScenarioError(f"scenario file {path!r} is nested too "
+                            "deeply") from None

@@ -93,6 +93,16 @@ def beta_independent() -> pops.IndependentPopulation:
         MarginalSpec.scaled_beta(2.0, 2.0, lo=0.5, hi=1.5))
 
 
+def mixture_nest(depth: int) -> dict:
+    """Scenario object of a point mass wrapped in ``depth`` one-component
+    mixtures."""
+    pop = {"form": "point_mass", "vk": 2.0, "vm": 1.0}
+    for _ in range(depth):
+        pop = {"form": "mixture",
+               "components": [{"weight": 1.0, "population": pop}]}
+    return pop
+
+
 def population_zoo() -> dict:
     """One instance of every constructible population family."""
     ratio3 = pops.RatioMarginalSpec.uniform(1.0, 2.0, vm_hi=3.0)

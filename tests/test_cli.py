@@ -16,6 +16,7 @@ from demandlab.cli import main
 from demandlab.demand import quality_demand_surface
 from demandlab.errors import QuadratureFailure
 from demandlab.scenario import scenario_from_dict
+from helpers import mixture_nest
 
 PRODUCT_POP = {"form": "product",
                "ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
@@ -36,6 +37,8 @@ DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 NONID = {"ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
          "delta_low": 0.5, "delta_high": 0.04}
+
+POINT_MASS = '{"population": {"form": "point_mass", "vk": 2.0, "vm": 1.0}}'
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -411,6 +414,38 @@ class TestInputErrors:
         assert proc.stderr.startswith("numeric failure (identify): ")
         assert message in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("classify", "[" * 200_000 + "]" * 200_000, "nested too deeply"),
+        ("classify", json.dumps({"population": mixture_nest(100)}),
+         "nested too deeply"),
+        ("classify", POINT_MASS.replace('"vk": 2.0', '"vk": 1' + "0" * 400),
+         "population.vk: must be finite"),
+        ("demand", POINT_MASS[:-1] + ', "grids": {"prices": {"kind": '
+         '"explicit", "values": [1.0, 1' + "0" * 400 + "]}}}",
+         "grids.prices.values: entries must be finite"),
+        ("sample", POINT_MASS[:-1] + ', "sample": {"n": 1' + "0" * 30 + "}}",
+         "sample.n: must be <= 9223372036854775807"),
+        # NumPy refuses 14.2 PiB at once, without touching memory
+        ("sample", POINT_MASS[:-1] + ', "sample": {"n": 1' + "0" * 15 + "}}",
+         "Unable to allocate 14.2 PiB"),
+    ], ids=["deep_json", "deep_mixture", "huge_vk", "huge_grid_value",
+            "huge_count", "unallocatable_sample"])
+    def test_out_of_range_input_exits_2(self, tmp_path, command, text,
+                                        message):
+        # one stderr line, no traceback and no artifact
+        scn = tmp_path / "scenario.json"
+        scn.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "demandlab.cli", command,
+             "--scenario", str(scn), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error ({command}): ")
+        assert message in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_huge_sigma_recovers(self, tmp_path, capsys):
         # the conditional moments are formed in units of the truncation

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,32 @@ class TestBoundaryConditionalMean:
         report = dl.classify(pops.PointMassPopulation(2.0, 1.0))
         assert report.boundary_mean_vm == report.mean_vm == 1.0
         assert report.regime == "low"
+
+    def test_regime_is_derived_and_ties_go_to_low(self):
+        report = dl.InequalityReport(1.0, 2.0, "analytic", 0.0)
+        assert (report.threshold, report.regime) == (2.0, "low")
+        above = dl.InequalityReport(1.0, np.nextafter(2.0, 3.0), "analytic",
+                                    0.0)
+        assert above.regime == "high"
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "mean_vm", "boundary_mean_vm", "method", "residual"]
+
+    def test_the_hook_decides_the_closed_form(self, monkeypatch):
+        # point masses and the conditional forms have a closed form; any
+        # other form takes the ladder unless its hook returns a value
+        forms = {"point_mass": pops.PointMassPopulation(2.0, 1.0),
+                 "low": pops.make_low_population(seed_ratio(), 0.5),
+                 "independent": beta_independent()}
+        assert {name: dl.boundary_conditional_mean(pop).method
+                for name, pop in forms.items()} == {
+            "point_mass": "analytic", "low": "analytic",
+            "independent": "limit_estimate"}
+        assert forms["low"].boundary_mean_analytic() == 0.5
+        monkeypatch.setattr(pops.IndependentPopulation,
+                            "boundary_mean_analytic", lambda self: 0.75,
+                            raising=False)
+        assert dl.boundary_conditional_mean(forms["independent"]) == (
+            dl.BoundaryMean(0.75, "analytic", 0.0))
 
     def test_limit_estimate_on_flat_conditional(self):
         # money value independent of the ratio: the band limit is E[vm]

@@ -254,3 +254,31 @@ def test_no_dead_code():
                  for line, name in _private_definitions(tree)
                  if name not in named]
     assert dead == []
+
+
+def test_population_forms_stay_behind_the_protocol():
+    # outside the module that defines the forms, the reader that builds
+    # them and the namespace, code reaches a population only through the
+    # Population protocol: it imports no concrete form and asks no
+    # isinstance of one
+    from demandlab import populations
+    forms = {name for name, obj in vars(populations).items()
+             if isinstance(obj, type) and obj is not populations.Population
+             and issubclass(obj, populations.Population)}
+    assert {"PointMassPopulation", "RatioConditionalPopulation"} <= forms
+    found = []
+    for file, tree in _trees().items():
+        if file in ("populations.py", "scenario.py", "__init__.py"):
+            continue
+        found += [(file, line, name) for line, _, name, _ in _imports(tree)
+                  if name in forms]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"):
+                found += [(file, node.lineno, name)
+                          for arg in node.args[1:] for part in ast.walk(arg)
+                          for name in [getattr(part, "id", None),
+                                       getattr(part, "attr", None)]
+                          if name in forms]
+    assert found == []
+

@@ -584,6 +584,21 @@ class TestIndependentPopulation:
             want = pop.vk.moment(j) * pop.vm.moment(k)
             assert table[(j, k)] == pytest.approx(want, rel=1e-11)
 
+    def test_density_of_two_continuous_marginals(self):
+        # vk ~ Beta(2, 3) on [0, 1] and vm ~ Beta(2, 2) on [0.5, 1.5]
+        pop = beta_independent()
+        vk, vm = np.meshgrid(np.linspace(-0.25, 1.25, 61),
+                             np.linspace(0.25, 1.75, 57))
+        got = pops.density(pop, vk, vm)
+        assert same_bits(got, pop.vk.pdf(vk) * pop.vm.pdf(vm))
+        outside = (vk < 0.0) | (vk > 1.0) | (vm < 0.5) | (vm > 1.5)
+        assert outside.any() and np.all(got[outside] == 0.0)
+        assert np.all(got[~outside] >= 0.0) and got.max() > 1.0
+        total, _ = sci_integrate.dblquad(
+            lambda vm, vk: float(pops.density(pop, vk, vm)),
+            0.0, 1.0, 0.5, 1.5, epsabs=1e-10, epsrel=1e-10)
+        assert total == pytest.approx(1.0, abs=1e-8)
+
     def test_ratio_density_against_scipy_quad(self):
         # g(r) = int u f_M(u) f_K(r u) du, evaluated independently
         pop = beta_independent()

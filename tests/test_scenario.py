@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ import pytest
 from demandlab import populations as pops
 from demandlab import scenario as scn
 from demandlab.errors import InsufficientPrices, ScenarioError
-from helpers import HIGH_BOUND_U12
+from helpers import HIGH_BOUND_U12, mixture_nest
+
+
+# one past the largest size NumPy can hold
+COUNT = int(np.iinfo(np.intp).max) + 1
+NONID = {"ratio": {"kind": "uniform", "r_lo": 1.0, "r_hi": 2.0},
+         "delta_low": 0.5, "delta_high": 0.04}
+WINDOW = {"price_lo": 0.5, "price_hi": 1.5}
 
 
 def parse(doc):
@@ -198,6 +206,44 @@ class TestStrictValidation:
             scn.population_from_dict({"form": "mixture",
                                       "components": [comp, comp]})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"population": {"form": "point_mass", "vk": 10 ** 400, "vm": 1.0}},
+         "population.vk: must be finite"),
+        ({"population": {"form": "point_mass", "vk": 2.0, "vm": -10 ** 400}},
+         "population.vm: must be finite"),
+        ({"grids": {"prices": {"kind": "explicit",
+                               "values": [1.0, 10 ** 400]}}},
+         "grids.prices.values: entries must be finite"),
+    ], ids=["vk", "vm", "grid_values"])
+    def test_integers_past_float_range_are_not_finite(self, doc, message):
+        with pytest.raises(ScenarioError) as info:
+            parse(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"sample": {"n": COUNT}}, "sample.n"),
+        ({"nonid": {**NONID, "mc_draws": COUNT}}, "nonid.mc_draws"),
+        ({"identification": {**WINDOW, "n_prices": COUNT}},
+         "identification.n_prices"),
+        ({"identification": {**WINDOW, "n_quality": COUNT}},
+         "identification.n_quality"),
+        ({"identification": {**WINDOW, "max_order": COUNT}},
+         "identification.max_order"),
+        ({"grids": {"prices": {"kind": "default", "n": COUNT}}},
+         "grids.prices.n"),
+        ({"grids": {"prices": {"kind": "linspace", "lo": 1.0, "hi": 2.0,
+                               "n": COUNT}}}, "grids.prices.n"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_counts_stop_at_the_largest_numpy_size(self, doc, path):
+        with pytest.raises(ScenarioError) as info:
+            parse(doc)
+        assert str(info.value) == f"{path}: must be <= {COUNT - 1}"
+
+    def test_the_largest_size_and_any_seed_read(self):
+        # NumPy takes a seed of any size
+        assert parse({"seed": 10 ** 40}).seed == 10 ** 40
+        assert parse({"sample": {"n": COUNT - 1}}).sample_n == COUNT - 1
+
 
 class TestConditionalOptions:
     BASE = {"form": "ratio_conditional",
@@ -230,7 +276,7 @@ class TestGrids:
     def test_default_grid(self):
         s = parse({"population": self.POP,
                    "grids": {"prices": {"kind": "default", "n": 33}}})
-        grid = s.price_grid.resolve_prices(s.population)
+        grid = s.price_grid(s.population)
         assert grid.size == 33
         assert grid[0] == pytest.approx(1.0 * (1 - 1e-3))
         assert grid[-1] == pytest.approx(2.0 * (1 + 1e-3))
@@ -239,19 +285,19 @@ class TestGrids:
         s = parse({"population": self.POP,
                    "grids": {"prices": {"kind": "linspace", "n": 5,
                                         "lo": 1.0, "hi": 2.0}}})
-        np.testing.assert_allclose(s.price_grid.resolve_prices(s.population),
+        np.testing.assert_allclose(s.price_grid(s.population),
                                    np.linspace(1.0, 2.0, 5))
         s = parse({"population": self.POP,
                    "grids": {"prices": {"kind": "chebyshev", "n": 7,
                                         "lo": 1.0, "hi": 2.0}}})
-        grid = s.price_grid.resolve_prices(s.population)
+        grid = s.price_grid(s.population)
         assert grid.size == 7 and np.all((grid > 1.0) & (grid < 2.0))
 
     def test_explicit_values_must_increase(self):
         s = parse({"population": self.POP,
                    "grids": {"prices": {"kind": "explicit",
                                         "values": [1.0, 1.3, 1.9]}}})
-        np.testing.assert_allclose(s.price_grid.resolve_prices(s.population),
+        np.testing.assert_allclose(s.price_grid(s.population),
                                    [1.0, 1.3, 1.9])
         for bad in ([1.0], [1.0, 1.0], [1.3, 1.0], [-1.0, 1.0]):
             with pytest.raises(ScenarioError):
@@ -336,3 +382,33 @@ class TestLoadScenario:
             scn.load_scenario(str(bad))
         with pytest.raises(ScenarioError):
             scn.load_scenario(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000 + "]" * 200_000,
+        json.dumps({"population": mixture_nest(100)}),
+    ], ids=["json_arrays", "mixtures"])
+    def test_deep_nesting_names_the_file(self, tmp_path, text):
+        # the JSON decoder or the reader runs out of stack; the limit
+        # stays where it was
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        limit = sys.getrecursionlimit()
+        with pytest.raises(ScenarioError) as info:
+            scn.load_scenario(str(path))
+        assert str(info.value) == (f"scenario file {str(path)!r} is "
+                                   "nested too deeply")
+        assert sys.getrecursionlimit() == limit
+
+    def test_moderate_nesting_reads(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"population": mixture_nest(60)}))
+        pop = scn.load_scenario(str(path))[0].population
+        for _ in range(60):
+            (_, pop), = pop.components
+        assert isinstance(pop, pops.PointMassPopulation)
+
+    def test_integer_past_the_digit_limit_is_not_valid_json(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ScenarioError, match="is not valid JSON"):
+            scn.load_scenario(str(path))
