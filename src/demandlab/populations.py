@@ -1135,9 +1135,9 @@ class RatioConditionalPopulation(_LocationScalePopulation):
         roots[rows, slot] = found[order]
         return roots
 
-    def _live_hull(self, p, xq, roots, starts):
+    def _live_hull(self, p, xq, roots):
         """Each row's live hull [lo, hi] and the buying mass outside it,
-        for rows sorted as ``_crossing_pairs`` takes them.
+        from its crossing roots ``roots``, one matrix per band edge.
 
         A row is live where one edge's crossing function
         (m + sign eps)(r - p) + xq is negative and the other's is not;
@@ -1162,34 +1162,34 @@ class RatioConditionalPopulation(_LocationScalePopulation):
         r, g, h = self._cells[:3]
         r_lo, r_hi = r[0], r[-1]
         a, b = self._half_width
-        edges = [((1.0 + a) * m + b, (1.0 - a) * m - b)
-                 for m in (h[[0, -1]] / g[[0, -1]]).tolist()]
-        # the states at r_lo and r_hi, one price at a time, where each
-        # crossing function's end value is a scalar
-        every, sat = np.empty((2, 2, p.size), dtype=bool)
-        ends = np.append(starts[1:], p.size)
-        for s, t in zip(starts.tolist(), ends.tolist()):
-            for i, end in enumerate((r_lo, r_hi)):
-                pos = neg = True
-                for edge in edges[i]:
-                    w = edge * (end - p[s])
-                    pad = SATURATION_MARGIN * abs(w)
-                    pos = pos & (w + xq[s:t] > pad)
-                    neg = neg & (w + xq[s:t] < -pad)
-                every[i, s:t], sat[i, s:t] = pos, pos | neg
+        # the states at r_lo and r_hi, as whole-array passes through three
+        # buffers; q and w end as the two terms of the mass outside
+        every, sat = np.ones((2, 2, p.size), dtype=bool)
+        q, w, pad = (np.empty(p.size) for _ in range(3))
+        test = np.empty(p.size, dtype=bool)
+        for i, m in enumerate((h[[0, -1]] / g[[0, -1]]).tolist()):
+            np.subtract((r_lo, r_hi)[i], p, out=q)
+            for edge in ((1.0 + a) * m + b, (1.0 - a) * m - b):
+                np.multiply(edge, q, out=w)
+                np.abs(w, out=pad)
+                pad *= SATURATION_MARGIN
+                w += xq
+                every[i] &= np.greater(w, pad, out=test)
+                sat[i] &= np.less(w, np.negative(pad, out=pad), out=test)
+            sat[i] |= every[i]
         # column by column: a reduction along rows of a few entries each
-        # costs more than the elementwise passes
-        first = np.full(p.size, r_hi)
+        # costs more than the elementwise passes; hi skips the r_hi pads
+        lo, hi = np.full(p.size, r_hi), np.full(p.size, r_lo)
         for column in (c for R in roots for c in R.T):
-            np.minimum(first, column, out=first)
-        has = first < r_hi
-        last = np.full(has.sum(), r_lo)
-        for column in (c for R in roots for c in R[has].T):
-            np.maximum(last, np.where(column < r_hi, column, r_lo), out=last)
-        lo = np.full(p.size, r_lo)
-        hi = np.where(sat[0] & sat[1] & (every[0] == every[1]), r_lo, r_hi)
-        lo[has] = np.where(sat[0, has], first[has], r_lo)
-        hi[has] = np.where(sat[1, has], last, r_hi)
+            np.minimum(lo, column, out=lo)
+            np.less(column, r_hi, out=test)
+            np.maximum(hi, column, out=hi, where=test)
+        has = lo < r_hi
+        # a rootless row whose two ends share one saturated state has
+        # lo = hi = r_lo
+        np.copyto(lo, r_lo, where=~(has & sat[0]))
+        np.copyto(hi, r_hi, where=~(sat[1] & (has | sat[0]
+                                              & (every[0] == every[1]))))
         cut = np.flatnonzero(lo < hi)  # the rows with a hull to cut
         start, stop = _money_window(p[cut], xq[cut], *self._vm_band)
         start, stop = np.fmax(lo[cut], start), np.fmin(hi[cut], stop)
@@ -1201,11 +1201,13 @@ class RatioConditionalPopulation(_LocationScalePopulation):
         has = np.flatnonzero(has)
         cdf = np.asarray(self.ratio.cdf(np.concatenate(([r_lo], lo[has],
                                                         hi[has]))))
-        at_lo, at_hi = np.full((2, p.size), cdf[0])
-        at_lo[has], at_hi[has] = cdf[1:].reshape(2, has.size)
-        below = np.where(every[0], at_lo, 0.0)
-        above = np.where(every[1] & (hi < r_hi), 1.0 - at_hi, 0.0)
-        return lo, hi, below + above
+        q[...] = w[...] = cdf[0]
+        q[has], w[has] = cdf[1:].reshape(2, has.size)
+        np.copyto(q, 0.0, where=~every[0])
+        np.subtract(1.0, w, out=w)
+        np.copyto(w, 0.0, where=~(every[1] & (hi < r_hi)))
+        q += w
+        return lo, hi, q
 
     def _quality_profile(self, p, xq):
         p, xq = np.broadcast_arrays(np.asarray(p, dtype=float),
@@ -1222,7 +1224,7 @@ class RatioConditionalPopulation(_LocationScalePopulation):
         r_lo, r_hi = self.ratio.r_lo, self.ratio.r_hi
         roots = [self._crossing_roots(sign, p, xq, starts)
                  for sign in (1.0, -1.0)]
-        lo, hi, outer = self._live_hull(p, xq, roots, starts)
+        lo, hi, outer = self._live_hull(p, xq, roots)
         # only rows with a nonempty hull (or a NaN one) need quadrature;
         # a row at xq = 0 has none and takes 1 - G(p) (see _live_hull)
         live = np.flatnonzero(~(lo >= hi))
@@ -1268,7 +1270,7 @@ class RatioConditionalPopulation(_LocationScalePopulation):
 
         with _renumbered(np.arange(n)[order][live]):
             values, errors = quadrature.segmented_gl(
-                np.min(ends, axis=1), np.max(ends, axis=1), t[:, 2:],
+                np.minimum(*ends.T), np.maximum(*ends.T), t[:, 2:],
                 integrand, tol=SURFACE_TOL)
         out = np.zeros((2, n))
         out[:, live] = values, errors

@@ -6,9 +6,13 @@ located in closed form.  They are the workhorses behind quality-demand
 surfaces.  ``poly_roots`` finds the real roots of one low-degree
 polynomial per row on an interval: a ``ratio_conditional`` surface's
 band edges cross a row's price line at such roots on each cell of its
-law.  ``solve_crossings``, a coarse scan and bisection of any row-indexed
-function, is the tests' reference for those roots and has no caller in
-the package.  For the integrals, whatever their row count,
+law.  Operations along a row's few entries, as the ordering of a
+quadratic's two roots or a hull's ends, are passes over columns: a NumPy
+call along an axis of 2-4 entries pays its overhead on each of a
+surface's tens of thousands of rows.  ``solve_crossings``, a coarse scan
+and bisection of any row-indexed function, is the tests' reference for
+those roots and has no caller in the package.  For the integrals,
+whatever their row count,
 ``segmented_gl`` is the one driver.  Its bounds are shared or one pair
 per row, so a kernel row integrates only the range where its integrand
 has no closed form.  It flattens every row's positive-width segments
@@ -289,9 +293,12 @@ def poly_roots(coef: np.ndarray, width: np.ndarray) -> np.ndarray:
             one = np.where(c2 != 0.0, q / c2, -c0 / c1)
             two = np.where(c2 == 0.0, np.nan,
                            np.where(q != 0.0, c0 / q, one))
-        roots = np.column_stack((one, two))
-        roots[~((roots >= 0.0) & (roots <= width[:, None]))] = np.nan
-        return np.sort(roots, axis=1)
+        one, two = (np.where((x >= 0.0) & (x <= width), x, np.nan)
+                    for x in (one, two))
+        # np.sort's order as one compare-and-swap: ascending, NaN last
+        swap = (two < one) | np.isnan(one)
+        return np.column_stack((np.where(swap, two, one),
+                                np.where(swap, one, two)))
     slope = coef[:, 1:] * np.arange(1, d + 1)
     crit = poly_roots(slope, width)
     ends = np.column_stack((np.zeros(n),

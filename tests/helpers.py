@@ -312,6 +312,57 @@ def bisection_roots(pop, p, xq):
     return _edge_roots(pop, p, xq, solve)
 
 
+def live_hull_reference(pop, p, xq, roots, starts):
+    """A ratio_conditional row's live hull [lo, hi] and the buying mass
+    outside it, one price at a time: the reference for
+    ``RatioConditionalPopulation._live_hull``, whose passes run over all
+    rows at once.  Rows are sorted by price, then by offset, ``starts``
+    holds the first row of each price and ``roots`` the crossing roots
+    of the two band edges.  At each price the crossing functions' end
+    values at r_lo and r_hi are scalars."""
+    r, g, h = pop._cells[:3]
+    r_lo, r_hi = r[0], r[-1]
+    a, b = pop._half_width
+    edges = [((1.0 + a) * m + b, (1.0 - a) * m - b)
+             for m in (h[[0, -1]] / g[[0, -1]]).tolist()]
+    every, sat = np.empty((2, 2, p.size), dtype=bool)
+    ends = np.append(starts[1:], p.size)
+    for s, t in zip(starts.tolist(), ends.tolist()):
+        for i, end in enumerate((r_lo, r_hi)):
+            pos = neg = True
+            for edge in edges[i]:
+                w = edge * (end - p[s])
+                pad = pops.SATURATION_MARGIN * abs(w)
+                pos = pos & (w + xq[s:t] > pad)
+                neg = neg & (w + xq[s:t] < -pad)
+            every[i, s:t], sat[i, s:t] = pos, pos | neg
+    first = np.full(p.size, r_hi)
+    for column in (c for R in roots for c in R.T):
+        np.minimum(first, column, out=first)
+    has = first < r_hi
+    last = np.full(has.sum(), r_lo)
+    for column in (c for R in roots for c in R[has].T):
+        np.maximum(last, np.where(column < r_hi, column, r_lo), out=last)
+    lo = np.full(p.size, r_lo)
+    hi = np.where(sat[0] & sat[1] & (every[0] == every[1]), r_lo, r_hi)
+    lo[has] = np.where(sat[0, has], first[has], r_lo)
+    hi[has] = np.where(sat[1, has], last, r_hi)
+    cut = np.flatnonzero(lo < hi)
+    start, stop = pops._money_window(p[cut], xq[cut], *pop._vm_band)
+    start, stop = np.fmax(lo[cut], start), np.fmin(hi[cut], stop)
+    every[1, cut[stop < hi[cut]]] = True
+    lo[cut], hi[cut] = start, stop
+    has[cut] = True
+    has = np.flatnonzero(has)
+    cdf = np.asarray(pop.ratio.cdf(np.concatenate(([r_lo], lo[has],
+                                                   hi[has]))))
+    at_lo, at_hi = np.full((2, p.size), cdf[0])
+    at_lo[has], at_hi[has] = cdf[1:].reshape(2, has.size)
+    below = np.where(every[0], at_lo, 0.0)
+    above = np.where(every[1] & (hi < r_hi), 1.0 - at_hi, 0.0)
+    return lo, hi, below + above
+
+
 def conditional_forms() -> dict:
     """The ratio_conditional populations of ``surface_zoo()``."""
     return {name: pop for name, pop in surface_zoo().items()

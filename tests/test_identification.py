@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from demandlab import populations as pops
 from demandlab.errors import (IllConditioned, InsufficientPrices,
                               NonFiniteMoment, TailMassExceeded)
 from demandlab.marginals import MarginalSpec
-from helpers import (beta_independent, full_range_profile, kinked_h_custom,
+from helpers import (benchmark_populations, beta_independent,
+                     full_range_profile, kinked_h_custom,
                      kinked_ratio_low, same_bits, seed_ratio, sine_table_low,
                      surface_zoo, zigzag_ratio_low)
 
@@ -479,6 +481,23 @@ class TestEndToEnd:
             ident.verify_recovery(pop, config)
             assert len(calls) == 2
             assert calls[1] == 15  # the pairs j + k <= 4
+
+    def test_a_twin_recovery_holds_a_bounded_peak(self):
+        # the live hulls are whole-array passes over the 36,864 rows of the
+        # benchmark grid that write their end states into three reused
+        # buffers: the high twin's recovery peaks at 4.22 MiB, 15 times its
+        # surface's values, where end arrays allocated afresh took 4.90 MiB
+        pop = benchmark_populations(5)["high"]
+        config = ident.IdentificationConfig(0.5, 1.5, n_prices=9,
+                                            max_order=4, n_quality=4096)
+        ident.verify_recovery(pop, config)  # cached laws are built untraced
+        tracemalloc.start()
+        try:
+            report = ident.verify_recovery(pop, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * report.surface.values.nbytes
 
     def test_report_serialization(self):
         pop = beta_independent()

@@ -20,9 +20,9 @@ from helpers import (HIGH_BOUND_U12, HIGH_MEAN_VM, LOW_BOUND_U12,
                      LOW_MEAN_VM, benchmark_populations, beta_independent,
                      bisection_roots, closed_form_roots, column_kernel,
                      conditional_forms, conditional_reference,
-                     full_range_profile, kinked_h_custom, live_offsets,
-                     population_zoo, same_bits, seed_ratio, sine_table_low,
-                     surface_zoo)
+                     full_range_profile, kinked_h_custom,
+                     live_hull_reference, live_offsets, population_zoo,
+                     same_bits, seed_ratio, sine_table_low, surface_zoo)
 
 
 class TestSupport:
@@ -1033,6 +1033,46 @@ class TestThresholdKernel:
         for j, p in enumerate(prices):  # a column at a time bounds memory
             want, _ = conditional_reference(pop, p, xq)
             assert np.max(np.abs(got[:, j] - want)) <= 1e-12, p
+
+    @pytest.mark.parametrize("name", sorted(conditional_forms()))
+    def test_live_hulls_match_the_per_price_reference(self, name):
+        # whole-array passes over every row give each row's hull and outer
+        # mass the bits of the per-price reference.  Nine prices: 0,
+        # r_lo / 2, r_lo, three inside the support, r_hi and two above;
+        # offsets run across each price's saturation bounds and take the
+        # bounds themselves, 0, NaN, and offsets within and beyond
+        # SATURATION_MARGIN of where a band edge's crossing function
+        # vanishes at r_lo or r_hi
+        pop = conditional_forms()[name]
+        r_lo, r_hi = pop.ratio.r_lo, pop.ratio.r_hi
+        prices = np.concatenate((
+            [0.0, 0.5 * r_lo], r_lo + np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+            * (r_hi - r_lo), [r_hi + 0.25, 2.0 * r_hi]))
+        ends = np.array([r_lo, r_hi])
+        _, m, eps = pop._law(ends)
+        near = 1.0 + np.array([-2.0, -0.5, 0.5, 2.0]) * pops.SATURATION_MARGIN
+        xq = []
+        for price in prices:
+            nobody, everybody = live_offsets(pop, price)
+            pad = 0.1 * abs(everybody - nobody)
+            vanish = np.concatenate([(m + sign * eps) * (price - ends)
+                                     for sign in (1.0, -1.0)])
+            xq.append(np.concatenate((
+                np.linspace(nobody - pad, everybody + pad, 401),
+                np.multiply.outer(vanish, near).ravel(),
+                [nobody, everybody, 0.0, np.nan])))
+        p, xq = np.repeat(prices, xq[0].size), np.concatenate(xq)
+        order = np.lexsort((xq, p))  # by price, then offset, NaN last
+        p, xq = p[order], xq[order]
+        starts = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        roots = [pop._crossing_roots(sign, p, xq, starts)
+                 for sign in (1.0, -1.0)]
+        got = pop._live_hull(p, xq, roots)
+        want = live_hull_reference(pop, p, xq, roots, starts)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        lo, hi, outer = got
+        assert np.any(lo < hi) and np.any(lo == hi)
+        assert np.any(outer == 0.0) and np.any((outer > 0.0) & (lo < hi))
 
     def test_twins_take_fewer_integrand_nodes(self, monkeypatch):
         # a twin's verify_recovery surface: over the ratio, with the pole

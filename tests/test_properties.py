@@ -368,3 +368,60 @@ def test_crossing_roots_match_the_bisection(name, rows):
             m, eps = pop._law(r)[1:]
             edge = (m + sign * eps) * (r - price)
             assert np.all(np.abs(edge + x) <= 1e-12 * (np.abs(edge) + abs(x)))
+
+
+def stable_quadratic_roots(coef, width):
+    """The two roots of the stable quadratic formula of
+    ``quadrature.poly_roots``, in the order the formula forms them: q / a
+    (or -c / b at a = 0) and c / q (NaN at a = 0, q / a again at q = 0),
+    each NaN outside [0, width]."""
+    c0, c1, c2 = coef.T
+    with np.errstate(all="ignore"):
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        one = np.where(c2 != 0.0, q / c2, -c0 / c1)
+        two = np.where(c2 == 0.0, np.nan, np.where(q != 0.0, c0 / q, one))
+        roots = np.column_stack((one, two))
+        roots[~((roots >= 0.0) & (roots <= width[:, None]))] = np.nan
+    return roots
+
+
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300, 1e300,
+                     np.inf, -np.inf, np.nan]),
+    st.floats())
+widths = st.one_of(st.sampled_from([0.0, 1.0, np.inf]),
+                   st.floats(0.0, 1e6, **bounded))
+powers_of_two = st.sampled_from([1.0, -1.0, 0.25, -4.0, 2.0 ** 60])
+quadratic_rows = st.one_of(
+    # any coefficients, with ±0, ±inf and NaN among them
+    st.tuples(st.tuples(edge_floats, edge_floats, edge_floats), widths),
+    # a zero leading coefficient: one linear root or none
+    st.tuples(st.tuples(edge_floats, edge_floats, st.sampled_from(
+        [0.0, -0.0])), widths),
+    # a double root, lead (t - r)^2
+    st.builds(lambda r, lead, w: ((lead * r * r, -2.0 * lead * r, lead), w),
+              st.floats(-1.0, 4.0, **bounded), powers_of_two, widths),
+    # roots at exactly 0 and at the width: lead t (t - w) with c0 = ±0
+    st.builds(lambda w, lead, zero: ((zero, -lead * w, lead), w),
+              st.floats(0.0, 1e6, **bounded), powers_of_two,
+              st.sampled_from([0.0, -0.0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(quadratic_rows, min_size=1, max_size=30))
+# roots -1 and 0.3 on [0, 1]: the formula's first root lies outside, so
+# the row's first entry is NaN and the swap must put it last
+@example([((-0.3, 0.7, 1.0), 1.0)])
+# roots 0.0 (q / a underflows) and -0.0 (c / q): np.sort keeps the tie
+@example([((-0.0, -1e-30, 1e300), 1.0)])
+def test_quadratic_roots_come_in_sort_order(rows):
+    # poly_roots orders each row's two roots by one compare-and-swap with
+    # NaN last; that is what np.sort gives along a row, bit for bit,
+    # including which of two equal roots (0.0 and -0.0) comes first
+    coef = np.array([c for c, _ in rows], dtype=float)
+    width = np.array([w for _, w in rows], dtype=float)
+    with np.errstate(all="ignore"):
+        got = quadrature.poly_roots(coef, width)
+    want = np.sort(stable_quadratic_roots(coef, width), axis=1)
+    assert got.shape == (len(rows), 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
